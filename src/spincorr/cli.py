@@ -326,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="search for a preservation counterexample")
     p.add_argument("--system", required=True, help="spin-system JSON file")
     p.add_argument("--target", required=True, choices=("association", "downward-fkg"))
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=20000,
                    help="cap on derivative and evolution evaluations")
     common(p, tolerance=False)

@@ -152,46 +152,49 @@ def path_edges(k: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class Generator:
-    """Dense rate matrix of single-site flips; rows sum to zero exactly."""
+    """Rate matrix of single-site flips, kept as its rate table: row eta holds
+    the n flip rates out of eta and, on the diagonal, minus their sum."""
 
-    n: int
-    rows: tuple[tuple[Fraction, ...], ...]
+    rates: RateTable
+
+    @property
+    def n(self) -> int:
+        return self.rates.n
+
+    @cached_property
+    def exit_rates(self) -> tuple[Fraction, ...]:
+        return tuple(self.rates.exit_rate(c) for c in configs(self.n))
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        mat = np.array([[float(q) for q in row] for row in self.rows], dtype=np.float64)
+        mat = np.zeros((1 << self.n, 1 << self.n), dtype=np.float64)
+        for c, total in enumerate(self.exit_rates):
+            for x in range(self.n):
+                mat[c, c ^ (1 << x)] = float(self.rates.rate(x, c))
+            mat[c, c] = float(-total)
         mat.flags.writeable = False
         return mat
 
     @cached_property
     def uniformization_rate(self) -> Fraction:
-        return max(-row[c] for c, row in enumerate(self.rows))
+        return max(self.exit_rates)
 
     def __add__(self, other: "Generator") -> "Generator":
         if not isinstance(other, Generator):
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"site counts differ: {self.n} vs {other.n}")
-        rows = tuple(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
-        )
-        return Generator(self.n, rows)
+
+        def added(a, b):
+            return tuple(tuple(p + q for p, q in zip(ta, tb)) for ta, tb in zip(a, b))
+
+        a, b = self.rates, other.rates
+        return Generator(RateTable(self.n, added(a.birth, b.birth), added(a.death, b.death)))
 
 
 def build_generator(rates: RateTable) -> Generator:
     """Q(eta, eta with site x flipped) = flip rate; diagonal balances the row."""
-    size = 1 << rates.n
-    rows = []
-    for c in range(size):
-        row = [Fraction(0)] * size
-        total = Fraction(0)
-        for x in range(rates.n):
-            r = rates.rate(x, c)
-            row[c ^ (1 << x)] = r
-            total += r
-        row[c] = -total
-        rows.append(tuple(row))
-    return Generator(rates.n, tuple(rows))
+    return Generator(rates)
 
 
 def _poisson_sweep(gen: Generator, vector: np.ndarray, t: float, tail: float, from_left: bool):
@@ -570,18 +573,15 @@ def measure_flow(gen: Generator, measure) -> tuple[Fraction, ...]:
     if pm.n != gen.n:
         raise ValueError(f"site counts differ: measure {pm.n} vs generator {gen.n}")
     weights = pm.as_fractions()
-    size = 1 << gen.n
-    out = [Fraction(0)] * size
-    for source in range(size):
-        w = weights[source]
+    out = [Fraction(0)] * (1 << gen.n)
+    for source, w in enumerate(weights):
         if w == 0:
             continue
-        row = gen.rows[source]
-        out[source] += w * row[source]
+        out[source] -= w * gen.exit_rates[source]
         for x in range(gen.n):
-            target = source ^ (1 << x)
-            if row[target]:
-                out[target] += w * row[target]
+            r = gen.rates.rate(x, source)
+            if r:
+                out[source ^ (1 << x)] += w * r
     return tuple(out)
 
 

@@ -465,131 +465,81 @@ class SearchOutcome:
     summary: str
 
 
-def _product_params(n, x, y, rho, lam, background):
-    ps = [background] * n
-    ps[x] = rho
-    ps[y] = lam
-    return ps
-
-
-def _product_with_background(n, x, y, rho, lam, background):
-    return ProbabilityMeasure.product(_product_params(n, x, y, rho, lam, background))
-
-
-def _search_association(system: RateTable, budget: int) -> SearchOutcome:
-    """Look for a product measure whose evolution loses association.
-
-    Exact negative derivatives of the two-site association determinant at
-    t = 0 are collected first; each candidate is then confirmed on a small
-    time grid with the float association sweep.
-    """
-    gen = build_generator(system)
-    n = system.n
-    evaluations = 0
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            poly = association_determinant_poly(n, x, y)
-            for background in (Fraction(1, 8), Fraction(7, 8)):
-                for rho in _PARAM_GRID:
-                    for lam in _PARAM_GRID:
-                        mu = _product_with_background(n, x, y, rho, lam, background)
-                        deriv = derivative_at_zero(gen, mu, poly)
-                        evaluations += 1
-                        if deriv >= 0:
-                            continue
-                        certificate = {
-                            "sites": [x, y],
-                            "rho": str(rho),
-                            "lambda": str(lam),
-                            "background": str(background),
-                            "derivative": str(deriv),
-                        }
-                        for t in _CONFIRM_TIMES:
-                            if evaluations >= budget:
-                                break
-                            evolved = semigroup_apply(gen, mu, t)
-                            report = is_associated(evolved)
-                            evaluations += 1
-                            if report.fails:
-                                witness = {
-                                    "product_probabilities": [
-                                        str(p) for p in _product_params(n, x, y, rho, lam, background)
-                                    ],
-                                    "t": t,
-                                    "report_property": report.property,
-                                    "report_witness": report.witness,
-                                    "report_margin": float(report.margin),
-                                }
-                                return SearchOutcome(
-                                    "association", True, witness, certificate, evaluations,
-                                    "violation-found",
-                                )
-    return SearchOutcome("association", False, None, None, evaluations, "search-exhausted")
-
-
-def _search_downward_fkg(system: RateTable, budget: int) -> SearchOutcome:
-    """Look for a product measure whose evolution loses downward FKG,
-    via the association determinant conditioned on zeros at a third site."""
-    gen = build_generator(system)
-    n = system.n
-    evaluations = 0
-    for u in range(n):
-        for x in range(n):
-            for y in range(x + 1, n):
-                if u in (x, y):
-                    continue
-                poly = association_determinant_poly(n, x, y, zero_sites=(u,))
-                for background in (Fraction(1, 2), Fraction(1, 8), Fraction(7, 8)):
-                    for rho in _PARAM_GRID:
-                        for lam in _PARAM_GRID:
-                            mu = _product_with_background(n, x, y, rho, lam, background)
-                            deriv = derivative_at_zero(gen, mu, poly)
-                            evaluations += 1
-                            if deriv >= 0:
-                                continue
-                            certificate = {
-                                "conditioned_site": u,
-                                "sites": [x, y],
-                                "rho": str(rho),
-                                "lambda": str(lam),
-                                "background": str(background),
-                                "derivative": str(deriv),
-                            }
-                            for t in _CONFIRM_TIMES:
-                                if evaluations >= budget:
-                                    break
-                                evolved = semigroup_apply(gen, mu, t)
-                                report = is_downward_fkg(evolved)
-                                evaluations += 1
-                                if report.fails:
-                                    witness = {
-                                        "product_probabilities": [
-                                            str(p)
-                                            for p in _product_params(n, x, y, rho, lam, background)
-                                        ],
-                                        "t": t,
-                                        "report_property": report.property,
-                                        "report_witness": report.witness,
-                                        "report_margin": float(report.margin),
-                                    }
-                                    return SearchOutcome(
-                                        "downward-fkg", True, witness, certificate,
-                                        evaluations, "violation-found",
-                                    )
-    return SearchOutcome("downward-fkg", False, None, None, evaluations, "search-exhausted")
-
-
 def search_counterexample(target: str, system: RateTable, budget: int = 20000) -> SearchOutcome:
     """Search for an initial measure and time at which the evolved measure
     violates the target property.
 
+    Product measures with two free sites x, y on a parameter grid are
+    screened by the exact t = 0 derivative of the association determinant
+    of (x, y) (for ``downward-fkg``, conditioned on zeros at a third site);
+    each negative derivative is then confirmed by evolving the measure over
+    a small time grid and running the target checker.  ``budget`` caps the
+    derivative and confirmation evaluations together.
+
     A found witness for ``downward-fkg`` is also a DCA violation, since
     conditional association implies the downward FKG property.
     """
+    n = system.n
     if target == "association":
-        return _search_association(system, budget)
-    if target == "downward-fkg":
-        return _search_downward_fkg(system, budget)
-    raise ValueError(f"unknown search target {target!r}; known: {SEARCH_TARGETS}")
+        cases = [((), x, y) for x in range(n) for y in range(n) if x != y]
+        backgrounds = (Fraction(1, 8), Fraction(7, 8))
+        check = is_associated
+    elif target == "downward-fkg":
+        cases = [
+            ((u,), x, y)
+            for u in range(n)
+            for x in range(n)
+            for y in range(x + 1, n)
+            if u not in (x, y)
+        ]
+        backgrounds = (Fraction(1, 2), Fraction(1, 8), Fraction(7, 8))
+        check = is_downward_fkg
+    else:
+        raise ValueError(f"unknown search target {target!r}; known: {SEARCH_TARGETS}")
+    gen = build_generator(system)
+    evaluations = 0
+
+    def exhausted():
+        return SearchOutcome(target, False, None, None, evaluations, "search-exhausted")
+
+    for zero_sites, x, y in cases:
+        poly = association_determinant_poly(n, x, y, zero_sites=zero_sites)
+        for background in backgrounds:
+            for rho in _PARAM_GRID:
+                for lam in _PARAM_GRID:
+                    if evaluations >= budget:
+                        return exhausted()
+                    ps = [background] * n
+                    ps[x] = rho
+                    ps[y] = lam
+                    mu = ProbabilityMeasure.product(ps)
+                    deriv = derivative_at_zero(gen, mu, poly)
+                    evaluations += 1
+                    if deriv >= 0:
+                        continue
+                    certificate = {
+                        **{"conditioned_site": u for u in zero_sites},
+                        "sites": [x, y],
+                        "rho": str(rho),
+                        "lambda": str(lam),
+                        "background": str(background),
+                        "derivative": str(deriv),
+                    }
+                    for t in _CONFIRM_TIMES:
+                        if evaluations >= budget:
+                            return exhausted()
+                        evolved = semigroup_apply(gen, mu, t)
+                        report = check(evolved)
+                        evaluations += 1
+                        if report.fails:
+                            witness = {
+                                "product_probabilities": [str(p) for p in ps],
+                                "t": t,
+                                "report_property": report.property,
+                                "report_witness": report.witness,
+                                "report_margin": float(report.margin),
+                            }
+                            return SearchOutcome(
+                                target, True, witness, certificate, evaluations, "violation-found"
+                            )
+    return exhausted()

@@ -208,16 +208,6 @@ def is_increasing(values, n: int):
     return True, None
 
 
-def is_decreasing(values, n: int):
-    vals = list(values)
-    if len(vals) != 1 << n:
-        raise ValueError(f"expected {1 << n} values, got {len(vals)}")
-    for lo, hi, _ in single_bit_pairs(n):
-        if vals[lo] < vals[hi]:
-            return False, (lo, hi)
-    return True, None
-
-
 def decompose_increasing(values, n: int):
     """Write an increasing f as constant + sum of positive multiples of up-set indicators.
 

@@ -313,13 +313,14 @@ def _weights_to_ints(weights) -> tuple[list[int], int]:
     return ints, sum(ints)
 
 
-def _pair_sweep_dense(matrix, w, total, threshold, early_exit):
+def _pair_sweep_dense(matrix, w, total, threshold):
     """Blocked sweep of cov(1_U, 1_V) over unordered up-set pairs.
 
     Works for int64 (exact, threshold 0) and float64 (threshold -tol)
     alike; covariances are computed against the unnormalized total, i.e.
     total*mu(U&V) - mu(U)mu(V), which has the sign of the normalized
-    covariance.  Returns (min_value, first_violation, pairs_checked).
+    covariance.  Stops after the first block with a violation.  Returns
+    (min_value, first_violation, pairs_checked).
     """
     k = matrix.shape[0]
     p = matrix @ w
@@ -344,18 +345,17 @@ def _pair_sweep_dense(matrix, w, total, threshold, early_exit):
         block_min = nums.min()
         if best is None or block_min < best:
             best = block_min
-        if violation is None:
-            hits = np.argwhere(nums < threshold)
-            if hits.size:
-                i, j = hits[0]
-                violation = (start + int(i), int(j))
-                if early_exit:
-                    break
+        hits = np.argwhere(nums < threshold)
+        if hits.size:
+            i, j = hits[0]
+            violation = (start + int(i), int(j))
+            break
     return best, violation, checked
 
 
-def _pair_sweep_bigint(masks, weights, early_exit):
-    """Exact fallback when scaled integer weights exceed the int64 budget."""
+def _pair_sweep_bigint(masks, weights):
+    """Exact fallback when scaled integer weights exceed the int64 budget;
+    stops at the first violation."""
     ints, total = _weights_to_ints(weights)
     sums = []
     for members in masks:
@@ -370,7 +370,6 @@ def _pair_sweep_bigint(masks, weights, early_exit):
         sums.append(s)
     index = {m: i for i, m in enumerate(masks)}
     best = None
-    violation = None
     checked = 0
     for i, mi in enumerate(masks):
         pi = sums[i]
@@ -379,11 +378,9 @@ def _pair_sweep_bigint(masks, weights, early_exit):
             checked += 1
             if best is None or num < best:
                 best = num
-            if num < 0 and violation is None:
-                violation = (i, j)
-                if early_exit:
-                    return best, violation, checked, total
-    return best, violation, checked, total
+            if num < 0:
+                return best, (i, j), checked, total
+    return best, None, checked, total
 
 
 def _association_witness(masks, pair):
@@ -400,15 +397,14 @@ def is_associated(
     measure,
     *,
     tolerance=None,
-    early_exit: bool = True,
     allow_large: bool = False,
 ) -> PropertyReport:
     """Positive correlations: cov(f, g) >= 0 for all increasing f, g.
 
     By the layer-cake decomposition and bilinearity of covariance it is
     enough to sweep indicator pairs of up-sets, so the check is exact.
-    The sweep covers all unordered pairs in enumeration order; n=6 is
-    opt-in and expensive (7828354^2 pairs).
+    The sweep covers unordered pairs in enumeration order and stops at the
+    first violation; n=6 is opt-in and expensive (7828354^2 pairs).
     """
     pm = _as_probability(measure)
     n = pm.n
@@ -420,9 +416,7 @@ def is_associated(
 
     if n > DEFAULT_SWEEP_SITES:
         # No dense membership matrix at this size; exact big-int sweep.
-        best, violation, checked, total = _pair_sweep_bigint(
-            masks, pm.as_fractions(), early_exit
-        )
+        best, violation, checked, total = _pair_sweep_bigint(masks, pm.as_fractions())
         margin = Fraction(best, total * total)
     else:
         matrix = up_set_matrix(n)
@@ -434,13 +428,10 @@ def is_associated(
                     np.array(ints, dtype=np.int64),
                     np.int64(total),
                     0,
-                    early_exit,
                 )
                 best = int(best)
             else:
-                best, violation, checked, total = _pair_sweep_bigint(
-                    masks, pm.weights, early_exit
-                )
+                best, violation, checked, total = _pair_sweep_bigint(masks, pm.weights)
             margin = Fraction(best, total * total)
         else:
             best, violation, checked = _pair_sweep_dense(
@@ -448,7 +439,6 @@ def is_associated(
                 pm.as_float_array(),
                 1.0,
                 -tol,
-                early_exit,
             )
             margin = float(best)
     details["pairs_checked"] = checked
@@ -547,29 +537,27 @@ def is_downward_fkg(
     measure,
     *,
     tolerance=None,
-    early_exit: bool = True,
     allow_large: bool = False,
-    float_slice_floor: float = 1e-12,
 ) -> PropertyReport:
-    """Association of every conditioning on zeros (the empty set included).
+    """Association of every conditioning on zeros (the empty set included),
+    stopping at the first violating slice.
 
     Conditioning events of zero probability are skipped, matching the
     standing convention for conditional properties.  In float mode,
-    slices with mass below ``float_slice_floor`` are also skipped: their
-    conditional weights would be dominated by semigroup truncation noise.
+    slices with mass below 1e-12 are also skipped: their conditional
+    weights would be dominated by semigroup truncation noise.
     """
     pm = _as_probability(measure)
     n = pm.n
     tol = _resolve_tolerance(pm.mode, tolerance)
     best = None
-    violation_report = None
     witness = None
     skipped = []
     checked = []
     for amask in range(1 << n):
         sites = tuple(x for x in range(n) if amask >> x & 1)
         mass = sum(w for c, w in enumerate(pm.weights) if c & amask == 0)
-        floor = 0 if pm.mode == EXACT else float_slice_floor
+        floor = 0 if pm.mode == EXACT else 1e-12
         if not mass > floor:
             skipped.append(sites)
             continue
@@ -577,9 +565,7 @@ def is_downward_fkg(
         if len(sites) == n:
             continue  # single configuration left: trivially associated
         sub, remaining = project_zeros(pm, sites)
-        report = is_associated(
-            sub, tolerance=tolerance, early_exit=early_exit, allow_large=allow_large
-        )
+        report = is_associated(sub, tolerance=tolerance, allow_large=allow_large)
         if best is None or report.margin < best:
             best = report.margin
         if report.fails:
@@ -588,9 +574,7 @@ def is_downward_fkg(
                 "remaining_sites": list(remaining),
                 **report.witness,
             }
-            violation_report = report
-            if early_exit:
-                break
+            break
     details = {
         "mode": pm.mode,
         "subsets_checked": len(checked),
@@ -598,7 +582,7 @@ def is_downward_fkg(
     }
     if pm.mode == FLOAT:
         details["tolerance"] = tol
-    if violation_report is not None:
+    if witness is not None:
         return PropertyReport("downward-fkg", FAILS, witness, best, details)
     return PropertyReport("downward-fkg", HOLDS, None, best, details)
 
@@ -612,7 +596,6 @@ def stochastically_dominates(
     upper,
     *,
     tolerance=None,
-    early_exit: bool = True,
     allow_large: bool = False,
 ) -> PropertyReport:
     """lower <= upper iff upper(U) >= lower(U) for every up-set U.
@@ -640,10 +623,9 @@ def stochastically_dominates(
             margin += hi_w[c] - lo_w[c]
         if best is None or margin < best:
             best = margin
-        if margin < -tol and violation is None:
+        if margin < -tol:
             violation = i
-            if early_exit:
-                break
+            break
     details = {"mode": mode, "up_sets_checked": len(masks) if violation is None else violation + 1}
     if mode == FLOAT:
         details["tolerance"] = tol
@@ -660,6 +642,16 @@ def stochastically_dominates(
 # witness re-evaluation
 
 
+def _up_set_pair_covariance(weights, witness):
+    """mu(U & V) - mu(U) mu(V) for the witness's up-sets ``up_set_u`` and
+    ``up_set_v``, with ``weights`` a probability vector; exact for
+    Fraction weights."""
+    u, v = witness["up_set_u"], witness["up_set_v"]
+    pu = sum(weights[c] for c in u)
+    pv = sum(weights[c] for c in v)
+    return sum(weights[c] for c in set(u) & set(v)) - pu * pv
+
+
 def reverify_witness(measure, report: PropertyReport):
     """Re-evaluate a failing report's witness constraint, exactly.
 
@@ -673,10 +665,7 @@ def reverify_witness(measure, report: PropertyReport):
         raise ValueError("report carries no witness")
     prop = report.property
     if prop == "associated":
-        pu = sum(w[c] for c in witness["up_set_u"])
-        pv = sum(w[c] for c in witness["up_set_v"])
-        both = set(witness["up_set_u"]) & set(witness["up_set_v"])
-        return sum(w[c] for c in both) - pu * pv
+        return _up_set_pair_covariance(w, witness)
     if prop == "fkg-lattice":
         a, b = witness["eta"], witness["zeta"]
         return w[a & b] * w[a | b] - w[a] * w[b]
@@ -684,11 +673,7 @@ def reverify_witness(measure, report: PropertyReport):
         sub, remaining = project_zeros(pm, witness["conditioned_sites"])
         if list(remaining) != list(witness["remaining_sites"]):
             raise ValueError("witness site bookkeeping does not match the measure")
-        sw = sub.as_fractions()
-        pu = sum(sw[c] for c in witness["up_set_u"])
-        pv = sum(sw[c] for c in witness["up_set_v"])
-        both = set(witness["up_set_u"]) & set(witness["up_set_v"])
-        return sum(sw[c] for c in both) - pu * pv
+        return _up_set_pair_covariance(sub.as_fractions(), witness)
     if prop == "stochastic-domination":
         raise ValueError("domination witnesses compare two measures; re-evaluate directly")
     raise ValueError(f"no witness re-evaluation rule for property {prop!r}")

@@ -16,7 +16,7 @@ from dataclasses import is_dataclass
 from fractions import Fraction
 
 from .dynamics import RateTable, contact_process
-from .harness import CellOutcome, ExperimentOutcome, ExperimentSpec, SearchOutcome
+from .harness import CellOutcome, ExperimentOutcome, SearchOutcome
 from .measures import EXACT, FLOAT, PropertyReport, WeightVector
 
 FORMAT_VERSION = 1
@@ -182,35 +182,6 @@ def report_from_dict(doc: dict) -> PropertyReport:
 
 def cell_to_dict(cell: CellOutcome) -> dict:
     return {"measure_index": cell.measure_index, "t": cell.t, "report": report_to_dict(cell.report)}
-
-
-def experiment_spec_to_dict(spec: ExperimentSpec) -> dict:
-    return {
-        "system": rate_table_to_dict(spec.system),
-        "property": spec.property,
-        "times": list(spec.times),
-        "seed": spec.seed,
-        "measure_mode": spec.measure_mode,
-        "measure_count": spec.measure_count,
-        "measures": None if spec.measures is None else [measure_to_dict(m) for m in spec.measures],
-        "tolerance": spec.tolerance,
-        "tilt_budget": spec.tilt_budget,
-    }
-
-
-def experiment_spec_from_dict(doc: dict) -> ExperimentSpec:
-    measures = doc.get("measures")
-    return ExperimentSpec(
-        system=rate_table_from_dict(doc["system"]),
-        property=doc["property"],
-        times=tuple(doc.get("times", (0.1, 0.5, 1.0, 2.0))),
-        seed=doc.get("seed", 0),
-        measure_mode=doc.get("measure_mode", "lattice"),
-        measure_count=doc.get("measure_count", 20),
-        measures=None if measures is None else tuple(measure_from_dict(m) for m in measures),
-        tolerance=doc.get("tolerance", 1e-9),
-        tilt_budget=doc.get("tilt_budget", 200),
-    )
 
 
 def experiment_outcome_to_dict(outcome: ExperimentOutcome) -> dict:

@@ -37,6 +37,7 @@ from .measures import (
     PropertyReport,
     _as_probability,
     _resolve_tolerance,
+    _up_set_pair_covariance,
     batch_association_margins,
     is_associated,
     is_downward_fkg,
@@ -142,17 +143,15 @@ class TiltSampler:
 
     n: int
     seed: int = 0
-    include_conditioning_family: bool = True
 
     def __iter__(self):
         validate_site_count(self.n)
-        if self.include_conditioning_family:
-            for amask in range(1, 1 << self.n):
-                sites = [x for x in range(self.n) if amask >> x & 1]
-                for eps in (Fraction(1), Fraction(1, 10), Fraction(1, 100)):
-                    tf = conditioning_tilt(self.n, sites, eps)
-                    tf.validate()
-                    yield tf
+        for amask in range(1, 1 << self.n):
+            sites = [x for x in range(self.n) if amask >> x & 1]
+            for eps in (Fraction(1), Fraction(1, 10), Fraction(1, 100)):
+                tf = conditioning_tilt(self.n, sites, eps)
+                tf.validate()
+                yield tf
         rng = random.Random(self.seed * 1000003 + self.n)
         interaction_masks = [
             m for m in range(1 << self.n) if m.bit_count() >= 2
@@ -214,7 +213,6 @@ def _materialize_conditioning_witness(pm, sites, tolerance):
 
 def dca_falsify(
     measure,
-    sampler: TiltSampler | None = None,
     budget: int = DEFAULT_TILT_BUDGET,
     *,
     tolerance=None,
@@ -228,7 +226,8 @@ def dca_falsify(
     closed forms decide the property.  For n >= 4 the checker first runs
     the downward-FKG screen (a necessary condition whose violation yields
     an explicit soft-conditioning witness) and then samples ``budget``
-    valid tilts; it never certifies `holds` at that size.
+    valid tilts from ``TiltSampler(n, seed)``; it never certifies `holds`
+    at that size.
     """
     pm = _as_probability(measure)
     n = pm.n
@@ -282,13 +281,10 @@ def dca_falsify(
         )
         return _dca_report(FAILS, witness, margin, details)
 
-    if sampler is None:
-        sampler = TiltSampler(n, seed=seed)
     weights = pm.as_float_array()
     best = None
     sampled = 0
-    for tf in islice(iter(sampler), budget):
-        tf.validate()
+    for tf in islice(iter(TiltSampler(n, seed=seed)), budget):
         sampled += 1
         h = tf.values_float()
         tilted = weights * h
@@ -319,8 +315,4 @@ def reverify_tilt_witness(measure, report: PropertyReport):
     pm = _as_probability(measure)
     h = [Fraction(v) for v in report.witness["tilt_values"]]
     tilted = tilt(ProbabilityMeasure(pm.n, pm.as_fractions(), EXACT), h)
-    w = tilted.weights
-    pu = sum(w[c] for c in report.witness["up_set_u"])
-    pv = sum(w[c] for c in report.witness["up_set_v"])
-    both = set(report.witness["up_set_u"]) & set(report.witness["up_set_v"])
-    return sum(w[c] for c in both) - pu * pv
+    return _up_set_pair_covariance(tilted.weights, report.witness)

@@ -20,6 +20,7 @@ from spincorr.dynamics import (
     has_independent_flips,
     independent_flip_kernel,
     is_attractive,
+    measure_flow,
     path_edges,
     semigroup_apply,
     semigroup_apply_expm,
@@ -46,29 +47,32 @@ def zero_system(n):
 
 
 class TestBuildGenerator:
+    # Every rate here is a multiple of 1/8, so the float matrix entries and
+    # their row sums are exact.
     def test_zero_rates_give_zero_matrix(self):
         gen = build_generator(zero_system(2))
-        assert all(q == 0 for row in gen.rows for q in row)
+        assert all(q == 0 for row in gen.matrix for q in row)
 
     def test_two_state_chain(self):
         gen = build_generator(RateTable.independent_flips(1, [1], [1]))
-        assert gen.rows == ((Fraction(-1), Fraction(1)), (Fraction(1), Fraction(-1)))
+        assert gen.matrix.tolist() == [[-1.0, 1.0], [1.0, -1.0]]
 
     def test_contact_path_entries(self):
         gen = build_generator(contact_process(path_edges(3)))
-        assert gen.rows[0b010][0b011] == 1  # birth at site 0 next to occupied site 1
-        assert gen.rows[0b010][0b000] == 1  # death at site 1
+        assert gen.matrix[0b010][0b011] == 1  # birth at site 0 next to occupied site 1
+        assert gen.matrix[0b010][0b000] == 1  # death at site 1
 
     def test_rows_sum_to_zero_exactly(self):
         for seed in range(5):
             gen = build_generator(random_spin_system(seed, 3, "generic"))
-            for c, row in enumerate(gen.rows):
+            for c, row in enumerate(gen.matrix):
                 assert sum(row) == 0
                 assert all(q >= 0 for e, q in enumerate(row) if e != c)
+            assert sum(measure_flow(gen, random_measure(seed, 3, "generic"))) == 0
 
     def test_off_diagonals_only_one_bit_away(self):
         gen = build_generator(random_spin_system(1, 3, "generic"))
-        for c, row in enumerate(gen.rows):
+        for c, row in enumerate(gen.matrix):
             for e, q in enumerate(row):
                 if q != 0 and e != c:
                     assert bin(c ^ e).count("1") == 1

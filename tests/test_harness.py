@@ -265,6 +265,14 @@ class TestSearchCounterexample:
         assert not outcome.found
         assert outcome.summary == "search-exhausted"
 
+    @pytest.mark.parametrize("target", ["association", "downward-fkg"])
+    def test_budget_caps_derivative_evaluations_too(self, target):
+        # On contact path4 no derivative is negative, so both searches would
+        # run all 1 176 or 1 764 derivatives if only confirmations counted.
+        outcome = search_counterexample(target, contact_process(path_edges(4)), budget=5)
+        assert outcome.evaluations <= 5
+        assert outcome.summary == "search-exhausted"
+
     def test_unknown_target_rejected(self):
         with pytest.raises(ValueError):
             search_counterexample("bogus", crossed_birth_pair())
