@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 all checks passed, 1 a violation was found (or an asserted
-property failed), 2 malformed input or usage error.  Every run emits one
-machine-readable JSON report (or a markdown rendering with --format
-markdown), UTF-8 and newline-terminated.
+property failed), 2 malformed input, usage error, unreadable file, or a
+refused budget (such as a six-site sweep without --opt-in-n6).  Every run
+emits one machine-readable JSON report (or a markdown rendering with
+--format markdown), UTF-8 and newline-terminated.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ from fractions import Fraction
 
 from . import fixtures as fixtures_mod
 from .harness import (
+    MEASURE_MODES,
+    PROPERTIES,
+    SEARCH_TARGETS,
     ExperimentSpec,
     evaluate_property,
     search_counterexample,
@@ -30,7 +34,8 @@ from .dynamics import (
     is_attractive,
     semigroup_apply,
 )
-from .measures import FAILS, HOLDS, PropertyReport, normalize
+from .lattice import BudgetError
+from .measures import PropertyReport, normalize
 from .serialize import (
     dumps,
     envelope,
@@ -43,14 +48,13 @@ from .serialize import (
     search_outcome_to_dict,
 )
 from .three_site import (
+    COORD_NAMES,
     SYSTEMS,
     ThreeSiteCoords,
     classify,
     complement_products,
     margins,
 )
-
-MEASURE_PROPERTIES = ("associated", "fkg-lattice", "downward-fkg", "dca")
 
 
 def _emit(args, document) -> None:
@@ -120,7 +124,7 @@ def _cmd_check_measure(args) -> int:
     vector = measure_from_dict(load_json(args.input), force_mode=args.mode)
     measure = normalize(vector)
     reports = {}
-    for name in MEASURE_PROPERTIES:
+    for name in PROPERTIES:
         reports[name] = evaluate_property(
             name,
             measure,
@@ -141,27 +145,17 @@ def _cmd_check_measure(args) -> int:
 def _cmd_check_rates(args) -> int:
     rates = rate_table_from_dict(load_json(args.input))
     reports = {
-        "attractive": is_attractive(rates),
-        "independent-flips": PropertyReport(
-            "independent-flips", HOLDS if has_independent_flips(rates) else FAILS
-        ),
-        "constant-deaths": deaths_constant(rates),
-        "constant-deaths-occupied": deaths_constant_on_occupied(rates),
-        "additive-births": births_additive(rates),
+        report.property: report
+        for report in (
+            is_attractive(rates),
+            has_independent_flips(rates),
+            deaths_constant(rates),
+            deaths_constant_on_occupied(rates),
+            births_additive(rates),
+            birth_submodularity(rates),
+            births_increasing(rates),
+        )
     }
-    def aggregate(name, per_site):
-        failing = next((r for r in per_site if not r.holds), None)
-        if failing is not None:
-            return failing
-        margins_seen = [r.margin for r in per_site if r.margin is not None]
-        return PropertyReport(name, HOLDS, None, min(margins_seen) if margins_seen else None)
-
-    reports["submodular-births"] = aggregate(
-        "submodular-births", [birth_submodularity(rates, x) for x in range(rates.n)]
-    )
-    reports["increasing-births"] = aggregate(
-        "increasing-births", [births_increasing(rates, x) for x in range(rates.n)]
-    )
     body = {
         "input": args.input,
         "n": rates.n,
@@ -188,9 +182,7 @@ def _cmd_evolve(args) -> int:
 def _cmd_classify3(args) -> int:
     doc = load_json(args.input)
     if isinstance(doc, dict) and "a" in doc and "weights" not in doc:
-        coords = ThreeSiteCoords(
-            **{key: Fraction(doc[key]) for key in ("a", "b1", "b2", "b3", "c1", "c2", "c3", "d")}
-        )
+        coords = ThreeSiteCoords(**{key: Fraction(doc[key]) for key in COORD_NAMES})
     else:
         vector = measure_from_dict(doc)
         if vector.n != 3:
@@ -310,13 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-theorem", help="preservation experiment for one property")
     p.add_argument("--system", required=True, help="spin-system JSON file")
-    p.add_argument("--property", required=True,
-                   choices=("associated", "fkg-lattice", "downward-fkg", "dca"))
+    p.add_argument("--property", required=True, choices=PROPERTIES)
     p.add_argument("--t", default="0.1,0.5,1.0,2.0", help="comma list of times")
     p.add_argument("--measures", default=None,
                    help="JSON file with one measure or an array of measures")
-    p.add_argument("--family", default="lattice",
-                   choices=("generic", "strictly-positive", "lattice", "product"))
+    p.add_argument("--family", default="lattice", choices=MEASURE_MODES)
     p.add_argument("--count", type=int, default=20, help="random initial measures to draw")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=200, help="tilt samples for DCA checks")
@@ -325,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="search for a preservation counterexample")
     p.add_argument("--system", required=True, help="spin-system JSON file")
-    p.add_argument("--target", required=True, choices=("association", "downward-fkg"))
+    p.add_argument("--target", required=True, choices=SEARCH_TARGETS)
     p.add_argument("--budget", type=int, default=20000,
                    help="cap on derivative and evolution evaluations")
     common(p, tolerance=False)
@@ -344,7 +334,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

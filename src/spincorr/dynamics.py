@@ -21,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import exp
+from math import exp, inf
 
 import numpy as np
 import scipy.linalg
 
-from .lattice import configs, single_bit_pairs, two_site_quadruples, validate_site_count
+from .lattice import configs, scan_slacks, single_bit_pairs, two_site_quadruples, validate_site_count
 from .measures import (
     FAILS,
     HOLDS,
@@ -197,6 +197,13 @@ def build_generator(rates: RateTable) -> Generator:
     return Generator(rates)
 
 
+def _check_time(t) -> float:
+    t = float(t)
+    if not 0 <= t < inf:
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
+    return t
+
+
 def _poisson_sweep(gen: Generator, vector: np.ndarray, t: float, tail: float, from_left: bool):
     lam = float(gen.uniformization_rate)
     if lam == 0.0 or t == 0.0:
@@ -228,9 +235,7 @@ def semigroup_apply(
     embedded stochastic matrix, truncated when the tail mass drops below
     ``tail``.  Output is a float-mode measure summing to 1 within 1e-12,
     so ``tail`` must stay below that slack."""
-    t = float(t)
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    t = _check_time(t)
     pm = _as_probability(measure)
     if pm.n != gen.n:
         raise ValueError(f"site counts differ: measure {pm.n} vs generator {gen.n}")
@@ -238,39 +243,31 @@ def semigroup_apply(
     return ProbabilityMeasure.floats(out)
 
 
-def semigroup_apply_function(
-    gen: Generator, values, t, *, tail: float = DEFAULT_POISSON_TAIL
-) -> tuple[float, ...]:
+def semigroup_apply_function(gen: Generator, values, t) -> tuple[float, ...]:
     """S(t)f, the expected value of f at time t started from each configuration."""
-    t = float(t)
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    t = _check_time(t)
     vec = np.array([float(v) for v in values], dtype=np.float64)
     if vec.shape[0] != 1 << gen.n:
         raise ValueError(f"expected {1 << gen.n} values")
-    out = _poisson_sweep(gen, vec, t, tail, from_left=False)
+    out = _poisson_sweep(gen, vec, t, DEFAULT_POISSON_TAIL, from_left=False)
     return tuple(float(v) for v in out)
 
 
 def semigroup_apply_expm(gen: Generator, measure, t) -> ProbabilityMeasure:
     """Scaling-and-squaring cross-check oracle for semigroup_apply."""
-    t = float(t)
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    t = _check_time(t)
     pm = _as_probability(measure)
     kernel = scipy.linalg.expm(gen.matrix * t)
     return ProbabilityMeasure.floats(pm.as_float_array() @ kernel)
 
 
-def uniformized_kernel(gen: Generator, t, *, tail: float = DEFAULT_POISSON_TAIL) -> np.ndarray:
+def uniformized_kernel(gen: Generator, t) -> np.ndarray:
     """Full transition matrix P_t under uniformization."""
     size = 1 << gen.n
-    return _poisson_sweep(gen, np.eye(size), float(t), tail, from_left=False)
+    return _poisson_sweep(gen, np.eye(size), _check_time(t), DEFAULT_POISSON_TAIL, from_left=False)
 
 
-def trotter_compose(
-    g1: Generator, g2: Generator, measure, t, steps: int, *, tail: float = DEFAULT_POISSON_TAIL
-) -> ProbabilityMeasure:
+def trotter_compose(g1: Generator, g2: Generator, measure, t, steps: int) -> ProbabilityMeasure:
     """[S1(t/m) S2(t/m)]^m acting on a measure; converges to the semigroup
     of g1 + g2 with first-order error in 1/m."""
     if g1.n != g2.n:
@@ -281,8 +278,8 @@ def trotter_compose(
     dt = t / steps
     pm = _as_probability(measure)
     for _ in range(steps):
-        pm = semigroup_apply(g1, pm, dt, tail=tail)
-        pm = semigroup_apply(g2, pm, dt, tail=tail)
+        pm = semigroup_apply(g1, pm, dt)
+        pm = semigroup_apply(g2, pm, dt)
     return pm
 
 
@@ -292,11 +289,9 @@ def independent_flip_kernel(rates: RateTable, t) -> np.ndarray:
     Site z with constant birth b and death d mixes to equilibrium at rate
     b + d: p_t(0 -> 1) = b/(b+d) * (1 - exp(-(b+d)t)).  Only valid when
     the system has independent flips."""
-    if not has_independent_flips(rates):
+    if not has_independent_flips(rates).holds:
         raise ValueError("rates are not configuration independent")
-    t = float(t)
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    t = _check_time(t)
     kernels = []
     for z in range(rates.n):
         b = float(rates.birth[z][0])
@@ -318,26 +313,24 @@ def independent_flip_kernel(rates: RateTable, t) -> np.ndarray:
 
 def is_attractive(rates: RateTable) -> PropertyReport:
     """Births increasing and deaths decreasing in the configuration."""
-    best = None
-    for x in range(rates.n):
-        for lo, hi, _ in single_bit_pairs(rates.n):
-            up = rates.birth[x][hi] - rates.birth[x][lo]
-            down = rates.death[x][lo] - rates.death[x][hi]
-            for kind, slack, pair in (("birth", up, (lo, hi)), ("death", down, (lo, hi))):
-                if best is None or slack < best:
-                    best = slack
-                if slack < 0:
-                    witness = {"site": x, "kind": kind, "lower": pair[0], "upper": pair[1]}
-                    return PropertyReport("attractive", FAILS, witness, slack)
-    return PropertyReport("attractive", HOLDS, None, best)
+    best, witness, _ = scan_slacks(
+        ({"site": x, "kind": kind, "lower": lo, "upper": hi}, slack)
+        for x in range(rates.n)
+        for lo, hi, _ in single_bit_pairs(rates.n)
+        for kind, slack in (
+            ("birth", rates.birth[x][hi] - rates.birth[x][lo]),
+            ("death", rates.death[x][lo] - rates.death[x][hi]),
+        )
+    )
+    return PropertyReport("attractive", FAILS if witness else HOLDS, witness, best)
 
 
-def has_independent_flips(rates: RateTable) -> bool:
-    """True iff every site's birth and death rates ignore the configuration."""
-    for x in range(rates.n):
-        if len(set(rates.birth[x])) > 1 or len(set(rates.death[x])) > 1:
-            return False
-    return True
+def has_independent_flips(rates: RateTable) -> PropertyReport:
+    """Every site's birth and death rates ignore the configuration."""
+    independent = all(
+        len(set(rates.birth[x])) == 1 and len(set(rates.death[x])) == 1 for x in range(rates.n)
+    )
+    return PropertyReport("independent-flips", HOLDS if independent else FAILS)
 
 
 def deaths_constant(rates: RateTable) -> PropertyReport:
@@ -473,37 +466,30 @@ def births_additive(rates: RateTable) -> PropertyReport:
     return PropertyReport("additive-births", HOLDS, None, None)
 
 
-def birth_submodularity(rates: RateTable, site: int) -> PropertyReport:
-    """Submodularity of the birth rate at one site:
+def birth_submodularity(rates: RateTable) -> PropertyReport:
+    """Submodularity of the birth rate at every site:
     rate(or) + rate(and) <= rate(eta) + rate(zeta).
 
-    Checked on pairs differing at exactly two sites, which is equivalent
-    to the condition over all pairs for any real table.
+    Checked site by site on pairs differing at exactly two sites, which is
+    equivalent to the condition over all pairs for any real table.
     """
-    table = rates.birth[site]
-    best = None
-    for base, x, y in two_site_quadruples(rates.n):
-        both = base | 1 << x | 1 << y
-        slack = table[base | 1 << x] + table[base | 1 << y] - table[both] - table[base]
-        if best is None or slack < best:
-            best = slack
-        if slack < 0:
-            witness = {"site": site, "base": base, "raised": [x, y]}
-            return PropertyReport("submodular-births", FAILS, witness, slack)
-    return PropertyReport("submodular-births", HOLDS, None, best)
+    best, witness, _ = scan_slacks(
+        ({"site": site, "base": base, "raised": [x, y]},
+         table[base | 1 << x] + table[base | 1 << y] - table[base | 1 << x | 1 << y] - table[base])
+        for site, table in enumerate(rates.birth)
+        for base, x, y in two_site_quadruples(rates.n)
+    )
+    return PropertyReport("submodular-births", FAILS if witness else HOLDS, witness, best)
 
 
-def births_increasing(rates: RateTable, site: int) -> PropertyReport:
-    table = rates.birth[site]
-    best = None
-    for lo, hi, _ in single_bit_pairs(rates.n):
-        slack = table[hi] - table[lo]
-        if best is None or slack < best:
-            best = slack
-        if slack < 0:
-            witness = {"site": site, "lower": lo, "upper": hi}
-            return PropertyReport("increasing-births", FAILS, witness, slack)
-    return PropertyReport("increasing-births", HOLDS, None, best)
+def births_increasing(rates: RateTable) -> PropertyReport:
+    """Birth rate at every site increasing in the configuration, site by site."""
+    best, witness, _ = scan_slacks(
+        ({"site": site, "lower": lo, "upper": hi}, table[hi] - table[lo])
+        for site, table in enumerate(rates.birth)
+        for lo, hi, _ in single_bit_pairs(rates.n)
+    )
+    return PropertyReport("increasing-births", FAILS if witness else HOLDS, witness, best)
 
 
 # ---------------------------------------------------------------------------

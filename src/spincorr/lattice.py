@@ -90,6 +90,25 @@ def two_site_quadruples(n: int):
                     yield base, x, y
 
 
+def scan_slacks(slacks, tolerance=0):
+    """Walk (key, slack) pairs in order, stopping at the first slack below
+    -tolerance.
+
+    Returns (minimum slack scanned or None, key of the violating slack or
+    None, number scanned).  A violating slack is the minimum so far, since
+    every earlier one is at least -tolerance.
+    """
+    best = None
+    checked = 0
+    for key, slack in slacks:
+        checked += 1
+        if best is None or slack < best:
+            best = slack
+        if slack < -tolerance:
+            return best, key, checked
+    return best, None, checked
+
+
 # ---------------------------------------------------------------------------
 # up-sets
 
@@ -202,10 +221,8 @@ def is_increasing(values, n: int):
     vals = list(values)
     if len(vals) != 1 << n:
         raise ValueError(f"expected {1 << n} values, got {len(vals)}")
-    for lo, hi, _ in single_bit_pairs(n):
-        if vals[lo] > vals[hi]:
-            return False, (lo, hi)
-    return True, None
+    _, pair, _ = scan_slacks(((lo, hi), vals[hi] - vals[lo]) for lo, hi, _ in single_bit_pairs(n))
+    return pair is None, pair
 
 
 def decompose_increasing(values, n: int):

@@ -23,6 +23,7 @@ from .lattice import (
     comparable,
     configs,
     enumerate_up_sets,
+    scan_slacks,
     two_site_quadruples,
     up_set_matrix,
     up_set_members,
@@ -504,17 +505,11 @@ def satisfies_lattice(measure, *, tolerance=None) -> PropertyReport:
     w = measure.weights
     tol = _resolve_tolerance(measure.mode, tolerance)
     strictly_positive = all(v > 0 for v in w)
-    best = None
-    violation = None
-    checked = 0
-    for a, b in _lattice_pairs(measure.n, strictly_positive):
-        slack = w[a & b] * w[a | b] - w[a] * w[b]
-        checked += 1
-        if best is None or slack < best:
-            best = slack
-        if slack < -tol and violation is None:
-            violation = (a, b)
-            break
+    best, violation, checked = scan_slacks(
+        (((a, b), w[a & b] * w[a | b] - w[a] * w[b])
+         for a, b in _lattice_pairs(measure.n, strictly_positive)),
+        tol,
+    )
     details = {
         "mode": measure.mode,
         "strictly_positive": strictly_positive,
@@ -615,18 +610,12 @@ def stochastically_dominates(
         lo_w = [float(w) for w in lo.weights]
         hi_w = [float(w) for w in hi.weights]
     masks = enumerate_up_sets(lo.n, allow_large=allow_large)
-    best = None
-    violation = None
-    for i, members in enumerate(masks):
-        margin = 0
-        for c in up_set_members(members):
-            margin += hi_w[c] - lo_w[c]
-        if best is None or margin < best:
-            best = margin
-        if margin < -tol:
-            violation = i
-            break
-    details = {"mode": mode, "up_sets_checked": len(masks) if violation is None else violation + 1}
+    best, violation, checked = scan_slacks(
+        ((i, sum(hi_w[c] - lo_w[c] for c in up_set_members(members)))
+         for i, members in enumerate(masks)),
+        tol,
+    )
+    details = {"mode": mode, "up_sets_checked": checked}
     if mode == FLOAT:
         details["tolerance"] = tol
     if violation is not None:

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .dynamics import RateTable, contact_process
 from .harness import CellOutcome, ExperimentOutcome, SearchOutcome
+from .lattice import validate_site_count
 from .measures import EXACT, FLOAT, PropertyReport, WeightVector
 
 FORMAT_VERSION = 1
@@ -37,6 +38,13 @@ def parse_rational(value, where: str = "value") -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"{where}: cannot parse rational from {value!r}") from exc
     raise ValueError(f"{where}: expected an integer or 'p/q' string, got {type(value).__name__}")
+
+
+def _site_count(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"'n' must be an integer, got {value!r}")
+    validate_site_count(value)
+    return value
 
 
 def json_safe(value):
@@ -87,12 +95,12 @@ def measure_from_dict(doc: dict, *, force_mode: str | None = None) -> WeightVect
             for i, w in enumerate(raw)
         ]
     elif mode == FLOAT:
-        weights = [float(parse_rational(w, f"weights[{i}]")) if isinstance(w, str) else float(w)
+        weights = [w if isinstance(w, float) else float(parse_rational(w, f"weights[{i}]"))
                    for i, w in enumerate(raw)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
     vector = WeightVector.exact(weights) if mode == EXACT else WeightVector.floats(weights)
-    if "n" in doc and doc["n"] != vector.n:
+    if "n" in doc and _site_count(doc["n"]) != vector.n:
         raise ValueError(f"declared n={doc['n']} but weights imply n={vector.n}")
     return vector
 
@@ -114,28 +122,32 @@ def rate_table_from_dict(doc: dict) -> RateTable:
         raise ValueError("spin-system document must be a JSON object")
     if doc.get("model") == "contact":
         edges = doc.get("edges")
-        if not isinstance(edges, list):
-            raise ValueError("contact shorthand needs an 'edges' array")
+        if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e) for e in edges
+        ):
+            raise ValueError("contact shorthand needs an 'edges' array of [i, j] integer pairs")
         return contact_process(
             [tuple(e) for e in edges],
             infection=parse_rational(doc.get("lambda", 1), "lambda"),
             recovery=parse_rational(doc.get("delta", 1), "delta"),
-            n=doc.get("n"),
+            n=None if doc.get("n") is None else _site_count(doc["n"]),
         )
     for key in ("n", "beta", "delta"):
         if key not in doc:
             raise ValueError(f"spin-system document is missing {key!r}")
-    n = doc["n"]
+    n = _site_count(doc["n"])
     size = 1 << n
 
     def table(block, name):
+        if not isinstance(block, dict):
+            raise ValueError(f"{name} must be an object mapping sites to rate arrays")
         rows = []
         for x in range(n):
             row = block.get(str(x), block.get(x))
             if row is None:
                 raise ValueError(f"{name} is missing site {x}")
-            if len(row) != size:
-                raise ValueError(f"{name}[{x}]: expected {size} rates, got {len(row)}")
+            if not isinstance(row, list) or len(row) != size:
+                raise ValueError(f"{name}[{x}]: expected an array of {size} rates, got {row!r}")
             rows.append([parse_rational(v, f"{name}[{x}][{i}]") for i, v in enumerate(row)])
         return rows
 

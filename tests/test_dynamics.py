@@ -103,6 +103,21 @@ class TestSemigroupApply:
         gen = build_generator(zero_system(1))
         with pytest.raises(ValueError):
             semigroup_apply(gen, ProbabilityMeasure.uniform(1), -0.1)
+        # negative, NaN and infinite times, at every entry point that takes one
+        gen = build_generator(contact_process(path_edges(3)))
+        mu = ProbabilityMeasure.uniform(3)
+        independent = RateTable.independent_flips(3, [1, 2, 3], [1, 1, 1])
+        calls = (
+            lambda t: semigroup_apply(gen, mu, t),
+            lambda t: semigroup_apply_function(gen, [0] * 8, t),
+            lambda t: semigroup_apply_expm(gen, mu, t),
+            lambda t: uniformized_kernel(gen, t),
+            lambda t: independent_flip_kernel(independent, t),
+        )
+        for call in calls:
+            for t in (-0.1, -1, math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    call(t)
 
     def test_semigroup_property(self):
         gen = build_generator(random_spin_system(4, 3, "generic"))
@@ -205,9 +220,9 @@ class TestRateClassifiers:
         assert report.witness["kind"] == "birth"
 
     def test_independent_flips_detection(self):
-        assert has_independent_flips(RateTable.independent_flips(3, [1, 1, 1], [2, 2, 2]))
-        assert not has_independent_flips(contact_process(path_edges(3)))
-        assert not has_independent_flips(corner_flip_system(3))
+        assert has_independent_flips(RateTable.independent_flips(3, [1, 1, 1], [2, 2, 2])).holds
+        assert has_independent_flips(contact_process(path_edges(3))).fails
+        assert has_independent_flips(corner_flip_system(3)).fails
 
     def test_deaths_constant(self):
         assert deaths_constant(contact_process(path_edges(3))).holds
@@ -269,23 +284,22 @@ class TestAdditiveDecomposition:
     def test_additive_implies_submodular_and_increasing(self):
         rates = contact_process(path_edges(4), infection=Fraction(2, 3))
         assert births_additive(rates).holds
-        for x in range(4):
-            assert birth_submodularity(rates, x).holds
-            assert births_increasing(rates, x).holds
+        assert birth_submodularity(rates).holds
+        assert births_increasing(rates).holds
 
 
 class TestBirthSubmodularity:
     def test_additive_births_pass(self):
-        assert birth_submodularity(contact_process(path_edges(3)), 1).holds
+        assert birth_submodularity(contact_process(path_edges(3))).holds
 
     def test_product_birth_fails_at_the_two_singletons(self):
-        report = birth_submodularity(supermodular_single_birth(), 2)
+        report = birth_submodularity(supermodular_single_birth())
         assert report.fails
         assert report.witness == {"site": 2, "base": 0, "raised": [0, 1]}
 
     def test_constant_births_hold_with_equality(self):
         rates = RateTable.independent_flips(3, [2, 2, 2], [0, 0, 0])
-        report = birth_submodularity(rates, 0)
+        report = birth_submodularity(rates)
         assert report.holds and report.margin == 0
 
     def test_two_site_check_equals_full_pair_sweep(self):
@@ -298,7 +312,8 @@ class TestBirthSubmodularity:
                     for a in configs(3)
                     for b in configs(3)
                 )
-                assert birth_submodularity(rates, site).holds == (full >= 0)
+                single = RateTable.single_site_birth(3, site, table)
+                assert birth_submodularity(single).holds == (full >= 0)
 
 
 class TestIndependentFlipKernel:

@@ -67,8 +67,8 @@ class TestRandomSingleSiteBirth:
     def test_postconditions(self):
         for seed in range(5):
             rates = random_single_site_birth(seed, 3, 1)
-            assert births_increasing(rates, 1).holds
-            assert birth_submodularity(rates, 1).holds
+            assert births_increasing(rates).holds
+            assert birth_submodularity(rates).holds
             assert all(v == 0 for x in (0, 2) for v in rates.birth[x])
             assert all(v == 0 for x in range(3) for v in rates.death[x])
 

@@ -211,6 +211,35 @@ class TestCli:
         assert main(["check-measure", "--input", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+        def doc_file(name, doc):
+            path = tmp_path / name
+            path.write_text(json.dumps(doc))
+            return str(path)
+
+        measure = {"n": 1, "weights": ["1/2", "1/2"]}
+        rates = {"n": 1, "beta": {"0": ["1", "1"]}, "delta": {"0": ["1", "1"]}}
+        docs = [
+            ("check-rates", {**rates, "n": "3"}),
+            ("check-rates", {**rates, "n": True}),
+            ("check-rates", {**rates, "beta": []}),
+            ("check-rates", {"model": "contact", "edges": [["a", "b"]]}),
+            ("check-measure", {**measure, "n": True}),
+            ("check-measure", {"mode": "float", "weights": [None, 1]}),
+            ("check-measure", {"mode": "float", "weights": [[1], 1]}),
+            # a six-site sweep without --opt-in-n6 is refused
+            ("check-measure", {"n": 6, "weights": ["1/64"] * 64}),
+        ]
+        runs = [[command, "--input", doc_file(f"bad{i}.json", doc)]
+                for i, (command, doc) in enumerate(docs)]
+        evolve = ["evolve", "--input", doc_file("measure.json", measure),
+                  "--system", doc_file("rates.json", rates), "--t"]
+        runs += [["check-measure", "--input", str(tmp_path)],
+                 evolve + ["inf"], evolve + ["nan"], evolve + ["-1"]]
+        for argv in runs:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_missing_file_exit_two(self, capsys):
         assert main(["check-measure", "--input", "/nonexistent.json"]) == 2
 
