@@ -8,6 +8,12 @@ instead.
 
 Every checker returns a :class:`PropertyReport` whose ``fails`` verdict
 carries a witness that re-evaluates to a strict violation on its own.
+
+Association up to five sites is decided by one blocked sweep over pairs
+of up-sets (``is_associated``): a float64 GEMM screens every pair, and in
+exact mode the pairs that an a-priori rounding bound leaves undecided are
+recomputed over Python ints, so exact verdicts and margins never depend
+on the size of the weights' common denominator.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,10 +46,6 @@ SEARCH_EXHAUSTED = "falsified-only-search-exhausted"
 
 DEFAULT_FLOAT_TOLERANCE = 1e-9
 FLOAT_NORMALIZATION_SLACK = 1e-12
-
-# Integer pair sweeps stay on int64 as long as the scaled total fits;
-# T <= 2^31 - 1 keeps every intermediate below 2^62.
-_INT64_TOTAL_LIMIT = 2**31 - 1
 
 
 def as_fraction(value) -> Fraction:
@@ -85,6 +88,8 @@ class WeightVector:
             raise ValueError(
                 f"expected {1 << self.n} weights for {self.n} sites, got {len(self.weights)}"
             )
+        if self.mode == FLOAT and not all(math.isfinite(w) for w in self.weights):
+            raise ValueError("weights must be finite")
         if any(w < 0 for w in self.weights):
             raise ValueError("weights must be nonnegative")
         if not self.total > 0:
@@ -308,55 +313,183 @@ def _resolve_tolerance(mode: str, tolerance) -> float:
 
 
 def _weights_to_ints(weights) -> tuple[list[int], int]:
-    fracs = [Fraction(w) for w in weights]
-    denom = math.lcm(*[f.denominator for f in fracs])
-    ints = [int(f * denom) for f in fracs]
+    """Fractions over their common denominator: (numerators, their sum)."""
+    denom = math.lcm(*[w.denominator for w in weights])
+    ints = [w.numerator * (denom // w.denominator) for w in weights]
     return ints, sum(ints)
 
 
-def _pair_sweep_dense(matrix, w, total, threshold):
-    """Blocked sweep of cov(1_U, 1_V) over unordered up-set pairs.
+# The sweep's rule splits the up-set rows into blocks of _BLOCK_ENTRIES // K
+# rows (K up-sets).  Each block is computed in chunks of about
+# _CHUNK_ENTRIES pairs, and pairs are certified _CERT_BATCH at a time, which
+# keeps every array of the sweep small.
+_BLOCK_ENTRIES = 1 << 23
+_CHUNK_ENTRIES = 1 << 20
+_CERT_BATCH = 1 << 16
 
-    Works for int64 (exact, threshold 0) and float64 (threshold -tol)
-    alike; covariances are computed against the unnormalized total, i.e.
-    total*mu(U&V) - mu(U)mu(V), which has the sign of the normalized
-    covariance.  Stops after the first block with a violation.  Returns
-    (min_value, first_violation, pairs_checked).
-    """
+
+@lru_cache(maxsize=None)
+def _sweep_tables(n: int):
+    """Per-n constants of the sweep: the membership matrix as float64, the
+    up-set masks as int64 (ascending, so ``searchsorted`` finds the row of
+    an intersection), a strictly lower triangle covering one chunk's
+    leading square, and per row block the number of pairs i <= j in it and
+    its chunks as row ranges."""
+    matrix = up_set_matrix(n).astype(np.float64)
     k = matrix.shape[0]
-    p = matrix @ w
-    weighted = matrix * w
-    if matrix.dtype == np.int64:
-        sentinel = np.iinfo(np.int64).max
-    else:
-        sentinel = np.inf
-    block = max(1, min(k, (1 << 23) // max(k, 1)))
+    block = max(1, min(k, _BLOCK_ENTRIES // k))
+    step = max(1, min(block, _CHUNK_ENTRIES // k))
+    blocks = []
+    for start in range(0, k, block):
+        stop = min(start + block, k)
+        rows = stop - start
+        chunks = [(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
+        blocks.append((rows * (k - start) - rows * (rows - 1) // 2, chunks))
+    masks = np.asarray(enumerate_up_sets(n), dtype=np.int64)
+    return matrix, masks, np.tri(step, step, -1, dtype=bool), blocks
+
+
+def _pair_covariances(n: int, weights: np.ndarray):
+    """Float64 mu(U & V) - mu(U) mu(V) for up-set pairs, a chunk of rows at a time.
+
+    Returns ``rows(lo, hi)``, whose entry [i - lo, j - lo] belongs to the
+    pair (i, j) for lo <= i < hi and j >= lo; entries with j < i are +inf.
+    Each chunk is one GEMM, [M*w | -p] @ [M | p]^T with p = M @ w.
+    """
+    matrix, _, lower, _ = _sweep_tables(n)
+    p = matrix @ weights
+    left = np.concatenate([matrix * weights, -p[:, None]], axis=1)
+    right = np.concatenate([matrix, p[:, None]], axis=1)
+
+    def rows(lo, hi):
+        values = left[lo:hi] @ right[lo:].T
+        values[:, :hi - lo][lower[:hi - lo, :hi - lo]] = np.inf
+        return values
+
+    return rows
+
+
+def _float_sweep(n: int, weights: np.ndarray, tolerance: float):
+    """Float sweep with violations below -tolerance, by the block rule of
+    ``is_associated``.  Returns (margin, violation pair or None, pairs)."""
+    rows = _pair_covariances(n, weights)
     best = None
     violation = None
     checked = 0
-    for start in range(0, k, block):
-        stop = min(start + block, k)
-        inter = weighted[start:stop] @ matrix.T
-        nums = inter * total - p[start:stop, None] * p[None, :]
-        cols = np.arange(k)[None, :]
-        rows = np.arange(start, stop)[:, None]
-        valid = cols >= rows
-        nums = np.where(valid, nums, sentinel)
-        checked += int(valid.sum())
-        block_min = nums.min()
-        if best is None or block_min < best:
-            best = block_min
-        hits = np.argwhere(nums < threshold)
-        if hits.size:
-            i, j = hits[0]
-            violation = (start + int(i), int(j))
+    for pairs, chunks in _sweep_tables(n)[3]:
+        checked += pairs
+        for lo, hi in chunks:
+            values = rows(lo, hi)
+            chunk_min = float(values.min())
+            best = chunk_min if best is None else min(best, chunk_min)
+            if violation is None and chunk_min < -tolerance:
+                flat = int((values.ravel() < -tolerance).argmax())
+                violation = lo + flat // values.shape[1], lo + flat % values.shape[1]
+        if violation is not None:
             break
     return best, violation, checked
 
 
+def _exact_sweep(n: int, weights):
+    """Exact sweep: a float64 filter, certified over Python ints.
+
+    Write the weights as integers a_c over their common denominator T and
+    S(U) for the sum of a_c over U; the exact value of a pair is
+    N(U, V) = T*S(U & V) - S(U)*S(V) = T^2 cov(1_U, 1_V).  The filter runs
+    ``_pair_covariances`` on the normalized weights rounded to float64, so
+    no denominator overflows it.  Pairs whose float value cannot decide
+    what is needed are recomputed as N over Python ints.
+
+    Error bound (u = 2^-53, m = 2^n + 1 terms per GEMM dot product): each
+    rounded weight is within u*w_c of w_c (plus an underflow term of
+    2^-1075); each p(U) = sum of w over U is within about m*u of mu(U);
+    the dot product itself is within gamma_m = m*u/(1 - m*u) times the sum
+    of its absolute terms, which is at most about 2, in any summation
+    order (Higham, "Accuracy and Stability of Numerical Algorithms",
+    section 3.1).  Since every mu is at most 1, each float value lies
+    within (4m + 1)*u, plus terms of order u^2 and 2^-1075, of the exact
+    covariance.  ``bound`` is twice that, which also covers the rounding of
+    the thresholds computed from it.
+
+    Up-sets of probability 0 or 1 have covariance exactly 0 with every
+    up-set; their rows and columns are set to +inf and never certified.
+    Among them is the full up-set, the last one, which lies in every
+    block, so a block without a violation has exact minimum 0.  A chunk
+    whose float minimum is at least ``bound`` has no violation.  Otherwise
+    its first violation is the first pair that is either below -bound or
+    within bound of 0 and certified negative.  The exact minimum of a
+    block with a violation is the least certified N among its pairs within
+    2*bound of its float minimum; their chunks are computed again, and any
+    evaluation within the bound finds them.  Returns (numerator of the
+    margin, violation pair or None, pairs, T); the margin is numerator / T^2.
+    """
+    matrix, masks, _, blocks = _sweep_tables(n)
+    membership = up_set_matrix(n)
+    ints, total = _weights_to_ints(weights)
+    exact_weights = np.array(ints, dtype=object)
+    support = [a > 0 for a in ints]
+    in_support = matrix @ np.array(support, dtype=np.float64)
+    null = (in_support == 0) | (in_support == sum(support))
+    bound = (2**n + 2) * 2.0**-50
+    sums = np.zeros(len(masks), dtype=object)
+    known = np.zeros(len(masks), dtype=bool)
+    rows = _pair_covariances(n, np.array([a / total for a in ints]))
+
+    def screened(lo, hi):
+        values = rows(lo, hi)
+        values[:, null[lo:]] = np.inf
+        values[null[lo:hi]] = np.inf
+        return values.ravel(), values.shape[1]
+
+    def exact(lo, flat, ncols):
+        """Yield (offset into flat, N of those pairs), a batch at a time."""
+        for offset in range(0, flat.size, _CERT_BATCH):
+            batch = flat[offset:offset + _CERT_BATCH]
+            i, j = lo + batch // ncols, lo + batch % ncols
+            inter = masks.searchsorted(masks[i] & masks[j])
+            need = np.concatenate([i, j, inter])
+            need = need[~known[need]]
+            sums[need] = membership[need] @ exact_weights
+            known[need] = True
+            yield offset, total * sums[inter] - sums[i] * sums[j]
+
+    checked = 0
+    for pairs, chunks in blocks:
+        checked += pairs
+        violation = None
+        chunk_mins = []
+        for lo, hi in chunks:
+            values, ncols = screened(lo, hi)
+            chunk_mins.append(values.min())
+            if violation is not None or chunk_mins[-1] >= bound:
+                continue
+            first = values.size
+            if chunk_mins[-1] < -bound:
+                first = int((values < -bound).argmax())
+            flat = (values[:first] < bound).nonzero()[0]
+            for offset, certified in exact(lo, flat, ncols):
+                negative = (certified < 0).nonzero()[0]
+                if negative.size:
+                    first = int(flat[offset + negative[0]])
+                    break
+            if first < values.size:
+                violation = lo + first // ncols, lo + first % ncols
+        if violation is None:
+            continue
+        threshold = min(chunk_mins) + 2 * bound
+        best = 0
+        for (lo, hi), chunk_min in zip(chunks, chunk_mins):
+            if chunk_min <= threshold:
+                values, ncols = screened(lo, hi)
+                flat = (values <= threshold).nonzero()[0]
+                best = min([best] + [certified.min() for _, certified in exact(lo, flat, ncols)])
+        return best, violation, checked, total
+    return 0, None, checked, total
+
+
 def _pair_sweep_bigint(masks, weights):
-    """Exact fallback when scaled integer weights exceed the int64 budget;
-    stops at the first violation."""
+    """Exact sweep without a membership matrix (n = 6); stops at the first
+    violation."""
     ints, total = _weights_to_ints(weights)
     sums = []
     for members in masks:
@@ -404,8 +537,22 @@ def is_associated(
 
     By the layer-cake decomposition and bilinearity of covariance it is
     enough to sweep indicator pairs of up-sets, so the check is exact.
-    The sweep covers unordered pairs in enumeration order and stops at the
-    first violation; n=6 is opt-in and expensive (7828354^2 pairs).
+
+    For n <= 5 one engine sweeps the unordered pairs (U, V), U <= V in
+    enumeration order, in row blocks of (1 << 23) // K up-sets (K
+    up-sets): a float64 GEMM per chunk of rows, with threshold -tolerance
+    in float mode.  In exact mode the float values only screen: every pair
+    they cannot decide, within an a-priori rounding bound of 0 or of a
+    block's float minimum, is recomputed over Python ints (see
+    ``_exact_sweep``), so the verdict and margin are exact for any
+    denominator.  Failing-margin rule: a failing report carries the
+    lexicographically first violating pair and the minimum over the row
+    blocks up to and including the first block with a violation, and
+    ``pairs_checked`` counts the pairs of those blocks.  A holding report
+    has swept every pair and carries the global minimum; in exact mode
+    that is 0 (the full up-set is uncorrelated with every up-set).  n=6 is
+    opt-in and expensive (7828354^2 pairs): it runs a big-integer sweep
+    that stops at the first violating pair.
     """
     pm = _as_probability(measure)
     n = pm.n
@@ -419,29 +566,11 @@ def is_associated(
         # No dense membership matrix at this size; exact big-int sweep.
         best, violation, checked, total = _pair_sweep_bigint(masks, pm.as_fractions())
         margin = Fraction(best, total * total)
+    elif pm.mode == EXACT:
+        best, violation, checked, total = _exact_sweep(n, pm.weights)
+        margin = Fraction(best, total * total)
     else:
-        matrix = up_set_matrix(n)
-        if pm.mode == EXACT:
-            ints, total = _weights_to_ints(pm.weights)
-            if total <= _INT64_TOTAL_LIMIT:
-                best, violation, checked = _pair_sweep_dense(
-                    matrix.astype(np.int64),
-                    np.array(ints, dtype=np.int64),
-                    np.int64(total),
-                    0,
-                )
-                best = int(best)
-            else:
-                best, violation, checked, total = _pair_sweep_bigint(masks, pm.weights)
-            margin = Fraction(best, total * total)
-        else:
-            best, violation, checked = _pair_sweep_dense(
-                matrix.astype(np.float64),
-                pm.as_float_array(),
-                1.0,
-                -tol,
-            )
-            margin = float(best)
+        margin, violation, checked = _float_sweep(n, pm.as_float_array(), tol)
     details["pairs_checked"] = checked
 
     if violation is not None:

@@ -1,0 +1,201 @@
+"""The association sweep against an exact reference of its block rule.
+
+``is_associated`` screens up-set pairs in float64 and certifies the
+undecided ones over Python ints; whatever the screen does, its reports must
+equal the rule evaluated exactly pair by pair: sweep the up-set rows in
+blocks of (1 << 23) // K, stop after the first block holding a violation,
+report that pair (lexicographically first), the minimum over the blocks
+swept, and the number of pairs in them.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from spincorr import measures
+from spincorr.harness import derangement_measure, random_measure
+from spincorr.lattice import enumerate_up_sets, up_set_members
+from spincorr.measures import (
+    ProbabilityMeasure,
+    WeightVector,
+    is_associated,
+    normalize,
+    reverify_witness,
+)
+
+
+def reference_association(weights):
+    """(verdict, (mask_u, mask_v) or None, margin, pairs) by the block rule.
+
+    With T the common denominator of the normalized weights and S(U) the sum
+    of their numerators over U, every pair is evaluated as the integer
+    T*S(U & V) - S(U)*S(V) = T^2 cov(1_U, 1_V); no float is involved.
+    """
+    fracs = [Fraction(w) for w in weights]
+    fracs = [f / sum(fracs) for f in fracs]
+    n = len(fracs).bit_length() - 1
+    total = math.lcm(*(f.denominator for f in fracs))
+    ints = [f.numerator * (total // f.denominator) for f in fracs]
+    masks = enumerate_up_sets(n)
+    mask_array = np.array(masks, dtype=np.int64)
+    sums = np.array([sum(ints[c] for c in up_set_members(m)) for m in masks], dtype=object)
+    k = len(masks)
+    block = max(1, min(k, (1 << 23) // k))
+    best = None
+    pairs = 0
+    for start in range(0, k, block):
+        witness = None
+        for i in range(start, min(start + block, k)):
+            inter = np.searchsorted(mask_array, mask_array[i] & mask_array[i:])
+            values = total * sums[inter] - sums[i] * sums[i:]
+            pairs += k - i
+            row_min = values.min()
+            best = row_min if best is None else min(best, row_min)
+            negative = np.flatnonzero(values < 0)
+            if witness is None and negative.size:
+                witness = (masks[i], masks[i + int(negative[0])])
+        if witness is not None:
+            return "fails", witness, Fraction(best, total * total), pairs
+    return "holds", None, Fraction(best, total * total), pairs
+
+
+def engine(measure):
+    report = is_associated(measure)
+    witness = report.witness and (report.witness["mask_u"], report.witness["mask_v"])
+    return report.verdict, witness, report.margin, report.details["pairs_checked"]
+
+
+def assert_matches_reference(measure):
+    assert engine(measure) == reference_association(measure.weights)
+
+
+def two_site_violation(x: int) -> ProbabilityMeasure:
+    """Weights (x-1, x, x, x+1) / 4x: the sites' covariance is -1/(4x)^2."""
+    total = 4 * x
+    return ProbabilityMeasure(
+        2, tuple(Fraction(a, total) for a in (x - 1, x, x, x + 1)), "exact"
+    )
+
+
+weights = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(1, 20), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(1, 2**70), st.integers(2**60, 2**64)),
+)
+probabilities = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2)]),
+    st.builds(Fraction, st.integers(1, 11), st.just(12)),
+    st.builds(Fraction, st.integers(1, 2**60 - 1), st.just(2**60 + 33)),
+)
+
+
+@st.composite
+def exact_measures(draw):
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return ProbabilityMeasure.product(draw(st.lists(probabilities, min_size=n, max_size=n)))
+    vector = draw(st.lists(weights, min_size=1 << n, max_size=1 << n))
+    assume(any(vector))
+    return WeightVector.exact(vector)
+
+
+class TestAgainstReference:
+    @settings(max_examples=80, deadline=None)
+    @given(exact_measures())
+    def test_small_measures(self, measure):
+        assert_matches_reference(measure)
+
+    def test_five_site_spot_checks(self):
+        # one scaled total below 2^31, one far above it; both fail in the
+        # first block, which is all the reference has to sweep
+        small = normalize(random_measure(0, 5, "generic"))
+        perturbed = list(normalize(random_measure(1, 5, "strictly-positive")).weights)
+        perturbed[3] += Fraction(1, 10**15)
+        for measure in (small, WeightVector.exact(perturbed)):
+            verdict, _, _, pairs = expected = reference_association(measure.weights)
+            assert verdict == "fails" and pairs < 7581 * 7582 // 2
+            assert engine(measure) == expected
+
+
+class TestPathIndependence:
+    def test_total_above_two_to_the_31_keeps_the_block_rule(self):
+        base = normalize(random_measure(0, 3, "generic"))
+        weights = list(base.weights)
+        weights[1] += Fraction(1, 10**12)
+        perturbed = normalize(WeightVector.exact(weights))
+        assert math.lcm(*(w.denominator for w in perturbed.weights)) > 2**31
+        first, second = engine(base), engine(perturbed)
+        assert first[:2] == second[:2]
+        assert first[0] == "fails"
+        assert first[3] == second[3] == 210
+        assert first[2] == Fraction(-659, 11552)
+        assert second == reference_association(perturbed.weights)
+        assert abs(second[2] - first[2]) < Fraction(1, 10**9)
+
+
+class TestCertification:
+    def test_violation_below_float_resolution_at_total_two_to_the_80(self):
+        measure = two_site_violation(2**78)
+        report = is_associated(measure)
+        assert report.fails
+        assert report.witness["up_set_u"] == [1, 3]
+        assert report.witness["up_set_v"] == [2, 3]
+        assert report.margin == Fraction(-1, 2**160)
+        assert reverify_witness(measure, report) == report.margin
+        # the float screen alone cannot see it
+        assert is_associated(ProbabilityMeasure.floats([float(w) for w in measure.weights])).holds
+
+    def test_products_with_denominators_3003_hold_with_margin_zero(self):
+        for n in (4, 5):
+            ps = [Fraction(97 * (i + 1), 3 * 7 * 11 * 13) for i in range(n)]
+            report = is_associated(ProbabilityMeasure.product(ps))
+            assert report.holds
+            assert report.margin == 0
+            assert report.details["pairs_checked"] == {4: 14196, 5: 28739571}[n]
+
+    def test_weight_that_underflows_float64(self):
+        tiny = Fraction(1, 10**400)
+        assert float(tiny) == 0.0
+        failing = WeightVector.exact([0, tiny, 1, 1])
+        report = is_associated(failing)
+        assert report.fails
+        assert report.margin < 0
+        assert reverify_witness(failing, report) == report.margin
+        assert_matches_reference(failing)
+        holding = WeightVector.exact([tiny, 0, 1, 1])
+        assert is_associated(holding).holds
+        assert_matches_reference(holding)
+
+    def test_total_whose_square_overflows_float64(self):
+        measure = two_site_violation(2**598)
+        report = is_associated(measure)
+        assert report.fails
+        assert report.margin == Fraction(-1, 2**1200)
+        ps = [Fraction(1, 3) + Fraction(1, 2**600 + x) for x in range(3)]
+        product = ProbabilityMeasure.product(ps)
+        assert is_associated(product).holds
+        assert is_associated(product).margin == 0
+        assert_matches_reference(product)
+
+
+class TestChunking:
+    def test_reports_do_not_depend_on_chunk_or_batch_size(self, monkeypatch):
+        near_point = [Fraction(1, 10**30)] * 16
+        near_point[5] = Fraction(1)
+        cases = [normalize(random_measure(seed, 4, mode))
+                 for seed in range(3) for mode in ("generic", "product", "lattice")]
+        cases += [derangement_measure(4), WeightVector.exact(near_point), two_site_violation(2**78)]
+        expected = [engine(measure) for measure in cases]
+        # three-row chunks and three-pair certification batches
+        monkeypatch.setattr(measures, "_CHUNK_ENTRIES", 1 << 9)
+        monkeypatch.setattr(measures, "_CERT_BATCH", 3)
+        measures._sweep_tables.cache_clear()
+        try:
+            assert [engine(measure) for measure in cases] == expected
+        finally:
+            measures._sweep_tables.cache_clear()
+        for measure, report in zip(cases, expected):
+            assert report == reference_association(measure.weights)

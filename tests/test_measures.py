@@ -54,6 +54,13 @@ class TestNormalize:
         with pytest.raises(ValueError):
             WeightVector.exact([0, 0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            WeightVector.floats([bad, 1.0])
+        with pytest.raises(ValueError, match="weights must be finite"):
+            ProbabilityMeasure.floats([0.5, bad])
+
 
 class TestExpectationCovariance:
     def test_bernoulli_half_variance(self):

@@ -240,6 +240,14 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    def test_non_finite_weights_exit_two(self, tmp_path, capsys):
+        for i, weights in enumerate(([float("nan"), 0.5], [float("inf"), 1.0])):
+            path = tmp_path / f"measure{i}.json"
+            path.write_text(json.dumps({"weights": weights}))
+            assert main(["check-measure", "--input", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err == "error: weights must be finite\n", err
+
     def test_missing_file_exit_two(self, capsys):
         assert main(["check-measure", "--input", "/nonexistent.json"]) == 2
 
