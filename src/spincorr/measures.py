@@ -346,7 +346,10 @@ def _sweep_tables(n: int):
         chunks = [(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
         blocks.append((rows * (k - start) - rows * (rows - 1) // 2, chunks))
     masks = np.asarray(enumerate_up_sets(n), dtype=np.int64)
-    return matrix, masks, np.tri(step, step, -1, dtype=bool), blocks
+    lower = np.tri(step, step, -1, dtype=bool)
+    for shared in (matrix, masks, lower):
+        shared.flags.writeable = False
+    return matrix, masks, lower, blocks
 
 
 def _pair_covariances(n: int, weights: np.ndarray):
@@ -372,11 +375,12 @@ def _pair_covariances(n: int, weights: np.ndarray):
 def _float_sweep(n: int, weights: np.ndarray, tolerance: float):
     """Float sweep with violations below -tolerance, by the block rule of
     ``is_associated``.  Returns (margin, violation pair or None, pairs)."""
+    *_, blocks = _sweep_tables(n)
     rows = _pair_covariances(n, weights)
     best = None
     violation = None
     checked = 0
-    for pairs, chunks in _sweep_tables(n)[3]:
+    for pairs, chunks in blocks:
         checked += pairs
         for lo, hi in chunks:
             values = rows(lo, hi)
