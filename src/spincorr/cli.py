@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import fixtures as fixtures_mod
 from .harness import (
@@ -43,6 +42,7 @@ from .serialize import (
     load_json,
     measure_from_dict,
     measure_to_dict,
+    parse_rational,
     rate_table_from_dict,
     report_to_dict,
     search_outcome_to_dict,
@@ -179,10 +179,18 @@ def _cmd_evolve(args) -> int:
     return 0
 
 
+def _coords_from_dict(doc: dict) -> ThreeSiteCoords:
+    """Named coordinates a, b1, ..., d as exact rationals."""
+    for name in COORD_NAMES:
+        if name not in doc:
+            raise ValueError(f"named coordinates are missing {name!r}")
+    return ThreeSiteCoords(**{name: parse_rational(doc[name], name) for name in COORD_NAMES})
+
+
 def _cmd_classify3(args) -> int:
     doc = load_json(args.input)
     if isinstance(doc, dict) and "a" in doc and "weights" not in doc:
-        coords = ThreeSiteCoords(**{key: Fraction(doc[key]) for key in COORD_NAMES})
+        coords = _coords_from_dict(doc)
     else:
         vector = measure_from_dict(doc)
         if vector.n != 3:

@@ -170,8 +170,8 @@ class Generator:
         mat = np.zeros((1 << self.n, 1 << self.n), dtype=np.float64)
         for c, total in enumerate(self.exit_rates):
             for x in range(self.n):
-                mat[c, c ^ (1 << x)] = float(self.rates.rate(x, c))
-            mat[c, c] = float(-total)
+                mat[c, c ^ (1 << x)] = _rate_float(self.rates.rate(x, c))
+            mat[c, c] = -_rate_float(total)
         mat.flags.writeable = False
         return mat
 
@@ -197,6 +197,13 @@ def build_generator(rates: RateTable) -> Generator:
     return Generator(rates)
 
 
+def _rate_float(rate: Fraction) -> float:
+    try:
+        return float(rate)
+    except OverflowError:
+        raise ValueError(f"rate {rate} is beyond the float64 range") from None
+
+
 def _check_time(t) -> float:
     t = float(t)
     if not 0 <= t < inf:
@@ -205,7 +212,7 @@ def _check_time(t) -> float:
 
 
 def _poisson_sweep(gen: Generator, vector: np.ndarray, t: float, tail: float, from_left: bool):
-    lam = float(gen.uniformization_rate)
+    lam = _rate_float(gen.uniformization_rate)
     if lam == 0.0 or t == 0.0:
         return vector.copy()
     if lam * t > 500.0:

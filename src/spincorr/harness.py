@@ -44,7 +44,7 @@ from .measures import (
     satisfies_lattice,
 )
 from .three_site import ThreeSiteCoords, classify
-from .tilts import dca_falsify
+from .tilts import TiltFunction, dca_falsify
 
 DEFAULT_TIME_GRID = (0.1, 0.5, 1.0, 2.0)
 LATTICE_REJECTION_BUDGET = 5000
@@ -103,23 +103,15 @@ def random_measure(seed: int, n: int, mode: str = "generic") -> WeightVector:
                     [Fraction(rng.randrange(1, 49), 48) for _ in range(size)]
                 )
             else:
-                site_factors = [Fraction(rng.randrange(1, 25), 8) for _ in range(n)]
-                interactions = [
+                site_factors = tuple(Fraction(rng.randrange(1, 25), 8) for _ in range(n))
+                interactions = tuple(
                     (m, 1 + Fraction(rng.randrange(0, 9), 8))
                     for m in interaction_masks
                     if rng.random() < 0.5
-                ]
-                weights = []
-                for c in range(size):
-                    w = Fraction(1)
-                    for x in range(n):
-                        if c >> x & 1:
-                            w *= site_factors[x]
-                    for m, v in interactions:
-                        if c & m == m:
-                            w *= v
-                    weights.append(w)
-                candidate = WeightVector.exact(weights)
+                )
+                candidate = WeightVector.exact(
+                    TiltFunction(n, site_factors, interactions).values_exact()
+                )
             if satisfies_lattice(candidate).holds:
                 return candidate
         raise BudgetError(

@@ -191,9 +191,8 @@ def up_set_matrix(n: int) -> np.ndarray:
 def up_set_intersection_table(n: int) -> np.ndarray:
     """(K, K) table mapping up-set row pairs to the row of their intersection.
 
-    Up-sets are closed under intersection, so the table is total.  Kept to
-    n <= 4 where K*K stays small; larger sweeps recompute intersections
-    on the fly.
+    Up-sets are closed under intersection, so the table is total.  Built
+    for n <= 4 only, where K*K stays small.
     """
     if n > 4:
         raise BudgetError(f"intersection table not built for n={n}")

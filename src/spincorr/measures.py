@@ -13,7 +13,8 @@ Association up to five sites is decided by one blocked sweep over pairs
 of up-sets (``is_associated``): a float64 GEMM screens every pair, and in
 exact mode the pairs that an a-priori rounding bound leaves undecided are
 recomputed over Python ints, so exact verdicts and margins never depend
-on the size of the weights' common denominator.
+on the size of the weights' common denominator.  The same GEMM kernel
+gives ``batch_association_margins`` the margins of a batch of measures.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 
 from .lattice import (
     DEFAULT_SWEEP_SITES,
+    BudgetError,
     comparable,
     configs,
     enumerate_up_sets,
@@ -355,18 +357,22 @@ def _sweep_tables(n: int):
 def _pair_covariances(n: int, weights: np.ndarray):
     """Float64 mu(U & V) - mu(U) mu(V) for up-set pairs, a chunk of rows at a time.
 
-    Returns ``rows(lo, hi)``, whose entry [i - lo, j - lo] belongs to the
-    pair (i, j) for lo <= i < hi and j >= lo; entries with j < i are +inf.
-    Each chunk is one GEMM, [M*w | -p] @ [M | p]^T with p = M @ w.
+    ``weights`` has shape (..., 2^n), one measure per row.  Returns
+    ``rows(lo, hi)``, whose entry [..., i - lo, j - lo] belongs to the pair
+    (i, j) for lo <= i < hi and j >= lo; entries with j < i are +inf.  Each
+    chunk is one GEMM per measure, [M*w | -p] @ [M | p]^T with p = M @ w.
     """
     matrix, _, lower, _ = _sweep_tables(n)
-    p = matrix @ weights
-    left = np.concatenate([matrix * weights, -p[:, None]], axis=1)
-    right = np.concatenate([matrix, p[:, None]], axis=1)
+    p = weights @ matrix.T
+    left = np.concatenate([matrix * weights[..., None, :], -p[..., None]], axis=-1)
+    right = np.empty_like(left)
+    right[..., :-1] = matrix
+    right[..., -1] = p
 
     def rows(lo, hi):
-        values = left[lo:hi] @ right[lo:].T
-        values[:, :hi - lo][lower[:hi - lo, :hi - lo]] = np.inf
+        h = hi - lo
+        values = left[..., lo:hi, :] @ np.swapaxes(right[..., lo:, :], -1, -2)
+        np.copyto(values[..., :h], np.inf, where=lower[:h, :h])
         return values
 
     return rows
@@ -416,16 +422,17 @@ def _exact_sweep(n: int, weights):
     the thresholds computed from it.
 
     Up-sets of probability 0 or 1 have covariance exactly 0 with every
-    up-set; their rows and columns are set to +inf and never certified.
-    Among them is the full up-set, the last one, which lies in every
-    block, so a block without a violation has exact minimum 0.  A chunk
-    whose float minimum is at least ``bound`` has no violation.  Otherwise
-    its first violation is the first pair that is either below -bound or
-    within bound of 0 and certified negative.  The exact minimum of a
-    block with a violation is the least certified N among its pairs within
-    2*bound of its float minimum; their chunks are computed again, and any
-    evaluation within the bound finds them.  Returns (numerator of the
-    margin, violation pair or None, pairs, T); the margin is numerator / T^2.
+    up-set; their rows and columns are set to +inf and never certified (a
+    point mass has no others, so no chunk is computed).  Among them is the
+    full up-set, the last one, which lies in every block, so a block
+    without a violation has exact minimum 0.  A chunk whose float minimum
+    is at least ``bound`` has no violation.  Otherwise its first violation
+    is the first pair that is either below -bound or within bound of 0 and
+    certified negative.  The exact minimum of a block with a violation is
+    the least certified N among its pairs within 2*bound of its float
+    minimum; their chunks are computed again, and any evaluation within
+    the bound finds them.  Returns (numerator of the margin, violation pair
+    or None, pairs, T); the margin is numerator / T^2.
     """
     matrix, masks, _, blocks = _sweep_tables(n)
     membership = up_set_matrix(n)
@@ -434,6 +441,8 @@ def _exact_sweep(n: int, weights):
     support = [a > 0 for a in ints]
     in_support = matrix @ np.array(support, dtype=np.float64)
     null = (in_support == 0) | (in_support == sum(support))
+    if null.all():
+        return 0, None, sum(pairs for pairs, _ in blocks), total
     bound = (2**n + 2) * 2.0**-50
     sums = np.zeros(len(masks), dtype=object)
     known = np.zeros(len(masks), dtype=bool)
@@ -495,30 +504,13 @@ def _pair_sweep_bigint(masks, weights):
     """Exact sweep without a membership matrix (n = 6); stops at the first
     violation."""
     ints, total = _weights_to_ints(weights)
-    sums = []
-    for members in masks:
-        s = 0
-        c = 0
-        m = members
-        while m:
-            if m & 1:
-                s += ints[c]
-            m >>= 1
-            c += 1
-        sums.append(s)
-    index = {m: i for i, m in enumerate(masks)}
-    best = None
-    checked = 0
-    for i, mi in enumerate(masks):
-        pi = sums[i]
-        for j in range(i, len(masks)):
-            num = total * sums[index[mi & masks[j]]] - pi * sums[j]
-            checked += 1
-            if best is None or num < best:
-                best = num
-            if num < 0:
-                return best, (i, j), checked, total
-    return best, None, checked, total
+    sums = {m: sum(ints[c] for c in up_set_members(m)) for m in masks}
+    best, violation, checked = scan_slacks(
+        ((i, j), total * sums[masks[i] & masks[j]] - sums[masks[i]] * sums[masks[j]])
+        for i in range(len(masks))
+        for j in range(i, len(masks))
+    )
+    return best, violation, checked, total
 
 
 def _association_witness(masks, pair):
@@ -587,25 +579,20 @@ def is_associated(
 def batch_association_margins(n: int, rows: np.ndarray) -> np.ndarray:
     """Minimum up-set-pair covariance for each row of normalized float weights.
 
-    Float-only fast path for audits that evaluate association on many
-    measures of the same small size (n <= 4).  Rows must each sum to 1.
+    Float-only, for audits that evaluate association on many measures of
+    the same small size (n <= 4): the float sweep's kernel over every pair
+    U <= V, a GEMM per row, about 2^24 pair entries at a time.  Rows must
+    each sum to 1.
     """
-    from .lattice import up_set_intersection_table
-
-    matrix = up_set_matrix(n).astype(np.float64)
-    table = up_set_intersection_table(n)
-    k = matrix.shape[0]
+    if n > 4:
+        raise BudgetError(f"batched association margins not built for n={n}")
+    k = len(enumerate_up_sets(n))
     rows = np.asarray(rows, dtype=np.float64)
-    upper = np.triu(np.ones((k, k), dtype=bool))
     out = np.empty(rows.shape[0], dtype=np.float64)
     chunk = max(1, (1 << 24) // (k * k))
     for start in range(0, rows.shape[0], chunk):
-        stop = min(start + chunk, rows.shape[0])
-        p = rows[start:stop] @ matrix.T
-        inter = p[:, table.ravel()].reshape(-1, k, k)
-        margins = inter - p[:, :, None] * p[:, None, :]
-        margins = np.where(upper[None, :, :], margins, np.inf)
-        out[start:stop] = margins.min(axis=(1, 2))
+        pairs = _pair_covariances(n, rows[start:start + chunk])(0, k)
+        out[start:start + chunk] = pairs.min(axis=(-2, -1))
     return out
 
 

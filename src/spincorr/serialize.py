@@ -12,6 +12,7 @@ Every document this package writes carries ``format_version``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import is_dataclass
 from fractions import Fraction
 
@@ -77,6 +78,21 @@ def measure_to_dict(measure: WeightVector) -> dict:
     return {"n": measure.n, "mode": measure.mode, "weights": weights}
 
 
+def _weight(value, mode: str, where: str):
+    """One JSON weight in ``mode``; a float converts exactly in exact mode."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError("weights must be finite")
+        return Fraction(value) if mode == EXACT else value
+    exact = parse_rational(value, where)
+    if mode == EXACT:
+        return exact
+    try:
+        return float(exact)
+    except OverflowError:
+        raise ValueError(f"{where}: {value!r} is beyond the float64 range") from None
+
+
 def measure_from_dict(doc: dict, *, force_mode: str | None = None) -> WeightVector:
     if not isinstance(doc, dict):
         raise ValueError("measure document must be a JSON object")
@@ -89,16 +105,9 @@ def measure_from_dict(doc: dict, *, force_mode: str | None = None) -> WeightVect
     mode = doc.get("mode") or (FLOAT if has_floats else EXACT)
     if force_mode is not None:
         mode = force_mode
-    if mode == EXACT:
-        weights = [
-            Fraction(w) if isinstance(w, float) else parse_rational(w, f"weights[{i}]")
-            for i, w in enumerate(raw)
-        ]
-    elif mode == FLOAT:
-        weights = [w if isinstance(w, float) else float(parse_rational(w, f"weights[{i}]"))
-                   for i, w in enumerate(raw)]
-    else:
+    if mode not in (EXACT, FLOAT):
         raise ValueError(f"unknown mode {mode!r}")
+    weights = [_weight(w, mode, f"weights[{i}]") for i, w in enumerate(raw)]
     vector = WeightVector.exact(weights) if mode == EXACT else WeightVector.floats(weights)
     if "n" in doc and _site_count(doc["n"]) != vector.n:
         raise ValueError(f"declared n={doc['n']} but weights imply n={vector.n}")

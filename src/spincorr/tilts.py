@@ -38,7 +38,6 @@ from .measures import (
     _as_probability,
     _resolve_tolerance,
     _up_set_pair_covariance,
-    batch_association_margins,
     is_associated,
     is_downward_fkg,
     tilt,
@@ -286,14 +285,11 @@ def dca_falsify(
     sampled = 0
     for tf in islice(iter(TiltSampler(n, seed=seed)), budget):
         sampled += 1
-        h = tf.values_float()
-        tilted = weights * h
+        tilted = weights * tf.values_float()
         tilted /= tilted.sum()
-        margin = float(batch_association_margins(n, tilted[None, :])[0]) if n <= 4 else None
-        if margin is None:
-            margin = is_associated(
-                ProbabilityMeasure.floats(tilted), tolerance=tolerance, allow_large=allow_large
-            ).margin
+        margin = is_associated(
+            ProbabilityMeasure.floats(tilted), tolerance=tolerance, allow_large=allow_large
+        ).margin
         if best is None or margin < best:
             best = margin
         if margin < -max(tol, 1e-12):

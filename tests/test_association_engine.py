@@ -149,12 +149,15 @@ class TestCertification:
         assert is_associated(ProbabilityMeasure.floats([float(w) for w in measure.weights])).holds
 
     def test_products_with_denominators_3003_hold_with_margin_zero(self):
-        for n in (4, 5):
-            ps = [Fraction(97 * (i + 1), 3 * 7 * 11 * 13) for i in range(n)]
-            report = is_associated(ProbabilityMeasure.product(ps))
+        cases = [ProbabilityMeasure.product([Fraction(97 * (i + 1), 3 * 7 * 11 * 13)
+                                             for i in range(n)]) for n in (4, 5)]
+        # a point mass is the product with every site probability 0 or 1
+        cases.append(ProbabilityMeasure.point_mass(5, 0b00101))
+        for measure in cases:
+            report = is_associated(measure)
             assert report.holds
             assert report.margin == 0
-            assert report.details["pairs_checked"] == {4: 14196, 5: 28739571}[n]
+            assert report.details["pairs_checked"] == {4: 14196, 5: 28739571}[measure.n]
 
     def test_weight_that_underflows_float64(self):
         tiny = Fraction(1, 10**400)

@@ -218,7 +218,13 @@ class TestCli:
 
         measure = {"n": 1, "weights": ["1/2", "1/2"]}
         rates = {"n": 1, "beta": {"0": ["1", "1"]}, "delta": {"0": ["1", "1"]}}
+        coords = {name: "1/8" for name in ("a", "b1", "b2", "b3", "c1", "c2", "c3", "d")}
         docs = [
+            ("classify3", {"a": 1}),
+            ("classify3", {**coords, "b2": [1]}),
+            ("classify3", {**coords, "c1": "1/0"}),
+            # beyond the float64 range
+            ("check-measure", {"mode": "float", "weights": ["1e400", "1"]}),
             ("check-rates", {**rates, "n": "3"}),
             ("check-rates", {**rates, "n": True}),
             ("check-rates", {**rates, "beta": []}),
@@ -233,12 +239,26 @@ class TestCli:
                 for i, (command, doc) in enumerate(docs)]
         evolve = ["evolve", "--input", doc_file("measure.json", measure),
                   "--system", doc_file("rates.json", rates), "--t"]
+        huge = doc_file("huge.json", {"model": "contact", "edges": [[0, 1]], "lambda": "1e400"})
+        pair = doc_file("pair.json", {"n": 2, "weights": ["1/4"] * 4})
         runs += [["check-measure", "--input", str(tmp_path)],
-                 evolve + ["inf"], evolve + ["nan"], evolve + ["-1"]]
+                 evolve + ["inf"], evolve + ["nan"], evolve + ["-1"],
+                 ["evolve", "--input", pair, "--system", huge, "--t", "1"],
+                 ["verify-theorem", "--system", huge, "--property", "associated",
+                  "--count", "1", "--t", "1"]]
         for argv in runs:
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_rationals_beyond_float64_stay_exact(self, tmp_path, capsys):
+        measure = tmp_path / "measure.json"
+        measure.write_text(json.dumps({"weights": ["1e400", "1"]}))
+        assert main(["check-measure", "--input", str(measure)]) == 0
+        system = tmp_path / "contact.json"
+        system.write_text(json.dumps({"model": "contact", "edges": [[0, 1]], "lambda": "1e400"}))
+        assert main(["search", "--system", str(system), "--target", "association"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_non_finite_weights_exit_two(self, tmp_path, capsys):
         for i, weights in enumerate(([float("nan"), 0.5], [float("inf"), 1.0])):
