@@ -18,6 +18,7 @@ tagged as such; only the derivative at t=0 is exact.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -578,21 +579,83 @@ def measure_flow(gen: Generator, measure) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def _chain_rule(poly: EventPolynomial, probs, flow_probs, times):
+    """d/dt of ``poly`` along the orbit at t = 0, monomial by monomial by the
+    product rule; ``times`` multiplies a flow term by an event probability."""
+    total = Fraction(0)
+    for coeff, indices in poly.monomials:
+        for pos, i in enumerate(indices):
+            term = coeff * flow_probs[i]
+            for other, j in enumerate(indices):
+                if other != pos:
+                    term = times(term, probs[j])
+            total = total + term
+    return total
+
+
 def derivative_at_zero(gen: Generator, measure, poly: EventPolynomial) -> Fraction:
     """Exact d/dt F(mu S(t)) at t = 0 by the chain rule through mu Q."""
     pm = _as_probability(measure)
     if poly.n != gen.n or pm.n != gen.n:
         raise ValueError("functional, measure, and generator must share the site count")
     weights = pm.as_fractions()
-    probs = poly.event_probabilities(weights)
     flow = measure_flow(gen, pm)
-    flow_probs = [sum(flow[c] for c in event) for event in poly.events]
-    total = Fraction(0)
-    for coeff, indices in poly.monomials:
-        for pos in range(len(indices)):
-            term = coeff * flow_probs[indices[pos]]
-            for other in range(len(indices)):
-                if other != pos:
-                    term *= probs[indices[other]]
-            total += term
-    return total
+    return _chain_rule(
+        poly, poly.event_probabilities(weights), poly.event_probabilities(flow), operator.mul
+    )
+
+
+def product_corners(gen: Generator, x: int, y: int, background) -> tuple:
+    """The four product measures with sites x and y pinned to spins
+    (0, 0), (1, 0), (0, 1), (1, 1) and every other site at probability
+    ``background``, each as (weights, flow mu Q)."""
+    if x == y:
+        raise ValueError("sites must be distinct")
+    corners = []
+    for sx, sy in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        ps = [background] * gen.n
+        ps[x], ps[y] = sx, sy
+        pm = ProbabilityMeasure.product(ps)
+        corners.append((pm.weights, measure_flow(gen, pm)))
+    return tuple(corners)
+
+
+def _bilinear(v00, v10, v01, v11) -> np.ndarray:
+    # coefficients of rho^a lam^b in the interpolation of the four corner values
+    out = np.zeros((3, 3), dtype=object)
+    out[0, 0], out[1, 0], out[0, 1], out[1, 1] = v00, v10 - v00, v01 - v00, v11 - v10 - v01 + v00
+    return out
+
+
+def _bilinear_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # both factors have degree at most one in each variable, so the product fits 3 x 3
+    out = np.zeros((3, 3), dtype=object)
+    for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        out[i:i + 2, j:j + 2] += a[i, j] * b[:2, :2]
+    return out
+
+
+def derivative_coefficients(poly: EventPolynomial, corners) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact coefficients c[a][b] of rho^a lam^b in D(rho, lam), the
+    derivative at t = 0 of ``poly`` from the product measure with
+    probability rho at x, lam at y and the corners' background elsewhere.
+
+    ``corners`` comes from ``product_corners``.  The product measure, and
+    with it every event probability and (mu Q being linear in mu) every
+    flow probability, is bilinear in (rho, lam) and interpolates the four
+    corners; the chain rule multiplies at most two such factors, so D has
+    degree at most two in each variable and equals ``derivative_at_zero``
+    at every (rho, lam) in [0, 1]^2.
+    """
+    if any(len(weights) != 1 << poly.n for weights, _ in corners):
+        raise ValueError("functional and corner measures must share the site count")
+
+    def interpolated(values):
+        per_corner = [poly.event_probabilities(v) for v in values]
+        return [_bilinear(*corner) for corner in zip(*per_corner)]
+
+    probs = interpolated(w for w, _ in corners)
+    flow_probs = interpolated(f for _, f in corners)
+    # the sum is the scalar 0 when no monomial has degree one or more
+    grid = np.zeros((3, 3), dtype=object) + _chain_rule(poly, probs, flow_probs, _bilinear_product)
+    return tuple(tuple(Fraction(v) for v in row) for row in grid)

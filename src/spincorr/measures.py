@@ -155,12 +155,10 @@ class ProbabilityMeasure(WeightVector):
         validate_site_count(n)
         if any(not 0 <= p <= 1 for p in ps):
             raise ValueError("site probabilities must lie in [0, 1]")
-        weights = []
-        for c in configs(n):
-            w = Fraction(1)
-            for x in range(n):
-                w *= ps[x] if c >> x & 1 else 1 - ps[x]
-            weights.append(w)
+        weights = [Fraction(1)]
+        for p in ps:  # each site doubles the table: configs without it, then with it
+            q = 1 - p
+            weights = [w * q for w in weights] + [w * p for w in weights]
         return cls(n, tuple(weights), EXACT)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import is_dataclass
 from fractions import Fraction
 
@@ -22,6 +23,13 @@ from .lattice import validate_site_count
 from .measures import EXACT, FLOAT, PropertyReport, WeightVector
 
 FORMAT_VERSION = 1
+
+# Largest decimal exponent magnitude a rational string may carry.  Fraction
+# expands "1e<k>" into a k-digit integer, in time that grows faster than
+# linearly in k, so "1e10000000" would stall every loader; 4 300 is the
+# default limit Python puts on the digits of an integer string.
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?([\d_]*)\s*\Z", re.IGNORECASE)
 
 
 def rational_str(value: Fraction) -> str:
@@ -34,6 +42,14 @@ def parse_rational(value, where: str = "value") -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        if exponent:
+            digits = exponent[1].replace("_", "").lstrip("0")
+            # the length test keeps int() off a long digit string
+            if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+                raise ValueError(
+                    f"{where}: decimal exponent of {value!r} exceeds {MAX_DECIMAL_EXPONENT}"
+                )
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

@@ -17,11 +17,13 @@ from spincorr.dynamics import (
     deaths_constant,
     deaths_constant_on_occupied,
     derivative_at_zero,
+    derivative_coefficients,
     has_independent_flips,
     independent_flip_kernel,
     is_attractive,
     measure_flow,
     path_edges,
+    product_corners,
     semigroup_apply,
     semigroup_apply_expm,
     semigroup_apply_function,
@@ -29,6 +31,9 @@ from spincorr.dynamics import (
     uniformized_kernel,
 )
 from spincorr.harness import (
+    _PARAM_GRID,
+    SEARCH_TARGETS,
+    _search_plan,
     corner_flip_system,
     crossed_birth_pair,
     random_measure,
@@ -402,6 +407,52 @@ class TestDerivativeAtZero:
     def test_degree_cap_enforced(self):
         with pytest.raises(ValueError):
             EventPolynomial(1, ((0,), (1,)), ((Fraction(1), (0, 0, 1)),))
+
+
+def biquadratic(coeffs, rho, lam):
+    return sum(c * rho**a * lam**b for a, row in enumerate(coeffs) for b, c in enumerate(row))
+
+
+class TestDerivativeCoefficients:
+    @pytest.mark.parametrize("kind, n, seed", [
+        ("contact", 3, None),
+        ("contact", 4, None),
+        *((kind, n, seed) for kind in ("generic", "attractive") for n in (3, 4) for seed in (0, 1)),
+    ])
+    def test_biquadratic_equals_reference_on_the_search_grid(self, kind, n, seed):
+        # every search case and background, every grid point, exactly
+        system = contact_process(path_edges(n)) if kind == "contact" else random_spin_system(seed, n, kind)
+        gen = build_generator(system)
+        for target in SEARCH_TARGETS:
+            cases, backgrounds, _ = _search_plan(target, n)
+            for zero_sites, x, y in cases:
+                poly = association_determinant_poly(n, x, y, zero_sites=zero_sites)
+                for background in backgrounds:
+                    coeffs = derivative_coefficients(poly, product_corners(gen, x, y, background))
+                    for rho in _PARAM_GRID:
+                        for lam in _PARAM_GRID:
+                            ps = [background] * n
+                            ps[x], ps[y] = rho, lam
+                            mu = ProbabilityMeasure.product(ps)
+                            assert biquadratic(coeffs, rho, lam) == derivative_at_zero(gen, mu, poly)
+
+    def test_corners_reproduce_the_reference_off_the_grid(self):
+        # the interpolation holds on the whole square, corners included
+        gen = build_generator(random_spin_system(3, 3, "generic"))
+        poly = association_determinant_poly(3, 2, 0, zero_sites=(1,))
+        coeffs = derivative_coefficients(poly, product_corners(gen, 2, 0, Fraction(1, 3)))
+        for rho, lam in ((0, 0), (1, 0), (0, 1), (1, 1), (Fraction(2, 7), Fraction(5, 9))):
+            mu = ProbabilityMeasure.product([lam, Fraction(1, 3), rho])
+            assert biquadratic(coeffs, rho, lam) == derivative_at_zero(gen, mu, poly)
+
+    def test_site_counts_must_agree(self):
+        gen = build_generator(contact_process(path_edges(3)))
+        with pytest.raises(ValueError):
+            derivative_coefficients(
+                association_determinant_poly(4, 0, 1), product_corners(gen, 0, 1, Fraction(1, 2))
+            )
+        with pytest.raises(ValueError):
+            product_corners(gen, 1, 1, Fraction(1, 2))
 
 
 class TestSingleSiteClosedForm:

@@ -2,17 +2,20 @@ from fractions import Fraction
 
 import pytest
 
+from spincorr import harness
 from spincorr.dynamics import (
     RateTable,
     birth_submodularity,
     births_increasing,
     build_generator,
     contact_process,
+    derivative_coefficients,
     path_edges,
     semigroup_apply,
 )
 from spincorr.harness import (
     ExperimentSpec,
+    SearchOutcome,
     corner_flip_system,
     crossed_birth_pair,
     derangement_measure,
@@ -272,6 +275,22 @@ class TestSearchCounterexample:
         outcome = search_counterexample(target, contact_process(path_edges(4)), budget=5)
         assert outcome.evaluations <= 5
         assert outcome.summary == "search-exhausted"
+
+    @pytest.mark.parametrize("target, evaluations", [("association", 1176), ("downward-fkg", 1764)])
+    def test_contact_path4_exhausts_every_grid_point(self, target, evaluations):
+        outcome = search_counterexample(target, contact_process(path_edges(4)))
+        assert outcome == SearchOutcome(target, False, None, None, evaluations, "search-exhausted")
+
+    def test_closed_form_is_checked_against_the_reference(self, monkeypatch):
+        # a candidate's closed-form derivative that disagrees with
+        # derivative_at_zero on the product measure itself is an error
+        def shifted(poly, corners):
+            (c00, *row0), *rows = derivative_coefficients(poly, corners)
+            return ((c00 - 1, *row0), *rows)
+
+        monkeypatch.setattr(harness, "derivative_coefficients", shifted)
+        with pytest.raises(ArithmeticError):
+            search_counterexample("association", crossed_birth_pair())
 
     def test_unknown_target_rejected(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spincorr.cli import _coords_from_dict, main
+from spincorr.harness import SEARCH_TARGETS
 from spincorr.serialize import measure_from_dict, rate_table_from_dict
 from spincorr.three_site import COORD_NAMES
 
@@ -55,11 +56,15 @@ def explicit_table(n):
     return st.fixed_dictionaries({"n": mostly(st.just(n)), "beta": rows, "delta": rows})
 
 
-sites = st.integers(-1, 4)
-rates = st.integers(1, 3).flatmap(explicit_table) | st.fixed_dictionaries(
-    {"model": st.just("contact"), "edges": mostly(st.lists(mostly(sized_lists([2, 3], sites)), max_size=3))},
-    optional={"lambda": values, "delta": values, "n": mostly(sites)},
-)
+def rate_tables(top_site):
+    sites = st.integers(-1, top_site)
+    return st.integers(1, 3).flatmap(explicit_table) | st.fixed_dictionaries(
+        {"model": st.just("contact"), "edges": mostly(st.lists(mostly(sized_lists([2, 3], sites)), max_size=3))},
+        optional={"lambda": values, "delta": values, "n": mostly(sites)},
+    )
+
+
+rates = rate_tables(4)
 coordinates = st.fixed_dictionaries(
     {"a": values},
     optional={name: mostly(values) for name in COORD_NAMES[1:]},
@@ -85,16 +90,29 @@ def doc_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "doc.json"
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.tuples(st.just("classify3"), measures | coordinates)
-       | st.tuples(st.just("check-rates"), rates)
-       | st.tuples(st.sampled_from(["classify3", "check-rates"]), anything))
+# each command line ends in the option that takes the document's path
+classify3 = ["classify3", "--input"]
+check_rates = ["check-rates", "--input"]
+check_measure = ["check-measure", "--budget", "5", "--input"]
+# One evaluation at most: a confirmation evolves the measure, and evolving
+# at a large lambda*t does not end in useful time yet.
+search = st.sampled_from(SEARCH_TARGETS).map(
+    lambda target: ["search", "--target", target, "--budget", "1", "--system"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.just(classify3), measures | coordinates)
+       | st.tuples(st.just(check_rates), rates)
+       | st.tuples(st.just(check_measure), measures)
+       | st.tuples(search, rate_tables(3))  # at most four sites
+       | st.tuples(st.sampled_from([classify3, check_rates, check_measure]) | search, anything))
 def test_cli_ends_in_an_exit_code(doc_path, command_and_doc):
     command, doc = command_and_doc
     doc_path.write_text(json.dumps(doc))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main([command, "--input", str(doc_path)])
+        code = main([*command, str(doc_path)])
     assert code in (0, 1, 2)
     text = err.getvalue()
     assert (code == 2) == bool(text), text

@@ -10,6 +10,7 @@ from spincorr.fixtures import fixture_corpus, write_fixtures
 from spincorr.harness import derangement_measure, random_measure
 from spincorr.measures import WeightVector, is_associated, normalize
 from spincorr.serialize import (
+    MAX_DECIMAL_EXPONENT,
     dumps,
     measure_from_dict,
     measure_to_dict,
@@ -34,6 +35,14 @@ class TestRationals:
             parse_rational(True)
         with pytest.raises(ValueError):
             parse_rational("1/0")
+
+    def test_decimal_exponents_are_bounded(self):
+        assert parse_rational("1e400") == 10**400
+        assert parse_rational("1e-400") == Fraction(1, 10**400)
+        assert parse_rational("1E+0_4300") == 10**MAX_DECIMAL_EXPONENT
+        for text in ("1e4301", "2.5e-4301", "1e10000000"):
+            with pytest.raises(ValueError, match=r"weights\[0\]: decimal exponent"):
+                parse_rational(text, "weights[0]")
 
 
 class TestMeasureRoundTrip:
@@ -225,6 +234,8 @@ class TestCli:
             ("classify3", {**coords, "c1": "1/0"}),
             # beyond the float64 range
             ("check-measure", {"mode": "float", "weights": ["1e400", "1"]}),
+            # refused before Fraction expands the exponent
+            ("check-measure", {"weights": ["1e10000000", "1"]}),
             ("check-rates", {**rates, "n": "3"}),
             ("check-rates", {**rates, "n": True}),
             ("check-rates", {**rates, "beta": []}),
