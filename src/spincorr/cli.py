@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks passed, 1 a violation was found (or an asserted
 property failed), 2 malformed input, usage error, unreadable file, or a
-refused budget (such as a six-site sweep without --opt-in-n6).  Every run
+refused budget (such as check-measure on six sites: at most 5 sites for
+up-set checks; lattice, rates and dynamics up to 6).  Every run
 emits one machine-readable JSON report (or a markdown rendering with
 --format markdown), UTF-8 and newline-terminated.
 """
@@ -44,6 +45,7 @@ from .serialize import (
     measure_to_dict,
     parse_rational,
     rate_table_from_dict,
+    rational_str,
     report_to_dict,
     search_outcome_to_dict,
 )
@@ -123,16 +125,12 @@ def _assert_exit(asserted, reports: dict[str, PropertyReport]) -> int:
 def _cmd_check_measure(args) -> int:
     vector = measure_from_dict(load_json(args.input), force_mode=args.mode)
     measure = normalize(vector)
-    reports = {}
-    for name in PROPERTIES:
-        reports[name] = evaluate_property(
-            name,
-            measure,
-            tolerance=args.tolerance,
-            tilt_budget=args.budget,
-            allow_large=args.opt_in_n6,
-            tilt_seed=args.seed,
+    reports = {
+        name: evaluate_property(
+            name, measure, tolerance=args.tolerance, tilt_budget=args.budget, tilt_seed=args.seed
         )
+        for name in PROPERTIES
+    }
     body = {
         "input": args.input,
         "measure": measure_to_dict(measure),
@@ -201,11 +199,15 @@ def _cmd_classify3(args) -> int:
         "input": args.input,
         "verdicts": verdicts.as_dict(),
         "margins": {
-            system: {str(site): str(slack) for site, slack in margins(coords, system)}
+            system: {
+                str(site): rational_str(slack, f"margins.{system}.{site}")
+                for site, slack in margins(coords, system)
+            }
             for system in SYSTEMS
         },
         "complement_products": {
-            str(site): str(slack) for site, slack in complement_products(coords)
+            str(site): rational_str(slack, f"complement_products.{site}")
+            for site, slack in complement_products(coords)
         },
     }
     _emit(args, envelope("classify3", body))
@@ -281,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="force the arithmetic mode instead of inferring it")
     p.add_argument("--budget", type=int, default=500, help="tilt samples for the DCA check")
     p.add_argument("--seed", type=int, default=0, help="seed for the DCA tilt sampler")
-    p.add_argument("--opt-in-n6", action="store_true", dest="opt_in_n6",
-                   help="allow the six-site brute-force sweeps")
     p.add_argument("--assert", dest="asserts", default=None,
                    help="comma list of properties that must hold (exit 1 otherwise)")
     common(p)

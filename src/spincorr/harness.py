@@ -278,23 +278,16 @@ def evaluate_property(
     *,
     tolerance=None,
     tilt_budget: int = 200,
-    allow_large: bool = False,
     tilt_seed: int = 0,
 ) -> PropertyReport:
     if name == "associated":
-        return is_associated(measure, tolerance=tolerance, allow_large=allow_large)
+        return is_associated(measure, tolerance=tolerance)
     if name == "fkg-lattice":
         return satisfies_lattice(measure, tolerance=tolerance)
     if name == "downward-fkg":
-        return is_downward_fkg(measure, tolerance=tolerance, allow_large=allow_large)
+        return is_downward_fkg(measure, tolerance=tolerance)
     if name == "dca":
-        return dca_falsify(
-            measure,
-            budget=tilt_budget,
-            tolerance=tolerance,
-            allow_large=allow_large,
-            seed=tilt_seed,
-        )
+        return dca_falsify(measure, budget=tilt_budget, tolerance=tolerance, seed=tilt_seed)
     raise ValueError(f"unknown property {name!r}; known: {PROPERTIES}")
 
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 MAX_SITES = 6
-DEFAULT_SWEEP_SITES = 5
+MAX_UP_SET_SITES = 5
 
 
 class BudgetError(RuntimeError):
@@ -124,43 +124,37 @@ def is_up_set(members: int, n: int) -> bool:
     return True
 
 
-def _extend_up_sets(prev: tuple[int, ...], n_prev: int) -> tuple[int, ...]:
-    # Up-sets of the (n_prev+1)-cube are pairs (A, B) of up-sets of the
-    # n_prev-cube with A <= B: A is the membership on the lower half
-    # (new site at 0), B on the upper half.
-    half = 1 << n_prev
-    arr = np.asarray(prev, dtype=np.int64)
-    out = []
-    for low in prev:
-        for high in arr[(arr & low) == low]:
-            out.append(low | int(high) << half)
-    out.sort()
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
-def _up_sets_small(n: int) -> tuple[int, ...]:
+def _up_sets(n: int) -> tuple[int, ...]:
+    # Up-sets of the n-cube are pairs (A, B) of up-sets of the (n-1)-cube
+    # with A <= B: A is the membership on the lower half (new site at 0),
+    # B on the upper half.
     if n == 0:
         return (0, 1)
-    return _extend_up_sets(_up_sets_small(n - 1), n - 1)
+    prev = _up_sets(n - 1)
+    half = 1 << n - 1
+    arr = np.asarray(prev, dtype=np.int64)
+    return tuple(sorted(
+        low | int(high) << half for low in prev for high in arr[(arr & low) == low]
+    ))
 
 
-def enumerate_up_sets(n: int, *, allow_large: bool = False) -> tuple[int, ...]:
-    """All up-sets of {0,1}^n as membership masks, ascending.
+def enumerate_up_sets(n: int) -> tuple[int, ...]:
+    """All up-sets of {0,1}^n as membership masks, ascending; cached.
 
     Counts grow like the Dedekind numbers (20 for n=3, 168 for n=4,
-    7581 for n=5, 7828354 for n=6), so n=6 is opt-in via ``allow_large``
-    and is recomputed on every call instead of cached.
+    7581 for n=5, 7828354 for n=6).  Every up-set check (association,
+    downward FKG, sampled DCA, stochastic domination) gets its up-sets
+    here, so this is the one place that refuses a larger n, with a
+    ``BudgetError``: at most 5 sites for up-set checks; lattice, rates and
+    dynamics up to 6 (``MAX_SITES``).
     """
     validate_site_count(n)
-    if n > DEFAULT_SWEEP_SITES:
-        if not allow_large:
-            raise BudgetError(
-                f"up-set enumeration for n={n} needs allow_large=True "
-                f"(default budget stops at n={DEFAULT_SWEEP_SITES})"
-            )
-        return _extend_up_sets(_up_sets_small(n - 1), n - 1)
-    return _up_sets_small(n)
+    if n > MAX_UP_SET_SITES:
+        raise BudgetError(
+            f"up-set checks stop at {MAX_UP_SET_SITES} sites; n = 6 has 7 828 354 up-sets"
+        )
+    return _up_sets(n)
 
 
 def up_set_members(members: int) -> tuple[int, ...]:
@@ -178,9 +172,7 @@ def up_set_members(members: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def up_set_matrix(n: int) -> np.ndarray:
     """Boolean (#up-sets, 2^n) membership matrix, rows in enumeration order."""
-    if n > DEFAULT_SWEEP_SITES:
-        raise BudgetError(f"membership matrix not built for n={n}")
-    masks = np.asarray(_up_sets_small(n), dtype=np.int64)
+    masks = np.asarray(enumerate_up_sets(n), dtype=np.int64)
     cols = np.arange(1 << n, dtype=np.int64)
     mat = (masks[:, None] >> cols[None, :] & 1).astype(bool)
     mat.flags.writeable = False
@@ -196,7 +188,7 @@ def up_set_intersection_table(n: int) -> np.ndarray:
     """
     if n > 4:
         raise BudgetError(f"intersection table not built for n={n}")
-    masks = _up_sets_small(n)
+    masks = _up_sets(n)
     index = {m: i for i, m in enumerate(masks)}
     k = len(masks)
     table = np.empty((k, k), dtype=np.int32)

@@ -27,7 +27,6 @@ from functools import lru_cache
 import numpy as np
 
 from .lattice import (
-    DEFAULT_SWEEP_SITES,
     BudgetError,
     comparable,
     configs,
@@ -498,19 +497,6 @@ def _exact_sweep(n: int, weights):
     return 0, None, checked, total
 
 
-def _pair_sweep_bigint(masks, weights):
-    """Exact sweep without a membership matrix (n = 6); stops at the first
-    violation."""
-    ints, total = _weights_to_ints(weights)
-    sums = {m: sum(ints[c] for c in up_set_members(m)) for m in masks}
-    best, violation, checked = scan_slacks(
-        ((i, j), total * sums[masks[i] & masks[j]] - sums[masks[i]] * sums[masks[j]])
-        for i in range(len(masks))
-        for j in range(i, len(masks))
-    )
-    return best, violation, checked, total
-
-
 def _association_witness(masks, pair):
     i, j = pair
     return {
@@ -521,18 +507,13 @@ def _association_witness(masks, pair):
     }
 
 
-def is_associated(
-    measure,
-    *,
-    tolerance=None,
-    allow_large: bool = False,
-) -> PropertyReport:
+def is_associated(measure, *, tolerance=None) -> PropertyReport:
     """Positive correlations: cov(f, g) >= 0 for all increasing f, g.
 
     By the layer-cake decomposition and bilinearity of covariance it is
     enough to sweep indicator pairs of up-sets, so the check is exact.
 
-    For n <= 5 one engine sweeps the unordered pairs (U, V), U <= V in
+    One engine sweeps the unordered pairs (U, V), U <= V in
     enumeration order, in row blocks of (1 << 23) // K up-sets (K
     up-sets): a float64 GEMM per chunk of rows, with threshold -tolerance
     in float mode.  In exact mode the float values only screen: every pair
@@ -544,23 +525,20 @@ def is_associated(
     blocks up to and including the first block with a violation, and
     ``pairs_checked`` counts the pairs of those blocks.  A holding report
     has swept every pair and carries the global minimum; in exact mode
-    that is 0 (the full up-set is uncorrelated with every up-set).  n=6 is
-    opt-in and expensive (7828354^2 pairs): it runs a big-integer sweep
-    that stops at the first violating pair.
+    that is 0 (the full up-set is uncorrelated with every up-set).
+
+    At most 5 sites for up-set checks; lattice, rates and dynamics up to
+    6: ``enumerate_up_sets`` raises ``BudgetError`` for n = 6.
     """
     pm = _as_probability(measure)
     n = pm.n
     tol = _resolve_tolerance(pm.mode, tolerance)
-    masks = enumerate_up_sets(n, allow_large=allow_large)
+    masks = enumerate_up_sets(n)
     details = {"mode": pm.mode, "up_sets": len(masks)}
     if pm.mode == FLOAT:
         details["tolerance"] = tol
 
-    if n > DEFAULT_SWEEP_SITES:
-        # No dense membership matrix at this size; exact big-int sweep.
-        best, violation, checked, total = _pair_sweep_bigint(masks, pm.as_fractions())
-        margin = Fraction(best, total * total)
-    elif pm.mode == EXACT:
+    if pm.mode == EXACT:
         best, violation, checked, total = _exact_sweep(n, pm.weights)
         margin = Fraction(best, total * total)
     else:
@@ -646,12 +624,7 @@ def satisfies_lattice(measure, *, tolerance=None) -> PropertyReport:
 # downward FKG
 
 
-def is_downward_fkg(
-    measure,
-    *,
-    tolerance=None,
-    allow_large: bool = False,
-) -> PropertyReport:
+def is_downward_fkg(measure, *, tolerance=None) -> PropertyReport:
     """Association of every conditioning on zeros (the empty set included),
     stopping at the first violating slice.
 
@@ -678,7 +651,7 @@ def is_downward_fkg(
         if len(sites) == n:
             continue  # single configuration left: trivially associated
         sub, remaining = project_zeros(pm, sites)
-        report = is_associated(sub, tolerance=tolerance, allow_large=allow_large)
+        report = is_associated(sub, tolerance=tolerance)
         if best is None or report.margin < best:
             best = report.margin
         if report.fails:
@@ -704,13 +677,7 @@ def is_downward_fkg(
 # stochastic domination
 
 
-def stochastically_dominates(
-    lower,
-    upper,
-    *,
-    tolerance=None,
-    allow_large: bool = False,
-) -> PropertyReport:
+def stochastically_dominates(lower, upper, *, tolerance=None) -> PropertyReport:
     """lower <= upper iff upper(U) >= lower(U) for every up-set U.
 
     Equivalent to the expectation ordering over all increasing functions
@@ -727,7 +694,7 @@ def stochastically_dominates(
     else:
         lo_w = [float(w) for w in lo.weights]
         hi_w = [float(w) for w in hi.weights]
-    masks = enumerate_up_sets(lo.n, allow_large=allow_large)
+    masks = enumerate_up_sets(lo.n)
     best, violation, checked = scan_slacks(
         ((i, sum(hi_w[c] - lo_w[c] for c in up_set_members(members)))
          for i, members in enumerate(masks)),

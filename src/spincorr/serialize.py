@@ -27,13 +27,22 @@ FORMAT_VERSION = 1
 # Largest decimal exponent magnitude a rational string may carry.  Fraction
 # expands "1e<k>" into a k-digit integer, in time that grows faster than
 # linearly in k, so "1e10000000" would stall every loader; 4 300 is the
-# default limit Python puts on the digits of an integer string.
+# default limit Python puts on the digits of an integer string, which also
+# bounds every rational this package writes.
 MAX_DECIMAL_EXPONENT = 4300
 _EXPONENT = re.compile(r"e[-+]?([\d_]*)\s*\Z", re.IGNORECASE)
 
 
-def rational_str(value: Fraction) -> str:
-    return str(Fraction(value))
+def rational_str(value: Fraction, where: str = "value") -> str:
+    """"p/q" for a report; ``where`` names the field in the error raised
+    when p or q is past Python's integer-string digit limit."""
+    value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError:
+        raise ValueError(
+            f"{where}: exact value exceeds the {MAX_DECIMAL_EXPONENT}-digit output limit"
+        ) from None
 
 
 def parse_rational(value, where: str = "value") -> Fraction:
@@ -64,16 +73,20 @@ def _site_count(value) -> int:
     return value
 
 
-def json_safe(value):
-    """Recursively convert Fractions, tuples, and dataclass scraps for json.dumps."""
+def json_safe(value, where: str = "value"):
+    """Recursively convert Fractions, tuples, and dataclass scraps for json.dumps.
+
+    ``where`` is the field's name, extended by key and index on the way
+    down, for the error of an oversized rational.
+    """
     if isinstance(value, Fraction):
-        return rational_str(value)
+        return rational_str(value, where)
     if isinstance(value, (list, tuple)):
-        return [json_safe(v) for v in value]
+        return [json_safe(v, f"{where}[{i}]") for i, v in enumerate(value)]
     if isinstance(value, dict):
-        return {str(k): json_safe(v) for k, v in value.items()}
+        return {str(k): json_safe(v, f"{where}.{k}") for k, v in value.items()}
     if is_dataclass(value) and not isinstance(value, type):
-        return json_safe(vars(value))
+        return json_safe(vars(value), where)
     if hasattr(value, "item") and callable(value.item) and not isinstance(value, (str, bytes)):
         try:
             return value.item()  # numpy scalars
@@ -88,7 +101,7 @@ def json_safe(value):
 
 def measure_to_dict(measure: WeightVector) -> dict:
     if measure.mode == EXACT:
-        weights = [rational_str(w) for w in measure.weights]
+        weights = [rational_str(w, f"weights[{i}]") for i, w in enumerate(measure.weights)]
     else:
         weights = [float(w) for w in measure.weights]
     return {"n": measure.n, "mode": measure.mode, "weights": weights}
@@ -135,11 +148,13 @@ def measure_from_dict(doc: dict, *, force_mode: str | None = None) -> WeightVect
 
 
 def rate_table_to_dict(rates: RateTable) -> dict:
-    return {
-        "n": rates.n,
-        "beta": {str(x): [rational_str(v) for v in rates.birth[x]] for x in range(rates.n)},
-        "delta": {str(x): [rational_str(v) for v in rates.death[x]] for x in range(rates.n)},
-    }
+    def table(name, rows):
+        return {
+            str(x): [rational_str(v, f"{name}[{x}][{i}]") for i, v in enumerate(row)]
+            for x, row in enumerate(rows)
+        }
+
+    return {"n": rates.n, "beta": table("beta", rates.birth), "delta": table("delta", rates.death)}
 
 
 def rate_table_from_dict(doc: dict) -> RateTable:
@@ -184,18 +199,13 @@ def rate_table_from_dict(doc: dict) -> RateTable:
 
 
 def report_to_dict(report: PropertyReport) -> dict:
-    if report.margin is None:
-        margin = None
-    elif isinstance(report.margin, float):
-        margin = rational_str(Fraction(report.margin))
-    else:
-        margin = rational_str(report.margin)
+    margin = None if report.margin is None else rational_str(report.margin, "margin")
     out = {
         "property": report.property,
         "verdict": report.verdict,
-        "witness": json_safe(report.witness),
+        "witness": json_safe(report.witness, "witness"),
         "margin": margin,
-        "details": json_safe(report.details),
+        "details": json_safe(report.details, "details"),
     }
     if isinstance(report.margin, float):
         out["margin_float"] = report.margin
@@ -231,7 +241,7 @@ def experiment_outcome_to_dict(outcome: ExperimentOutcome) -> dict:
         "cells": [cell_to_dict(c) for c in outcome.cells],
         "violations": [cell_to_dict(c) for c in outcome.violations],
         "skipped_measures": list(outcome.skipped_measures),
-        "witness": json_safe(outcome.witness),
+        "witness": json_safe(outcome.witness, "witness"),
     }
 
 
@@ -241,8 +251,10 @@ def search_outcome_to_dict(outcome: SearchOutcome) -> dict:
         "found": outcome.found,
         "summary": outcome.summary,
         "evaluations": outcome.evaluations,
-        "witness": json_safe(outcome.witness),
-        "derivative_certificate": json_safe(outcome.derivative_certificate),
+        "witness": json_safe(outcome.witness, "witness"),
+        "derivative_certificate": json_safe(
+            outcome.derivative_certificate, "derivative_certificate"
+        ),
     }
 
 

@@ -215,7 +215,6 @@ def dca_falsify(
     budget: int = DEFAULT_TILT_BUDGET,
     *,
     tolerance=None,
-    allow_large: bool = False,
     seed: int = 0,
 ) -> PropertyReport:
     """Decide DCA exactly for n <= 3; otherwise try to falsify it.
@@ -226,7 +225,8 @@ def dca_falsify(
     the downward-FKG screen (a necessary condition whose violation yields
     an explicit soft-conditioning witness) and then samples ``budget``
     valid tilts from ``TiltSampler(n, seed)``; it never certifies `holds`
-    at that size.
+    at that size.  At most 5 sites for up-set checks; lattice, rates and
+    dynamics up to 6: the screen raises ``BudgetError`` for n = 6.
     """
     pm = _as_probability(measure)
     n = pm.n
@@ -272,7 +272,7 @@ def dca_falsify(
         return _dca_report(FAILS, witness, margin, details)
 
     # n >= 4: necessary screen, then sampling.
-    screen = is_downward_fkg(pm, tolerance=tolerance, allow_large=allow_large)
+    screen = is_downward_fkg(pm, tolerance=tolerance)
     details["downward_fkg_screen"] = screen.verdict
     if screen.fails:
         witness, margin = _materialize_conditioning_witness(
@@ -287,9 +287,7 @@ def dca_falsify(
         sampled += 1
         tilted = weights * tf.values_float()
         tilted /= tilted.sum()
-        margin = is_associated(
-            ProbabilityMeasure.floats(tilted), tolerance=tolerance, allow_large=allow_large
-        ).margin
+        margin = is_associated(ProbabilityMeasure.floats(tilted), tolerance=tolerance).margin
         if best is None or margin < best:
             best = margin
         if margin < -max(tol, 1e-12):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spincorr.harness import evaluate_property, random_measure
 from spincorr.lattice import (
     BudgetError,
     decompose_increasing,
@@ -15,6 +16,15 @@ from spincorr.lattice import (
     up_set_matrix,
     up_set_members,
 )
+from spincorr.measures import (
+    ProbabilityMeasure,
+    is_associated,
+    is_downward_fkg,
+    normalize,
+    satisfies_lattice,
+    stochastically_dominates,
+)
+from spincorr.tilts import dca_falsify
 
 
 def brute_force_up_sets(n):
@@ -111,13 +121,27 @@ class TestEnumerateUpSets:
         assert all(is_up_set(m, 5) for m in got)
         assert list(got) == sorted(set(got))
 
-    def test_six_sites_needs_opt_in(self):
-        with pytest.raises(BudgetError):
-            enumerate_up_sets(6)
-
-    @pytest.mark.slow
-    def test_six_sites_count(self):
-        assert len(enumerate_up_sets(6, allow_large=True)) == 7828354
+    def test_six_sites_refused_by_up_set_checks(self):
+        limit = "up-set checks stop at 5 sites"
+        mu = normalize(random_measure(0, 6, "generic"))
+        checks = [
+            lambda: enumerate_up_sets(6),
+            lambda: up_set_matrix(6),
+            lambda: is_associated(mu),
+            lambda: is_associated(ProbabilityMeasure.floats(mu.as_float_array())),
+            lambda: is_downward_fkg(mu),
+            lambda: dca_falsify(mu, budget=1),
+            lambda: stochastically_dominates(mu, ProbabilityMeasure.uniform(6)),
+        ] + [
+            lambda name=name: evaluate_property(name, mu, tilt_budget=1)
+            for name in ("associated", "downward-fkg", "dca")
+        ]
+        for check in checks:
+            with pytest.raises(BudgetError, match=limit):
+                check()
+        # the lattice condition still decides six sites
+        assert satisfies_lattice(ProbabilityMeasure.uniform(6)).holds
+        assert satisfies_lattice(mu).fails
 
     def test_membership_matrix_matches_masks(self):
         masks = enumerate_up_sets(3)

@@ -8,7 +8,7 @@ from spincorr.cli import main
 from spincorr.dynamics import contact_process, path_edges
 from spincorr.fixtures import fixture_corpus, write_fixtures
 from spincorr.harness import derangement_measure, random_measure
-from spincorr.measures import WeightVector, is_associated, normalize
+from spincorr.measures import PropertyReport, WeightVector, is_associated, normalize
 from spincorr.serialize import (
     MAX_DECIMAL_EXPONENT,
     dumps,
@@ -243,7 +243,7 @@ class TestCli:
             ("check-measure", {**measure, "n": True}),
             ("check-measure", {"mode": "float", "weights": [None, 1]}),
             ("check-measure", {"mode": "float", "weights": [[1], 1]}),
-            # a six-site sweep without --opt-in-n6 is refused
+            # up-set checks stop at five sites
             ("check-measure", {"n": 6, "weights": ["1/64"] * 64}),
         ]
         runs = [[command, "--input", doc_file(f"bad{i}.json", doc)]
@@ -261,6 +261,30 @@ class TestCli:
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
+        # there is no six-site opt-in flag: a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["check-measure", "--input", pair, "--opt-in-n6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_oversized_rational_output_names_the_field(self, tmp_path, capsys):
+        measure = tmp_path / "measure.json"
+        measure.write_text(json.dumps({"weights": ["1e4300", "1"]}))
+        coords = {name: "1" for name in ("b1", "b2", "b3", "c1", "c2", "c3", "d")}
+        triple = tmp_path / "coords.json"
+        triple.write_text(json.dumps({**coords, "a": "1e4300"}))
+        for argv, field in (
+            (["check-measure", "--input", str(measure)], "weights[0]"),
+            (["classify3", "--input", str(triple)], "margins.cov-prod.1"),
+        ):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err == f"error: {field}: exact value exceeds the 4300-digit output limit\n", err
+            assert "set_int_max_str_digits" not in err
+        huge = Fraction(1, 10**4300)
+        report = PropertyReport("dca", "fails", {"tilt_values": [1, 1, huge]}, Fraction(0), {})
+        with pytest.raises(ValueError, match=r"^witness\.tilt_values\[2\]: "):
+            report_to_dict(report)
 
     def test_rationals_beyond_float64_stay_exact(self, tmp_path, capsys):
         measure = tmp_path / "measure.json"
