@@ -4,10 +4,8 @@ from .lattice import (
     BudgetError,
     decompose_increasing,
     enumerate_up_sets,
-    flip,
     is_increasing,
     is_up_set,
-    meet_join,
 )
 from .measures import (
     EXACT,

@@ -35,7 +35,7 @@ from .dynamics import (
     semigroup_apply,
 )
 from .lattice import BudgetError
-from .measures import PropertyReport, normalize
+from .measures import normalize
 from .serialize import (
     dumps,
     envelope,
@@ -105,17 +105,14 @@ def _parse_times(text: str) -> tuple[float, ...]:
     return times
 
 
-def _parse_asserts(text: str | None) -> tuple[str, ...]:
-    if not text:
-        return ()
-    return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
-def _assert_exit(asserted, reports: dict[str, PropertyReport]) -> int:
-    for name in asserted:
-        if name not in reports:
-            raise ValueError(f"--assert names unknown property {name!r}; known: {sorted(reports)}")
-    return 1 if any(not reports[name].holds for name in asserted) else 0
+def _assert_exit(asserted: str | None, holds: dict[str, bool]) -> int:
+    """Exit code for the comma list ``--assert``: 1 if a named property
+    fails, else 0; an unknown name is a usage error."""
+    names = [part.strip() for part in (asserted or "").split(",") if part.strip()]
+    for name in names:
+        if name not in holds:
+            raise ValueError(f"--assert names unknown property {name!r}; known: {sorted(holds)}")
+    return 1 if any(not holds[name] for name in names) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +134,7 @@ def _cmd_check_measure(args) -> int:
         "reports": {name: report_to_dict(r) for name, r in reports.items()},
     }
     _emit(args, envelope("check-measure", body))
-    return _assert_exit(_parse_asserts(args.asserts), reports)
+    return _assert_exit(args.asserts, {name: r.holds for name, r in reports.items()})
 
 
 def _cmd_check_rates(args) -> int:
@@ -160,7 +157,7 @@ def _cmd_check_rates(args) -> int:
         "reports": {name: report_to_dict(r) for name, r in reports.items()},
     }
     _emit(args, envelope("check-rates", body))
-    return _assert_exit(_parse_asserts(args.asserts), reports)
+    return _assert_exit(args.asserts, {name: r.holds for name, r in reports.items()})
 
 
 def _cmd_evolve(args) -> int:
@@ -211,12 +208,7 @@ def _cmd_classify3(args) -> int:
         },
     }
     _emit(args, envelope("classify3", body))
-    asserted = _parse_asserts(args.asserts)
-    verdict_map = verdicts.as_dict()
-    for name in asserted:
-        if name not in verdict_map:
-            raise ValueError(f"--assert names unknown verdict {name!r}; known: {sorted(verdict_map)}")
-    return 1 if any(not verdict_map[name] for name in asserted) else 0
+    return _assert_exit(args.asserts, verdicts.as_dict())
 
 
 def _cmd_verify_theorem(args) -> int:

@@ -27,7 +27,14 @@ from math import exp, inf
 import numpy as np
 import scipy.linalg
 
-from .lattice import configs, scan_slacks, single_bit_pairs, two_site_quadruples, validate_site_count
+from .lattice import (
+    configs,
+    scan_slacks,
+    single_bit_pairs,
+    two_site_quadruples,
+    validate_site,
+    validate_site_count,
+)
 from .measures import (
     FAILS,
     HOLDS,
@@ -96,8 +103,7 @@ class RateTable:
     @classmethod
     def single_site_birth(cls, n: int, site: int, values) -> "RateTable":
         """All rates zero except the birth rate at one site."""
-        if not 0 <= site < n:
-            raise ValueError(f"site {site} out of range")
+        validate_site(site, n)
         size = 1 << n
         zero = [Fraction(0)] * size
         birth = [list(zero) for _ in range(n)]
@@ -324,7 +330,7 @@ def is_attractive(rates: RateTable) -> PropertyReport:
     best, witness, _ = scan_slacks(
         ({"site": x, "kind": kind, "lower": lo, "upper": hi}, slack)
         for x in range(rates.n)
-        for lo, hi, _ in single_bit_pairs(rates.n)
+        for lo, hi in single_bit_pairs(rates.n)
         for kind, slack in (
             ("birth", rates.birth[x][hi] - rates.birth[x][lo]),
             ("death", rates.death[x][lo] - rates.death[x][hi]),
@@ -333,21 +339,31 @@ def is_attractive(rates: RateTable) -> PropertyReport:
     return PropertyReport("attractive", FAILS if witness else HOLDS, witness, best)
 
 
+def _first_change(table, cs):
+    """(first config of ``cs``, first later config of ``cs`` whose value in
+    ``table`` differs), or None when the value is constant on ``cs``."""
+    cs = iter(cs)
+    first = next(cs, None)
+    for c in cs:
+        if table[c] != table[first]:
+            return first, c
+    return None
+
+
 def has_independent_flips(rates: RateTable) -> PropertyReport:
     """Every site's birth and death rates ignore the configuration."""
-    independent = all(
-        len(set(rates.birth[x])) == 1 and len(set(rates.death[x])) == 1 for x in range(rates.n)
+    independent = not any(
+        _first_change(table, configs(rates.n)) for table in rates.birth + rates.death
     )
     return PropertyReport("independent-flips", HOLDS if independent else FAILS)
 
 
 def deaths_constant(rates: RateTable) -> PropertyReport:
     """Death rates independent of the configuration at every site."""
-    for x in range(rates.n):
-        values = set(rates.death[x])
-        if len(values) > 1:
-            lo = min(c for c in configs(rates.n) if rates.death[x][c] != rates.death[x][0])
-            witness = {"site": x, "config": lo, "values": sorted(str(v) for v in values)}
+    for x, table in enumerate(rates.death):
+        change = _first_change(table, configs(rates.n))
+        if change:
+            witness = {"site": x, "config": change[1], "values": sorted(str(v) for v in set(table))}
             return PropertyReport("constant-deaths", FAILS, witness, None)
     return PropertyReport("constant-deaths", HOLDS, None, None)
 
@@ -360,21 +376,15 @@ def deaths_constant_on_occupied(rates: RateTable) -> PropertyReport:
     configuration; the value when the site is the lone occupant (the empty
     representative) is exempt.
     """
-    for x in range(rates.n):
-        bit = 1 << x
-        seen = {}
-        for c in configs(rates.n):
-            if c & bit or c == 0:
-                continue
-            seen.setdefault(rates.death[x][c], c)
-            if len(seen) > 1:
-                (v1, c1), (v2, c2) = sorted(seen.items(), key=lambda kv: kv[1])[:2]
-                witness = {
-                    "site": x,
-                    "configs": [c1, c2],
-                    "values": [str(v1), str(v2)],
-                }
-                return PropertyReport("constant-deaths-occupied", FAILS, witness, None)
+    for x, table in enumerate(rates.death):
+        change = _first_change(table, (c for c in configs(rates.n) if c and not c >> x & 1))
+        if change:
+            witness = {
+                "site": x,
+                "configs": list(change),
+                "values": [str(table[c]) for c in change],
+            }
+            return PropertyReport("constant-deaths-occupied", FAILS, witness, None)
     return PropertyReport("constant-deaths-occupied", HOLDS, None, None)
 
 
@@ -413,48 +423,23 @@ def additive_decomposition(rates: RateTable, site: int) -> AdditiveDecomposition
     sum over D <= A of (-1)^|A minus D| G(D).  Non-additivity is a verdict,
     not an error.
     """
-    if not 0 <= site < rates.n:
-        raise ValueError(f"site {site} out of range")
-    offsites = [x for x in range(rates.n) if x != site]
-    full = 0
-    for x in offsites:
-        full |= 1 << x
-
-    def f(mask):
-        return rates.birth[site][mask]
-
-    gvals = {}
-    sub = full
-    while True:
-        gvals[sub] = f(full) - f(full & ~sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & full
-
-    coefficients = []
-    sub = full
-    while True:
-        if sub:
-            coeff = Fraction(0)
-            d = sub
-            while True:
-                sign = -1 if (sub ^ d).bit_count() & 1 else 1
-                coeff += sign * gvals[d]
-                if d == 0:
-                    break
-                d = (d - 1) & sub
-            coefficients.append((sub, coeff))
-        if sub == 0:
-            break
-        sub = (sub - 1) & full
-    coefficients.sort()
-
-    empty_rate = f(0)
+    validate_site(site, rates.n)
+    table = rates.birth[site]
+    own = 1 << site
+    full = (1 << rates.n) - 1 ^ own
+    # G(D) for every mask D, then the Moebius transform over the off-site
+    # bits, one in-place pass per site; masks holding the own bit are unused
+    coeff = [table[full] - table[full & ~d] for d in configs(rates.n)]
+    for x in range(rates.n):
+        if x != site:
+            for a in configs(rates.n):
+                if a >> x & 1:
+                    coeff[a] -= coeff[a ^ 1 << x]
+    coefficients = tuple((a, coeff[a]) for a in configs(rates.n) if a and not a & own)
+    empty_rate = table[0]
     exact = empty_rate == 0
     additive = exact and all(c >= 0 for _, c in coefficients)
-    return AdditiveDecomposition(
-        rates.n, site, tuple(coefficients), empty_rate, exact, additive
-    )
+    return AdditiveDecomposition(rates.n, site, coefficients, empty_rate, exact, additive)
 
 
 def births_additive(rates: RateTable) -> PropertyReport:
@@ -495,7 +480,7 @@ def births_increasing(rates: RateTable) -> PropertyReport:
     best, witness, _ = scan_slacks(
         ({"site": site, "lower": lo, "upper": hi}, table[hi] - table[lo])
         for site, table in enumerate(rates.birth)
-        for lo, hi, _ in single_bit_pairs(rates.n)
+        for lo, hi in single_bit_pairs(rates.n)
     )
     return PropertyReport("increasing-births", FAILS if witness else HOLDS, witness, best)
 
@@ -542,10 +527,13 @@ def association_determinant_poly(n: int, x: int, y: int, zero_sites=()) -> Event
     """P(x=1, y=1, Z) P(x=0, y=0, Z) - P(x=1, y=0, Z) P(x=0, y=1, Z) with Z
     the event of zeros on ``zero_sites``; nonnegative whenever the measure
     conditioned on Z is associated, zero at product measures."""
+    for site in (x, y):
+        validate_site(site, n)
     if x == y:
         raise ValueError("sites must be distinct")
     zmask = 0
     for z in zero_sites:
+        validate_site(z, n)
         if z in (x, y):
             raise ValueError("pinned sites must differ from the compared pair")
         zmask |= 1 << z

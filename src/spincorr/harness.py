@@ -35,7 +35,7 @@ from .dynamics import (
     product_corners,
     semigroup_apply,
 )
-from .lattice import BudgetError, configs, validate_site_count
+from .lattice import BudgetError, configs, single_bit_pairs, validate_site_count
 from .measures import (
     EXACT,
     ProbabilityMeasure,
@@ -128,12 +128,11 @@ def random_measure(seed: int, n: int, mode: str = "generic") -> WeightVector:
 
 def random_increasing_table(rng: random.Random, n: int, denominator: int = 8, top: int = 24):
     """Random increasing nonnegative function via monotone closure."""
-    raw = [Fraction(rng.randrange(0, top + 1), denominator) for _ in configs(n)]
-    out = list(raw)
-    for c in configs(n):
-        for x in range(n):
-            if c >> x & 1:
-                out[c] = max(out[c], out[c & ~(1 << x)])
+    out = [Fraction(rng.randrange(0, top + 1), denominator) for _ in configs(n)]
+    # pairs come in ascending order of the lower config, so out[lo] is
+    # final (the maximum below lo) before it is pushed up
+    for lo, hi in single_bit_pairs(n):
+        out[hi] = max(out[hi], out[lo])
     return tuple(out)
 
 

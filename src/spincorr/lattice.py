@@ -6,6 +6,11 @@ directly by the mask.  An up-set (upward-closed event) is stored as a
 2^n-bit membership mask over configuration indices: intersecting two
 up-sets is one AND, and weighing an up-set against a measure is a masked
 sum.  These two encodings are shared by every other module.
+
+Every pairwise order check is built on four primitives here:
+``single_bit_pairs`` (monotonicity), ``two_site_quadruples`` (squares, for
+submodularity), ``lattice_pairs`` (the FKG lattice condition) and
+``scan_slacks`` (the in-order walk that stops at the first violation).
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ def validate_site_count(n: int) -> None:
         raise ValueError(f"site count must be an integer in [1, {MAX_SITES}], got {n!r}")
 
 
-def validate_config(config: int, n: int) -> None:
-    if not 0 <= config < (1 << n):
-        raise ValueError(f"configuration {config!r} out of range for {n} sites")
+def validate_site(x, n: int) -> None:
+    if not 0 <= x < n:
+        raise ValueError(f"site {x!r} out of range for {n} sites")
 
 
 def configs(n: int) -> range:
@@ -37,43 +42,13 @@ def configs(n: int) -> range:
     return range(1 << n)
 
 
-def meet_join(a: int, b: int, n: int) -> tuple[int, int]:
-    """Coordinatewise minimum and maximum of two configurations."""
-    validate_site_count(n)
-    validate_config(a, n)
-    validate_config(b, n)
-    return a & b, a | b
-
-
-def flip(config: int, sites, n: int) -> int:
-    """Complement the spin at each listed site (distinct, in range)."""
-    validate_config(config, n)
-    sites = tuple(sites)
-    if len(set(sites)) != len(sites):
-        raise ValueError(f"flip sites must be distinct, got {sites!r}")
-    mask = 0
-    for x in sites:
-        if not 0 <= x < n:
-            raise ValueError(f"site {x!r} out of range for {n} sites")
-        mask |= 1 << x
-    return config ^ mask
-
-
-def config_leq(a: int, b: int) -> bool:
-    """Coordinatewise a <= b."""
-    return a & ~b == 0
-
-
-def comparable(a: int, b: int) -> bool:
-    return config_leq(a, b) or config_leq(b, a)
-
-
 def single_bit_pairs(n: int):
-    """Yield (lower, upper, site) for every pair of configs differing in one bit."""
+    """Yield (lower, upper) for every pair of configs differing in one bit,
+    in ascending order of the lower config."""
     for c in configs(n):
         for x in range(n):
             if not c >> x & 1:
-                yield c, c | 1 << x, x
+                yield c, c | 1 << x
 
 
 def two_site_quadruples(n: int):
@@ -88,6 +63,22 @@ def two_site_quadruples(n: int):
             for base in configs(n):
                 if base & pair == 0:
                     yield base, x, y
+
+
+def lattice_pairs(n: int, strictly_positive: bool):
+    """Yield the pairs (a, b) on which the lattice condition
+    w(a&b) w(a|b) >= w(a) w(b) must be checked: for a strictly positive
+    table the pairs (base|x, base|y) of the ``two_site_quadruples`` squares,
+    which imply all others; otherwise every incomparable pair, a < b
+    ascending (comparable pairs hold with equality)."""
+    if strictly_positive:
+        for base, x, y in two_site_quadruples(n):
+            yield base | 1 << x, base | 1 << y
+    else:
+        for a in configs(n):
+            for b in range(a + 1, 1 << n):
+                if a & b not in (a, b):  # incomparable
+                    yield a, b
 
 
 def scan_slacks(slacks, tolerance=0):
@@ -115,13 +106,7 @@ def scan_slacks(slacks, tolerance=0):
 
 def is_up_set(members: int, n: int) -> bool:
     """True iff the membership mask is closed under raising any coordinate."""
-    for c in configs(n):
-        if members >> c & 1:
-            for x in range(n):
-                up = c | 1 << x
-                if up != c and not members >> up & 1:
-                    return False
-    return True
+    return all(members >> hi & 1 or not members >> lo & 1 for lo, hi in single_bit_pairs(n))
 
 
 @lru_cache(maxsize=None)
@@ -212,7 +197,7 @@ def is_increasing(values, n: int):
     vals = list(values)
     if len(vals) != 1 << n:
         raise ValueError(f"expected {1 << n} values, got {len(vals)}")
-    _, pair, _ = scan_slacks(((lo, hi), vals[hi] - vals[lo]) for lo, hi, _ in single_bit_pairs(n))
+    _, pair, _ = scan_slacks(((lo, hi), vals[hi] - vals[lo]) for lo, hi in single_bit_pairs(n))
     return pair is None, pair
 
 

@@ -28,13 +28,13 @@ import numpy as np
 
 from .lattice import (
     BudgetError,
-    comparable,
     configs,
     enumerate_up_sets,
+    lattice_pairs,
     scan_slacks,
-    two_site_quadruples,
     up_set_matrix,
     up_set_members,
+    validate_site,
     validate_site_count,
 )
 
@@ -222,8 +222,7 @@ def condition_zeros(measure, sites) -> ProbabilityMeasure:
     pm = _as_probability(measure)
     mask = 0
     for x in set(sites):
-        if not 0 <= x < pm.n:
-            raise ValueError(f"site {x!r} out of range for {pm.n} sites")
+        validate_site(x, pm.n)
         mask |= 1 << x
     zero = Fraction(0) if pm.mode == EXACT else 0.0
     restricted = [w if c & mask == 0 else zero for c, w in enumerate(pm.weights)]
@@ -576,20 +575,6 @@ def batch_association_margins(n: int, rows: np.ndarray) -> np.ndarray:
 # FKG lattice condition
 
 
-def _lattice_pairs(n: int, strictly_positive: bool):
-    if strictly_positive:
-        # For strictly positive weights the condition for all pairs follows
-        # from the pairs differing at exactly two sites.
-        for base, x, y in two_site_quadruples(n):
-            yield base | 1 << x, base | 1 << y
-    else:
-        size = 1 << n
-        for a in range(size):
-            for b in range(a + 1, size):
-                if not comparable(a, b):
-                    yield a, b
-
-
 def satisfies_lattice(measure, *, tolerance=None) -> PropertyReport:
     """FKG lattice condition: mu(a&b)*mu(a|b) >= mu(a)*mu(b) for all pairs.
 
@@ -603,7 +588,7 @@ def satisfies_lattice(measure, *, tolerance=None) -> PropertyReport:
     strictly_positive = all(v > 0 for v in w)
     best, violation, checked = scan_slacks(
         (((a, b), w[a & b] * w[a | b] - w[a] * w[b])
-         for a, b in _lattice_pairs(measure.n, strictly_positive)),
+         for a, b in lattice_pairs(measure.n, strictly_positive)),
         tol,
     )
     details = {

@@ -165,16 +165,3 @@ def classify(coords: ThreeSiteCoords, tolerance=0) -> ThreeSiteVerdicts:
         assert not (lattice and not dca)
         assert not (dca and not associated)
     return verdicts
-
-
-def check_complement_bound(coords: ThreeSiteCoords) -> bool:
-    """a*d >= b_i*c_i for each i, under cov-prod and det-zero-slice.
-
-    The precondition is required; the bound is a consequence of those two
-    systems (multiply the cov-prod inequality for site i by d and reduce
-    with the other two zero-slice determinants), so this must always
-    return True when called legitimately.
-    """
-    if not (system_holds(coords, "cov-prod") and system_holds(coords, "det-zero-slice")):
-        raise ValueError("precondition unmet: cov-prod and det-zero-slice must hold")
-    return all(slack >= 0 for _, slack in complement_products(coords))

@@ -385,7 +385,7 @@ def test_criterion_8_single_site_kernel_facts():
                 assert ok, f"evolved tilt invalid ({reason}) at seed={seed}, t={t}"
                 # the evolved ratio stays increasing for log-supermodular h
                 ratio = s(np.asarray(f) * np.asarray(h_super)) / s(h_super)
-                for lo, hi, _ in single_bit_pairs(3):
+                for lo, hi in single_bit_pairs(3):
                     worst = min(worst, float(ratio[hi] - ratio[lo]))
                 checked += 1
     _criterion(

@@ -245,6 +245,16 @@ class TestRateClassifiers:
         assert deaths_constant_on_occupied(table).holds
         assert deaths_constant(table).fails
 
+    @pytest.mark.parametrize("kind", ["generic", "attractive", "independent"])
+    def test_single_site_rates_are_constant(self, kind):
+        # one site: the own-spin representative is the empty config, so every
+        # table is constant, and no configuration has another occupied site
+        for seed in range(5):
+            rates = random_spin_system(seed, 1, kind)
+            assert has_independent_flips(rates).holds
+            assert deaths_constant(rates).holds
+            assert deaths_constant_on_occupied(rates).holds
+
     def test_deaths_varying_on_occupied_fails(self):
         rising = RateTable.from_site_functions(
             3, lambda x, c: Fraction(0), lambda x, c: Fraction(1 + (c >> ((x + 1) % 3) & 1))
@@ -273,18 +283,37 @@ class TestAdditiveDecomposition:
         assert dec.additive
         assert all(c == 0 for _, c in dec.coefficients)
 
-    def test_reconstruction_exact_iff_empty_rate_zero(self):
+    @pytest.mark.parametrize("kind", ["generic", "attractive", "independent"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_reconstruction_exact_iff_empty_rate_zero(self, n, kind):
         for seed in range(20):
-            rates = random_spin_system(seed, 3, "generic")
-            for site in range(3):
+            rates = random_spin_system(seed, n, kind)
+            for site in range(n):
                 dec = additive_decomposition(rates, site)
                 matches = all(
                     dec.reconstruct(c) == rates.birth[site][c]
-                    for c in configs(3)
+                    for c in configs(n)
                     if not c >> site & 1
                 )
                 assert matches == dec.exact
                 assert dec.exact == (rates.birth[site][0] == 0)
+
+    def test_coefficients_match_the_direct_submask_sum(self):
+        # reference: coefficient of A = sum over D <= A of (-1)^|A minus D| G(D)
+        for kind in ("generic", "attractive"):
+            for seed in range(5):
+                rates = random_spin_system(seed, 4, kind)
+                for site in range(4):
+                    table = rates.birth[site]
+                    full = 0b1111 & ~(1 << site)
+                    expected = tuple(
+                        (a, sum(
+                            (-1) ** (a & ~d).bit_count() * (table[full] - table[full & ~d])
+                            for d in configs(4) if d & ~a == 0
+                        ))
+                        for a in configs(4) if a and a & ~full == 0
+                    )
+                    assert additive_decomposition(rates, site).coefficients == expected
 
     def test_additive_implies_submodular_and_increasing(self):
         rates = contact_process(path_edges(4), infection=Fraction(2, 3))
@@ -403,6 +432,13 @@ class TestDerivativeAtZero:
 
             fd = (-3 * value_at(0.0) + 4 * value_at(h) - value_at(2 * h)) / (2 * h)
             assert abs(exact - fd) < 1e-6
+
+    @pytest.mark.parametrize("x,y,zero_sites,bad", [
+        (0, 5, (), 5), (0, -1, (), -1), (0, 1, (7,), 7), (3, 1, (2,), 3),
+    ])
+    def test_association_determinant_sites_range_checked(self, x, y, zero_sites, bad):
+        with pytest.raises(ValueError, match=f"site {bad} out of range for 3 sites"):
+            association_determinant_poly(3, x, y, zero_sites)
 
     def test_degree_cap_enforced(self):
         with pytest.raises(ValueError):

@@ -9,10 +9,10 @@ from spincorr.lattice import (
     BudgetError,
     decompose_increasing,
     enumerate_up_sets,
-    flip,
     is_increasing,
     is_up_set,
-    meet_join,
+    lattice_pairs,
+    single_bit_pairs,
     up_set_matrix,
     up_set_members,
 )
@@ -56,54 +56,27 @@ def count_antichains(n):
     return extend(0, [])
 
 
-class TestMeetJoin:
-    def test_bitwise_definition(self):
-        assert meet_join(0b101, 0b011, 3) == (0b001, 0b111)
+class TestOrderPrimitives:
+    def test_single_bit_pairs_ascending_by_lower(self):
+        pairs = list(single_bit_pairs(3))
+        assert len(pairs) == 3 * 4
+        assert all((hi ^ lo).bit_count() == 1 and hi > lo for lo, hi in pairs)
+        assert [lo for lo, _ in pairs] == sorted(lo for lo, _ in pairs)
 
-    def test_idempotence(self):
-        for x in range(8):
-            assert meet_join(x, x, 3) == (x, x)
+    def test_positive_tables_get_the_squares(self):
+        pairs = list(lattice_pairs(3, strictly_positive=True))
+        assert len(pairs) == 3 * 2
+        assert sorted(pairs) == [
+            (a, b) for a in range(8) for b in range(a + 1, 8)
+            if (a ^ b).bit_count() == 2 and a & ~b and b & ~a
+        ]
 
-    def test_absorbing_zero(self):
-        assert meet_join(0b110, 0b000, 3) == (0b000, 0b110)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            meet_join(0b1000, 0b001, 3)
-
-    def test_lattice_axioms_exhaustive(self):
-        # commutativity, associativity, absorption on all of {0,1}^3
-        for a in range(8):
-            for b in range(8):
-                ma, ja = meet_join(a, b, 3)
-                mb, jb = meet_join(b, a, 3)
-                assert (ma, ja) == (mb, jb)
-                assert meet_join(a, ja, 3) == (a, ja)  # absorption
-                for c in range(8):
-                    assert (a & b) & c == a & (b & c)
-                    assert (a | b) | c == a | (b | c)
-
-
-class TestFlip:
-    def test_definition(self):
-        assert flip(0b000, {0, 1}, 3) == 0b011
-
-    def test_empty(self):
-        for gamma in range(8):
-            assert flip(gamma, (), 3) == gamma
-
-    def test_involution(self):
-        for gamma in range(8):
-            for x in range(3):
-                assert flip(flip(gamma, [x], 3), [x], 3) == gamma
-
-    def test_out_of_range_site(self):
-        with pytest.raises(ValueError):
-            flip(0, [3], 3)
-
-    def test_duplicate_sites(self):
-        with pytest.raises(ValueError):
-            flip(0, [1, 1], 3)
+    def test_other_tables_get_every_incomparable_pair(self):
+        oracle = [
+            (a, b) for a in range(8) for b in range(a + 1, 8)
+            if a & ~b and b & ~a
+        ]
+        assert list(lattice_pairs(3, strictly_positive=False)) == oracle
 
 
 class TestEnumerateUpSets:

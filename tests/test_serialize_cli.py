@@ -187,6 +187,22 @@ class TestCli:
             "lattice": False, "dca": True, "downward_fkg": True, "associated": True,
         }
 
+    @pytest.mark.parametrize("command,fixture,known", [
+        ("check-measure", "derangement3.json", ["associated", "dca", "fkg-lattice"]),
+        ("check-rates", "contact_path4.json", ["additive-births", "attractive"]),
+        ("classify3", "gap_lattice_vs_dca.json", ["associated", "dca", "lattice"]),
+    ])
+    def test_unknown_assert_name_is_a_usage_error(
+        self, fixture_dir, capsys, command, fixture, known
+    ):
+        path = str(fixture_dir / fixture)
+        assert main([command, "--input", path, "--assert", "bogus"]) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert "unknown property 'bogus'" in errors[0]
+        assert all(repr(name) in errors[0] for name in known)
+
     def test_classify3_named_coordinates(self, tmp_path, capsys):
         doc = {"a": "1/3", "b1": "1/6", "b2": "1/6", "b3": "1/6",
                "c1": "0", "c2": "0", "c3": "0", "d": "1/6"}

@@ -9,7 +9,6 @@ from spincorr.measures import is_associated, is_downward_fkg, normalize, satisfi
 from spincorr.three_site import (
     SYSTEMS,
     ThreeSiteCoords,
-    check_complement_bound,
     classify,
     complement_products,
     margins,
@@ -118,21 +117,28 @@ def normalize_weights(weights):
     return normalize(WeightVector.exact(weights))
 
 
+def complement_bound_holds(coords):
+    """The lemma: cov-prod and det-zero-slice imply a*d >= b_i*c_i for each i
+    (multiply the cov-prod inequality for site i by d and reduce with the
+    other two zero-slice determinants)."""
+    assert system_holds(coords, "cov-prod") and system_holds(coords, "det-zero-slice")
+    return all(slack >= 0 for _, slack in complement_products(coords))
+
+
 class TestComplementBound:
     def test_uniform_equality(self):
         coords = ThreeSiteCoords.from_weights([Fraction(1, 8)] * 8)
-        assert check_complement_bound(coords)
+        assert complement_bound_holds(coords)
         assert all(slack == 0 for _, slack in complement_products(coords))
 
     def test_gap_measure_one(self):
         gap1, _ = implication_gap_measures(EPS)
-        assert check_complement_bound(ThreeSiteCoords.from_weights(gap1.weights))
+        assert complement_bound_holds(ThreeSiteCoords.from_weights(gap1.weights))
 
-    def test_precondition_enforced(self):
+    def test_gap_measure_two_fails_precondition(self):
         _, gap2 = implication_gap_measures(EPS)
         coords = ThreeSiteCoords.from_weights(gap2.weights)
-        with pytest.raises(ValueError):
-            check_complement_bound(coords)
+        assert not (system_holds(coords, "cov-prod") and system_holds(coords, "det-zero-slice"))
 
     def test_randomized_implication(self):
         # the bound must follow from cov-prod plus det-zero-slice; integer
@@ -158,7 +164,7 @@ class TestComplementBound:
                 or a * (c1 + c2 + d) < b3 * (b1 + b2 + c3)
             ):
                 continue
-            assert check_complement_bound(ThreeSiteCoords(a, b1, b2, b3, c1, c2, c3, d))
+            assert complement_bound_holds(ThreeSiteCoords(a, b1, b2, b3, c1, c2, c3, d))
             checked += 1
 
 

@@ -37,6 +37,11 @@ class TestTiltFunction:
         tf = conditioning_tilt(2, [0], Fraction(1))
         assert tf.values_exact() == (1, Fraction(1, 2), 1, Fraction(1, 2))
 
+    @pytest.mark.parametrize("sites,bad", [([5], 5), ([0, -1], -1), ([3], 3)])
+    def test_conditioning_tilt_sites_range_checked(self, sites, bad):
+        with pytest.raises(ValueError, match=f"site {bad} out of range for 3 sites"):
+            conditioning_tilt(3, sites, 1)
+
     def test_interaction_factor_below_one_rejected(self):
         tf = TiltFunction(2, (Fraction(1, 2), Fraction(1, 2)), ((0b11, Fraction(1, 2)),))
         with pytest.raises(ValueError):
