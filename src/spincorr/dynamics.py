@@ -10,10 +10,12 @@ therefore conditions on that representative.
 
 The semigroup exp(tQ) acts on measures from the left (mu S(t) = mu e^{tQ})
 and on functions from the right.  The primary evaluation is
-uniformization, which preserves nonnegativity and total mass by
-construction; a dense scaling-and-squaring routine is kept as an
-independent cross-check oracle.  Dynamics outputs are floats and are
-tagged as such; only the derivative at t=0 is exact.
+uniformization, which keeps every entry nonnegative.  Horizons with
+lambda*t > 500 are halved d times; for d >= 2 the leaf kernel P_{t/2^d}
+is built once and squared d times.  Each leaf still truncates its Poisson
+sum at the tail, so up to 2^d * tail of mass is lost (the known defect of
+ROADMAP item 2).  Dense scaling and squaring (expm) is kept as a
+cross-check oracle.  Outputs are floats; only the derivative at t=0 is exact.
 """
 
 from __future__ import annotations
@@ -222,24 +224,34 @@ def _poisson_sweep(gen: Generator, vector: np.ndarray, t: float, tail: float, fr
     lam = _rate_float(gen.uniformization_rate)
     if lam == 0.0 or t == 0.0:
         return vector.copy()
-    if lam * t > 500.0:
-        # Split long horizons so the leading Poisson weight stays representable.
-        half = _poisson_sweep(gen, vector, t / 2.0, tail, from_left)
-        return _poisson_sweep(gen, half, t / 2.0, tail, from_left)
+    # Halve t d times until lam*s <= 500 (exp(-lam*s) stays representable).
+    # d <= 1: sweep the vector leaf by leaf; d >= 2: build the leaf P_s once
+    # and square it d times.  Each leaf truncates at ``tail``: up to 2^d*tail lost.
+    depth = 0
+    while lam * t > 500.0:
+        t /= 2.0
+        depth += 1
+    if depth >= 2:
+        kernel = _poisson_sweep(gen, np.eye(1 << gen.n), t, tail, from_left)
+        for _ in range(depth):
+            kernel = kernel @ kernel
+        return vector @ kernel if from_left else kernel @ vector
     transition = np.eye(1 << gen.n) + gen.matrix / lam
-    weight = exp(-lam * t)
-    cumulative = weight
-    acc = weight * vector
-    current = vector
-    k = 0
     k_max = int(lam * t + 60.0 * (lam * t + 1.0) ** 0.5 + 100.0)
-    while 1.0 - cumulative > tail and k < k_max:
-        k += 1
-        current = current @ transition if from_left else transition @ current
-        weight *= lam * t / k
-        cumulative += weight
-        acc = acc + weight * current
-    return acc
+    for _ in range(1 << depth):
+        weight = exp(-lam * t)
+        cumulative = weight
+        acc = weight * vector
+        current = vector
+        k = 0
+        while 1.0 - cumulative > tail and k < k_max:
+            k += 1
+            current = current @ transition if from_left else transition @ current
+            weight *= lam * t / k
+            cumulative += weight
+            acc = acc + weight * current
+        vector = acc
+    return vector
 
 
 def semigroup_apply(

@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 
 import numpy as np
 
@@ -198,10 +199,12 @@ def _tilt_witness(measure, tf: TiltFunction, tolerance):
 
 def _materialize_conditioning_witness(pm, sites, tolerance):
     """Find a concrete eps for which soft conditioning on the violating
-    zero set already breaks association.  Exists for small enough eps by
-    continuity of the tilted measure in eps."""
-    for k in range(0, 13):
-        tf = conditioning_tilt(pm.n, sites, Fraction(1, 10**k))
+    zero set already breaks association.  Scaled to integers, the weights
+    sum to T and the conditioned slice to B <= T: a violating covariance
+    there is <= -1/B^2, and eps = 1/(6 T^2) moves each by < 1/(4 B^2)."""
+    total = lcm(*(w.denominator for w in pm.as_fractions()))
+    for eps in [Fraction(1, 10**k) for k in range(13)] + [Fraction(1, 6 * total**2)]:
+        tf = conditioning_tilt(pm.n, sites, eps)
         confirmed = _tilt_witness(pm, tf, tolerance)
         if confirmed is not None:
             return confirmed

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spincorr.dynamics import (
+    DEFAULT_POISSON_TAIL,
     EventPolynomial,
     RateTable,
     additive_decomposition,
@@ -166,6 +167,69 @@ class TestSemigroupApply:
                 ]
             )
             assert np.abs(out - expected).max() < 1e-10
+
+
+def sequential_leaves(gen, vector, t):
+    """Reference for long horizons: halve t until lambda*s <= 500, then run
+    the truncated Poisson sweep of that leaf on the row vector 2^d times in
+    sequence.  Returns the result and the number of leaves."""
+    lam = float(gen.uniformization_rate)
+    s, leaves = t, 1
+    while lam * s > 500.0:
+        s /= 2.0
+        leaves *= 2
+    transition = np.eye(1 << gen.n) + gen.matrix / lam
+    k_max = int(lam * s + 60.0 * (lam * s + 1.0) ** 0.5 + 100.0)
+    for _ in range(leaves):
+        weight = math.exp(-lam * s)
+        cumulative, acc, current, k = weight, weight * vector, vector, 0
+        while 1.0 - cumulative > DEFAULT_POISSON_TAIL and k < k_max:
+            k += 1
+            current = current @ transition
+            weight *= lam * s / k
+            cumulative += weight
+            acc = acc + weight * current
+        vector = acc
+    return vector, leaves
+
+
+class TestLongHorizonSquaring:
+    # lambda*t from 2 000 to 4 000 takes two or three halvings, so at most
+    # 8 * DEFAULT_POISSON_TAIL < 1e-12 of mass is lost
+    @pytest.mark.parametrize("lam_t", [2000.0, 3000.0, 4000.0])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_squared_leaf_matches_sequential_leaves(self, n, lam_t):
+        gen = build_generator(random_spin_system(n, n, "generic"))
+        t = lam_t / float(gen.uniformization_rate)
+        mu = normalize(random_measure(n + 10, n, "generic"))
+        got = semigroup_apply(gen, mu, t).as_float_array()
+        reference, leaves = sequential_leaves(gen, mu.as_float_array(), t)
+        assert leaves in (4, 8)
+        assert np.abs(got - reference).max() < 1e-13
+        oracle = semigroup_apply_expm(gen, mu, t).as_float_array()
+        assert np.abs(got - oracle).max() < 1e-10
+        assert abs(got.sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("lam_t", [2000.0, 3000.0, 4000.0])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_kernel_rows_and_functions_agree(self, n, lam_t):
+        gen = build_generator(contact_process(path_edges(n), infection=Fraction(3, 2)))
+        t = lam_t / float(gen.uniformization_rate)
+        kernel = uniformized_kernel(gen, t)
+        for x in configs(n):
+            row = semigroup_apply(gen, ProbabilityMeasure.point_mass(n, x), t).as_float_array()
+            assert np.abs(row - kernel[x]).max() < 1e-13
+        f = np.random.default_rng(n).standard_normal(1 << n)
+        assert np.abs(np.array(semigroup_apply_function(gen, f, t)) - kernel @ f).max() < 1e-13
+
+    @pytest.mark.parametrize("lam_t", [500.0, 750.0, 1000.0])
+    def test_one_halving_at_most_sweeps_the_vector(self, lam_t):
+        gen = build_generator(random_spin_system(6, 5, "generic"))
+        t = lam_t / float(gen.uniformization_rate)
+        mu = normalize(random_measure(16, 5, "generic"))
+        reference, leaves = sequential_leaves(gen, mu.as_float_array(), t)
+        assert leaves <= 2
+        assert np.array_equal(semigroup_apply(gen, mu, t).as_float_array(), reference)
 
 
 class TestTrotter:

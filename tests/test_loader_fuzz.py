@@ -64,6 +64,20 @@ def rate_tables(top_site):
     )
 
 
+def generic_table(n):
+    """Well-formed rate tables on n sites, so documents reach the dynamics:
+    small rates, and in one table of three some rates large enough that
+    lambda*t runs into the trillions and beyond."""
+    small = st.sampled_from(["0", "1", "2", "1/2", "3/4"])
+    large = small | st.sampled_from(["1e12", str(2**62)])
+
+    def table(rate):
+        rows = st.fixed_dictionaries({str(x): sized_lists([1 << n], rate) for x in range(n)})
+        return st.fixed_dictionaries({"n": st.just(n), "beta": rows, "delta": rows})
+
+    return st.sampled_from([small, small, large]).flatmap(table)
+
+
 rates = rate_tables(4)
 coordinates = st.fixed_dictionaries(
     {"a": values},
@@ -94,10 +108,10 @@ def doc_path(tmp_path_factory):
 classify3 = ["classify3", "--input"]
 check_rates = ["check-rates", "--input"]
 check_measure = ["check-measure", "--budget", "5", "--input"]
-# One evaluation at most: a confirmation evolves the measure, and evolving
-# at a large lambda*t does not end in useful time yet.
+# past the first case's 49 grid points, so a negative derivative gets
+# confirmed by evolving the candidate measure
 search = st.sampled_from(SEARCH_TARGETS).map(
-    lambda target: ["search", "--target", target, "--budget", "1", "--system"]
+    lambda target: ["search", "--target", target, "--budget", "60", "--system"]
 )
 
 
@@ -105,7 +119,7 @@ search = st.sampled_from(SEARCH_TARGETS).map(
 @given(st.tuples(st.just(classify3), measures | coordinates)
        | st.tuples(st.just(check_rates), rates)
        | st.tuples(st.just(check_measure), measures)
-       | st.tuples(search, rate_tables(3))  # at most four sites
+       | st.tuples(search, st.integers(1, 4).flatmap(generic_table) | rate_tables(3))  # n <= 4
        | st.tuples(st.sampled_from([classify3, check_rates, check_measure]) | search, anything))
 def test_cli_ends_in_an_exit_code(doc_path, command_and_doc):
     command, doc = command_and_doc
@@ -114,6 +128,47 @@ def test_cli_ends_in_an_exit_code(doc_path, command_and_doc):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main([*command, str(doc_path)])
     assert code in (0, 1, 2)
+    text = err.getvalue()
+    assert (code == 2) == bool(text), text
+    assert text == "" or (text.startswith("error: ") and text.count("\n") == 1), text
+
+
+def sized_inputs(n):
+    weights = st.sampled_from(["1", "1/2", "3/4", "0"]) | st.integers(0, 3)
+    measure = st.fixed_dictionaries(
+        {"weights": sized_lists([1 << n], weights)},
+        optional={"mode": st.sampled_from(["exact", "float"])},
+    )
+    system = st.sampled_from([generic_table(n), generic_table(n), explicit_table(n), rate_tables(n - 1)])
+    return st.tuples(measure, system.flatmap(lambda kind: kind))
+
+
+def one_in_four(bad, good):
+    return st.sampled_from([good, good, good, bad]).flatmap(lambda kind: kind)
+
+
+# three in four: a measure and a rate table of one size, n <= 4
+evolve_inputs = one_in_four(
+    st.tuples(measures | anything, rate_tables(3) | anything), st.integers(1, 4).flatmap(sized_inputs)
+)
+# short, medium and long horizons and zero; three in four well formed
+evolve_times = one_in_four(
+    st.sampled_from(["-1", "nan", "inf", "x", "", "1,,-1"]),
+    st.lists(st.sampled_from(["0", "0.5", "10", "1e6", "1e12"]), min_size=1, max_size=3).map(",".join),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(evolve_inputs, evolve_times)
+def test_evolve_ends_in_an_exit_code(doc_path, inputs, times):
+    measure, rate_doc = inputs
+    doc_path.write_text(json.dumps(measure))
+    system_path = doc_path.with_name("system.json")
+    system_path.write_text(json.dumps(rate_doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["evolve", "--input", str(doc_path), "--system", str(system_path), f"--t={times}"])
+    assert code in (0, 2)
     text = err.getvalue()
     assert (code == 2) == bool(text), text
     assert text == "" or (text.startswith("error: ") and text.count("\n") == 1), text

@@ -9,6 +9,7 @@ from spincorr.measures import (
     HOLDS,
     SEARCH_EXHAUSTED,
     ProbabilityMeasure,
+    WeightVector,
     is_associated,
     normalize,
     satisfies_lattice,
@@ -115,6 +116,18 @@ class TestDcaFalsify:
         mu = ProbabilityMeasure(4, tuple(weights))
         report = dca_falsify(mu, budget=50)
         assert report.verdict == FAILS
+        assert reverify_tilt_witness(mu, report) < 0
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_witness_when_the_conditioned_slice_is_tiny(self, n):
+        # conditioned on site 0 empty, sites 1 and 2 are negatively
+        # correlated, but that slice weighs 10^-400 against the full
+        # configuration, so no eps down to 10^-12 reproduces the violation
+        three = [1, 0, 1, 0, 1, 0, 0, 10**400]
+        mu = normalize(WeightVector.exact([three[c & 0b111] for c in range(1 << n)]))
+        report = dca_falsify(mu, budget=5)
+        assert report.verdict == FAILS
+        assert report.witness["tilt_label"].startswith("conditioning-[0]-")
         assert reverify_tilt_witness(mu, report) < 0
 
     def test_derangement_holds(self):
