@@ -15,6 +15,7 @@ import sys
 
 from . import fixtures as fixtures_mod
 from .harness import (
+    DEFAULT_TIME_GRID,
     MEASURE_MODES,
     PROPERTIES,
     SEARCH_TARGETS,
@@ -35,7 +36,7 @@ from .dynamics import (
     semigroup_apply,
 )
 from .lattice import BudgetError
-from .measures import normalize
+from .measures import DEFAULT_FLOAT_TOLERANCE, normalize
 from .serialize import (
     dumps,
     envelope,
@@ -68,7 +69,7 @@ def _emit(args, document) -> None:
         sys.stdout.write(text)
 
 
-def _markdown(document, indent: int = 0) -> str:
+def _markdown(document) -> str:
     lines = []
 
     def walk(node, depth):
@@ -91,7 +92,7 @@ def _markdown(document, indent: int = 0) -> str:
         else:
             lines.append(f"{pad}{node}")
 
-    walk(document, indent)
+    walk(document, 0)
     return "\n".join(lines) + "\n"
 
 
@@ -266,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "markdown"), default="json")
         p.add_argument("--output", help="write the report here instead of stdout")
         if tolerance:
-            p.add_argument("--tolerance", type=float, default=1e-9,
+            p.add_argument("--tolerance", type=float, default=DEFAULT_FLOAT_TOLERANCE,
                            help="margin tolerance for float-mode checks")
 
     p = sub.add_parser("check-measure", help="run the correlation-property suite on a measure")
@@ -303,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-theorem", help="preservation experiment for one property")
     p.add_argument("--system", required=True, help="spin-system JSON file")
     p.add_argument("--property", required=True, choices=PROPERTIES)
-    p.add_argument("--t", default="0.1,0.5,1.0,2.0", help="comma list of times")
+    p.add_argument("--t", default=",".join(map(str, DEFAULT_TIME_GRID)),
+                   help="comma list of times")
     p.add_argument("--measures", default=None,
                    help="JSON file with one measure or an array of measures")
     p.add_argument("--family", default="lattice", choices=MEASURE_MODES)

@@ -498,41 +498,30 @@ def births_increasing(rates: RateTable) -> PropertyReport:
 
 
 # ---------------------------------------------------------------------------
-# derivative of event polynomials at t = 0
+# derivative of the association determinant at t = 0
 
 
 @dataclass(frozen=True)
 class EventPolynomial:
-    """Polynomial of degree at most two in the probabilities of fixed
-    configuration sets, evaluated along the semigroup orbit of a measure."""
+    """The 2 x 2 association determinant p11 p00 - p10 p01 of four fixed
+    configuration sets E11, E00, E10, E01 (in that order), evaluated along
+    the semigroup orbit of a measure."""
 
     n: int
     events: tuple[tuple[int, ...], ...]
-    monomials: tuple[tuple[Fraction, tuple[int, ...]], ...]
 
     def __post_init__(self):
         size = 1 << self.n
         for event in self.events:
             if any(not 0 <= c < size for c in event):
                 raise ValueError(f"event {event!r} contains configs out of range")
-        for coeff, indices in self.monomials:
-            if len(indices) > 2:
-                raise ValueError("monomials must have degree at most two")
-            if any(not 0 <= i < len(self.events) for i in indices):
-                raise ValueError(f"monomial {indices!r} references an unknown event")
 
     def event_probabilities(self, weights) -> list:
         return [sum(weights[c] for c in event) for event in self.events]
 
     def value(self, weights):
-        probs = self.event_probabilities(weights)
-        total = 0
-        for coeff, indices in self.monomials:
-            term = coeff
-            for i in indices:
-                term *= probs[i]
-            total += term
-        return total
+        p11, p00, p10, p01 = self.event_probabilities(weights)
+        return p11 * p00 - p10 * p01
 
 
 def association_determinant_poly(n: int, x: int, y: int, zero_sites=()) -> EventPolynomial:
@@ -557,8 +546,7 @@ def association_determinant_poly(n: int, x: int, y: int, zero_sites=()) -> Event
             if (c >> x & 1) == sx and (c >> y & 1) == sy and c & zmask == 0
         )
         events.append(members)
-    monomials = ((Fraction(1), (0, 1)), (Fraction(-1), (2, 3)))
-    return EventPolynomial(n, tuple(events), monomials)
+    return EventPolynomial(n, tuple(events))
 
 
 def measure_flow(gen: Generator, measure) -> tuple[Fraction, ...]:
@@ -579,18 +567,12 @@ def measure_flow(gen: Generator, measure) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _chain_rule(poly: EventPolynomial, probs, flow_probs, times):
-    """d/dt of ``poly`` along the orbit at t = 0, monomial by monomial by the
-    product rule; ``times`` multiplies a flow term by an event probability."""
-    total = Fraction(0)
-    for coeff, indices in poly.monomials:
-        for pos, i in enumerate(indices):
-            term = coeff * flow_probs[i]
-            for other, j in enumerate(indices):
-                if other != pos:
-                    term = times(term, probs[j])
-            total = total + term
-    return total
+def _chain_rule(probs, flows, times):
+    """d/dt of p11 p00 - p10 p01 along the orbit at t = 0 by the product
+    rule; ``times`` multiplies a flow term by an event probability."""
+    p11, p00, p10, p01 = probs
+    f11, f00, f10, f01 = flows
+    return times(f11, p00) + times(f00, p11) - times(f10, p01) - times(f01, p10)
 
 
 def derivative_at_zero(gen: Generator, measure, poly: EventPolynomial) -> Fraction:
@@ -598,11 +580,8 @@ def derivative_at_zero(gen: Generator, measure, poly: EventPolynomial) -> Fracti
     pm = _as_probability(measure)
     if poly.n != gen.n or pm.n != gen.n:
         raise ValueError("functional, measure, and generator must share the site count")
-    weights = pm.as_fractions()
-    flow = measure_flow(gen, pm)
-    return _chain_rule(
-        poly, poly.event_probabilities(weights), poly.event_probabilities(flow), operator.mul
-    )
+    probs = poly.event_probabilities
+    return _chain_rule(probs(pm.as_fractions()), probs(measure_flow(gen, pm)), operator.mul)
 
 
 def product_corners(gen: Generator, x: int, y: int, background) -> tuple:
@@ -656,6 +635,5 @@ def derivative_coefficients(poly: EventPolynomial, corners) -> tuple[tuple[Fract
 
     probs = interpolated(w for w, _ in corners)
     flow_probs = interpolated(f for _, f in corners)
-    # the sum is the scalar 0 when no monomial has degree one or more
-    grid = np.zeros((3, 3), dtype=object) + _chain_rule(poly, probs, flow_probs, _bilinear_product)
+    grid = _chain_rule(probs, flow_probs, _bilinear_product)
     return tuple(tuple(Fraction(v) for v in row) for row in grid)

@@ -37,6 +37,7 @@ from .dynamics import (
 )
 from .lattice import BudgetError, configs, single_bit_pairs, validate_site_count
 from .measures import (
+    DEFAULT_FLOAT_TOLERANCE,
     EXACT,
     ProbabilityMeasure,
     PropertyReport,
@@ -50,6 +51,7 @@ from .tilts import TiltFunction, dca_falsify
 
 DEFAULT_TIME_GRID = (0.1, 0.5, 1.0, 2.0)
 LATTICE_REJECTION_BUDGET = 5000
+BIRTH_REJECTION_BUDGET = 5000
 REVERIFY_TAIL = 1e-16
 
 MEASURE_MODES = ("generic", "strictly-positive", "lattice", "product")
@@ -160,16 +162,16 @@ def random_spin_system(seed: int, n: int, kind: str = "generic") -> RateTable:
     raise ValueError(f"unknown system kind {kind!r}")
 
 
-def random_single_site_birth(seed: int, n: int, site: int, budget: int = 5000) -> RateTable:
+def random_single_site_birth(seed: int, n: int, site: int) -> RateTable:
     """Single-site birth system whose rate table is increasing and
     submodular, found by rejection."""
     rng = _rng(seed, n, salt=101 + site)
-    for _ in range(budget):
+    for _ in range(BIRTH_REJECTION_BUDGET):
         values = random_increasing_table(rng, n, denominator=4, top=12)
         table = RateTable.single_site_birth(n, site, values)
         if birth_submodularity(table).holds:
             return table
-    raise BudgetError(f"no increasing submodular table found in {budget} draws")
+    raise BudgetError(f"no increasing submodular table found in {BIRTH_REJECTION_BUDGET} draws")
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +328,7 @@ class ExperimentSpec:
     measure_mode: str = "lattice"
     measure_count: int = 20
     measures: tuple[WeightVector, ...] | None = None
-    tolerance: float = 1e-9
+    tolerance: float = DEFAULT_FLOAT_TOLERANCE
     tilt_budget: int = 200
 
     def __post_init__(self):

@@ -13,8 +13,7 @@ Association up to five sites is decided by one blocked sweep over pairs
 of up-sets (``is_associated``): a float64 GEMM screens every pair, and in
 exact mode the pairs that an a-priori rounding bound leaves undecided are
 recomputed over Python ints, so exact verdicts and margins never depend
-on the size of the weights' common denominator.  The same GEMM kernel
-gives ``batch_association_margins`` the margins of a batch of measures.
+on the size of the weights' common denominator.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from functools import lru_cache
 import numpy as np
 
 from .lattice import (
-    BudgetError,
     configs,
     enumerate_up_sets,
     lattice_pairs,
@@ -353,22 +351,20 @@ def _sweep_tables(n: int):
 def _pair_covariances(n: int, weights: np.ndarray):
     """Float64 mu(U & V) - mu(U) mu(V) for up-set pairs, a chunk of rows at a time.
 
-    ``weights`` has shape (..., 2^n), one measure per row.  Returns
-    ``rows(lo, hi)``, whose entry [..., i - lo, j - lo] belongs to the pair
+    ``weights`` is one measure, a vector of length 2^n.  Returns
+    ``rows(lo, hi)``, whose entry [i - lo, j - lo] belongs to the pair
     (i, j) for lo <= i < hi and j >= lo; entries with j < i are +inf.  Each
-    chunk is one GEMM per measure, [M*w | -p] @ [M | p]^T with p = M @ w.
+    chunk is one GEMM, [M*w | -p] @ [M | p]^T with p = M @ w.
     """
     matrix, _, lower, _ = _sweep_tables(n)
     p = weights @ matrix.T
-    left = np.concatenate([matrix * weights[..., None, :], -p[..., None]], axis=-1)
-    right = np.empty_like(left)
-    right[..., :-1] = matrix
-    right[..., -1] = p
+    left = np.column_stack([matrix * weights, -p])
+    right = np.column_stack([matrix, p])
 
     def rows(lo, hi):
         h = hi - lo
-        values = left[..., lo:hi, :] @ np.swapaxes(right[..., lo:, :], -1, -2)
-        np.copyto(values[..., :h], np.inf, where=lower[:h, :h])
+        values = left[lo:hi] @ right[lo:].T
+        np.copyto(values[:, :h], np.inf, where=lower[:h, :h])
         return values
 
     return rows
@@ -549,26 +545,6 @@ def is_associated(measure, *, tolerance=None) -> PropertyReport:
             "associated", FAILS, _association_witness(masks, violation), margin, details
         )
     return PropertyReport("associated", HOLDS, None, margin, details)
-
-
-def batch_association_margins(n: int, rows: np.ndarray) -> np.ndarray:
-    """Minimum up-set-pair covariance for each row of normalized float weights.
-
-    Float-only, for audits that evaluate association on many measures of
-    the same small size (n <= 4): the float sweep's kernel over every pair
-    U <= V, a GEMM per row, about 2^24 pair entries at a time.  Rows must
-    each sum to 1.
-    """
-    if n > 4:
-        raise BudgetError(f"batched association margins not built for n={n}")
-    k = len(enumerate_up_sets(n))
-    rows = np.asarray(rows, dtype=np.float64)
-    out = np.empty(rows.shape[0], dtype=np.float64)
-    chunk = max(1, (1 << 24) // (k * k))
-    for start in range(0, rows.shape[0], chunk):
-        pairs = _pair_covariances(n, rows[start:start + chunk])(0, k)
-        out[start:start + chunk] = pairs.min(axis=(-2, -1))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -179,10 +179,6 @@ class TiltSampler:
 # the DCA checker
 
 
-def _dca_report(verdict, witness, margin, details) -> PropertyReport:
-    return PropertyReport("dca", verdict, witness, margin, details)
-
-
 def _tilt_witness(measure, tf: TiltFunction, tolerance):
     """Exact (or float, matching the measure) confirmation of one tilt."""
     tilted = tilt(measure, tf.values_exact())
@@ -241,7 +237,7 @@ def dca_falsify(
 
     if n == 1:
         details["method"] = "single site, all measures qualify"
-        return _dca_report(HOLDS, None, None, details)
+        return PropertyReport("dca", HOLDS, None, None, details)
 
     if n == 2:
         w = pm.weights
@@ -249,8 +245,8 @@ def dca_falsify(
         details["method"] = "two-site determinant"
         if margin < -tol:
             witness, _ = _materialize_conditioning_witness(pm, (), tolerance)
-            return _dca_report(FAILS, witness, margin, details)
-        return _dca_report(HOLDS, None, margin, details)
+            return PropertyReport("dca", FAILS, witness, margin, details)
+        return PropertyReport("dca", HOLDS, None, margin, details)
 
     if n == 3:
         coords = ThreeSiteCoords.from_weights(pm.weights)
@@ -263,17 +259,17 @@ def dca_falsify(
         margin = min(slacks)
         details["method"] = "three-site closed form"
         if verdicts.dca:
-            return _dca_report(HOLDS, None, margin, details)
+            return PropertyReport("dca", HOLDS, None, margin, details)
         assoc = is_associated(pm, tolerance=tolerance)
         if assoc.fails:
             witness, _ = _materialize_conditioning_witness(pm, (), tolerance)
-            return _dca_report(FAILS, witness, margin, details)
+            return PropertyReport("dca", FAILS, witness, margin, details)
         # associated but not DCA: some zero-slice determinant must be negative
         bad_site = min(
             site for site, slack in margins(coords, "det-zero-slice") if slack < -tol
         )
         witness, _ = _materialize_conditioning_witness(pm, (bad_site - 1,), tolerance)
-        return _dca_report(FAILS, witness, margin, details)
+        return PropertyReport("dca", FAILS, witness, margin, details)
 
     # n >= 4: necessary screen, then sampling.
     screen = is_downward_fkg(pm, tolerance=tolerance)
@@ -282,7 +278,7 @@ def dca_falsify(
         witness, margin = _materialize_conditioning_witness(
             pm, screen.witness["conditioned_sites"], tolerance
         )
-        return _dca_report(FAILS, witness, margin, details)
+        return PropertyReport("dca", FAILS, witness, margin, details)
 
     weights = pm.as_float_array()
     best = None
@@ -299,10 +295,10 @@ def dca_falsify(
             if confirmed is not None:
                 witness, exact_margin = confirmed
                 details["tilts_sampled"] = sampled
-                return _dca_report(FAILS, witness, exact_margin, details)
+                return PropertyReport("dca", FAILS, witness, exact_margin, details)
     details["tilts_sampled"] = sampled
     details["min_sampled_margin"] = best
-    return _dca_report(SEARCH_EXHAUSTED, None, best, details)
+    return PropertyReport("dca", SEARCH_EXHAUSTED, None, best, details)
 
 
 def reverify_tilt_witness(measure, report: PropertyReport):

@@ -35,11 +35,10 @@ from spincorr.harness import (
     verify_preservation,
     ExperimentSpec,
 )
-from spincorr.lattice import configs, single_bit_pairs
+from spincorr.lattice import configs, single_bit_pairs, up_set_matrix
 from spincorr.measures import (
     ProbabilityMeasure,
     WeightVector,
-    batch_association_margins,
     is_associated,
     is_downward_fkg,
     normalize,
@@ -86,6 +85,7 @@ def test_criterion_1_three_site_oracle_equivalence():
     started = time.time()
     measures = _three_site_mixture()
     assert len(measures) >= 1000
+    membership = up_set_matrix(3).astype(np.float64)
     disagreements = []
     falsified = []
     for index, vector in enumerate(measures):
@@ -108,7 +108,10 @@ def test_criterion_1_three_site_oracle_equivalence():
         stacked = np.stack([h for _, h in tables])
         tilted = stacked * weights[None, :]
         tilted /= tilted.sum(axis=1, keepdims=True)
-        margins = batch_association_margins(3, tilted)
+        # an independent float oracle: min over up-set pairs of mu(U & V) - mu(U) mu(V)
+        joint = (tilted[:, None, :] * membership) @ membership.T
+        p = tilted @ membership.T
+        margins = (joint - p[:, :, None] * p[:, None, :]).min(axis=(1, 2))
         for row in np.nonzero(margins < -1e-12)[0]:
             # float suspicion is only a trigger; the verdict is exact
             tf = tables[int(row)][0]

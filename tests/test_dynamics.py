@@ -6,7 +6,6 @@ import pytest
 
 from spincorr.dynamics import (
     DEFAULT_POISSON_TAIL,
-    EventPolynomial,
     RateTable,
     additive_decomposition,
     association_determinant_poly,
@@ -439,16 +438,37 @@ class TestIndependentFlipKernel:
 
 
 class TestDerivativeAtZero:
-    def test_linear_functional_zero_generator(self):
-        gen = build_generator(zero_system(2))
-        mu = normalize(random_measure(7, 2, "generic"))
-        poly = EventPolynomial(2, ((0b01, 0b11),), ((Fraction(1), (0,)),))
-        assert derivative_at_zero(gen, mu, poly) == 0
+    def test_zero_generator_gives_zero_derivative(self):
+        gen = build_generator(zero_system(3))
+        mu = normalize(random_measure(7, 3, "generic"))
+        for zero_sites in ((), (2,)):
+            poly = association_determinant_poly(3, 0, 1, zero_sites)
+            assert poly.value(mu.weights) != 0
+            assert derivative_at_zero(gen, mu, poly) == 0
 
     def test_association_determinant_zero_at_product_measures(self):
         poly = association_determinant_poly(2, 0, 1)
         mu = ProbabilityMeasure.product([Fraction(1, 3), Fraction(2, 7)])
         assert poly.value(mu.weights) == 0
+
+    @pytest.mark.parametrize("n, x, y, zero_sites", [
+        (3, 0, 1, ()), (3, 2, 0, (1,)), (4, 1, 3, ()), (4, 0, 2, (3,)), (4, 3, 1, (0, 2)),
+    ])
+    def test_association_determinant_value_is_the_two_by_two_determinant(self, n, x, y, zero_sites):
+        poly = association_determinant_poly(n, x, y, zero_sites)
+        expected_values = []
+        for seed in range(5):
+            mu = normalize(random_measure(seed, n, "generic"))
+            cell = {(1, 1): 0, (0, 0): 0, (1, 0): 0, (0, 1): 0}
+            for c, w in enumerate(mu.weights):
+                if not any(c >> z & 1 for z in zero_sites):
+                    cell[c >> x & 1, c >> y & 1] += w
+            expected = cell[1, 1] * cell[0, 0] - cell[1, 0] * cell[0, 1]
+            got = poly.value(mu.weights)
+            assert isinstance(got, Fraction) and got == expected
+            expected_values.append(expected)
+        # non-product measures: the determinant is not identically zero
+        assert any(expected_values)
 
     def test_two_site_expansion_identity(self):
         # the derivative of the association determinant from a product
@@ -503,10 +523,6 @@ class TestDerivativeAtZero:
     def test_association_determinant_sites_range_checked(self, x, y, zero_sites, bad):
         with pytest.raises(ValueError, match=f"site {bad} out of range for 3 sites"):
             association_determinant_poly(3, x, y, zero_sites)
-
-    def test_degree_cap_enforced(self):
-        with pytest.raises(ValueError):
-            EventPolynomial(1, ((0,), (1,)), ((Fraction(1), (0, 0, 1)),))
 
 
 def biquadratic(coeffs, rho, lam):
