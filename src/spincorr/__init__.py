@@ -1,12 +1,6 @@
 """Exact correlation-property checkers and spin-system semigroups on {0,1}^n."""
 
-from .lattice import (
-    BudgetError,
-    decompose_increasing,
-    enumerate_up_sets,
-    is_increasing,
-    is_up_set,
-)
+from .lattice import BudgetError, enumerate_up_sets
 from .measures import (
     EXACT,
     FAILS,
@@ -17,16 +11,12 @@ from .measures import (
     PropertyReport,
     WeightVector,
     condition_zeros,
-    covariance,
-    expectation,
     is_associated,
     is_downward_fkg,
-    mix,
     normalize,
     project_zeros,
     reverify_witness,
     satisfies_lattice,
-    stochastically_dominates,
     tilt,
 )
 from .tilts import TiltFunction, TiltSampler, conditioning_tilt, dca_falsify
@@ -45,12 +35,10 @@ from .dynamics import (
     deaths_constant_on_occupied,
     derivative_at_zero,
     has_independent_flips,
-    independent_flip_kernel,
     is_attractive,
     path_edges,
     semigroup_apply,
     semigroup_apply_expm,
-    semigroup_apply_function,
     trotter_compose,
 )
 from .three_site import SYSTEMS, ThreeSiteCoords, ThreeSiteVerdicts, classify, margins

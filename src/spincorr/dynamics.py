@@ -8,8 +8,9 @@ configuration is taken from the representative with the site's own bit
 cleared.  Conditions stated "off x" (all other sites empty/full) are
 therefore conditions on that representative.
 
-The semigroup exp(tQ) acts on measures from the left (mu S(t) = mu e^{tQ})
-and on functions from the right.  The primary evaluation is
+The semigroup exp(tQ) is evaluated from the left only: mu S(t) = mu e^{tQ}
+for a measure, and the kernel P_t is the identity swept the same way
+(functions evolve as S(t)f = P_t f).  The primary evaluation is
 uniformization, which keeps every entry nonnegative.  Horizons with
 lambda*t > 500 are halved d times; for d >= 2 the leaf kernel P_{t/2^d}
 is built once and squared d times.  Each leaf still truncates its Poisson
@@ -220,7 +221,7 @@ def _check_time(t) -> float:
     return t
 
 
-def _poisson_sweep(gen: Generator, vector: np.ndarray, t: float, tail: float, from_left: bool):
+def _poisson_sweep(gen: Generator, vector: np.ndarray, t: float, tail: float):
     lam = _rate_float(gen.uniformization_rate)
     if lam == 0.0 or t == 0.0:
         return vector.copy()
@@ -232,10 +233,10 @@ def _poisson_sweep(gen: Generator, vector: np.ndarray, t: float, tail: float, fr
         t /= 2.0
         depth += 1
     if depth >= 2:
-        kernel = _poisson_sweep(gen, np.eye(1 << gen.n), t, tail, from_left)
+        kernel = _poisson_sweep(gen, np.eye(1 << gen.n), t, tail)
         for _ in range(depth):
             kernel = kernel @ kernel
-        return vector @ kernel if from_left else kernel @ vector
+        return vector @ kernel
     transition = np.eye(1 << gen.n) + gen.matrix / lam
     k_max = int(lam * t + 60.0 * (lam * t + 1.0) ** 0.5 + 100.0)
     for _ in range(1 << depth):
@@ -246,7 +247,7 @@ def _poisson_sweep(gen: Generator, vector: np.ndarray, t: float, tail: float, fr
         k = 0
         while 1.0 - cumulative > tail and k < k_max:
             k += 1
-            current = current @ transition if from_left else transition @ current
+            current = current @ transition
             weight *= lam * t / k
             cumulative += weight
             acc = acc + weight * current
@@ -265,18 +266,8 @@ def semigroup_apply(
     pm = _as_probability(measure)
     if pm.n != gen.n:
         raise ValueError(f"site counts differ: measure {pm.n} vs generator {gen.n}")
-    out = _poisson_sweep(gen, pm.as_float_array(), t, tail, from_left=True)
+    out = _poisson_sweep(gen, pm.as_float_array(), t, tail)
     return ProbabilityMeasure.floats(out)
-
-
-def semigroup_apply_function(gen: Generator, values, t) -> tuple[float, ...]:
-    """S(t)f, the expected value of f at time t started from each configuration."""
-    t = _check_time(t)
-    vec = np.array([float(v) for v in values], dtype=np.float64)
-    if vec.shape[0] != 1 << gen.n:
-        raise ValueError(f"expected {1 << gen.n} values")
-    out = _poisson_sweep(gen, vec, t, DEFAULT_POISSON_TAIL, from_left=False)
-    return tuple(float(v) for v in out)
 
 
 def semigroup_apply_expm(gen: Generator, measure, t) -> ProbabilityMeasure:
@@ -288,9 +279,9 @@ def semigroup_apply_expm(gen: Generator, measure, t) -> ProbabilityMeasure:
 
 
 def uniformized_kernel(gen: Generator, t) -> np.ndarray:
-    """Full transition matrix P_t under uniformization."""
-    size = 1 << gen.n
-    return _poisson_sweep(gen, np.eye(size), _check_time(t), DEFAULT_POISSON_TAIL, from_left=False)
+    """Full transition matrix P_t under uniformization: the identity swept
+    from the left, so row x is the law at time t started from x."""
+    return _poisson_sweep(gen, np.eye(1 << gen.n), _check_time(t), DEFAULT_POISSON_TAIL)
 
 
 def trotter_compose(g1: Generator, g2: Generator, measure, t, steps: int) -> ProbabilityMeasure:
@@ -307,30 +298,6 @@ def trotter_compose(g1: Generator, g2: Generator, measure, t, steps: int) -> Pro
         pm = semigroup_apply(g1, pm, dt)
         pm = semigroup_apply(g2, pm, dt)
     return pm
-
-
-def independent_flip_kernel(rates: RateTable, t) -> np.ndarray:
-    """Product of the closed-form two-state kernels, one per site.
-
-    Site z with constant birth b and death d mixes to equilibrium at rate
-    b + d: p_t(0 -> 1) = b/(b+d) * (1 - exp(-(b+d)t)).  Only valid when
-    the system has independent flips."""
-    if not has_independent_flips(rates).holds:
-        raise ValueError("rates are not configuration independent")
-    t = _check_time(t)
-    kernels = []
-    for z in range(rates.n):
-        b = float(rates.birth[z][0])
-        d = float(rates.death[z][0])
-        total = b + d
-        mixed = 1.0 - exp(-total * t) if total > 0 else 0.0
-        up = b / total * mixed if total > 0 else 0.0
-        down = d / total * mixed if total > 0 else 0.0
-        kernels.append(np.array([[1.0 - up, up], [down, 1.0 - down]]))
-    out = np.array([[1.0]])
-    for z in reversed(range(rates.n)):
-        out = np.kron(out, kernels[z])
-    return out
 
 
 # ---------------------------------------------------------------------------

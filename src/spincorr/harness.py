@@ -14,7 +14,6 @@ actually evolving a measure, mirroring how such violations are proved.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +21,7 @@ from itertools import permutations
 
 from .dynamics import (
     RateTable,
+    _check_time,
     association_determinant_poly,
     birth_submodularity,
     births_additive,
@@ -39,9 +39,11 @@ from .lattice import BudgetError, configs, single_bit_pairs, validate_site_count
 from .measures import (
     DEFAULT_FLOAT_TOLERANCE,
     EXACT,
+    FLOAT,
     ProbabilityMeasure,
     PropertyReport,
     WeightVector,
+    _resolve_tolerance,
     is_associated,
     is_downward_fkg,
     satisfies_lattice,
@@ -334,10 +336,12 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.property not in PROPERTIES:
             raise ValueError(f"unknown property {self.property!r}")
-        times = tuple(float(t) for t in self.times)
-        if any(not math.isfinite(t) or t < 0 for t in times):
-            raise ValueError("times must be finite and nonnegative")
-        object.__setattr__(self, "times", times)
+        if self.measure_count < 0:
+            raise ValueError(f"measure count must be nonnegative, got {self.measure_count}")
+        if self.tilt_budget < 0:
+            raise ValueError(f"tilt budget must be nonnegative, got {self.tilt_budget}")
+        _resolve_tolerance(FLOAT, self.tolerance)  # refuses NaN, inf and negative values
+        object.__setattr__(self, "times", tuple(_check_time(t) for t in self.times))
 
     def initial_measures(self) -> tuple[WeightVector, ...]:
         if self.measures is not None:
@@ -489,6 +493,8 @@ def search_counterexample(target: str, system: RateTable, budget: int = 20000) -
     A found witness for ``downward-fkg`` is also a DCA violation, since
     conditional association implies the downward FKG property.
     """
+    if budget < 0:
+        raise ValueError(f"search budget must be nonnegative, got {budget}")
     n = system.n
     cases, backgrounds, check = _search_plan(target, n)
     gen = build_generator(system)

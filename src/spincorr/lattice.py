@@ -5,7 +5,10 @@ meet/join are single AND/OR instructions and a weight vector is indexed
 directly by the mask.  An up-set (upward-closed event) is stored as a
 2^n-bit membership mask over configuration indices: intersecting two
 up-sets is one AND, and weighing an up-set against a measure is a masked
-sum.  These two encodings are shared by every other module.
+sum.  These two encodings are shared by every other module.  Up-sets are
+what the association checks sweep: an increasing function is a constant
+plus a positive combination of up-set indicators (its level sets), so
+covariances of up-set pairs decide association.
 
 Every pairwise order check is built on four primitives here:
 ``single_bit_pairs`` (monotonicity), ``two_site_quadruples`` (squares, for
@@ -104,11 +107,6 @@ def scan_slacks(slacks, tolerance=0):
 # up-sets
 
 
-def is_up_set(members: int, n: int) -> bool:
-    """True iff the membership mask is closed under raising any coordinate."""
-    return all(members >> hi & 1 or not members >> lo & 1 for lo, hi in single_bit_pairs(n))
-
-
 @lru_cache(maxsize=None)
 def _up_sets(n: int) -> tuple[int, ...]:
     # Up-sets of the n-cube are pairs (A, B) of up-sets of the (n-1)-cube
@@ -129,10 +127,9 @@ def enumerate_up_sets(n: int) -> tuple[int, ...]:
 
     Counts grow like the Dedekind numbers (20 for n=3, 168 for n=4,
     7581 for n=5, 7828354 for n=6).  Every up-set check (association,
-    downward FKG, sampled DCA, stochastic domination) gets its up-sets
-    here, so this is the one place that refuses a larger n, with a
-    ``BudgetError``: at most 5 sites for up-set checks; lattice, rates and
-    dynamics up to 6 (``MAX_SITES``).
+    downward FKG, sampled DCA) gets its up-sets here, so this is the one
+    place that refuses a larger n, with a ``BudgetError``: at most 5 sites
+    for up-set checks; lattice, rates and dynamics up to 6 (``MAX_SITES``).
     """
     validate_site_count(n)
     if n > MAX_UP_SET_SITES:
@@ -183,45 +180,3 @@ def up_set_intersection_table(n: int) -> np.ndarray:
     table.flags.writeable = False
     return table
 
-
-# ---------------------------------------------------------------------------
-# monotone functions
-
-
-def is_increasing(values, n: int):
-    """Check f(eta) <= f(zeta) whenever eta <= zeta.
-
-    Only pairs differing in one bit are compared (enough by transitivity).
-    Returns (True, None) or (False, (lower, upper)) with the violating pair.
-    """
-    vals = list(values)
-    if len(vals) != 1 << n:
-        raise ValueError(f"expected {1 << n} values, got {len(vals)}")
-    _, pair, _ = scan_slacks(((lo, hi), vals[hi] - vals[lo]) for lo, hi in single_bit_pairs(n))
-    return pair is None, pair
-
-
-def decompose_increasing(values, n: int):
-    """Write an increasing f as constant + sum of positive multiples of up-set indicators.
-
-    Layer-cake over the sorted distinct values: the term for level v is
-    (v - previous level) times the indicator of {f >= v}, which is an
-    up-set because f is increasing.  Reconstruction is exact.
-    Returns (constant, ((coefficient, members_mask), ...)).
-    """
-    vals = list(values)
-    ok, pair = is_increasing(vals, n)
-    if not ok:
-        raise ValueError(f"function is not increasing, witness pair {pair}")
-    levels = sorted(set(vals))
-    base = levels[0]
-    terms = []
-    prev = base
-    for level in levels[1:]:
-        members = 0
-        for c in configs(n):
-            if vals[c] >= level:
-                members |= 1 << c
-        terms.append((level - prev, members))
-        prev = level
-    return base, tuple(terms)

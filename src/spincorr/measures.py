@@ -173,44 +173,6 @@ def _as_probability(measure) -> ProbabilityMeasure:
     raise TypeError(f"expected a WeightVector or ProbabilityMeasure, got {type(measure)!r}")
 
 
-def mix(a: ProbabilityMeasure, b: ProbabilityMeasure, weight) -> ProbabilityMeasure:
-    """Convex combination weight*a + (1-weight)*b."""
-    if a.n != b.n:
-        raise ValueError(f"site counts differ: {a.n} vs {b.n}")
-    if a.mode == EXACT and b.mode == EXACT:
-        lam = as_fraction(weight)
-        return ProbabilityMeasure(
-            a.n,
-            tuple(lam * wa + (1 - lam) * wb for wa, wb in zip(a.weights, b.weights)),
-            EXACT,
-        )
-    lam = float(weight)
-    return ProbabilityMeasure(
-        a.n,
-        tuple(lam * float(wa) + (1 - lam) * float(wb) for wa, wb in zip(a.weights, b.weights)),
-        FLOAT,
-    )
-
-
-# ---------------------------------------------------------------------------
-# integration
-
-
-def expectation(measure: ProbabilityMeasure, values):
-    vals = list(values)
-    if len(vals) != 1 << measure.n:
-        raise ValueError(f"expected {1 << measure.n} values, got {len(vals)}")
-    return sum(w * v for w, v in zip(measure.weights, vals))
-
-
-def covariance(measure: ProbabilityMeasure, f, g):
-    """E[fg] - E[f]E[g]; exact when the measure and both functions are."""
-    f = list(f)
-    g = list(g)
-    prod = [a * b for a, b in zip(f, g)]
-    return expectation(measure, prod) - expectation(measure, f) * expectation(measure, g)
-
-
 # ---------------------------------------------------------------------------
 # conditioning and tilting
 
@@ -299,6 +261,11 @@ class PropertyReport:
 
 
 def _resolve_tolerance(mode: str, tolerance) -> float:
+    """0 in exact mode, else the given tolerance or the default.  A given
+    tolerance must be finite and nonnegative in either mode: NaN or inf
+    would pass every float check."""
+    if tolerance is not None and not 0 <= float(tolerance) < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
     if mode == EXACT:
         return 0.0
     return DEFAULT_FLOAT_TOLERANCE if tolerance is None else float(tolerance)
@@ -635,45 +602,6 @@ def is_downward_fkg(measure, *, tolerance=None) -> PropertyReport:
 
 
 # ---------------------------------------------------------------------------
-# stochastic domination
-
-
-def stochastically_dominates(lower, upper, *, tolerance=None) -> PropertyReport:
-    """lower <= upper iff upper(U) >= lower(U) for every up-set U.
-
-    Equivalent to the expectation ordering over all increasing functions
-    via the layer-cake decomposition.
-    """
-    lo = _as_probability(lower)
-    hi = _as_probability(upper)
-    if lo.n != hi.n:
-        raise ValueError(f"site counts differ: {lo.n} vs {hi.n}")
-    mode = EXACT if lo.mode == EXACT and hi.mode == EXACT else FLOAT
-    tol = _resolve_tolerance(mode, tolerance)
-    if mode == EXACT:
-        lo_w, hi_w = lo.as_fractions(), hi.as_fractions()
-    else:
-        lo_w = [float(w) for w in lo.weights]
-        hi_w = [float(w) for w in hi.weights]
-    masks = enumerate_up_sets(lo.n)
-    best, violation, checked = scan_slacks(
-        ((i, sum(hi_w[c] - lo_w[c] for c in up_set_members(members)))
-         for i, members in enumerate(masks)),
-        tol,
-    )
-    details = {"mode": mode, "up_sets_checked": checked}
-    if mode == FLOAT:
-        details["tolerance"] = tol
-    if violation is not None:
-        witness = {
-            "up_set": list(up_set_members(masks[violation])),
-            "mask": int(masks[violation]),
-        }
-        return PropertyReport("stochastic-domination", FAILS, witness, best, details)
-    return PropertyReport("stochastic-domination", HOLDS, None, best, details)
-
-
-# ---------------------------------------------------------------------------
 # witness re-evaluation
 
 
@@ -709,6 +637,4 @@ def reverify_witness(measure, report: PropertyReport):
         if list(remaining) != list(witness["remaining_sites"]):
             raise ValueError("witness site bookkeeping does not match the measure")
         return _up_set_pair_covariance(sub.as_fractions(), witness)
-    if prop == "stochastic-domination":
-        raise ValueError("domination witnesses compare two measures; re-evaluate directly")
     raise ValueError(f"no witness re-evaluation rule for property {prop!r}")

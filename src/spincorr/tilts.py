@@ -228,6 +228,8 @@ def dca_falsify(
     at that size.  At most 5 sites for up-set checks; lattice, rates and
     dynamics up to 6: the screen raises ``BudgetError`` for n = 6.
     """
+    if budget < 0:
+        raise ValueError(f"tilt budget must be nonnegative, got {budget}")
     pm = _as_probability(measure)
     n = pm.n
     tol = _resolve_tolerance(pm.mode, tolerance)

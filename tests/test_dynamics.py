@@ -19,14 +19,12 @@ from spincorr.dynamics import (
     derivative_at_zero,
     derivative_coefficients,
     has_independent_flips,
-    independent_flip_kernel,
     is_attractive,
     measure_flow,
     path_edges,
     product_corners,
     semigroup_apply,
     semigroup_apply_expm,
-    semigroup_apply_function,
     trotter_compose,
     uniformized_kernel,
 )
@@ -111,13 +109,10 @@ class TestSemigroupApply:
         # negative, NaN and infinite times, at every entry point that takes one
         gen = build_generator(contact_process(path_edges(3)))
         mu = ProbabilityMeasure.uniform(3)
-        independent = RateTable.independent_flips(3, [1, 2, 3], [1, 1, 1])
         calls = (
             lambda t: semigroup_apply(gen, mu, t),
-            lambda t: semigroup_apply_function(gen, [0] * 8, t),
             lambda t: semigroup_apply_expm(gen, mu, t),
             lambda t: uniformized_kernel(gen, t),
-            lambda t: independent_flip_kernel(independent, t),
         )
         for call in calls:
             for t in (-0.1, -1, math.nan, math.inf):
@@ -209,7 +204,8 @@ class TestLongHorizonSquaring:
         assert np.abs(got - oracle).max() < 1e-10
         assert abs(got.sum() - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("lam_t", [2000.0, 3000.0, 4000.0])
+    # short horizons too: no halving (0.5, 10), one halving (750)
+    @pytest.mark.parametrize("lam_t", [0.5, 10.0, 750.0, 2000.0, 3000.0, 4000.0])
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_kernel_rows_and_functions_agree(self, n, lam_t):
         gen = build_generator(contact_process(path_edges(n), infection=Fraction(3, 2)))
@@ -218,8 +214,11 @@ class TestLongHorizonSquaring:
         for x in configs(n):
             row = semigroup_apply(gen, ProbabilityMeasure.point_mass(n, x), t).as_float_array()
             assert np.abs(row - kernel[x]).max() < 1e-13
+        # duality: <mu S(t), f> = <mu, S(t) f> with S(t) f = P_t f
         f = np.random.default_rng(n).standard_normal(1 << n)
-        assert np.abs(np.array(semigroup_apply_function(gen, f, t)) - kernel @ f).max() < 1e-13
+        mu = normalize(random_measure(n, n, "generic"))
+        evolved = semigroup_apply(gen, mu, t).as_float_array()
+        assert abs(evolved @ f - mu.as_float_array() @ (kernel @ f)) < 1e-13
 
     @pytest.mark.parametrize("lam_t", [500.0, 750.0, 1000.0])
     def test_one_halving_at_most_sweeps_the_vector(self, lam_t):
@@ -413,16 +412,32 @@ class TestBirthSubmodularity:
                 assert birth_submodularity(single).holds == (full >= 0)
 
 
+def independent_flip_kernel(rates, t):
+    """Oracle: the product of the closed-form two-state kernels, one per site.
+
+    Site z with constant birth b and death d mixes to equilibrium at rate
+    b + d: p_t(0 -> 1) = b/(b+d) * (1 - exp(-(b+d)t)).  Only valid when
+    the system has independent flips."""
+    out = np.array([[1.0]])
+    for z in reversed(range(rates.n)):
+        b = float(rates.birth[z][0])
+        d = float(rates.death[z][0])
+        mixed = 1.0 - math.exp(-(b + d) * t)
+        up, down = (b / (b + d) * mixed, d / (b + d) * mixed) if b + d else (0.0, 0.0)
+        out = np.kron(out, np.array([[1.0 - up, up], [down, 1.0 - down]]))
+    return out
+
+
 class TestIndependentFlipKernel:
     def test_time_zero_identity(self):
-        rates = RateTable.independent_flips(2, [1, 2], [3, 4])
-        assert np.allclose(independent_flip_kernel(rates, 0.0), np.eye(4))
+        gen = build_generator(RateTable.independent_flips(2, [1, 2], [3, 4]))
+        assert np.array_equal(uniformized_kernel(gen, 0.0), np.eye(4))
 
     def test_two_state_closed_form(self):
-        rates = RateTable.independent_flips(1, [1], [1])
+        gen = build_generator(RateTable.independent_flips(1, [1], [1]))
         for t in (0.1, 0.5, 2.0):
-            kernel = independent_flip_kernel(rates, t)
-            assert abs(kernel[0, 1] - (1 - math.exp(-2 * t)) / 2) < 1e-14
+            kernel = uniformized_kernel(gen, t)
+            assert abs(kernel[0, 1] - (1 - math.exp(-2 * t)) / 2) < 1e-12
 
     def test_matches_uniformization(self):
         rates = RateTable.independent_flips(2, [Fraction(1, 2), 2], [1, Fraction(1, 3)])
@@ -431,10 +446,6 @@ class TestIndependentFlipKernel:
             assert np.abs(
                 independent_flip_kernel(rates, t) - uniformized_kernel(gen, t)
             ).max() < 1e-10
-
-    def test_rejects_configuration_dependent_rates(self):
-        with pytest.raises(ValueError):
-            independent_flip_kernel(contact_process(path_edges(2)), 1.0)
 
 
 class TestDerivativeAtZero:
@@ -580,7 +591,7 @@ class TestSingleSiteClosedForm:
             gen = build_generator(rates)
             f = [float(v) for v in random_measure(seed, 3, "strictly-positive").weights]
             for t in (0.25, 1.0, 4.0):
-                got = semigroup_apply_function(gen, f, t)
+                got = uniformized_kernel(gen, t) @ f
                 for c in configs(3):
                     if c >> 1 & 1:
                         expected = f[c]

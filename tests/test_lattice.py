@@ -1,16 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_measures import covariance
 
-from spincorr.harness import evaluate_property, random_measure
+from spincorr.harness import evaluate_property, random_increasing_table, random_measure
 from spincorr.lattice import (
     BudgetError,
-    decompose_increasing,
     enumerate_up_sets,
-    is_increasing,
-    is_up_set,
     lattice_pairs,
     single_bit_pairs,
     up_set_matrix,
@@ -22,9 +21,28 @@ from spincorr.measures import (
     is_downward_fkg,
     normalize,
     satisfies_lattice,
-    stochastically_dominates,
 )
 from spincorr.tilts import dca_falsify
+
+
+def is_up_set(members, n):
+    """Oracle: the membership mask is closed under raising any coordinate."""
+    return all(members >> hi & 1 or not members >> lo & 1 for lo, hi in single_bit_pairs(n))
+
+
+def decompose_increasing(values, n):
+    """Oracle: the layer-cake decomposition of an increasing f, as
+    (constant, ((coefficient, up-set mask), ...)).
+
+    The term for level v is (v - previous level) times the indicator of
+    {f >= v}, an up-set because f is increasing; reconstruction is exact.
+    """
+    levels = sorted(set(values))
+    terms = []
+    for prev, level in zip(levels, levels[1:]):
+        members = sum(1 << c for c in range(1 << n) if values[c] >= level)
+        terms.append((level - prev, members))
+    return levels[0], tuple(terms)
 
 
 def brute_force_up_sets(n):
@@ -104,7 +122,6 @@ class TestEnumerateUpSets:
             lambda: is_associated(ProbabilityMeasure.floats(mu.as_float_array())),
             lambda: is_downward_fkg(mu),
             lambda: dca_falsify(mu, budget=1),
-            lambda: stochastically_dominates(mu, ProbabilityMeasure.uniform(6)),
         ] + [
             lambda name=name: evaluate_property(name, mu, tilt_budget=1)
             for name in ("associated", "downward-fkg", "dca")
@@ -121,21 +138,6 @@ class TestEnumerateUpSets:
         matrix = up_set_matrix(3)
         for i, members in enumerate(masks):
             assert tuple(c for c in range(8) if matrix[i, c]) == up_set_members(members)
-
-
-class TestIsIncreasing:
-    def test_coordinate_function(self):
-        values = [c >> 1 & 1 for c in range(8)]
-        assert is_increasing(values, 3) == (True, None)
-
-    def test_constant(self):
-        assert is_increasing([5] * 8, 3) == (True, None)
-
-    def test_indicator_of_bottom(self):
-        values = [1 if c == 0 else 0 for c in range(8)]
-        ok, witness = is_increasing(values, 3)
-        assert not ok
-        assert witness == (0b000, 0b001)
 
 
 class TestDecomposeIncreasing:
@@ -159,10 +161,6 @@ class TestDecomposeIncreasing:
             rebuilt = base + sum(coeff for coeff, members in terms if members >> c & 1)
             assert rebuilt == values[c]
 
-    def test_rejects_non_increasing(self):
-        with pytest.raises(ValueError):
-            decompose_increasing([1, 0], 1)
-
     @given(st.lists(st.integers(0, 8), min_size=8, max_size=8), st.integers(0, 5))
     @settings(max_examples=60)
     def test_reconstruction_is_exact_on_closures(self, raw, shiftnum):
@@ -178,3 +176,26 @@ class TestDecomposeIncreasing:
         for c in range(8):
             rebuilt = base + sum(coeff for coeff, members in terms if members >> c & 1)
             assert rebuilt == values[c]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_up_set_pairs_decide_increasing_covariances(self, n):
+        # cov(f, g) expands bilinearly over the layer-cake terms into the
+        # up-set pair covariances that the association sweep checks
+        rng = random.Random(n)
+        for seed in range(6):
+            mu = normalize(random_measure(seed, n, "generic"))
+            associated = is_associated(mu).holds
+
+            def prob(members, weights=mu.weights):
+                return sum(weights[c] for c in up_set_members(members))
+
+            for _ in range(3):
+                f, g = random_increasing_table(rng, n), random_increasing_table(rng, n)
+                expansion = sum(
+                    a * b * (prob(u & v) - prob(u) * prob(v))
+                    for a, u in decompose_increasing(f, n)[1]
+                    for b, v in decompose_increasing(g, n)[1]
+                )
+                assert covariance(mu, f, g) == expansion
+                if associated:
+                    assert expansion >= 0

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spincorr.cli import _coords_from_dict, main
-from spincorr.harness import SEARCH_TARGETS
+from spincorr.harness import MEASURE_MODES, PROPERTIES, SEARCH_TARGETS
 from spincorr.serialize import measure_from_dict, rate_table_from_dict
 from spincorr.three_site import COORD_NAMES
 
@@ -169,6 +169,35 @@ def test_evolve_ends_in_an_exit_code(doc_path, inputs, times):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["evolve", "--input", str(doc_path), "--system", str(system_path), f"--t={times}"])
     assert code in (0, 2)
+    text = err.getvalue()
+    assert (code == 2) == bool(text), text
+    assert text == "" or (text.startswith("error: ") and text.count("\n") == 1), text
+
+
+# one initial measure of a family, a short time list, and in one run of
+# four a negative budget or a tolerance that is not finite and nonnegative
+verify_options = st.tuples(
+    st.sampled_from(PROPERTIES),
+    st.sampled_from(MEASURE_MODES),
+    st.lists(st.sampled_from(["0", "0.5", "2", "10"]), min_size=1, max_size=2).map(",".join),
+    one_in_four(
+        st.sampled_from([["--budget=-1"], ["--tolerance=nan"], ["--tolerance=inf"], ["--tolerance=-1e-9"]]),
+        st.sampled_from([[], ["--budget=0"], ["--budget=3"], ["--tolerance=0"], ["--tolerance=1e-6"]]),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(one_in_four(rate_tables(3) | anything, st.integers(1, 4).flatmap(generic_table)), verify_options)
+def test_verify_theorem_ends_in_an_exit_code(doc_path, rate_doc, options):
+    prop, family, times, extra = options
+    doc_path.write_text(json.dumps(rate_doc))
+    argv = ["verify-theorem", "--system", str(doc_path), "--property", prop, "--family", family,
+            "--count", "1", f"--t={times}", *extra]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
     text = err.getvalue()
     assert (code == 2) == bool(text), text
     assert text == "" or (text.startswith("error: ") and text.count("\n") == 1), text

@@ -291,10 +291,25 @@ class TestCli:
                  ["evolve", "--input", pair, "--system", huge, "--t", "1"],
                  ["verify-theorem", "--system", huge, "--property", "associated",
                   "--count", "1", "--t", "1"]]
-        for argv in runs:
+        # tolerances that would pass every float check, and negative budgets
+        # and counts; each error names what it refuses
+        floats = doc_file("floats.json", {"n": 2, "mode": "float", "weights": [0.1, 0.4, 0.4, 0.1]})
+        system = doc_file("rates.json", rates)
+        verify = ["verify-theorem", "--system", system, "--count", "1", "--t", "1"]
+        refused = [(["check-measure", "--input", floats, f"--tolerance={value}"], "tolerance")
+                   for value in ("nan", "inf", "-1e-9")]
+        refused += [
+            (["check-measure", "--input", pair, "--tolerance", "nan"], "tolerance"),
+            (verify + ["--property", "associated", "--tolerance", "nan"], "tolerance"),
+            (["check-measure", "--input", pair, "--budget", "-5"], "budget"),
+            (verify + ["--property", "dca", "--budget", "-3"], "budget"),
+            (["search", "--system", system, "--target", "association", "--budget", "-1"], "budget"),
+            (verify + ["--property", "associated", "--count", "-2"], "count"),
+        ]
+        for argv, name in [(argv, "") for argv in runs] + refused:
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert err.startswith("error: ") and err.count("\n") == 1 and name in err, err
         # there is no six-site opt-in flag: a usage error
         with pytest.raises(SystemExit) as exc:
             main(["check-measure", "--input", pair, "--opt-in-n6"])
