@@ -10,13 +10,13 @@ therefore conditions on that representative.
 
 The semigroup exp(tQ) is evaluated from the left only: mu S(t) = mu e^{tQ}
 for a measure, and the kernel P_t is the identity swept the same way
-(functions evolve as S(t)f = P_t f).  The primary evaluation is
-uniformization, which keeps every entry nonnegative.  Horizons with
-lambda*t > 500 are halved d times; for d >= 2 the leaf kernel P_{t/2^d}
-is built once and squared d times.  Each leaf still truncates its Poisson
-sum at the tail, so up to 2^d * tail of mass is lost (the known defect of
-ROADMAP item 2).  Dense scaling and squaring (expm) is kept as a
-cross-check oracle.  Outputs are floats; only the derivative at t=0 is exact.
+(S(t)f = P_t f), by uniformization, which keeps every entry nonnegative.
+Horizons with lambda*t > 500 are halved d times; for d >= 2 the leaf kernel
+P_{t/2^d} is built once and squared d times.  A leaf's K Poisson terms are
+summed in blocks of about sqrt(K), in about 2 sqrt(K) matrix products, and
+truncated at the tail, so up to 2^d * tail of mass is lost (ROADMAP item 2).
+Dense scaling and squaring (expm) is kept as a cross-check oracle.  Outputs
+are floats; only the derivative at t=0 is exact.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import exp, inf
+from math import exp, inf, isqrt
 
 import numpy as np
 import scipy.linalg
@@ -189,6 +189,13 @@ class Generator:
     def uniformization_rate(self) -> Fraction:
         return max(self.exit_rates)
 
+    @cached_property
+    def transition(self) -> np.ndarray:
+        """The uniformized jump chain I + Q / lambda (for lambda > 0)."""
+        mat = np.eye(1 << self.n) + self.matrix / _rate_float(self.uniformization_rate)
+        mat.flags.writeable = False
+        return mat
+
     def __add__(self, other: "Generator") -> "Generator":
         if not isinstance(other, Generator):
             return NotImplemented
@@ -221,13 +228,21 @@ def _check_time(t) -> float:
     return t
 
 
+def _poisson_weights(lt: float, tail: float) -> np.ndarray:
+    """Poisson(lt) weights w_0 .. w_K, accumulated in order as w_k = w_{k-1} lt / k;
+    K is the first k with 1 - (w_0 + ... + w_k) <= ``tail``, capped at k_max."""
+    k_max = int(lt + 60.0 * (lt + 1.0) ** 0.5 + 100.0)
+    weights = np.multiply.accumulate(np.concatenate(([exp(-lt)], lt / np.arange(1.0, k_max + 1.0))))
+    return weights[:min(k_max, int(np.count_nonzero(1.0 - np.add.accumulate(weights) > tail))) + 1]
+
+
 def _poisson_sweep(gen: Generator, vector: np.ndarray, t: float, tail: float):
     lam = _rate_float(gen.uniformization_rate)
     if lam == 0.0 or t == 0.0:
         return vector.copy()
     # Halve t d times until lam*s <= 500 (exp(-lam*s) stays representable).
-    # d <= 1: sweep the vector leaf by leaf; d >= 2: build the leaf P_s once
-    # and square it d times.  Each leaf truncates at ``tail``: up to 2^d*tail lost.
+    # d <= 1: the vector's 2^d leaves in turn; d >= 2: the leaf of the identity,
+    # P_s, squared d times.  Each leaf truncates at ``tail``: up to 2^d*tail lost.
     depth = 0
     while lam * t > 500.0:
         t /= 2.0
@@ -237,21 +252,25 @@ def _poisson_sweep(gen: Generator, vector: np.ndarray, t: float, tail: float):
         for _ in range(depth):
             kernel = kernel @ kernel
         return vector @ kernel
-    transition = np.eye(1 << gen.n) + gen.matrix / lam
-    k_max = int(lam * t + 60.0 * (lam * t + 1.0) ** 0.5 + 100.0)
+    weights = _poisson_weights(lam * t, tail)
+    # The leaf sum_{k<=K} w_k R P^k (R: the vector, or the identity for P_s) in
+    # blocks of m (Paterson & Stockmeyer 1973), Horner's rule in P^m over S_j =
+    # sum_{i<m} w_{jm+i} R P^i; one block if the chain costs <= an N x N product.
+    transition, terms, step = gen.transition, len(weights), None
+    m = terms if (terms - 1) * vector.size <= transition.size else isqrt(terms - 1) + 1
+    blocks = np.concatenate((weights, np.zeros(-terms % m))).reshape(-1, m)
+    heads = np.empty((m,) + vector.shape)
     for _ in range(1 << depth):
-        weight = exp(-lam * t)
-        cumulative = weight
-        acc = weight * vector
-        current = vector
-        k = 0
-        while 1.0 - cumulative > tail and k < k_max:
-            k += 1
-            current = current @ transition
-            weight *= lam * t / k
-            cumulative += weight
-            acc = acc + weight * current
-        vector = acc
+        heads[0] = vector
+        for prev, head in zip(heads, heads[1:]):
+            np.matmul(prev, transition, out=head)
+        sums = (blocks @ heads.reshape(m, -1)).reshape((-1,) + vector.shape)
+        vector = sums[-1]
+        for s in sums[-2::-1]:
+            if step is None:  # P^m: the identity's heads are P^i; a vector squares P
+                step = (heads[-1] @ transition if heads.ndim == 3
+                        else np.linalg.matrix_power(transition, m))
+            vector = vector @ step + s
     return vector
 
 
@@ -266,7 +285,9 @@ def semigroup_apply(
     pm = _as_probability(measure)
     if pm.n != gen.n:
         raise ValueError(f"site counts differ: measure {pm.n} vs generator {gen.n}")
-    out = _poisson_sweep(gen, pm.as_float_array(), t, tail)
+    out = _poisson_sweep(gen, pm.as_float_array(), t, tail).tolist()
+    if not any(out):  # the tails lost by 2^d leaves took all of the mass
+        raise ValueError("float measure sums to 0.0, outside 1e-12 of 1")
     return ProbabilityMeasure.floats(out)
 
 
@@ -291,8 +312,7 @@ def trotter_compose(g1: Generator, g2: Generator, measure, t, steps: int) -> Pro
         raise ValueError(f"site counts differ: {g1.n} vs {g2.n}")
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    t = float(t)
-    dt = t / steps
+    dt = _check_time(t) / steps
     pm = _as_probability(measure)
     for _ in range(steps):
         pm = semigroup_apply(g1, pm, dt)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from spincorr.dynamics import (
     DEFAULT_POISSON_TAIL,
     RateTable,
+    _poisson_weights,
     additive_decomposition,
     association_determinant_poly,
     birth_submodularity,
@@ -163,10 +165,60 @@ class TestSemigroupApply:
             assert np.abs(out - expected).max() < 1e-10
 
 
-def sequential_leaves(gen, vector, t):
+def scalar_poisson_weights(lt, tail):
+    """The scalar recursion for the Poisson weights of one leaf: w_0 = e^-lt,
+    w_k = w_{k-1} lt / k, until 1 - (w_0 + ... + w_k) <= tail or k = k_max.
+    Returns the weights and k_max."""
+    k_max = int(lt + 60.0 * (lt + 1.0) ** 0.5 + 100.0)
+    weight = math.exp(-lt)
+    weights, cumulative, k = [weight], weight, 0
+    while 1.0 - cumulative > tail and k < k_max:
+        k += 1
+        weight *= lt / k
+        cumulative += weight
+        weights.append(weight)
+    return weights, k_max
+
+
+class TestPoissonWeights:
+    # lambda*s on a grid in (0, 500], the range every leaf lies in
+    GRID = [1e-9, 1e-3, 0.01, 0.1, 0.3] + [500.0 * i / 400 for i in range(1, 401)]
+
+    @pytest.mark.parametrize("tail", [DEFAULT_POISSON_TAIL, 1e-16])
+    def test_accumulated_weights_equal_the_scalar_recursion(self, tail):
+        capped = 0
+        for lt in self.GRID:
+            weights, k_max = scalar_poisson_weights(lt, tail)
+            got = _poisson_weights(lt, tail)
+            # bit for bit: the same weights, so the same truncation index K
+            assert got.tolist() == weights, lt
+            capped += len(weights) == k_max + 1
+        # 1e-16 is below the float step of 1 - cumulative near 1: about half
+        # of the grid never meets it and stops at k_max
+        assert (capped > 0) == (tail < DEFAULT_POISSON_TAIL)
+
+    @pytest.mark.parametrize("lt", [0.5, 37.0, 300.0])
+    def test_a_tail_met_exactly_stops_the_sum(self, lt):
+        # tails equal to a remaining mass 1 - (w_0 + ... + w_k): the sum
+        # stops where the remaining mass is no longer above the tail
+        weights, _ = scalar_poisson_weights(lt, DEFAULT_POISSON_TAIL)
+        for cumulative in list(itertools.accumulate(weights))[::7]:
+            tail = 1.0 - cumulative
+            assert _poisson_weights(lt, tail).tolist() == scalar_poisson_weights(lt, tail)[0]
+
+    @pytest.mark.parametrize("lt", [1e-9, 0.5, 37.0, 500.0])
+    def test_k_max_caps_an_unreachable_tail(self, lt):
+        # no remaining mass is below a negative tail
+        weights, k_max = scalar_poisson_weights(lt, -1.0)
+        assert len(weights) == k_max + 1
+        assert _poisson_weights(lt, -1.0).tolist() == weights
+
+
+def sequential_leaves(gen, vector, t, tail=DEFAULT_POISSON_TAIL):
     """Reference for long horizons: halve t until lambda*s <= 500, then run
     the truncated Poisson sweep of that leaf on the row vector 2^d times in
-    sequence.  Returns the result and the number of leaves."""
+    sequence, one term after another.  Returns the result and the number of
+    leaves."""
     lam = float(gen.uniformization_rate)
     s, leaves = t, 1
     while lam * s > 500.0:
@@ -177,7 +229,7 @@ def sequential_leaves(gen, vector, t):
     for _ in range(leaves):
         weight = math.exp(-lam * s)
         cumulative, acc, current, k = weight, weight * vector, vector, 0
-        while 1.0 - cumulative > DEFAULT_POISSON_TAIL and k < k_max:
+        while 1.0 - cumulative > tail and k < k_max:
             k += 1
             current = current @ transition
             weight *= lam * s / k
@@ -191,7 +243,7 @@ class TestLongHorizonSquaring:
     # lambda*t from 2 000 to 4 000 takes two or three halvings, so at most
     # 8 * DEFAULT_POISSON_TAIL < 1e-12 of mass is lost
     @pytest.mark.parametrize("lam_t", [2000.0, 3000.0, 4000.0])
-    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_squared_leaf_matches_sequential_leaves(self, n, lam_t):
         gen = build_generator(random_spin_system(n, n, "generic"))
         t = lam_t / float(gen.uniformization_rate)
@@ -220,14 +272,21 @@ class TestLongHorizonSquaring:
         evolved = semigroup_apply(gen, mu, t).as_float_array()
         assert abs(evolved @ f - mu.as_float_array() @ (kernel @ f)) < 1e-13
 
-    @pytest.mark.parametrize("lam_t", [500.0, 750.0, 1000.0])
-    def test_one_halving_at_most_sweeps_the_vector(self, lam_t):
-        gen = build_generator(random_spin_system(6, 5, "generic"))
+    # No halving (up to 500) or one (750, 1 000): the vector's leaves are
+    # summed in blocks, not term by term, so they agree with the sequential
+    # leaves to rounding, not bit for bit.  A tail of 1e-16 runs to k_max.
+    @pytest.mark.parametrize("tail", [DEFAULT_POISSON_TAIL, 1e-16])
+    @pytest.mark.parametrize("lam_t", [0.5, 10.0, 100.0, 500.0, 750.0, 1000.0])
+    @pytest.mark.parametrize("n", [3, 5, 6])
+    def test_blocked_leaf_matches_sequential_leaves(self, n, lam_t, tail):
+        gen = build_generator(random_spin_system(n + 3, n, "generic"))
         t = lam_t / float(gen.uniformization_rate)
-        mu = normalize(random_measure(16, 5, "generic"))
-        reference, leaves = sequential_leaves(gen, mu.as_float_array(), t)
+        mu = normalize(random_measure(n + 13, n, "generic"))
+        got = semigroup_apply(gen, mu, t, tail=tail).as_float_array()
+        reference, leaves = sequential_leaves(gen, mu.as_float_array(), t, tail)
         assert leaves <= 2
-        assert np.array_equal(semigroup_apply(gen, mu, t).as_float_array(), reference)
+        assert np.abs(got - reference).max() < 1e-13
+        assert abs(got.sum() - 1.0) < 1e-12
 
 
 class TestTrotter:
@@ -251,6 +310,14 @@ class TestTrotter:
         split = trotter_compose(g1, g2, mu, 0.9, 1)
         direct = semigroup_apply(g1 + g2, mu, 0.9)
         assert np.abs(split.as_float_array() - direct.as_float_array()).max() < 1e-11
+
+    def test_time_checked_before_it_is_split(self):
+        # the error names the time given, not the step t / steps
+        gen = build_generator(random_spin_system(5, 2, "generic"))
+        mu = ProbabilityMeasure.uniform(2)
+        for t in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"got {t}"):
+                trotter_compose(gen, gen, mu, t, 4)
 
     def test_mismatched_sizes_rejected(self):
         g1 = build_generator(zero_system(2))

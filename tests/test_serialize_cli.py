@@ -179,21 +179,27 @@ class TestCli:
 
     def test_evolve_at_huge_lambda_t_ends(self, fixture_dir, tmp_path, capsys):
         # lambda*t of 1e12 and 5e6 take 31 and 14 halvings; squaring the
-        # leaf ends both, and the mass lost per leaf fails the mass check
+        # leaf ends both, and the mass lost per leaf fails the mass check.
+        # At lambda = 2^62 (53 halvings) the lost tails take all of the mass.
         fast = tmp_path / "fast.json"
         fast.write_text(json.dumps(
             {"model": "contact", "n": 2, "edges": [[0, 1]], "lambda": "1e12", "delta": "1"}))
+        fastest = tmp_path / "fastest.json"
+        fastest.write_text(json.dumps({"model": "contact", "n": 2, "edges": [[0, 1]],
+                                       "lambda": str(2 ** 62), "delta": "1"}))
         pair = tmp_path / "pair.json"
         pair.write_text(json.dumps({"n": 2, "weights": ["1/4"] * 4}))
         runs = (
             ["evolve", "--input", str(pair), "--system", str(fast), "--t", "1"],
             ["evolve", "--input", str(fixture_dir / "derangement4.json"),
              "--system", str(fixture_dir / "contact_path4.json"), "--t", "1e6"],
+            ["evolve", "--input", str(pair), "--system", str(fastest), "--t", "1"],
         )
         for argv in runs:
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("error: float measure sums to ") and err.count("\n") == 1, err
+        assert err == "error: float measure sums to 0.0, outside 1e-12 of 1\n"
 
     def test_classify3(self, fixture_dir, capsys):
         path = str(fixture_dir / "gap_lattice_vs_dca.json")
