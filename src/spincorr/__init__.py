@@ -10,7 +10,6 @@ from .measures import (
     ProbabilityMeasure,
     PropertyReport,
     WeightVector,
-    condition_zeros,
     is_associated,
     is_downward_fkg,
     normalize,
@@ -21,11 +20,9 @@ from .measures import (
 )
 from .tilts import TiltFunction, TiltSampler, conditioning_tilt, dca_falsify
 from .dynamics import (
-    AdditiveDecomposition,
     EventPolynomial,
     Generator,
     RateTable,
-    additive_decomposition,
     association_determinant_poly,
     birth_submodularity,
     births_additive,

@@ -387,74 +387,38 @@ def deaths_constant_on_occupied(rates: RateTable) -> PropertyReport:
     return PropertyReport("constant-deaths-occupied", HOLDS, None, None)
 
 
-@dataclass(frozen=True)
-class AdditiveDecomposition:
-    """Birth rates at one site written as a positive combination of
-    'some site of A occupied' indicators over subsets A of the other sites.
-
-    ``coefficients`` maps each nonempty subset mask to its coefficient as
-    recovered by Moebius inversion over the subset lattice; the inversion
-    reproduces the table exactly iff the rate vanishes when all other
-    sites are empty (``empty_rate`` is zero), and the rates are additive
-    iff moreover every coefficient is nonnegative.
-    """
-
-    n: int
-    site: int
-    coefficients: tuple[tuple[int, Fraction], ...]
-    empty_rate: Fraction
-    exact: bool
-    additive: bool
-
-    def reconstruct(self, config: int) -> Fraction:
-        total = Fraction(0)
-        for mask, coeff in self.coefficients:
-            if config & mask:
-                total += coeff
-        return total
-
-
-def additive_decomposition(rates: RateTable, site: int) -> AdditiveDecomposition:
-    """Recover the coefficients of the occupied-set decomposition.
+def births_additive(rates: RateTable) -> PropertyReport:
+    """Additivity of the birth rates at every site: each is a nonnegative
+    combination of 'some site of A occupied' indicators over nonempty
+    subsets A of the other sites.
 
     With f(B) the birth rate when exactly B (a set of other sites) is
     occupied and G(D) = f(full) - f(full minus D), the coefficient of A is
-    sum over D <= A of (-1)^|A minus D| G(D).  Non-additivity is a verdict,
-    not an error.
+    sum over D <= A of (-1)^|A minus D| G(D) by Moebius inversion over the
+    subset lattice.  The combination reproduces the table iff the rate with
+    every other site empty is zero.  A failing witness names the smallest
+    mask with a negative coefficient, or None when that empty rate is not
+    zero.  Non-additivity is a verdict, not an error.
     """
-    validate_site(site, rates.n)
-    table = rates.birth[site]
-    own = 1 << site
-    full = (1 << rates.n) - 1 ^ own
-    # G(D) for every mask D, then the Moebius transform over the off-site
-    # bits, one in-place pass per site; masks holding the own bit are unused
-    coeff = [table[full] - table[full & ~d] for d in configs(rates.n)]
-    for x in range(rates.n):
-        if x != site:
-            for a in configs(rates.n):
-                if a >> x & 1:
-                    coeff[a] -= coeff[a ^ 1 << x]
-    coefficients = tuple((a, coeff[a]) for a in configs(rates.n) if a and not a & own)
-    empty_rate = table[0]
-    exact = empty_rate == 0
-    additive = exact and all(c >= 0 for _, c in coefficients)
-    return AdditiveDecomposition(rates.n, site, coefficients, empty_rate, exact, additive)
-
-
-def births_additive(rates: RateTable) -> PropertyReport:
-    """Additivity of the birth rates at every site."""
-    for x in range(rates.n):
-        dec = additive_decomposition(rates, x)
-        if not dec.additive:
-            bad = None
-            if dec.exact:
-                bad = min(mask for mask, c in dec.coefficients if c < 0)
-            witness = {
-                "site": x,
-                "empty_rate": str(dec.empty_rate),
-                "negative_coefficient_mask": bad,
-            }
-            return PropertyReport("additive-births", FAILS, witness, None)
+    for x, table in enumerate(rates.birth):
+        own = 1 << x
+        full = (1 << rates.n) - 1 ^ own
+        bad = None
+        if table[0] == 0:
+            # G(D) for every mask D, then the Moebius transform over the
+            # off-site bits, one in-place pass per site; masks holding the
+            # own bit are unused
+            coeff = [table[full] - table[full & ~d] for d in configs(rates.n)]
+            for y in range(rates.n):
+                if y != x:
+                    for a in configs(rates.n):
+                        if a >> y & 1:
+                            coeff[a] -= coeff[a ^ 1 << y]
+            bad = next((a for a in configs(rates.n) if not a & own and coeff[a] < 0), None)
+            if bad is None:
+                continue
+        witness = {"site": x, "empty_rate": str(table[0]), "negative_coefficient_mask": bad}
+        return PropertyReport("additive-births", FAILS, witness, None)
     return PropertyReport("additive-births", HOLDS, None, None)
 
 

@@ -341,6 +341,11 @@ class ExperimentSpec:
         if self.tilt_budget < 0:
             raise ValueError(f"tilt budget must be nonnegative, got {self.tilt_budget}")
         _resolve_tolerance(FLOAT, self.tolerance)  # refuses NaN, inf and negative values
+        for i, measure in enumerate(self.measures or ()):
+            if measure.n != self.system.n:
+                raise ValueError(
+                    f"measures[{i}]: {measure.n} sites, but the system has {self.system.n}"
+                )
         object.__setattr__(self, "times", tuple(_check_time(t) for t in self.times))
 
     def initial_measures(self) -> tuple[WeightVector, ...]:

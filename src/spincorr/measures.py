@@ -26,7 +26,6 @@ from functools import lru_cache
 import numpy as np
 
 from .lattice import (
-    configs,
     enumerate_up_sets,
     lattice_pairs,
     scan_slacks,
@@ -112,7 +111,10 @@ class WeightVector:
         return WeightVector(self.n, tuple(w * factor for w in self.weights), self.mode)
 
     def as_float_array(self) -> np.ndarray:
-        return np.array([float(w) for w in self.weights], dtype=np.float64)
+        """float64 weights; an exact weight rounds once, p / q as ints."""
+        if self.mode == EXACT:
+            return np.array([w.numerator / w.denominator for w in self.weights], dtype=np.float64)
+        return np.array(self.weights, dtype=np.float64)
 
     def as_fractions(self) -> tuple:
         """Exact weights; float entries convert via their exact binary value."""
@@ -177,41 +179,33 @@ def _as_probability(measure) -> ProbabilityMeasure:
 # conditioning and tilting
 
 
-def condition_zeros(measure, sites) -> ProbabilityMeasure:
-    """Condition on spin 0 at every site in ``sites`` (kept on the full cube)."""
-    pm = _as_probability(measure)
-    mask = 0
-    for x in set(sites):
-        validate_site(x, pm.n)
-        mask |= 1 << x
-    zero = Fraction(0) if pm.mode == EXACT else 0.0
-    restricted = [w if c & mask == 0 else zero for c, w in enumerate(pm.weights)]
-    total = sum(restricted)
-    if not total > 0:
-        raise ValueError(f"conditioning event (zeros on sites {sorted(set(sites))}) has zero probability")
-    return ProbabilityMeasure(pm.n, tuple(w / total for w in restricted), pm.mode)
+def _zero_slice(weights, amask: int) -> list:
+    """The weights of the configurations with spin 0 at every site of
+    ``amask``, ascending: entry i belongs to configuration i of the
+    remaining sites, whose new site j is the j-th remaining old site."""
+    return [w for c, w in enumerate(weights) if c & amask == 0]
 
 
 def project_zeros(measure, sites):
-    """condition_zeros followed by dropping the pinned sites.
+    """Condition on spin 0 at every site in ``sites`` and drop those sites.
 
     Returns (measure on the remaining sites, remaining sites ascending);
     new site i is old site remaining[i].
     """
     pm = _as_probability(measure)
     pinned = sorted(set(sites))
-    conditioned = condition_zeros(pm, pinned)
-    remaining = tuple(x for x in range(pm.n) if x not in pinned)
+    amask = 0
+    for x in pinned:
+        validate_site(x, pm.n)
+        amask |= 1 << x
+    weights = _zero_slice(pm.weights, amask)
+    total = sum(weights)
+    if not total > 0:
+        raise ValueError(f"conditioning event (zeros on sites {pinned}) has zero probability")
+    remaining = tuple(x for x in range(pm.n) if not amask >> x & 1)
     if not remaining:
         raise ValueError("projection needs at least one remaining site")
-    weights = []
-    for sub in configs(len(remaining)):
-        full = 0
-        for i, x in enumerate(remaining):
-            if sub >> i & 1:
-                full |= 1 << x
-        weights.append(conditioned.weights[full])
-    return ProbabilityMeasure(len(remaining), tuple(weights), pm.mode), remaining
+    return ProbabilityMeasure(len(remaining), tuple(w / total for w in weights), pm.mode), remaining
 
 
 def tilt(measure, h_values) -> ProbabilityMeasure:
@@ -564,36 +558,32 @@ def is_downward_fkg(measure, *, tolerance=None) -> PropertyReport:
     pm = _as_probability(measure)
     n = pm.n
     tol = _resolve_tolerance(pm.mode, tolerance)
+    floor = 0 if pm.mode == EXACT else 1e-12
     best = None
     witness = None
-    skipped = []
-    checked = []
+    checked = skipped = 0
     for amask in range(1 << n):
-        sites = tuple(x for x in range(n) if amask >> x & 1)
-        mass = sum(w for c, w in enumerate(pm.weights) if c & amask == 0)
-        floor = 0 if pm.mode == EXACT else 1e-12
+        weights = _zero_slice(pm.weights, amask)
+        mass = sum(weights)
         if not mass > floor:
-            skipped.append(sites)
+            skipped += 1
             continue
-        checked.append(sites)
-        if len(sites) == n:
+        checked += 1
+        if len(weights) == 1:
             continue  # single configuration left: trivially associated
-        sub, remaining = project_zeros(pm, sites)
+        remaining = tuple(x for x in range(n) if not amask >> x & 1)
+        sub = ProbabilityMeasure(len(remaining), tuple(w / mass for w in weights), pm.mode)
         report = is_associated(sub, tolerance=tolerance)
         if best is None or report.margin < best:
             best = report.margin
         if report.fails:
             witness = {
-                "conditioned_sites": list(sites),
+                "conditioned_sites": [x for x in range(n) if amask >> x & 1],
                 "remaining_sites": list(remaining),
                 **report.witness,
             }
             break
-    details = {
-        "mode": pm.mode,
-        "subsets_checked": len(checked),
-        "subsets_skipped": len(skipped),
-    }
+    details = {"mode": pm.mode, "subsets_checked": checked, "subsets_skipped": skipped}
     if pm.mode == FLOAT:
         details["tolerance"] = tol
     if witness is not None:

@@ -6,7 +6,10 @@ measures, float margins) and integers.  Configuration indexing is the
 shared bitmask convention: weight i belongs to the configuration whose
 spin at site x is bit x of i.
 
-Every document this package writes carries ``format_version``.
+Every document this package writes carries ``format_version``.  The
+``*_to_dict`` functions return JSON-native values, rationals already
+converted by ``rational_str`` or ``json_safe`` (which names the field of an
+oversized one), so ``dumps`` only formats.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import is_dataclass
 from fractions import Fraction
 
 from .dynamics import RateTable, contact_process
@@ -74,7 +76,7 @@ def _site_count(value) -> int:
 
 
 def json_safe(value, where: str = "value"):
-    """Recursively convert Fractions, tuples, and dataclass scraps for json.dumps.
+    """Recursively convert Fractions to "p/q" strings and tuples to lists.
 
     ``where`` is the field's name, extended by key and index on the way
     down, for the error of an oversized rational.
@@ -85,13 +87,6 @@ def json_safe(value, where: str = "value"):
         return [json_safe(v, f"{where}[{i}]") for i, v in enumerate(value)]
     if isinstance(value, dict):
         return {str(k): json_safe(v, f"{where}.{k}") for k, v in value.items()}
-    if is_dataclass(value) and not isinstance(value, type):
-        return json_safe(vars(value), where)
-    if hasattr(value, "item") and callable(value.item) and not isinstance(value, (str, bytes)):
-        try:
-            return value.item()  # numpy scalars
-        except Exception:
-            return value
     return value
 
 
@@ -267,7 +262,7 @@ def envelope(command: str, body: dict) -> dict:
 
 
 def dumps(document) -> str:
-    return json.dumps(json_safe(document), indent=2, sort_keys=True) + "\n"
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
 def load_json(path: str):

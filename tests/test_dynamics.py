@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,6 @@ from spincorr.dynamics import (
     DEFAULT_POISSON_TAIL,
     RateTable,
     _poisson_weights,
-    additive_decomposition,
     association_determinant_poly,
     birth_submodularity,
     births_additive,
@@ -391,58 +391,113 @@ class TestRateClassifiers:
         assert deaths_constant_on_occupied(rising).fails
 
 
-class TestAdditiveDecomposition:
-    def test_contact_process_neighbour_coefficients(self):
-        rates = contact_process(path_edges(3), infection=Fraction(3, 2))
-        dec = additive_decomposition(rates, 0)
-        assert dec.additive
-        coeffs = dict(dec.coefficients)
-        assert coeffs[0b010] == Fraction(3, 2)  # the unique neighbour of site 0
-        assert all(c == 0 for mask, c in coeffs.items() if mask != 0b010)
+def occupied_combination_system(n, coefficients):
+    """Births at site x: the sum of coefficients[x][A] over the masks A of
+    other sites that meet the configuration; deaths zero."""
+    birth = [
+        [sum((c for a, c in coefficients[x].items() if config & a), Fraction(0))
+         for config in configs(n)]
+        for x in range(n)
+    ]
+    return RateTable.from_tables(birth, [[0] * (1 << n) for _ in range(n)])
 
-    def test_corner_flip_births_not_additive(self):
-        dec = additive_decomposition(corner_flip_system(3), 0)
-        assert dec.exact and not dec.additive
-        coeffs = dict(dec.coefficients)
+
+def random_coefficients(rng, n):
+    """Nonnegative coefficients over the nonempty masks of the other sites."""
+    return [
+        {a: Fraction(rng.randrange(0, 9), 4) for a in configs(n) if a and not a >> x & 1}
+        for x in range(n)
+    ]
+
+
+def reference_births_additive(rates):
+    """Witness of births_additive by the direct submask sum: the coefficient
+    of A is sum over D <= A of (-1)^|A minus D| G(D), G(D) = f(full) -
+    f(full minus D); None when every site is additive."""
+    n = rates.n
+    for x, table in enumerate(rates.birth):
+        full = (1 << n) - 1 & ~(1 << x)
+        negative = [
+            a for a in configs(n)
+            if a and a & ~full == 0 and sum(
+                (-1) ** (a & ~d).bit_count() * (table[full] - table[full & ~d])
+                for d in configs(n) if d & ~a == 0
+            ) < 0
+        ]
+        if table[0] != 0 or negative:
+            mask = None if table[0] != 0 else negative[0]
+            return {"site": x, "empty_rate": str(table[0]), "negative_coefficient_mask": mask}
+    return None
+
+
+class TestBirthsAdditive:
+    def test_contact_process_holds(self):
+        assert births_additive(contact_process(path_edges(3), infection=Fraction(3, 2))).holds
+
+    def test_corner_flip_fails_at_the_pair(self):
         # singletons +1, the pair -1: inclusion-exclusion of 'all others full'
-        assert coeffs[0b010] == 1 and coeffs[0b100] == 1 and coeffs[0b110] == -1
+        report = births_additive(corner_flip_system(3))
+        assert report.fails
+        assert report.witness == {"site": 0, "empty_rate": "0", "negative_coefficient_mask": 0b110}
 
     def test_zero_rates_trivially_additive(self):
-        dec = additive_decomposition(zero_system(3), 1)
-        assert dec.additive
-        assert all(c == 0 for _, c in dec.coefficients)
+        assert births_additive(zero_system(3)).holds
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_nonnegative_combinations_hold(self, n):
+        rng = random.Random(n)
+        for _ in range(10):
+            rates = occupied_combination_system(n, random_coefficients(rng, n))
+            assert births_additive(rates).holds
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_negative_coefficients_fail_at_the_smallest(self, n):
+        rng = random.Random(10 + n)
+        for _ in range(10):
+            coefficients = random_coefficients(rng, n)
+            site = rng.randrange(n)
+            full = (1 << n) - 1 & ~(1 << site)
+            proper = sorted(a for a in coefficients[site] if a != full)
+            masks = rng.sample(proper, rng.choice([1, 2]))
+            for a in masks:
+                coefficients[site][a] = -Fraction(rng.randrange(1, 9), 4)
+            # the full mask meets every nonempty configuration: no rate is negative
+            coefficients[site][full] += 4
+            report = births_additive(occupied_combination_system(n, coefficients))
+            assert report.fails
+            assert report.witness == {
+                "site": site, "empty_rate": "0", "negative_coefficient_mask": min(masks)
+            }
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_nonzero_empty_rate_names_no_mask(self, n):
+        rng = random.Random(20 + n)
+        for _ in range(5):
+            coefficients = random_coefficients(rng, n)
+            site = rng.randrange(n)
+            rates = occupied_combination_system(n, coefficients)
+            birth = [list(row) for row in rates.birth]
+            birth[site] = [v + Fraction(1, 2) for v in birth[site]]
+            report = births_additive(RateTable.from_tables(birth, rates.death))
+            assert report.fails
+            assert report.witness == {
+                "site": site, "empty_rate": "1/2", "negative_coefficient_mask": None
+            }
 
     @pytest.mark.parametrize("kind", ["generic", "attractive", "independent"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_reconstruction_exact_iff_empty_rate_zero(self, n, kind):
-        for seed in range(20):
+    def test_matches_the_direct_submask_sum(self, n, kind):
+        for seed in range(10 if n < 5 else 3):
             rates = random_spin_system(seed, n, kind)
-            for site in range(n):
-                dec = additive_decomposition(rates, site)
-                matches = all(
-                    dec.reconstruct(c) == rates.birth[site][c]
-                    for c in configs(n)
-                    if not c >> site & 1
-                )
-                assert matches == dec.exact
-                assert dec.exact == (rates.birth[site][0] == 0)
-
-    def test_coefficients_match_the_direct_submask_sum(self):
-        # reference: coefficient of A = sum over D <= A of (-1)^|A minus D| G(D)
-        for kind in ("generic", "attractive"):
-            for seed in range(5):
-                rates = random_spin_system(seed, 4, kind)
-                for site in range(4):
-                    table = rates.birth[site]
-                    full = 0b1111 & ~(1 << site)
-                    expected = tuple(
-                        (a, sum(
-                            (-1) ** (a & ~d).bit_count() * (table[full] - table[full & ~d])
-                            for d in configs(4) if d & ~a == 0
-                        ))
-                        for a in configs(4) if a and a & ~full == 0
-                    )
-                    assert additive_decomposition(rates, site).coefficients == expected
+            # the same births with the rate at the empty others-configuration
+            # set to zero, so the coefficients decide
+            birth = [[0 if c & ~(1 << x) == 0 else v for c, v in enumerate(row)]
+                     for x, row in enumerate(rates.birth)]
+            for system in (rates, RateTable.from_tables(birth, rates.death)):
+                expected = reference_births_additive(system)
+                report = births_additive(system)
+                assert report.holds == (expected is None)
+                assert report.witness == expected
 
     def test_additive_implies_submodular_and_increasing(self):
         rates = contact_process(path_edges(4), infection=Fraction(2, 3))

@@ -1,14 +1,20 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spincorr.harness import derangement_measure, implication_gap_measures, random_measure
+from spincorr.harness import (
+    MEASURE_MODES,
+    derangement_measure,
+    implication_gap_measures,
+    random_measure,
+)
+from spincorr.lattice import configs
 from spincorr.measures import (
     ProbabilityMeasure,
     WeightVector,
-    condition_zeros,
     is_associated,
     is_downward_fkg,
     normalize,
@@ -28,6 +34,22 @@ def covariance(measure, f, g):
         return sum(w * v for w, v in zip(measure.weights, values))
 
     return mean([a * b for a, b in zip(f, g)]) - mean(f) * mean(g)
+
+
+def condition_zeros(measure, sites):
+    """Oracle: condition on spin 0 at every site in ``sites``, kept on the
+    full cube."""
+    pm = measure if isinstance(measure, ProbabilityMeasure) else normalize(measure)
+    mask = 0
+    for x in set(sites):
+        assert 0 <= x < pm.n
+        mask |= 1 << x
+    zero = Fraction(0) if pm.mode == "exact" else 0.0
+    restricted = [w if c & mask == 0 else zero for c, w in enumerate(pm.weights)]
+    total = sum(restricted)
+    if not total > 0:
+        raise ValueError(f"zeros on sites {sorted(set(sites))} have zero probability")
+    return ProbabilityMeasure(pm.n, tuple(w / total for w in restricted), pm.mode)
 
 
 def three_site_cov(coords, kind):
@@ -65,6 +87,28 @@ class TestNormalize:
             WeightVector.floats([bad, 1.0])
         with pytest.raises(ValueError, match="weights must be finite"):
             ProbabilityMeasure.floats([0.5, bad])
+
+
+class TestAsFloatArray:
+    @staticmethod
+    def assert_bits_match_float(vector):
+        expected = np.array([float(w) for w in vector.weights], dtype=np.float64)
+        assert vector.as_float_array().view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_exact_weights_round_like_float(self, n):
+        for mode in MEASURE_MODES:
+            for seed in range(5):
+                vector = random_measure(seed, n, mode)
+                self.assert_bits_match_float(vector)
+                self.assert_bits_match_float(normalize(vector))
+
+    def test_long_rationals_round_like_float(self):
+        # 3^-k ends in the subnormal range and then underflows to zero
+        for k in range(0, 800, 7):
+            self.assert_bits_match_float(
+                WeightVector.exact([Fraction(1, 3**k), Fraction(2**k + 1, 3**k), 1, 5])
+            )
 
 
 class TestExpectationCovariance:
@@ -206,6 +250,39 @@ class TestConditionZeros:
         mu = ProbabilityMeasure.point_mass(2, 0b11)
         with pytest.raises(ValueError):
             condition_zeros(mu, [0])
+        with pytest.raises(ValueError, match="zero probability"):
+            project_zeros(mu, [0])
+        # a null event is reported before the empty remainder
+        with pytest.raises(ValueError, match="zero probability"):
+            project_zeros(mu, [0, 1])
+        with pytest.raises(ValueError, match="at least one remaining site"):
+            project_zeros(ProbabilityMeasure.point_mass(2, 0), [0, 1])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_projection_is_conditioning_then_gather(self, n):
+        # bit for bit, on exact measures and on their float roundings
+        for mode in MEASURE_MODES:
+            for seed in range(3):
+                exact = normalize(random_measure(seed, n, mode))
+                floats = WeightVector.floats([float(w) for w in exact.weights])
+                for mu in (exact, floats):
+                    for amask in range((1 << n) - 1):
+                        sites = [x for x in range(n) if amask >> x & 1]
+                        try:
+                            cond = condition_zeros(mu, sites)
+                        except ValueError:
+                            with pytest.raises(ValueError, match="zero probability"):
+                                project_zeros(mu, sites)
+                            continue
+                        remaining = tuple(x for x in range(n) if x not in sites)
+                        gathered = [
+                            cond.weights[sum(1 << x for i, x in enumerate(remaining) if s >> i & 1)]
+                            for s in configs(len(remaining))
+                        ]
+                        sub, got = project_zeros(mu, sites)
+                        assert got == remaining
+                        assert (sub.n, sub.mode) == (len(remaining), mu.mode)
+                        assert [repr(w) for w in sub.weights] == [repr(w) for w in gathered]
 
 
 class TestTilt:

@@ -312,6 +312,13 @@ class TestCli:
             (["search", "--system", system, "--target", "association", "--budget", "-1"], "budget"),
             (verify + ["--property", "associated", "--count", "-2"], "count"),
         ]
+        # two-site measures for the one-site system: refused whether or not
+        # they qualify for the property
+        refused += [
+            (verify + ["--property", "associated", "--measures",
+                       doc_file(f"wide{i}.json", {"weights": weights})], "measures[0]")
+            for i, weights in enumerate((["1", "2", "3", "4"], ["4", "1", "1", "4"]))
+        ]
         for argv, name in [(argv, "") for argv in runs] + refused:
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
