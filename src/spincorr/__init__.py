@@ -36,7 +36,6 @@ from .dynamics import (
     path_edges,
     semigroup_apply,
     semigroup_apply_expm,
-    trotter_compose,
 )
 from .three_site import SYSTEMS, ThreeSiteCoords, ThreeSiteVerdicts, classify, margins
 from .harness import (

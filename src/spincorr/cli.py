@@ -15,6 +15,10 @@ import sys
 
 from . import fixtures as fixtures_mod
 from .harness import (
+    DEFAULT_MEASURE_COUNT,
+    DEFAULT_MEASURE_MODE,
+    DEFAULT_PRESERVATION_TILT_BUDGET,
+    DEFAULT_SEARCH_BUDGET,
     DEFAULT_TIME_GRID,
     MEASURE_MODES,
     PROPERTIES,
@@ -308,17 +312,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of times")
     p.add_argument("--measures", default=None,
                    help="JSON file with one measure or an array of measures")
-    p.add_argument("--family", default="lattice", choices=MEASURE_MODES)
-    p.add_argument("--count", type=int, default=20, help="random initial measures to draw")
+    p.add_argument("--family", default=DEFAULT_MEASURE_MODE, choices=MEASURE_MODES)
+    p.add_argument("--count", type=int, default=DEFAULT_MEASURE_COUNT,
+                   help="random initial measures to draw")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=200, help="tilt samples for DCA checks")
+    p.add_argument("--budget", type=int, default=DEFAULT_PRESERVATION_TILT_BUDGET,
+                   help="tilt samples for DCA checks")
     common(p)
     p.set_defaults(func=_cmd_verify_theorem)
 
     p = sub.add_parser("search", help="search for a preservation counterexample")
     p.add_argument("--system", required=True, help="spin-system JSON file")
     p.add_argument("--target", required=True, choices=SEARCH_TARGETS)
-    p.add_argument("--budget", type=int, default=20000,
+    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET,
                    help="cap on derivative and evolution evaluations")
     common(p, tolerance=False)
     p.set_defaults(func=_cmd_search)

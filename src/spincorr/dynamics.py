@@ -196,18 +196,6 @@ class Generator:
         mat.flags.writeable = False
         return mat
 
-    def __add__(self, other: "Generator") -> "Generator":
-        if not isinstance(other, Generator):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError(f"site counts differ: {self.n} vs {other.n}")
-
-        def added(a, b):
-            return tuple(tuple(p + q for p, q in zip(ta, tb)) for ta, tb in zip(a, b))
-
-        a, b = self.rates, other.rates
-        return Generator(RateTable(self.n, added(a.birth, b.birth), added(a.death, b.death)))
-
 
 def build_generator(rates: RateTable) -> Generator:
     """Q(eta, eta with site x flipped) = flip rate; diagonal balances the row."""
@@ -297,27 +285,6 @@ def semigroup_apply_expm(gen: Generator, measure, t) -> ProbabilityMeasure:
     pm = _as_probability(measure)
     kernel = scipy.linalg.expm(gen.matrix * t)
     return ProbabilityMeasure.floats(pm.as_float_array() @ kernel)
-
-
-def uniformized_kernel(gen: Generator, t) -> np.ndarray:
-    """Full transition matrix P_t under uniformization: the identity swept
-    from the left, so row x is the law at time t started from x."""
-    return _poisson_sweep(gen, np.eye(1 << gen.n), _check_time(t), DEFAULT_POISSON_TAIL)
-
-
-def trotter_compose(g1: Generator, g2: Generator, measure, t, steps: int) -> ProbabilityMeasure:
-    """[S1(t/m) S2(t/m)]^m acting on a measure; converges to the semigroup
-    of g1 + g2 with first-order error in 1/m."""
-    if g1.n != g2.n:
-        raise ValueError(f"site counts differ: {g1.n} vs {g2.n}")
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    dt = _check_time(t) / steps
-    pm = _as_probability(measure)
-    for _ in range(steps):
-        pm = semigroup_apply(g1, pm, dt)
-        pm = semigroup_apply(g2, pm, dt)
-    return pm
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +436,6 @@ class EventPolynomial:
 
     def event_probabilities(self, weights) -> list:
         return [sum(weights[c] for c in event) for event in self.events]
-
-    def value(self, weights):
-        p11, p00, p10, p01 = self.event_probabilities(weights)
-        return p11 * p00 - p10 * p01
 
 
 def association_determinant_poly(n: int, x: int, y: int, zero_sites=()) -> EventPolynomial:

@@ -52,8 +52,11 @@ from .three_site import ThreeSiteCoords, classify
 from .tilts import TiltFunction, dca_falsify
 
 DEFAULT_TIME_GRID = (0.1, 0.5, 1.0, 2.0)
+DEFAULT_MEASURE_MODE = "lattice"
+DEFAULT_MEASURE_COUNT = 20
+DEFAULT_PRESERVATION_TILT_BUDGET = 200
+DEFAULT_SEARCH_BUDGET = 20000
 LATTICE_REJECTION_BUDGET = 5000
-BIRTH_REJECTION_BUDGET = 5000
 REVERIFY_TAIL = 1e-16
 
 MEASURE_MODES = ("generic", "strictly-positive", "lattice", "product")
@@ -130,9 +133,10 @@ def random_measure(seed: int, n: int, mode: str = "generic") -> WeightVector:
     raise ValueError(f"unknown measure mode {mode!r}; known: {MEASURE_MODES}")
 
 
-def random_increasing_table(rng: random.Random, n: int, denominator: int = 8, top: int = 24):
-    """Random increasing nonnegative function via monotone closure."""
-    out = [Fraction(rng.randrange(0, top + 1), denominator) for _ in configs(n)]
+def random_increasing_table(rng: random.Random, n: int):
+    """Random increasing function with values in {0, 1/8, ..., 3}, via
+    monotone closure."""
+    out = [Fraction(rng.randrange(0, 25), 8) for _ in configs(n)]
     # pairs come in ascending order of the lower config, so out[lo] is
     # final (the maximum below lo) before it is pushed up
     for lo, hi in single_bit_pairs(n):
@@ -162,18 +166,6 @@ def random_spin_system(seed: int, n: int, kind: str = "generic") -> RateTable:
         death = [Fraction(rng.randrange(1, 17), 8) for _ in range(n)]
         return RateTable.independent_flips(n, birth, death)
     raise ValueError(f"unknown system kind {kind!r}")
-
-
-def random_single_site_birth(seed: int, n: int, site: int) -> RateTable:
-    """Single-site birth system whose rate table is increasing and
-    submodular, found by rejection."""
-    rng = _rng(seed, n, salt=101 + site)
-    for _ in range(BIRTH_REJECTION_BUDGET):
-        values = random_increasing_table(rng, n, denominator=4, top=12)
-        table = RateTable.single_site_birth(n, site, values)
-        if birth_submodularity(table).holds:
-            return table
-    raise BudgetError(f"no increasing submodular table found in {BIRTH_REJECTION_BUDGET} draws")
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +272,7 @@ def evaluate_property(
     measure,
     *,
     tolerance=None,
-    tilt_budget: int = 200,
+    tilt_budget: int = DEFAULT_PRESERVATION_TILT_BUDGET,
     tilt_seed: int = 0,
 ) -> PropertyReport:
     if name == "associated":
@@ -327,15 +319,17 @@ class ExperimentSpec:
     property: str
     times: tuple[float, ...] = DEFAULT_TIME_GRID
     seed: int = 0
-    measure_mode: str = "lattice"
-    measure_count: int = 20
+    measure_mode: str = DEFAULT_MEASURE_MODE
+    measure_count: int = DEFAULT_MEASURE_COUNT
     measures: tuple[WeightVector, ...] | None = None
     tolerance: float = DEFAULT_FLOAT_TOLERANCE
-    tilt_budget: int = 200
+    tilt_budget: int = DEFAULT_PRESERVATION_TILT_BUDGET
 
     def __post_init__(self):
         if self.property not in PROPERTIES:
             raise ValueError(f"unknown property {self.property!r}")
+        if self.measures is not None and not self.measures:
+            raise ValueError("measures must hold at least one measure")
         if self.measure_count < 0:
             raise ValueError(f"measure count must be nonnegative, got {self.measure_count}")
         if self.tilt_budget < 0:
@@ -480,7 +474,9 @@ def _search_plan(target: str, n: int):
     raise ValueError(f"unknown search target {target!r}; known: {SEARCH_TARGETS}")
 
 
-def search_counterexample(target: str, system: RateTable, budget: int = 20000) -> SearchOutcome:
+def search_counterexample(
+    target: str, system: RateTable, budget: int = DEFAULT_SEARCH_BUDGET
+) -> SearchOutcome:
     """Search for an initial measure and time at which the evolved measure
     violates the target property.
 

@@ -36,6 +36,8 @@ def validate_site_count(n: int) -> None:
 
 
 def validate_site(x, n: int) -> None:
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"site {x!r} is not an integer")
     if not 0 <= x < n:
         raise ValueError(f"site {x!r} out of range for {n} sites")
 

@@ -107,9 +107,6 @@ class WeightVector:
     def total(self):
         return sum(self.weights)
 
-    def scaled(self, factor) -> "WeightVector":
-        return WeightVector(self.n, tuple(w * factor for w in self.weights), self.mode)
-
     def as_float_array(self) -> np.ndarray:
         """float64 weights; an exact weight rounds once, p / q as ints."""
         if self.mode == EXACT:
@@ -134,17 +131,6 @@ class ProbabilityMeasure(WeightVector):
                 raise ValueError(f"exact measure must sum to 1, got {self.total}")
         elif abs(self.total - 1.0) > FLOAT_NORMALIZATION_SLACK:
             raise ValueError(f"float measure sums to {self.total!r}, outside 1e-12 of 1")
-
-    @classmethod
-    def point_mass(cls, n: int, config: int) -> "ProbabilityMeasure":
-        weights = [Fraction(0)] * (1 << n)
-        weights[config] = Fraction(1)
-        return cls(n, tuple(weights), EXACT)
-
-    @classmethod
-    def uniform(cls, n: int) -> "ProbabilityMeasure":
-        w = Fraction(1, 1 << n)
-        return cls(n, (w,) * (1 << n), EXACT)
 
     @classmethod
     def product(cls, ones_probabilities) -> "ProbabilityMeasure":

@@ -89,9 +89,6 @@ class ThreeSiteCoords:
             out[mask] = getattr(self, name)
         return tuple(out)
 
-    def scaled(self, factor) -> "ThreeSiteCoords":
-        return ThreeSiteCoords(*(getattr(self, name) * factor for name in COORD_NAMES))
-
 
 def margins(coords: ThreeSiteCoords, system: str):
     """The three slacks (lhs - rhs) of one inequality system.

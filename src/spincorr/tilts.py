@@ -28,7 +28,7 @@ from math import lcm
 
 import numpy as np
 
-from .lattice import configs, lattice_pairs, single_bit_pairs, validate_site, validate_site_count
+from .lattice import configs, validate_site, validate_site_count
 from .measures import (
     EXACT,
     FAILS,
@@ -109,27 +109,6 @@ def conditioning_tilt(n: int, sites, eps) -> TiltFunction:
     factor = eps / (1 + eps)
     site_factors = tuple(factor if x in sites else Fraction(1) for x in range(n))
     return TiltFunction(n, site_factors, (), label=f"conditioning-{sorted(sites)}-eps={eps}")
-
-
-def tilt_table_is_valid(values, n: int, tolerance: float = 0.0):
-    """Direct check of an arbitrary table: positive, decreasing, and
-    log-supermodular (h(or)*h(and) >= h(eta)*h(zeta) over all pairs).
-    Returns (ok, reason)."""
-    vals = list(values)
-    if len(vals) != 1 << n:
-        return False, f"expected {1 << n} values"
-    if any(not v > 0 for v in vals):
-        return False, "not strictly positive"
-    for lo, hi in single_bit_pairs(n):
-        if vals[hi] - vals[lo] > tolerance * max(abs(vals[lo]), 1):
-            return False, f"not decreasing at pair ({lo}, {hi})"
-    # every incomparable pair, not only the squares: a tolerance granted on
-    # each square compounds along a far pair, so squares would accept more
-    for a, b in lattice_pairs(n, strictly_positive=False):
-        slack = vals[a & b] * vals[a | b] - vals[a] * vals[b]
-        if slack < -tolerance * max(abs(vals[a] * vals[b]), 1):
-            return False, f"supermodularity fails at pair ({a}, {b})"
-    return True, None
 
 
 @dataclass

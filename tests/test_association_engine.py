@@ -152,7 +152,7 @@ class TestCertification:
         cases = [ProbabilityMeasure.product([Fraction(97 * (i + 1), 3 * 7 * 11 * 13)
                                              for i in range(n)]) for n in (4, 5)]
         # a point mass is the product with every site probability 0 or 1
-        cases.append(ProbabilityMeasure.point_mass(5, 0b00101))
+        cases.append(ProbabilityMeasure.product([1, 0, 1, 0, 0]))
         for measure in cases:
             report = is_associated(measure)
             assert report.holds

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from oracles import generator_sum, point_mass, random_single_site_birth
 
 from spincorr import harness
 from spincorr.dynamics import (
@@ -21,7 +22,6 @@ from spincorr.harness import (
     derangement_measure,
     implication_gap_measures,
     random_measure,
-    random_single_site_birth,
     search_counterexample,
     supermodular_single_birth,
     verify_preservation,
@@ -169,7 +169,7 @@ class TestVerifyPreservation:
             system=contact_process(path_edges(4)),
             property="downward-fkg",
             times=(0.1, 1.0),
-            measures=(WeightVector(4, ProbabilityMeasure.point_mass(4, 0b1111).weights),),
+            measures=(WeightVector(4, point_mass(4, 0b1111).weights),),
         )
         outcome = verify_preservation(spec)
         assert outcome.hypotheses_satisfied
@@ -194,6 +194,13 @@ class TestVerifyPreservation:
             [float(w) for w in map(float, outcome.witness["evolved_weights"])]
         )
         assert is_associated(evolved).fails
+
+    def test_empty_measure_list_refused(self):
+        # an explicit empty list checks nothing; a count of 0 draws nothing
+        with pytest.raises(ValueError, match="at least one measure"):
+            ExperimentSpec(system=crossed_birth_pair(), property="associated", measures=())
+        spec = ExperimentSpec(system=crossed_birth_pair(), property="associated", measure_count=0)
+        assert verify_preservation(spec).summary == "no-qualifying-measures"
 
     def test_unqualified_measures_are_skipped(self):
         gap1, _ = implication_gap_measures(Fraction(1, 100))
@@ -241,7 +248,7 @@ class TestVerifyPreservation:
         # condition, and so does their sum
         corner = corner_flip_system(3)
         constant = RateTable.independent_flips(3, (1, 1, 1), (1, 1, 1))
-        gen = build_generator(corner) + build_generator(constant)
+        gen = generator_sum(build_generator(corner), build_generator(constant))
         for seed in range(4):
             mu = normalize(random_measure(seed, 3, "lattice"))
             for t in (0.2, 1.0):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import uniform
 from test_measures import covariance
 
 from spincorr.harness import evaluate_property, random_increasing_table, random_measure
@@ -130,7 +131,7 @@ class TestEnumerateUpSets:
             with pytest.raises(BudgetError, match=limit):
                 check()
         # the lattice condition still decides six sites
-        assert satisfies_lattice(ProbabilityMeasure.uniform(6)).holds
+        assert satisfies_lattice(uniform(6)).holds
         assert satisfies_lattice(mu).fails
 
     def test_membership_matrix_matches_masks(self):

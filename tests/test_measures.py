@@ -1,9 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import point_mass, scaled, uniform
 
 from spincorr.harness import (
     MEASURE_MODES,
@@ -75,7 +77,7 @@ class TestNormalize:
 
     def test_scale_invariance(self):
         w = random_measure(3, 3, "generic")
-        assert normalize(w.scaled(7)) == normalize(w)
+        assert normalize(scaled(w, 7)) == normalize(w)
 
     def test_zero_total_rejected(self):
         with pytest.raises(ValueError):
@@ -113,7 +115,7 @@ class TestAsFloatArray:
 
 class TestExpectationCovariance:
     def test_bernoulli_half_variance(self):
-        mu = ProbabilityMeasure.uniform(1)
+        mu = uniform(1)
         f = [0, 1]
         assert covariance(mu, f, f) == Fraction(1, 4)
 
@@ -180,7 +182,7 @@ class TestIsAssociated:
 
     def test_homogeneity(self):
         w = random_measure(11, 3, "generic")
-        assert is_associated(w).verdict == is_associated(w.scaled(7)).verdict
+        assert is_associated(w).verdict == is_associated(scaled(w, 7)).verdict
 
     def test_float_mode_agrees_with_exact(self):
         for seed in range(20):
@@ -216,7 +218,7 @@ class TestSatisfiesLattice:
 
     def test_homogeneity(self):
         w = random_measure(5, 3, "strictly-positive")
-        assert satisfies_lattice(w).verdict == satisfies_lattice(w.scaled(7)).verdict
+        assert satisfies_lattice(w).verdict == satisfies_lattice(scaled(w, 7)).verdict
 
     def test_sparse_sweep_catches_complement_pair(self):
         # strictly positive two-site determinants but a complementary pair violation
@@ -247,7 +249,7 @@ class TestConditionZeros:
         assert sub.weights == derangement_measure(2).weights
 
     def test_zero_probability_event_rejected(self):
-        mu = ProbabilityMeasure.point_mass(2, 0b11)
+        mu = point_mass(2, 0b11)
         with pytest.raises(ValueError):
             condition_zeros(mu, [0])
         with pytest.raises(ValueError, match="zero probability"):
@@ -256,7 +258,24 @@ class TestConditionZeros:
         with pytest.raises(ValueError, match="zero probability"):
             project_zeros(mu, [0, 1])
         with pytest.raises(ValueError, match="at least one remaining site"):
-            project_zeros(ProbabilityMeasure.point_mass(2, 0), [0, 1])
+            project_zeros(point_mass(2, 0), [0, 1])
+
+    @pytest.mark.parametrize("site", [1.5, 0.0, True])
+    def test_non_integer_sites_refused(self, site):
+        # a float used to fail in a shift with a TypeError; True was site 1
+        mu = normalize(random_measure(1, 3, "strictly-positive"))
+        with pytest.raises(ValueError, match=f"site {site!r} is not an integer"):
+            project_zeros(mu, [site])
+
+    def test_witness_with_non_integer_conditioned_site_refused(self):
+        _, gap2 = implication_gap_measures(EPS)
+        mu = normalize(gap2)
+        report = is_downward_fkg(mu)
+        assert report.fails and report.witness["conditioned_sites"]
+        site = report.witness["conditioned_sites"][0]
+        forged = dict(report.witness, conditioned_sites=[float(site)])
+        with pytest.raises(ValueError, match=f"site {float(site)!r} is not an integer"):
+            reverify_witness(mu, replace(report, witness=forged))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_projection_is_conditioning_then_gather(self, n):
@@ -310,7 +329,7 @@ class TestTilt:
         assert distance(Fraction(1, 10**6)) < distance(Fraction(1, 10**3))
 
     def test_nonpositive_tilt_rejected(self):
-        mu = ProbabilityMeasure.uniform(2)
+        mu = uniform(2)
         with pytest.raises(ValueError):
             tilt(mu, [1, 1, 0, 1])
 
@@ -332,7 +351,7 @@ class TestIsDownwardFkg:
             assert is_downward_fkg(mu).holds
 
     def test_zero_mass_conditionings_skipped(self):
-        mu = ProbabilityMeasure.point_mass(3, 0b111)
+        mu = point_mass(3, 0b111)
         report = is_downward_fkg(mu)
         assert report.holds
         assert report.details["subsets_skipped"] == 7

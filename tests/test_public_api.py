@@ -5,9 +5,10 @@ A name imported by ``spincorr/__init__.py``, and every module-level
 function or class of the package whose name does not start with an
 underscore, must be referenced, as a name or an attribute, in a module of
 the package other than ``__init__.py`` or in the benchmark
-(``perfbench/``).  A definition is not a reference, and neither is an
-import.  ``EXEMPT`` lists the helpers that only the acceptance suite
-(``tests/test_acceptance.py``) calls.
+(``perfbench/``).  Every public method, classmethod and property of a
+class of the package must be read as an attribute there.  A definition is
+not a reference, and neither is an import.  Helpers that only the tests
+need live in the tests (``tests/oracles.py``).
 """
 
 import ast
@@ -15,15 +16,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "spincorr"
-EXEMPT = {
-    # criterion 7 (numerical stack): first-order splitting of two generators
-    "trotter_compose",
-    # criterion 8 (single-site kernel facts): the systems, their kernels,
-    # and the check that an evolved tilt is still a valid tilt
-    "random_single_site_birth",
-    "uniformized_kernel",
-    "tilt_table_is_valid",
-}
+
+
+def parsed_package():
+    paths = sorted(PACKAGE.glob("*.py"))
+    return [(path, ast.parse(path.read_text(encoding="utf-8"))) for path in paths]
 
 
 def exported_names():
@@ -40,29 +37,47 @@ def defined_names():
     """Public module-level functions and classes, by module."""
     return [
         (path.stem, node.name)
-        for path in sorted(PACKAGE.glob("*.py"))
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        for path, tree in parsed_package()
+        for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     ]
 
 
-def referenced_names():
+def method_names():
+    """Public methods, classmethods and properties, by module and class."""
+    return [
+        (path.stem, cls.name, node.name)
+        for path, tree in parsed_package()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+
+
+def referencing_nodes():
     sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     sources += (ROOT / "perfbench").glob("*.py")
-    names = set()
     for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
+        yield from ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def referenced_names():
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in referencing_nodes()
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def accessed_attributes():
+    return {node.attr for node in referencing_nodes() if isinstance(node, ast.Attribute)}
 
 
 def test_every_export_has_a_caller():
     exported = exported_names()
     assert len(exported) > 40
-    referenced = referenced_names() | EXEMPT
+    referenced = referenced_names()
     unused = [name for name in exported if name not in referenced]
     assert not unused, f"exported but never referenced outside the tests: {unused}"
 
@@ -70,6 +85,14 @@ def test_every_export_has_a_caller():
 def test_every_public_definition_has_a_caller():
     defined = defined_names()
     assert len(defined) > 80
-    referenced = referenced_names() | EXEMPT
+    referenced = referenced_names()
     unused = [f"{module}.{name}" for module, name in defined if name not in referenced]
     assert not unused, f"defined but never referenced outside the tests: {unused}"
+
+
+def test_every_public_method_has_a_caller():
+    methods = method_names()
+    assert len(methods) > 25
+    accessed = accessed_attributes()
+    unused = [f"{module}.{cls}.{name}" for module, cls, name in methods if name not in accessed]
+    assert not unused, f"methods never accessed outside the tests: {unused}"

@@ -319,6 +319,11 @@ class TestCli:
                        doc_file(f"wide{i}.json", {"weights": weights})], "measures[0]")
             for i, weights in enumerate((["1", "2", "3", "4"], ["4", "1", "1", "4"]))
         ]
+        # an empty array of measures would check nothing
+        refused.append(
+            (verify + ["--property", "associated", "--measures", doc_file("none.json", [])],
+             "at least one measure")
+        )
         for argv, name in [(argv, "") for argv in runs] + refused:
             assert main(argv) == 2, argv
             err = capsys.readouterr().err

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import scaled_coords
 
 from spincorr.harness import derangement_measure, implication_gap_measures, random_measure
 from spincorr.measures import is_associated, is_downward_fkg, normalize, satisfies_lattice
@@ -50,7 +51,7 @@ class TestMargins:
     @settings(max_examples=40)
     def test_scale_invariance_of_verdicts(self, seed, factor):
         coords = coords_from_seed(seed)
-        scaled = coords.scaled(Fraction(factor))
+        scaled = scaled_coords(coords, Fraction(factor))
         for system in SYSTEMS:
             original = [slack for _, slack in margins(coords, system)]
             blown = [slack for _, slack in margins(scaled, system)]

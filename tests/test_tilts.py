@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
+from oracles import tilt_table_is_valid
 
 from spincorr.harness import derangement_measure, implication_gap_measures, random_measure
 from spincorr.measures import (
@@ -21,7 +22,6 @@ from spincorr.tilts import (
     conditioning_tilt,
     dca_falsify,
     reverify_tilt_witness,
-    tilt_table_is_valid,
 )
 
 EPS = Fraction(1, 100)
