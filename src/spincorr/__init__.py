@@ -37,7 +37,7 @@ from .dynamics import (
     semigroup_apply,
     semigroup_apply_expm,
 )
-from .three_site import SYSTEMS, ThreeSiteCoords, ThreeSiteVerdicts, classify, margins
+from .three_site import COORDINATES, SYSTEMS, classify, margins
 from .harness import (
     ExperimentOutcome,
     ExperimentSpec,

@@ -40,7 +40,7 @@ from .dynamics import (
     semigroup_apply,
 )
 from .lattice import BudgetError
-from .measures import DEFAULT_FLOAT_TOLERANCE, normalize
+from .measures import DEFAULT_FLOAT_TOLERANCE, WeightVector, normalize
 from .serialize import (
     dumps,
     envelope,
@@ -55,11 +55,11 @@ from .serialize import (
     search_outcome_to_dict,
 )
 from .three_site import (
-    COORD_NAMES,
+    COORDINATES,
     SYSTEMS,
-    ThreeSiteCoords,
     classify,
     complement_products,
+    from_coordinates,
     margins,
 )
 
@@ -179,41 +179,41 @@ def _cmd_evolve(args) -> int:
     return 0
 
 
-def _coords_from_dict(doc: dict) -> ThreeSiteCoords:
-    """Named coordinates a, b1, ..., d as exact rationals."""
-    for name in COORD_NAMES:
+def _coords_from_dict(doc: dict) -> WeightVector:
+    """Named coordinates a, b1, ..., d as an exact three-site WeightVector."""
+    for name in COORDINATES:
         if name not in doc:
             raise ValueError(f"named coordinates are missing {name!r}")
-    return ThreeSiteCoords(**{name: parse_rational(doc[name], name) for name in COORD_NAMES})
+    return from_coordinates(**{name: parse_rational(doc[name], name) for name in COORDINATES})
 
 
 def _cmd_classify3(args) -> int:
     doc = load_json(args.input)
     if isinstance(doc, dict) and "a" in doc and "weights" not in doc:
-        coords = _coords_from_dict(doc)
+        measure = _coords_from_dict(doc)
     else:
         vector = measure_from_dict(doc)
         if vector.n != 3:
             raise ValueError(f"classify3 needs a three-site measure, got n={vector.n}")
-        coords = ThreeSiteCoords.from_weights(vector.as_fractions())
-    verdicts = classify(coords)
+        measure = WeightVector(3, vector.as_fractions())
+    verdicts = classify(measure)
     body = {
         "input": args.input,
-        "verdicts": verdicts.as_dict(),
+        "verdicts": verdicts,
         "margins": {
             system: {
                 str(site): rational_str(slack, f"margins.{system}.{site}")
-                for site, slack in margins(coords, system)
+                for site, slack in margins(measure, system)
             }
             for system in SYSTEMS
         },
         "complement_products": {
             str(site): rational_str(slack, f"complement_products.{site}")
-            for site, slack in complement_products(coords)
+            for site, slack in complement_products(measure)
         },
     }
     _emit(args, envelope("classify3", body))
-    return _assert_exit(args.asserts, verdicts.as_dict())
+    return _assert_exit(args.asserts, verdicts)
 
 
 def _cmd_verify_theorem(args) -> int:

@@ -86,6 +86,7 @@ class RateTable:
 
     @classmethod
     def from_site_functions(cls, n: int, birth_fn, death_fn) -> "RateTable":
+        validate_site_count(n)
         birth = [[birth_fn(x, c) for c in configs(n)] for x in range(n)]
         death = [[death_fn(x, c) for c in configs(n)] for x in range(n)]
         return cls.from_tables(birth, death)
@@ -93,6 +94,7 @@ class RateTable:
     @classmethod
     def independent_flips(cls, n: int, births, deaths) -> "RateTable":
         """Constant rates per site: every spin flips on its own."""
+        validate_site_count(n)
         births = [as_fraction(b) for b in births]
         deaths = [as_fraction(d) for d in deaths]
         if len(births) != n or len(deaths) != n:
@@ -106,6 +108,7 @@ class RateTable:
     @classmethod
     def single_site_birth(cls, n: int, site: int, values) -> "RateTable":
         """All rates zero except the birth rate at one site."""
+        validate_site_count(n)
         validate_site(site, n)
         size = 1 << n
         zero = [Fraction(0)] * size

@@ -48,7 +48,7 @@ from .measures import (
     is_downward_fkg,
     satisfies_lattice,
 )
-from .three_site import ThreeSiteCoords, classify
+from .three_site import classify, from_coordinates
 from .tilts import TiltFunction, dca_falsify
 
 DEFAULT_TIME_GRID = (0.1, 0.5, 1.0, 2.0)
@@ -245,22 +245,19 @@ def implication_gap_measures(eps) -> tuple[WeightVector, WeightVector]:
     if not 0 < eps < Fraction(1, 36):
         raise ValueError(f"eps must lie in (0, 1/36), got {eps}")
     sixth = Fraction(1, 6)
-    first = ThreeSiteCoords(
+    first = from_coordinates(
         a=sixth, b1=sixth, b2=sixth, b3=sixth, c1=eps, c2=eps, c3=eps, d=Fraction(1, 3)
     )
-    second = ThreeSiteCoords(
+    second = from_coordinates(
         a=Fraction(1, 3), b1=eps, b2=eps, b3=eps, c1=sixth, c2=sixth, c3=sixth, d=sixth
     )
     v1 = classify(first)
     v2 = classify(second)
-    if not (v1.dca and v1.associated and not v1.lattice):
+    if not (v1["dca"] and v1["associated"] and not v1["lattice"]):
         raise ValueError(f"eps={eps} gives unintended verdicts for the first measure: {v1}")
-    if not (v2.associated and not v2.downward_fkg and not v2.lattice):
+    if not (v2["associated"] and not v2["downward_fkg"] and not v2["lattice"]):
         raise ValueError(f"eps={eps} gives unintended verdicts for the second measure: {v2}")
-    return (
-        WeightVector.exact(first.to_weights()),
-        WeightVector.exact(second.to_weights()),
-    )
+    return first, second
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ class BudgetError(RuntimeError):
 
 
 def validate_site_count(n: int) -> None:
-    if not isinstance(n, int) or not 1 <= n <= MAX_SITES:
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_SITES:
         raise ValueError(f"site count must be an integer in [1, {MAX_SITES}], got {n!r}")
 
 

@@ -295,13 +295,23 @@ def _sweep_tables(n: int):
     return matrix, masks, lower, blocks
 
 
-def _pair_covariances(n: int, weights: np.ndarray):
+def _null_up_sets(n: int, support) -> np.ndarray:
+    """Mask of the up-sets of probability 0 or 1 under a measure whose
+    support is the boolean vector ``support``.  Such an up-set has
+    covariance exactly 0 with every up-set, whatever the rounding says."""
+    in_support = _sweep_tables(n)[0] @ np.asarray(support, dtype=np.float64)
+    return (in_support == 0) | (in_support == in_support[-1])
+
+
+def _pair_covariances(n: int, weights: np.ndarray, null: np.ndarray):
     """Float64 mu(U & V) - mu(U) mu(V) for up-set pairs, a chunk of rows at a time.
 
-    ``weights`` is one measure, a vector of length 2^n.  Returns
-    ``rows(lo, hi)``, whose entry [i - lo, j - lo] belongs to the pair
-    (i, j) for lo <= i < hi and j >= lo; entries with j < i are +inf.  Each
-    chunk is one GEMM, [M*w | -p] @ [M | p]^T with p = M @ w.
+    ``weights`` is one measure, a vector of length 2^n, and ``null`` its
+    ``_null_up_sets``.  Returns ``rows(lo, hi)``, whose entry
+    [i - lo, j - lo] belongs to the pair (i, j) for lo <= i < hi and
+    j >= lo; entries with j < i, and the rows and columns of null up-sets,
+    are +inf.  Each chunk is one GEMM, [M*w | -p] @ [M | p]^T with
+    p = M @ w.
     """
     matrix, _, lower, _ = _sweep_tables(n)
     p = weights @ matrix.T
@@ -312,6 +322,8 @@ def _pair_covariances(n: int, weights: np.ndarray):
         h = hi - lo
         values = left[lo:hi] @ right[lo:].T
         np.copyto(values[:, :h], np.inf, where=lower[:h, :h])
+        values[:, null[lo:]] = np.inf
+        values[null[lo:hi]] = np.inf
         return values
 
     return rows
@@ -319,10 +331,15 @@ def _pair_covariances(n: int, weights: np.ndarray):
 
 def _float_sweep(n: int, weights: np.ndarray, tolerance: float):
     """Float sweep with violations below -tolerance, by the block rule of
-    ``is_associated``.  Returns (margin, violation pair or None, pairs)."""
+    ``is_associated``.  Null up-sets are screened as in ``_exact_sweep``,
+    so the margin is the minimum of 0.0 (the full up-set's exact value)
+    and the values swept.  Returns (margin, violation pair or None, pairs)."""
     *_, blocks = _sweep_tables(n)
-    rows = _pair_covariances(n, weights)
-    best = None
+    null = _null_up_sets(n, weights > 0)
+    if null.all():
+        return 0.0, None, sum(pairs for pairs, _ in blocks)
+    rows = _pair_covariances(n, weights, null)
+    best = 0.0
     violation = None
     checked = 0
     for pairs, chunks in blocks:
@@ -330,7 +347,7 @@ def _float_sweep(n: int, weights: np.ndarray, tolerance: float):
         for lo, hi in chunks:
             values = rows(lo, hi)
             chunk_min = float(values.min())
-            best = chunk_min if best is None else min(best, chunk_min)
+            best = min(best, chunk_min)
             if violation is None and chunk_min < -tolerance:
                 flat = int((values.ravel() < -tolerance).argmax())
                 violation = lo + flat // values.shape[1], lo + flat % values.shape[1]
@@ -373,24 +390,20 @@ def _exact_sweep(n: int, weights):
     the bound finds them.  Returns (numerator of the margin, violation pair
     or None, pairs, T); the margin is numerator / T^2.
     """
-    matrix, masks, _, blocks = _sweep_tables(n)
+    _, masks, _, blocks = _sweep_tables(n)
     membership = up_set_matrix(n)
     ints, total = _weights_to_ints(weights)
     exact_weights = np.array(ints, dtype=object)
-    support = [a > 0 for a in ints]
-    in_support = matrix @ np.array(support, dtype=np.float64)
-    null = (in_support == 0) | (in_support == sum(support))
+    null = _null_up_sets(n, [a > 0 for a in ints])
     if null.all():
         return 0, None, sum(pairs for pairs, _ in blocks), total
     bound = (2**n + 2) * 2.0**-50
     sums = np.zeros(len(masks), dtype=object)
     known = np.zeros(len(masks), dtype=bool)
-    rows = _pair_covariances(n, np.array([a / total for a in ints]))
+    rows = _pair_covariances(n, np.array([a / total for a in ints]), null)
 
     def screened(lo, hi):
         values = rows(lo, hi)
-        values[:, null[lo:]] = np.inf
-        values[null[lo:hi]] = np.inf
         return values.ravel(), values.shape[1]
 
     def exact(lo, flat, ncols):
@@ -594,11 +607,14 @@ def _up_set_pair_covariance(weights, witness):
 def reverify_witness(measure, report: PropertyReport):
     """Re-evaluate a failing report's witness constraint, exactly.
 
-    Float weights convert through their exact binary values, so the
-    returned Fraction is a true statement about the serialized measure.
+    Float weights convert through their exact binary values and the
+    measure is then normalized exactly, so the returned Fraction is a true
+    statement about the serialized measure: a float total a few ulps off 1
+    cannot turn an identically zero covariance negative.
     """
     pm = _as_probability(measure)
-    w = pm.as_fractions()
+    pm = normalize(WeightVector(pm.n, pm.as_fractions()))
+    w = pm.weights
     witness = report.witness
     if witness is None:
         raise ValueError("report carries no witness")
@@ -612,5 +628,5 @@ def reverify_witness(measure, report: PropertyReport):
         sub, remaining = project_zeros(pm, witness["conditioned_sites"])
         if list(remaining) != list(witness["remaining_sites"]):
             raise ValueError("witness site bookkeeping does not match the measure")
-        return _up_set_pair_covariance(sub.as_fractions(), witness)
+        return _up_set_pair_covariance(sub.weights, witness)
     raise ValueError(f"no witness re-evaluation rule for property {prop!r}")

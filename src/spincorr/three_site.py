@@ -21,84 +21,57 @@ all weights are positive but are needed on the boundary, where a measure
 supported on two complementary configurations slips past the two-site
 determinants).
 
-Everything is scale invariant, so unnormalized weights are fine, and all
-formulas evaluate exactly on Fractions (floats also work, for measures
-produced by the dynamics; callers then apply a tolerance to the slacks).
+Every function takes a three-site ``WeightVector`` and refuses any other
+site count.  The weights are read by the paper's names (``COORDINATES``):
+a on 111, b_i with the unique 0 at site i, c_i with the unique 1 at site
+i, d on 000 (sites numbered 1..3).  Everything is scale invariant, so
+unnormalized weights are fine, and all formulas evaluate exactly on
+Fractions (floats also work, for measures produced by the dynamics;
+callers then apply a tolerance to the slacks).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from .measures import WeightVector
 
 SYSTEMS = ("cov-prod", "cov-any", "cov-pair", "det-zero-slice", "det-one-slice")
 
-# configuration mask per coordinate name, bit i = site i
-_COORD_CONFIGS = {
-    "d": 0b000,
+# configuration mask per coordinate name, bit i = site i + 1
+COORDINATES = {
+    "a": 0b111,
+    "b1": 0b110,
+    "b2": 0b101,
+    "b3": 0b011,
     "c1": 0b001,
     "c2": 0b010,
-    "b3": 0b011,
     "c3": 0b100,
-    "b2": 0b101,
-    "b1": 0b110,
-    "a": 0b111,
+    "d": 0b000,
 }
 
-COORD_NAMES = ("a", "b1", "b2", "b3", "c1", "c2", "c3", "d")
+
+def from_coordinates(**values) -> WeightVector:
+    """The exact three-site WeightVector with the named weights."""
+    weights = [None] * 8
+    for name, mask in COORDINATES.items():
+        weights[mask] = values[name]
+    return WeightVector(3, tuple(weights))
 
 
-@dataclass(frozen=True)
-class ThreeSiteCoords:
-    """Named weights: a on 111, b_i with the unique 0 at site i, c_i with
-    the unique 1 at site i, d on 000 (sites numbered 1..3)."""
-
-    a: Fraction
-    b1: Fraction
-    b2: Fraction
-    b3: Fraction
-    c1: Fraction
-    c2: Fraction
-    c3: Fraction
-    d: Fraction
-
-    def __post_init__(self):
-        for name in COORD_NAMES:
-            value = getattr(self, name)
-            if not isinstance(value, float):
-                object.__setattr__(self, name, Fraction(value))
-            if getattr(self, name) < 0:
-                raise ValueError(f"coordinate {name} must be nonnegative, got {value!r}")
-        if not self.total > 0:
-            raise ValueError("total weight must be positive")
-
-    @property
-    def total(self):
-        return sum(getattr(self, name) for name in COORD_NAMES)
-
-    @classmethod
-    def from_weights(cls, weights) -> "ThreeSiteCoords":
-        weights = list(weights)
-        if len(weights) != 8:
-            raise ValueError(f"expected 8 weights, got {len(weights)}")
-        return cls(**{name: weights[mask] for name, mask in _COORD_CONFIGS.items()})
-
-    def to_weights(self) -> tuple:
-        out = [None] * 8
-        for name, mask in _COORD_CONFIGS.items():
-            out[mask] = getattr(self, name)
-        return tuple(out)
+def _coordinates(measure: WeightVector):
+    """(a, (b1, b2, b3), (c1, c2, c3), d) of a three-site measure."""
+    if measure.n != 3:
+        raise ValueError(f"three-site closed forms need 3 sites, got n={measure.n}")
+    a, b1, b2, b3, c1, c2, c3, d = (measure.weights[mask] for mask in COORDINATES.values())
+    return a, (b1, b2, b3), (c1, c2, c3), d
 
 
-def margins(coords: ThreeSiteCoords, system: str):
+def margins(measure: WeightVector, system: str):
     """The three slacks (lhs - rhs) of one inequality system.
 
     Slack i is indexed by the distinguished site i in 1..3 (for
     ``cov-pair``, the covariance of the two sites other than i).
     """
-    a, d = coords.a, coords.d
-    b = (coords.b1, coords.b2, coords.b3)
-    c = (coords.c1, coords.c2, coords.c3)
+    a, b, c, d = _coordinates(measure)
     out = []
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
@@ -118,47 +91,30 @@ def margins(coords: ThreeSiteCoords, system: str):
     return tuple(out)
 
 
-def system_holds(coords: ThreeSiteCoords, system: str, tolerance=0) -> bool:
-    return all(slack >= -tolerance for _, slack in margins(coords, system))
+def system_holds(measure: WeightVector, system: str, tolerance=0) -> bool:
+    return all(slack >= -tolerance for _, slack in margins(measure, system))
 
 
-def complement_products(coords: ThreeSiteCoords):
+def complement_products(measure: WeightVector):
     """Slacks a*d - b_i*c_i for the three complementary configuration pairs."""
-    b = (coords.b1, coords.b2, coords.b3)
-    c = (coords.c1, coords.c2, coords.c3)
-    return tuple((i + 1, coords.a * coords.d - b[i] * c[i]) for i in range(3))
+    a, b, c, d = _coordinates(measure)
+    return tuple((i + 1, a * d - b[i] * c[i]) for i in range(3))
 
 
-@dataclass(frozen=True)
-class ThreeSiteVerdicts:
-    lattice: bool
-    dca: bool
-    downward_fkg: bool
-    associated: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "lattice": self.lattice,
-            "dca": self.dca,
-            "downward_fkg": self.downward_fkg,
-            "associated": self.associated,
-        }
-
-
-def classify(coords: ThreeSiteCoords, tolerance=0) -> ThreeSiteVerdicts:
-    """Verdicts for all four chain properties from the closed forms."""
-    cov_prod = system_holds(coords, "cov-prod", tolerance)
-    cov_any = system_holds(coords, "cov-any", tolerance)
-    cov_pair = system_holds(coords, "cov-pair", tolerance)
-    det_zero = system_holds(coords, "det-zero-slice", tolerance)
-    det_one = system_holds(coords, "det-one-slice", tolerance)
-    complements = all(slack >= -tolerance for _, slack in complement_products(coords))
+def classify(measure: WeightVector, tolerance=0) -> dict:
+    """Verdicts for all four chain properties from the closed forms, keyed
+    ``lattice``, ``dca``, ``downward_fkg`` and ``associated``."""
+    cov_prod = system_holds(measure, "cov-prod", tolerance)
+    cov_any = system_holds(measure, "cov-any", tolerance)
+    cov_pair = system_holds(measure, "cov-pair", tolerance)
+    det_zero = system_holds(measure, "det-zero-slice", tolerance)
+    det_one = system_holds(measure, "det-one-slice", tolerance)
+    complements = all(slack >= -tolerance for _, slack in complement_products(measure))
     lattice = det_zero and det_one and complements
     dca = cov_prod and cov_pair and det_zero
     associated = cov_prod and cov_any and cov_pair
-    verdicts = ThreeSiteVerdicts(lattice, dca, dca, associated)
     if tolerance == 0:
         # Sanity: the verdict set can never escape the implication chain.
         assert not (lattice and not dca)
         assert not (dca and not associated)
-    return verdicts
+    return {"lattice": lattice, "dca": dca, "downward_fkg": dca, "associated": associated}

@@ -43,7 +43,7 @@ from .measures import (
     is_downward_fkg,
     tilt,
 )
-from .three_site import ThreeSiteCoords, classify, margins
+from .three_site import classify, margins
 
 DEFAULT_TILT_BUDGET = 1000
 
@@ -230,16 +230,14 @@ def dca_falsify(
         return PropertyReport("dca", HOLDS, None, margin, details)
 
     if n == 3:
-        coords = ThreeSiteCoords.from_weights(pm.weights)
-        verdicts = classify(coords, tolerance=tol)
         slacks = [
             slack
             for system in ("cov-prod", "cov-pair", "det-zero-slice")
-            for _, slack in margins(coords, system)
+            for _, slack in margins(pm, system)
         ]
         margin = min(slacks)
         details["method"] = "three-site closed form"
-        if verdicts.dca:
+        if classify(pm, tolerance=tol)["dca"]:
             return PropertyReport("dca", HOLDS, None, margin, details)
         assoc = is_associated(pm, tolerance=tolerance)
         if assoc.fails:
@@ -247,7 +245,7 @@ def dca_falsify(
             return PropertyReport("dca", FAILS, witness, margin, details)
         # associated but not DCA: some zero-slice determinant must be negative
         bad_site = min(
-            site for site, slack in margins(coords, "det-zero-slice") if slack < -tol
+            site for site, slack in margins(pm, "det-zero-slice") if slack < -tol
         )
         witness, _ = _materialize_conditioning_witness(pm, (bad_site - 1,), tolerance)
         return PropertyReport("dca", FAILS, witness, margin, details)

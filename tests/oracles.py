@@ -22,7 +22,6 @@ from spincorr.dynamics import (
 from spincorr.harness import _rng
 from spincorr.lattice import BudgetError, configs, lattice_pairs, single_bit_pairs
 from spincorr.measures import ProbabilityMeasure, WeightVector
-from spincorr.three_site import COORD_NAMES, ThreeSiteCoords
 
 BIRTH_REJECTION_BUDGET = 5000
 
@@ -38,10 +37,6 @@ def uniform(n: int) -> ProbabilityMeasure:
 
 def scaled(vector: WeightVector, factor) -> WeightVector:
     return WeightVector(vector.n, tuple(w * factor for w in vector.weights), vector.mode)
-
-
-def scaled_coords(coords: ThreeSiteCoords, factor) -> ThreeSiteCoords:
-    return ThreeSiteCoords(*(getattr(coords, name) * factor for name in COORD_NAMES))
 
 
 def determinant_value(poly, weights):

@@ -53,7 +53,7 @@ from spincorr.measures import (
     tilt,
 )
 from spincorr.dynamics import RateTable
-from spincorr.three_site import ThreeSiteCoords, classify
+from spincorr.three_site import classify
 from spincorr.tilts import TiltSampler, dca_falsify, reverify_tilt_witness
 
 TOL = 1e-9
@@ -96,14 +96,14 @@ def test_criterion_1_three_site_oracle_equivalence():
     falsified = []
     for index, vector in enumerate(measures):
         mu = normalize(vector)
-        verdicts = classify(ThreeSiteCoords.from_weights(mu.weights))
-        if verdicts.lattice != satisfies_lattice(mu).holds:
+        verdicts = classify(mu)
+        if verdicts["lattice"] != satisfies_lattice(mu).holds:
             disagreements.append((index, "lattice"))
-        if verdicts.downward_fkg != is_downward_fkg(mu).holds:
+        if verdicts["downward_fkg"] != is_downward_fkg(mu).holds:
             disagreements.append((index, "downward-fkg"))
-        if verdicts.associated != is_associated(mu).holds:
+        if verdicts["associated"] != is_associated(mu).holds:
             disagreements.append((index, "associated"))
-        if not verdicts.dca:
+        if not verdicts["dca"]:
             continue
         # the closed-form DCA verdict must survive 1000 sampled valid tilts
         weights = mu.as_float_array()
@@ -135,8 +135,8 @@ def test_criterion_1_three_site_oracle_equivalence():
 
 def test_criterion_2_implication_gap_measures_exact():
     gap1, gap2 = implication_gap_measures(EPS)
-    v1 = classify(ThreeSiteCoords.from_weights(normalize(gap1).weights))
-    v2 = classify(ThreeSiteCoords.from_weights(normalize(gap2).weights))
+    v1 = classify(normalize(gap1))
+    v2 = classify(normalize(gap2))
     brute1 = (
         satisfies_lattice(gap1).fails
         and is_downward_fkg(normalize(gap1)).holds
@@ -150,13 +150,12 @@ def test_criterion_2_implication_gap_measures_exact():
         and dca_falsify(normalize(gap2)).fails
     )
     ok = (
-        v1.as_dict() == {"lattice": False, "dca": True, "downward_fkg": True, "associated": True}
-        and v2.as_dict()
-        == {"lattice": False, "dca": False, "downward_fkg": False, "associated": True}
+        v1 == {"lattice": False, "dca": True, "downward_fkg": True, "associated": True}
+        and v2 == {"lattice": False, "dca": False, "downward_fkg": False, "associated": True}
         and brute1
         and brute2
     )
-    _criterion(2, ok, f"eps=1/100 verdicts: first={v1.as_dict()}, second={v2.as_dict()}")
+    _criterion(2, ok, f"eps=1/100 verdicts: first={v1}, second={v2}")
 
 
 def test_criterion_3_derangement_measures():
@@ -412,7 +411,7 @@ def test_criterion_9_chain_audit():
         lattice = satisfies_lattice(mu).holds
         dfkg = is_downward_fkg(mu).holds
         assoc = is_associated(mu).holds
-        dca = classify(ThreeSiteCoords.from_weights(mu.weights)).dca
+        dca = classify(mu)["dca"]
         if lattice and not dca:
             violations.append((3, seed, "lattice->dca"))
         if dca and not dfkg:

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spincorr import measures
-from spincorr.harness import derangement_measure, random_measure
+from spincorr.harness import derangement_measure, implication_gap_measures, random_measure
 from spincorr.lattice import enumerate_up_sets, up_set_members
 from spincorr.measures import (
     ProbabilityMeasure,
@@ -25,6 +25,7 @@ from spincorr.measures import (
     normalize,
     reverify_witness,
 )
+from spincorr.tilts import dca_falsify
 
 
 def reference_association(weights):
@@ -182,6 +183,28 @@ class TestCertification:
         assert is_associated(product).holds
         assert is_associated(product).margin == 0
         assert_matches_reference(product)
+
+
+class TestFloatScreening:
+    """An up-set of probability 0 or 1 has covariance exactly 0 with every
+    up-set, so the float sweep screens it as the exact sweep does instead
+    of ranking its rounding noise."""
+
+    def test_null_up_sets_never_violate_at_tolerance_zero(self):
+        gap = normalize(implication_gap_measures(Fraction(1, 100))[0])
+        for exact in (derangement_measure(4), gap):
+            measure = ProbabilityMeasure.floats([float(w) for w in exact.weights])
+            report = is_associated(measure, tolerance=0)
+            assert report.holds, report.witness
+            assert report.margin == 0.0
+        # the gap measure is DCA, which implies association
+        assert dca_falsify(measure, tolerance=0).verdict != "fails"
+
+    def test_point_mass_sweeps_nothing(self):
+        report = is_associated(ProbabilityMeasure.floats([0.0] * 5 + [1.0] + [0.0] * 26))
+        assert report.holds
+        assert report.margin == 0.0
+        assert report.details["pairs_checked"] == 28739571
 
 
 class TestChunking:

@@ -35,14 +35,13 @@ from spincorr.measures import (
     project_zeros,
     satisfies_lattice,
 )
-from spincorr.three_site import ThreeSiteCoords, classify
+from spincorr.three_site import COORDINATES, classify
 
 
 class TestRandomMeasure:
     def test_product_mode_satisfies_everything(self):
         for seed in range(5):
-            coords = ThreeSiteCoords.from_weights(random_measure(seed, 3, "product").weights)
-            assert all(classify(coords).as_dict().values())
+            assert all(classify(random_measure(seed, 3, "product")).values())
 
     def test_lattice_mode_postcondition(self):
         for seed in range(8):
@@ -86,14 +85,15 @@ class TestDerangementMeasure:
         )
 
     def test_three_point_coordinates(self):
-        coords = ThreeSiteCoords.from_weights(derangement_measure(3).weights)
-        assert (coords.a, coords.d) == (Fraction(1, 3), Fraction(1, 6))
-        assert coords.b1 == coords.b2 == coords.b3 == Fraction(1, 6)
-        assert coords.c1 == coords.c2 == coords.c3 == 0
+        w = derangement_measure(3).weights
+        coords = {name: w[mask] for name, mask in COORDINATES.items()}
+        assert (coords["a"], coords["d"]) == (Fraction(1, 3), Fraction(1, 6))
+        assert coords["b1"] == coords["b2"] == coords["b3"] == Fraction(1, 6)
+        assert coords["c1"] == coords["c2"] == coords["c3"] == 0
 
     def test_three_point_verdicts(self):
-        verdicts = classify(ThreeSiteCoords.from_weights(derangement_measure(3).weights))
-        assert verdicts.as_dict() == {
+        verdicts = classify(derangement_measure(3))
+        assert verdicts == {
             "lattice": False,
             "dca": True,
             "downward_fkg": True,

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oracles import uniform
 from test_measures import covariance
 
+from spincorr.dynamics import RateTable
 from spincorr.harness import evaluate_property, random_increasing_table, random_measure
 from spincorr.lattice import (
     BudgetError,
@@ -18,6 +19,7 @@ from spincorr.lattice import (
 )
 from spincorr.measures import (
     ProbabilityMeasure,
+    WeightVector,
     is_associated,
     is_downward_fkg,
     normalize,
@@ -96,6 +98,20 @@ class TestOrderPrimitives:
             if a & ~b and b & ~a
         ]
         assert list(lattice_pairs(3, strictly_positive=False)) == oracle
+
+
+class TestSiteCount:
+    def test_bool_is_not_a_site_count(self):
+        # isinstance(True, int) holds, so True used to count as one site
+        with pytest.raises(ValueError, match="site count must be an integer"):
+            WeightVector(True, (1, 1))
+        for build in (
+            lambda: RateTable.independent_flips(True, [1], [1]),
+            lambda: RateTable.single_site_birth(True, 0, [0, 1]),
+            lambda: RateTable.from_site_functions(True, lambda x, c: 1, lambda x, c: 1),
+        ):
+            with pytest.raises(ValueError, match="site count must be an integer"):
+                build()
 
 
 class TestEnumerateUpSets:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from spincorr.cli import _coords_from_dict, main
 from spincorr.harness import MEASURE_MODES, PROPERTIES, SEARCH_TARGETS
 from spincorr.serialize import measure_from_dict, rate_table_from_dict
-from spincorr.three_site import COORD_NAMES
+from spincorr.three_site import COORDINATES
 
 scalars = st.one_of(
     st.none(),
@@ -81,8 +81,8 @@ def generic_table(n):
 rates = rate_tables(4)
 coordinates = st.fixed_dictionaries(
     {"a": values},
-    optional={name: mostly(values) for name in COORD_NAMES[1:]},
-) | st.fixed_dictionaries({name: values for name in COORD_NAMES})
+    optional={name: mostly(values) for name in list(COORDINATES)[1:]},
+) | st.fixed_dictionaries({name: values for name in COORDINATES})
 # one kind in four each (st.one_of would weigh the kinds by their branch counts)
 anything = st.sampled_from([documents, measures, rates, coordinates]).flatmap(lambda kind: kind)
 

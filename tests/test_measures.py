@@ -15,7 +15,9 @@ from spincorr.harness import (
 )
 from spincorr.lattice import configs
 from spincorr.measures import (
+    FAILS,
     ProbabilityMeasure,
+    PropertyReport,
     WeightVector,
     is_associated,
     is_downward_fkg,
@@ -25,7 +27,7 @@ from spincorr.measures import (
     satisfies_lattice,
     tilt,
 )
-from spincorr.three_site import ThreeSiteCoords, classify
+from spincorr.three_site import classify
 
 EPS = Fraction(1, 100)
 
@@ -54,11 +56,12 @@ def condition_zeros(measure, sites):
     return ProbabilityMeasure(pm.n, tuple(w / total for w in restricted), pm.mode)
 
 
-def three_site_cov(coords, kind):
+def three_site_cov(measure, kind):
     """Independent closed forms for covariances of the eight-weight measure."""
-    a, d = coords.a, coords.d
-    b1, b2, b3 = coords.b1, coords.b2, coords.b3
-    c1, c2, c3 = coords.c1, coords.c2, coords.c3
+    w = measure.weights
+    a, d = w[0b111], w[0b000]
+    b1, b2, b3 = w[0b110], w[0b101], w[0b011]
+    c1, c2, c3 = w[0b001], w[0b010], w[0b100]
     if kind == "site1-vs-others-product":
         return a * (c2 + c3 + d) - b1 * (b2 + b3 + c1)
     if kind == "site1-vs-others-union":
@@ -130,15 +133,14 @@ class TestExpectationCovariance:
         # of the others, and the pairwise case, in the eight-weight coords.
         for seed in range(25):
             mu = normalize(random_measure(seed, 3, "generic"))
-            coords = ThreeSiteCoords.from_weights(mu.weights)
             f1 = [c & 1 for c in range(8)]
             g1 = [(c >> 1 & 1) * (c >> 2 & 1) for c in range(8)]
             h1 = [1 if c & 0b110 else 0 for c in range(8)]
             f2 = [c >> 1 & 1 for c in range(8)]
             f3 = [c >> 2 & 1 for c in range(8)]
-            assert covariance(mu, f1, g1) == three_site_cov(coords, "site1-vs-others-product")
-            assert covariance(mu, f1, h1) == three_site_cov(coords, "site1-vs-others-union")
-            assert covariance(mu, f2, f3) == three_site_cov(coords, "site2-vs-site3")
+            assert covariance(mu, f1, g1) == three_site_cov(mu, "site1-vs-others-product")
+            assert covariance(mu, f1, h1) == three_site_cov(mu, "site1-vs-others-union")
+            assert covariance(mu, f2, f3) == three_site_cov(mu, "site2-vs-site3")
 
 
 class TestIsAssociated:
@@ -167,8 +169,7 @@ class TestIsAssociated:
     def test_three_site_matches_classifier(self):
         for seed in range(40):
             mu = normalize(random_measure(seed, 3, "generic"))
-            verdicts = classify(ThreeSiteCoords.from_weights(mu.weights))
-            assert is_associated(mu).holds == verdicts.associated
+            assert is_associated(mu).holds == classify(mu)["associated"]
 
     def test_failing_witness_reverifies(self):
         _, gap2 = implication_gap_measures(EPS)
@@ -179,6 +180,12 @@ class TestIsAssociated:
             assert reverify_witness(cond, report) < 0
         # the unconditioned measure is associated
         assert is_associated(mu).holds
+
+    def test_witness_reverifies_on_the_exactly_normalized_measure(self):
+        # the float total is 1 + 4e-13; cov(1_U, 1) is identically 0 all the same
+        mu = ProbabilityMeasure.floats([0.25, 0.25, 0.25, 0.25 + 4e-13])
+        report = PropertyReport("associated", FAILS, {"up_set_u": [3], "up_set_v": [0, 1, 2, 3]})
+        assert reverify_witness(mu, report) == 0
 
     def test_homogeneity(self):
         w = random_measure(11, 3, "generic")
@@ -207,8 +214,8 @@ class TestSatisfiesLattice:
         assert report.fails
         # witness meet/join pair realizes c1*a < b2*b3 (or a permutation of it)
         assert reverify_witness(gap1, report) < 0
-        coords = ThreeSiteCoords.from_weights(normalize(gap1).weights)
-        assert coords.c1 * coords.a < coords.b2 * coords.b3
+        w = normalize(gap1).weights
+        assert w[0b001] * w[0b111] < w[0b101] * w[0b011]
 
     def test_derangement_fails(self):
         mu = derangement_measure(3)

@@ -76,7 +76,8 @@ def accessed_attributes():
 
 def test_every_export_has_a_caller():
     exported = exported_names()
-    assert len(exported) > 40
+    # the walk must find known members, else an empty walk would pass
+    assert {"WeightVector", "is_associated", "classify"} <= set(exported)
     referenced = referenced_names()
     unused = [name for name in exported if name not in referenced]
     assert not unused, f"exported but never referenced outside the tests: {unused}"
@@ -84,7 +85,7 @@ def test_every_export_has_a_caller():
 
 def test_every_public_definition_has_a_caller():
     defined = defined_names()
-    assert len(defined) > 80
+    assert {("measures", "WeightVector"), ("three_site", "classify")} <= set(defined)
     referenced = referenced_names()
     unused = [f"{module}.{name}" for module, name in defined if name not in referenced]
     assert not unused, f"defined but never referenced outside the tests: {unused}"
@@ -92,7 +93,8 @@ def test_every_public_definition_has_a_caller():
 
 def test_every_public_method_has_a_caller():
     methods = method_names()
-    assert len(methods) > 25
+    known = {("measures", "WeightVector", "exact"), ("dynamics", "RateTable", "rate")}
+    assert known <= set(methods)
     accessed = accessed_attributes()
     unused = [f"{module}.{cls}.{name}" for module, cls, name in methods if name not in accessed]
     assert not unused, f"methods never accessed outside the tests: {unused}"

@@ -272,6 +272,8 @@ class TestCli:
             ("classify3", {"a": 1}),
             ("classify3", {**coords, "b2": [1]}),
             ("classify3", {**coords, "c1": "1/0"}),
+            ("classify3", {**coords, "c2": "-1/8"}),
+            ("classify3", {name: "0" for name in coords}),
             # beyond the float64 range
             ("check-measure", {"mode": "float", "weights": ["1e400", "1"]}),
             # refused before Fraction expands the exponent

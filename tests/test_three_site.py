@@ -3,15 +3,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import scaled_coords
+from oracles import scaled, uniform
 
 from spincorr.harness import derangement_measure, implication_gap_measures, random_measure
-from spincorr.measures import is_associated, is_downward_fkg, normalize, satisfies_lattice
+from spincorr.measures import (
+    WeightVector,
+    is_associated,
+    is_downward_fkg,
+    normalize,
+    satisfies_lattice,
+)
 from spincorr.three_site import (
+    COORDINATES,
     SYSTEMS,
-    ThreeSiteCoords,
     classify,
     complement_products,
+    from_coordinates,
     margins,
     system_holds,
 )
@@ -20,12 +27,40 @@ EPS = Fraction(1, 100)
 
 
 def coords_from_seed(seed, mode="generic"):
-    return ThreeSiteCoords.from_weights(random_measure(seed, 3, mode).weights)
+    return random_measure(seed, 3, mode)
+
+
+class TestCoordinates:
+    def test_names_address_their_configurations(self):
+        # a on 111, b_i with the unique 0 and c_i with the unique 1 at site i
+        assert list(COORDINATES) == ["a", "b1", "b2", "b3", "c1", "c2", "c3", "d"]
+        for i in range(3):
+            assert COORDINATES[f"b{i + 1}"] == 0b111 ^ 1 << i
+            assert COORDINATES[f"c{i + 1}"] == 1 << i
+        assert (COORDINATES["a"], COORDINATES["d"]) == (0b111, 0b000)
+
+    def test_from_coordinates_places_each_name(self):
+        values = {name: Fraction(k + 1) for k, name in enumerate(COORDINATES)}
+        measure = from_coordinates(**values)
+        assert (measure.n, measure.mode) == (3, "exact")
+        assert all(measure.weights[COORDINATES[name]] == v for name, v in values.items())
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_other_site_counts_refused(self, n):
+        measure = uniform(n)
+        for call in (
+            lambda: margins(measure, "cov-prod"),
+            lambda: system_holds(measure, "cov-prod"),
+            lambda: complement_products(measure),
+            lambda: classify(measure),
+        ):
+            with pytest.raises(ValueError, match=f"need 3 sites, got n={n}"):
+                call()
 
 
 class TestMargins:
     def test_uniform_measure(self):
-        coords = ThreeSiteCoords.from_weights([Fraction(1, 8)] * 8)
+        coords = WeightVector.exact([Fraction(1, 8)] * 8)
         for system in SYSTEMS:
             assert system_holds(coords, system)
         for system in ("det-zero-slice", "det-one-slice"):
@@ -33,28 +68,28 @@ class TestMargins:
 
     def test_gap_measure_one_slice_slack(self):
         gap1, _ = implication_gap_measures(EPS)
-        coords = ThreeSiteCoords.from_weights(gap1.weights)
-        slacks = margins(coords, "det-one-slice")
+        slacks = margins(gap1, "det-one-slice")
         assert slacks[0][1] == EPS * Fraction(1, 6) - Fraction(1, 36)
         assert slacks[0][1] < 0
 
     def test_derangement_first_product_slack_is_zero(self):
-        coords = ThreeSiteCoords.from_weights(derangement_measure(3).weights)
-        assert coords.a == Fraction(1, 3)
-        assert coords.b1 == coords.b2 == coords.b3 == Fraction(1, 6)
-        assert coords.c1 == coords.c2 == coords.c3 == 0
-        assert coords.d == Fraction(1, 6)
-        slacks = margins(coords, "cov-prod")
+        mu = derangement_measure(3)
+        w = {name: mu.weights[mask] for name, mask in COORDINATES.items()}
+        assert w["a"] == Fraction(1, 3)
+        assert w["b1"] == w["b2"] == w["b3"] == Fraction(1, 6)
+        assert w["c1"] == w["c2"] == w["c3"] == 0
+        assert w["d"] == Fraction(1, 6)
+        slacks = margins(mu, "cov-prod")
         assert slacks[0][1] == 0
 
     @given(st.integers(0, 10**6), st.integers(2, 9))
     @settings(max_examples=40)
     def test_scale_invariance_of_verdicts(self, seed, factor):
         coords = coords_from_seed(seed)
-        scaled = scaled_coords(coords, Fraction(factor))
+        blown_up = scaled(coords, Fraction(factor))
         for system in SYSTEMS:
             original = [slack for _, slack in margins(coords, system)]
-            blown = [slack for _, slack in margins(scaled, system)]
+            blown = [slack for _, slack in margins(blown_up, system)]
             assert [s * factor * factor for s in original] == blown
 
     def test_unknown_system_rejected(self):
@@ -65,8 +100,7 @@ class TestMargins:
 class TestClassify:
     def test_gap_measure_one(self):
         gap1, _ = implication_gap_measures(EPS)
-        verdicts = classify(ThreeSiteCoords.from_weights(gap1.weights))
-        assert verdicts.as_dict() == {
+        assert classify(gap1) == {
             "lattice": False,
             "dca": True,
             "downward_fkg": True,
@@ -75,8 +109,7 @@ class TestClassify:
 
     def test_gap_measure_two(self):
         _, gap2 = implication_gap_measures(EPS)
-        verdicts = classify(ThreeSiteCoords.from_weights(gap2.weights))
-        assert verdicts.as_dict() == {
+        assert classify(gap2) == {
             "lattice": False,
             "dca": False,
             "downward_fkg": False,
@@ -86,17 +119,16 @@ class TestClassify:
     def test_product_measures_satisfy_everything(self):
         for seed in range(10):
             coords = coords_from_seed(seed, "product")
-            verdicts = classify(coords)
-            assert all(verdicts.as_dict().values())
+            assert all(classify(coords).values())
 
     def test_matches_brute_force_on_random_measures(self):
         for seed in range(60):
             for mode in ("generic", "strictly-positive"):
                 mu = normalize(random_measure(seed, 3, mode))
-                verdicts = classify(ThreeSiteCoords.from_weights(mu.weights))
-                assert verdicts.lattice == satisfies_lattice(mu).holds
-                assert verdicts.downward_fkg == is_downward_fkg(mu).holds
-                assert verdicts.associated == is_associated(mu).holds
+                verdicts = classify(mu)
+                assert verdicts["lattice"] == satisfies_lattice(mu).holds
+                assert verdicts["downward_fkg"] == is_downward_fkg(mu).holds
+                assert verdicts["associated"] == is_associated(mu).holds
 
     def test_boundary_completion_needed_for_lattice(self):
         # two-site determinants all hold trivially, complement pair fails
@@ -104,18 +136,12 @@ class TestClassify:
         weights[0b000] = Fraction(1, 3)
         weights[0b001] = Fraction(1, 3)
         weights[0b110] = Fraction(1, 3)
-        coords = ThreeSiteCoords.from_weights(weights)
+        coords = WeightVector.exact(weights)
         assert system_holds(coords, "det-zero-slice")
         assert system_holds(coords, "det-one-slice")
         assert any(slack < 0 for _, slack in complement_products(coords))
-        assert not classify(coords).lattice
-        assert not satisfies_lattice(normalize_weights(weights)).holds
-
-
-def normalize_weights(weights):
-    from spincorr.measures import WeightVector
-
-    return normalize(WeightVector.exact(weights))
+        assert not classify(coords)["lattice"]
+        assert not satisfies_lattice(normalize(coords)).holds
 
 
 def complement_bound_holds(coords):
@@ -128,18 +154,17 @@ def complement_bound_holds(coords):
 
 class TestComplementBound:
     def test_uniform_equality(self):
-        coords = ThreeSiteCoords.from_weights([Fraction(1, 8)] * 8)
+        coords = WeightVector.exact([Fraction(1, 8)] * 8)
         assert complement_bound_holds(coords)
         assert all(slack == 0 for _, slack in complement_products(coords))
 
     def test_gap_measure_one(self):
         gap1, _ = implication_gap_measures(EPS)
-        assert complement_bound_holds(ThreeSiteCoords.from_weights(gap1.weights))
+        assert complement_bound_holds(gap1)
 
     def test_gap_measure_two_fails_precondition(self):
         _, gap2 = implication_gap_measures(EPS)
-        coords = ThreeSiteCoords.from_weights(gap2.weights)
-        assert not (system_holds(coords, "cov-prod") and system_holds(coords, "det-zero-slice"))
+        assert not (system_holds(gap2, "cov-prod") and system_holds(gap2, "det-zero-slice"))
 
     def test_randomized_implication(self):
         # the bound must follow from cov-prod plus det-zero-slice; integer
@@ -165,7 +190,8 @@ class TestComplementBound:
                 or a * (c1 + c2 + d) < b3 * (b1 + b2 + c3)
             ):
                 continue
-            assert complement_bound_holds(ThreeSiteCoords(a, b1, b2, b3, c1, c2, c3, d))
+            coords = from_coordinates(a=a, b1=b1, b2=b2, b3=b3, c1=c1, c2=c2, c3=c3, d=d)
+            assert complement_bound_holds(coords)
             checked += 1
 
 
@@ -173,9 +199,9 @@ class TestChainConsistency:
     def test_verdict_sets_respect_the_chain(self):
         for seed in range(300):
             verdicts = classify(coords_from_seed(seed))
-            if verdicts.lattice:
-                assert verdicts.dca
-            if verdicts.dca:
-                assert verdicts.downward_fkg
-            if verdicts.downward_fkg:
-                assert verdicts.associated
+            if verdicts["lattice"]:
+                assert verdicts["dca"]
+            if verdicts["dca"]:
+                assert verdicts["downward_fkg"]
+            if verdicts["downward_fkg"]:
+                assert verdicts["associated"]
