@@ -181,10 +181,14 @@ def _cmd_evolve(args) -> int:
 
 def _coords_from_dict(doc: dict) -> WeightVector:
     """Named coordinates a, b1, ..., d as an exact three-site WeightVector."""
+    values = {}
     for name in COORDINATES:
         if name not in doc:
             raise ValueError(f"named coordinates are missing {name!r}")
-    return from_coordinates(**{name: parse_rational(doc[name], name) for name in COORDINATES})
+        values[name] = parse_rational(doc[name], name)
+        if values[name] < 0:
+            raise ValueError(f"coordinate {name} must be nonnegative, got {values[name]!r}")
+    return from_coordinates(**values)
 
 
 def _cmd_classify3(args) -> int:

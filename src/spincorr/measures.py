@@ -335,10 +335,7 @@ def _float_sweep(n: int, weights: np.ndarray, tolerance: float):
     so the margin is the minimum of 0.0 (the full up-set's exact value)
     and the values swept.  Returns (margin, violation pair or None, pairs)."""
     *_, blocks = _sweep_tables(n)
-    null = _null_up_sets(n, weights > 0)
-    if null.all():
-        return 0.0, None, sum(pairs for pairs, _ in blocks)
-    rows = _pair_covariances(n, weights, null)
+    rows = _pair_covariances(n, weights, _null_up_sets(n, weights > 0))
     best = 0.0
     violation = None
     checked = 0
@@ -612,8 +609,9 @@ def reverify_witness(measure, report: PropertyReport):
     statement about the serialized measure: a float total a few ulps off 1
     cannot turn an identically zero covariance negative.
     """
-    pm = _as_probability(measure)
-    pm = normalize(WeightVector(pm.n, pm.as_fractions()))
+    if not isinstance(measure, WeightVector):
+        raise TypeError(f"expected a WeightVector or ProbabilityMeasure, got {type(measure)!r}")
+    pm = normalize(WeightVector(measure.n, measure.as_fractions()))
     w = pm.weights
     witness = report.witness
     if witness is None:

@@ -200,7 +200,7 @@ class TestFloatScreening:
         # the gap measure is DCA, which implies association
         assert dca_falsify(measure, tolerance=0).verdict != "fails"
 
-    def test_point_mass_sweeps_nothing(self):
+    def test_point_mass_holds_with_margin_zero(self):
         report = is_associated(ProbabilityMeasure.floats([0.0] * 5 + [1.0] + [0.0] * 26))
         assert report.holds
         assert report.margin == 0.0

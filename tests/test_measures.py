@@ -16,6 +16,7 @@ from spincorr.harness import (
 from spincorr.lattice import configs
 from spincorr.measures import (
     FAILS,
+    FLOAT,
     ProbabilityMeasure,
     PropertyReport,
     WeightVector,
@@ -186,6 +187,11 @@ class TestIsAssociated:
         mu = ProbabilityMeasure.floats([0.25, 0.25, 0.25, 0.25 + 4e-13])
         report = PropertyReport("associated", FAILS, {"up_set_u": [3], "up_set_v": [0, 1, 2, 3]})
         assert reverify_witness(mu, report) == 0
+        # a product measure, unnormalized: its lattice slack is exactly 0, but
+        # dividing each float by the float total 20 rounds it
+        product = WeightVector(2, (2.0, 3.0, 6.0, 9.0), FLOAT)
+        report = PropertyReport("fkg-lattice", FAILS, {"eta": 1, "zeta": 2})
+        assert reverify_witness(product, report) == 0
 
     def test_homogeneity(self):
         w = random_measure(11, 3, "generic")

@@ -272,7 +272,6 @@ class TestCli:
             ("classify3", {"a": 1}),
             ("classify3", {**coords, "b2": [1]}),
             ("classify3", {**coords, "c1": "1/0"}),
-            ("classify3", {**coords, "c2": "-1/8"}),
             ("classify3", {name: "0" for name in coords}),
             # beyond the float64 range
             ("check-measure", {"mode": "float", "weights": ["1e400", "1"]}),
@@ -313,6 +312,8 @@ class TestCli:
             (verify + ["--property", "dca", "--budget", "-3"], "budget"),
             (["search", "--system", system, "--target", "association", "--budget", "-1"], "budget"),
             (verify + ["--property", "associated", "--count", "-2"], "count"),
+            (["classify3", "--input", doc_file("negative.json", {**coords, "c2": "-1/8"})],
+             "coordinate c2 must be nonnegative"),
         ]
         # two-site measures for the one-site system: refused whether or not
         # they qualify for the property

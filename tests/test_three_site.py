@@ -26,10 +26,6 @@ from spincorr.three_site import (
 EPS = Fraction(1, 100)
 
 
-def coords_from_seed(seed, mode="generic"):
-    return random_measure(seed, 3, mode)
-
-
 class TestCoordinates:
     def test_names_address_their_configurations(self):
         # a on 111, b_i with the unique 0 and c_i with the unique 1 at site i
@@ -85,16 +81,16 @@ class TestMargins:
     @given(st.integers(0, 10**6), st.integers(2, 9))
     @settings(max_examples=40)
     def test_scale_invariance_of_verdicts(self, seed, factor):
-        coords = coords_from_seed(seed)
-        blown_up = scaled(coords, Fraction(factor))
+        mu = random_measure(seed, 3, "generic")
+        blown_up = scaled(mu, Fraction(factor))
         for system in SYSTEMS:
-            original = [slack for _, slack in margins(coords, system)]
+            original = [slack for _, slack in margins(mu, system)]
             blown = [slack for _, slack in margins(blown_up, system)]
             assert [s * factor * factor for s in original] == blown
 
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError):
-            margins(coords_from_seed(0), "nonsense")
+            margins(random_measure(0, 3, "generic"), "nonsense")
 
 
 class TestClassify:
@@ -118,8 +114,7 @@ class TestClassify:
 
     def test_product_measures_satisfy_everything(self):
         for seed in range(10):
-            coords = coords_from_seed(seed, "product")
-            assert all(classify(coords).values())
+            assert all(classify(random_measure(seed, 3, "product")).values())
 
     def test_matches_brute_force_on_random_measures(self):
         for seed in range(60):
@@ -198,7 +193,7 @@ class TestComplementBound:
 class TestChainConsistency:
     def test_verdict_sets_respect_the_chain(self):
         for seed in range(300):
-            verdicts = classify(coords_from_seed(seed))
+            verdicts = classify(random_measure(seed, 3, "generic"))
             if verdicts["lattice"]:
                 assert verdicts["dca"]
             if verdicts["dca"]:
