@@ -15,8 +15,9 @@ Horizons with lambda*t > 500 are halved d times; for d >= 2 the leaf kernel
 P_{t/2^d} is built once and squared d times.  A leaf's K Poisson terms are
 summed in blocks of about sqrt(K), in about 2 sqrt(K) matrix products, and
 truncated at the tail, so up to 2^d * tail of mass is lost (ROADMAP item 2).
-Dense scaling and squaring (expm) is kept as a cross-check oracle.  Outputs
-are floats; only the derivative at t=0 is exact.
+Dense scaling and squaring (scipy's expm) is kept as a cross-check oracle;
+it is the only user of scipy and imports it on its first call.  Outputs are
+floats; only the derivative at t=0 is exact.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from functools import cached_property
 from math import exp, inf, isqrt
 
 import numpy as np
-import scipy.linalg
 
 from .lattice import (
     configs,
@@ -284,6 +284,8 @@ def semigroup_apply(
 
 def semigroup_apply_expm(gen: Generator, measure, t) -> ProbabilityMeasure:
     """Scaling-and-squaring cross-check oracle for semigroup_apply."""
+    import scipy.linalg  # here only, so that importing spincorr loads no scipy
+
     t = _check_time(t)
     pm = _as_probability(measure)
     kernel = scipy.linalg.expm(gen.matrix * t)

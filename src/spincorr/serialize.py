@@ -269,5 +269,7 @@ def load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc

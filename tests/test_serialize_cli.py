@@ -327,6 +327,11 @@ class TestCli:
             (verify + ["--property", "associated", "--measures", doc_file("none.json", [])],
              "at least one measure")
         )
+        # a file that is not UTF-8 is named, as invalid JSON is
+        latin = tmp_path / "latin.json"
+        latin.write_bytes(b"\xff\xfe")
+        refused.append((["check-measure", "--input", str(latin)],
+                        f"{latin}: not UTF-8 text at byte 0"))
         for argv, name in [(argv, "") for argv in runs] + refused:
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
