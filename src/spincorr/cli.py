@@ -168,6 +168,8 @@ def _cmd_check_rates(args) -> int:
 def _cmd_evolve(args) -> int:
     vector = measure_from_dict(load_json(args.input))
     rates = rate_table_from_dict(load_json(args.system))
+    if vector.n != rates.n:  # t = 0 echoes the measure without evolving it
+        raise ValueError(f"site counts differ: measure {vector.n} vs generator {rates.n}")
     gen = build_generator(rates)
     measure = normalize(vector)
     evolved = []

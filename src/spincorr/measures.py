@@ -10,10 +10,11 @@ Every checker returns a :class:`PropertyReport` whose ``fails`` verdict
 carries a witness that re-evaluates to a strict violation on its own.
 
 Association up to five sites is decided by one blocked sweep over pairs
-of up-sets (``is_associated``): a float64 GEMM screens every pair, and in
-exact mode the pairs that an a-priori rounding bound leaves undecided are
-recomputed over Python ints, so exact verdicts and margins never depend
-on the size of the weights' common denominator.
+of up-sets (``_sweep``), shared by both arithmetic modes: a float64 GEMM
+screens every pair against two thresholds.  Float mode sets both to
+-tolerance; exact mode sets them to an a-priori rounding bound either side
+of 0 and recomputes the pairs between over Python ints, so exact verdicts
+and margins never depend on the size of the weights' common denominator.
 """
 
 from __future__ import annotations
@@ -255,13 +256,6 @@ def _resolve_tolerance(mode: str, tolerance) -> float:
 # association
 
 
-def _weights_to_ints(weights) -> tuple[list[int], int]:
-    """Fractions over their common denominator: (numerators, their sum)."""
-    denom = math.lcm(*[w.denominator for w in weights])
-    ints = [w.numerator * (denom // w.denominator) for w in weights]
-    return ints, sum(ints)
-
-
 # The sweep's rule splits the up-set rows into blocks of _BLOCK_ENTRIES // K
 # rows (K up-sets).  Each block is computed in chunks of about
 # _CHUNK_ENTRIES pairs, and pairs are certified _CERT_BATCH at a time, which
@@ -303,65 +297,75 @@ def _null_up_sets(n: int, support) -> np.ndarray:
     return (in_support == 0) | (in_support == in_support[-1])
 
 
-def _pair_covariances(n: int, weights: np.ndarray, null: np.ndarray):
-    """Float64 mu(U & V) - mu(U) mu(V) for up-set pairs, a chunk of rows at a time.
+def _sweep(n: int, weights: np.ndarray, null: np.ndarray, low: float, high: float, certify):
+    """The block rule of ``is_associated``, in both arithmetic modes, on
+    the float64 weights of one measure and its ``_null_up_sets``.
 
-    ``weights`` is one measure, a vector of length 2^n, and ``null`` its
-    ``_null_up_sets``.  Returns ``rows(lo, hi)``, whose entry
-    [i - lo, j - lo] belongs to the pair (i, j) for lo <= i < hi and
-    j >= lo; entries with j < i, and the rows and columns of null up-sets,
-    are +inf.  Each chunk is one GEMM, [M*w | -p] @ [M | p]^T with
-    p = M @ w.
+    Each chunk of rows is one GEMM, [M*w | -p] @ [M | p]^T with p = M @ w,
+    over the columns j >= the chunk's first row; entries with j < i and
+    the rows and columns of null up-sets are +inf, and chunks of only
+    null rows (all of a point mass) are not computed.  A value below
+    ``low`` violates and one at or above ``high`` holds; the pairs between,
+    before the first value below ``low``, go to ``certify(rows, columns)``
+    _CERT_BATCH at a time, which returns their exact values, and the
+    first negative one violates.  The sweep stops after the first block
+    holding a violation.  Returns (first violating pair or None, pairs in
+    the blocks swept, per block swept its chunks' (lo, hi, float minimum),
+    ``screen``); ``screen(lo, hi)`` recomputes a chunk as (flat values,
+    ncols), flat entry (i - lo) * ncols + (j - lo) being the pair (i, j).
     """
-    matrix, _, lower, _ = _sweep_tables(n)
+    matrix, _, lower, blocks = _sweep_tables(n)
     p = weights @ matrix.T
     left = np.column_stack([matrix * weights, -p])
     right = np.column_stack([matrix, p])
 
-    def rows(lo, hi):
+    def screen(lo, hi):
         h = hi - lo
         values = left[lo:hi] @ right[lo:].T
         np.copyto(values[:, :h], np.inf, where=lower[:h, :h])
         values[:, null[lo:]] = np.inf
         values[null[lo:hi]] = np.inf
-        return values
+        return values.ravel(), values.shape[1]
 
-    return rows
-
-
-def _float_sweep(n: int, weights: np.ndarray, tolerance: float):
-    """Float sweep with violations below -tolerance, by the block rule of
-    ``is_associated``.  Null up-sets are screened as in ``_exact_sweep``,
-    so the margin is the minimum of 0.0 (the full up-set's exact value)
-    and the values swept.  Returns (margin, violation pair or None, pairs)."""
-    *_, blocks = _sweep_tables(n)
-    rows = _pair_covariances(n, weights, _null_up_sets(n, weights > 0))
-    best = 0.0
     violation = None
-    checked = 0
-    for pairs, chunks in blocks:
-        checked += pairs
+    minima = []
+    for _, chunks in blocks:
+        minima.append([])
         for lo, hi in chunks:
-            values = rows(lo, hi)
+            if null[lo:hi].all():
+                continue
+            values, ncols = screen(lo, hi)
             chunk_min = float(values.min())
-            best = min(best, chunk_min)
-            if violation is None and chunk_min < -tolerance:
-                flat = int((values.ravel() < -tolerance).argmax())
-                violation = lo + flat // values.shape[1], lo + flat % values.shape[1]
+            minima[-1].append((lo, hi, chunk_min))
+            if violation is not None or chunk_min >= high:
+                continue
+            first = values.size
+            if chunk_min < low:
+                first = int((values < low).argmax())
+            undecided = (values[:first] < high).nonzero()[0]
+            for start in range(0, undecided.size, _CERT_BATCH):
+                batch = undecided[start:start + _CERT_BATCH]
+                negative = (certify(lo + batch // ncols, lo + batch % ncols) < 0).nonzero()[0]
+                if negative.size:
+                    first = int(batch[negative[0]])
+                    break
+            if first < values.size:
+                violation = lo + first // ncols, lo + first % ncols
         if violation is not None:
             break
-    return best, violation, checked
+    return violation, sum(pairs for pairs, _ in blocks[:len(minima)]), minima, screen
 
 
 def _exact_sweep(n: int, weights):
-    """Exact sweep: a float64 filter, certified over Python ints.
+    """Exact ``_sweep``: a float64 filter, certified over Python ints.
 
     Write the weights as integers a_c over their common denominator T and
     S(U) for the sum of a_c over U; the exact value of a pair is
-    N(U, V) = T*S(U & V) - S(U)*S(V) = T^2 cov(1_U, 1_V).  The filter runs
-    ``_pair_covariances`` on the normalized weights rounded to float64, so
-    no denominator overflows it.  Pairs whose float value cannot decide
-    what is needed are recomputed as N over Python ints.
+    N(U, V) = T*S(U & V) - S(U)*S(V) = T^2 cov(1_U, 1_V).  The filter is
+    ``_sweep`` on the normalized weights rounded to float64, so no
+    denominator overflows it, with ``low, high = -bound, bound``: pairs
+    whose float value cannot decide the sign are recomputed as N over
+    Python ints.
 
     Error bound (u = 2^-53, m = 2^n + 1 terms per GEMM dot product): each
     rounded weight is within u*w_c of w_c (plus an underflow term of
@@ -374,79 +378,50 @@ def _exact_sweep(n: int, weights):
     covariance.  ``bound`` is twice that, which also covers the rounding of
     the thresholds computed from it.
 
-    Up-sets of probability 0 or 1 have covariance exactly 0 with every
-    up-set; their rows and columns are set to +inf and never certified (a
-    point mass has no others, so no chunk is computed).  Among them is the
-    full up-set, the last one, which lies in every block, so a block
-    without a violation has exact minimum 0.  A chunk whose float minimum
-    is at least ``bound`` has no violation.  Otherwise its first violation
-    is the first pair that is either below -bound or within bound of 0 and
-    certified negative.  The exact minimum of a block with a violation is
-    the least certified N among its pairs within 2*bound of its float
-    minimum; their chunks are computed again, and any evaluation within
-    the bound finds them.  Returns (numerator of the margin, violation pair
-    or None, pairs, T); the margin is numerator / T^2.
+    Null up-sets (probability 0 or 1, taken from the exact support) have
+    covariance exactly 0 with every up-set and are never certified.  Among
+    them is the full up-set, the last one, which lies in every block, so a
+    block without a violation has exact minimum 0.  The exact minimum of a
+    block with a violation is the least certified N among its pairs within
+    2*bound of its float minimum; their chunks are computed again, and any
+    evaluation within the bound finds them.  Returns (numerator of the
+    margin, violation pair or None, pairs, T); the margin is numerator / T^2.
     """
-    _, masks, _, blocks = _sweep_tables(n)
+    masks = _sweep_tables(n)[1]
     membership = up_set_matrix(n)
-    ints, total = _weights_to_ints(weights)
+    denom = math.lcm(*[w.denominator for w in weights])
+    ints = [w.numerator * (denom // w.denominator) for w in weights]
+    total = sum(ints)
     exact_weights = np.array(ints, dtype=object)
-    null = _null_up_sets(n, [a > 0 for a in ints])
-    if null.all():
-        return 0, None, sum(pairs for pairs, _ in blocks), total
-    bound = (2**n + 2) * 2.0**-50
     sums = np.zeros(len(masks), dtype=object)
     known = np.zeros(len(masks), dtype=bool)
-    rows = _pair_covariances(n, np.array([a / total for a in ints]), null)
 
-    def screened(lo, hi):
-        values = rows(lo, hi)
-        return values.ravel(), values.shape[1]
+    def certify(i, j):
+        """N of the pairs (i[k], j[k]); up-set sums are cached per call."""
+        inter = masks.searchsorted(masks[i] & masks[j])
+        need = np.concatenate([i, j, inter])
+        need = need[~known[need]]
+        sums[need] = membership[need] @ exact_weights
+        known[need] = True
+        return total * sums[inter] - sums[i] * sums[j]
 
-    def exact(lo, flat, ncols):
-        """Yield (offset into flat, N of those pairs), a batch at a time."""
-        for offset in range(0, flat.size, _CERT_BATCH):
-            batch = flat[offset:offset + _CERT_BATCH]
-            i, j = lo + batch // ncols, lo + batch % ncols
-            inter = masks.searchsorted(masks[i] & masks[j])
-            need = np.concatenate([i, j, inter])
-            need = need[~known[need]]
-            sums[need] = membership[need] @ exact_weights
-            known[need] = True
-            yield offset, total * sums[inter] - sums[i] * sums[j]
-
-    checked = 0
-    for pairs, chunks in blocks:
-        checked += pairs
-        violation = None
-        chunk_mins = []
-        for lo, hi in chunks:
-            values, ncols = screened(lo, hi)
-            chunk_mins.append(values.min())
-            if violation is not None or chunk_mins[-1] >= bound:
-                continue
-            first = values.size
-            if chunk_mins[-1] < -bound:
-                first = int((values < -bound).argmax())
-            flat = (values[:first] < bound).nonzero()[0]
-            for offset, certified in exact(lo, flat, ncols):
-                negative = (certified < 0).nonzero()[0]
-                if negative.size:
-                    first = int(flat[offset + negative[0]])
-                    break
-            if first < values.size:
-                violation = lo + first // ncols, lo + first % ncols
-        if violation is None:
-            continue
-        threshold = min(chunk_mins) + 2 * bound
-        best = 0
-        for (lo, hi), chunk_min in zip(chunks, chunk_mins):
-            if chunk_min <= threshold:
-                values, ncols = screened(lo, hi)
-                flat = (values <= threshold).nonzero()[0]
-                best = min([best] + [certified.min() for _, certified in exact(lo, flat, ncols)])
-        return best, violation, checked, total
-    return 0, None, checked, total
+    bound = (2**n + 2) * 2.0**-50
+    violation, checked, minima, screen = _sweep(
+        n, np.array([a / total for a in ints]), _null_up_sets(n, [a > 0 for a in ints]),
+        -bound, bound, certify,
+    )
+    if violation is None:
+        return 0, None, checked, total
+    threshold = min(chunk_min for *_, chunk_min in minima[-1]) + 2 * bound
+    best = 0
+    for lo, hi, chunk_min in minima[-1]:
+        if chunk_min <= threshold:
+            values, ncols = screen(lo, hi)
+            flat = (values <= threshold).nonzero()[0]
+            for start in range(0, flat.size, _CERT_BATCH):
+                batch = flat[start:start + _CERT_BATCH]
+                best = min(best, certify(lo + batch // ncols, lo + batch % ncols).min())
+    return best, violation, checked, total
 
 
 def _association_witness(masks, pair):
@@ -465,12 +440,15 @@ def is_associated(measure, *, tolerance=None) -> PropertyReport:
     By the layer-cake decomposition and bilinearity of covariance it is
     enough to sweep indicator pairs of up-sets, so the check is exact.
 
-    One engine sweeps the unordered pairs (U, V), U <= V in
-    enumeration order, in row blocks of (1 << 23) // K up-sets (K
-    up-sets): a float64 GEMM per chunk of rows, with threshold -tolerance
-    in float mode.  In exact mode the float values only screen: every pair
-    they cannot decide, within an a-priori rounding bound of 0 or of a
-    block's float minimum, is recomputed over Python ints (see
+    One sweep, ``_sweep``, serves both modes: it visits the unordered
+    pairs (U, V), U <= V in enumeration order, in row blocks of
+    (1 << 23) // K up-sets (K up-sets), a float64 GEMM per chunk of rows,
+    and stops after the first block holding a violation.  Float mode
+    calls a value below -tolerance a violation and its margin is the
+    minimum of 0.0 (the full up-set's exact value) and the float values
+    swept.  In exact mode the float values only screen: every pair they
+    cannot decide, within an a-priori rounding bound of 0 or of the
+    violating block's float minimum, is recomputed over Python ints (see
     ``_exact_sweep``), so the verdict and margin are exact for any
     denominator.  Failing-margin rule: a failing report carries the
     lexicographically first violating pair and the minimum over the row
@@ -494,7 +472,10 @@ def is_associated(measure, *, tolerance=None) -> PropertyReport:
         best, violation, checked, total = _exact_sweep(n, pm.weights)
         margin = Fraction(best, total * total)
     else:
-        margin, violation, checked = _float_sweep(n, pm.as_float_array(), tol)
+        weights = pm.as_float_array()
+        null = _null_up_sets(n, weights > 0)
+        violation, checked, minima, _ = _sweep(n, weights, null, -tol, -tol, None)  # never certifies
+        margin = min([0.0] + [chunk_min for block in minima for *_, chunk_min in block])
     details["pairs_checked"] = checked
 
     if violation is not None:

@@ -273,3 +273,5 @@ def load_json(path: str):
             raise ValueError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+        except RecursionError as exc:
+            raise ValueError(f"{path}: JSON nested too deeply") from exc

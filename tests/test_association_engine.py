@@ -207,6 +207,44 @@ class TestFloatScreening:
         assert report.details["pairs_checked"] == 28739571
 
 
+@st.composite
+def dyadic_counts(draw):
+    """Counts summing to 2^10 over 2^n configurations, n = 2-5."""
+    n = draw(st.integers(2, 5))
+    cuts = sorted(draw(st.lists(st.integers(0, 1024), min_size=(1 << n) - 1,
+                                max_size=(1 << n) - 1)))
+    return [b - a for a, b in zip([0] + cuts, cuts + [1024])]
+
+
+def assert_modes_agree(exact):
+    """With dyadic weights every float GEMM value is exact, so the float
+    sweep at tolerance 0 and the exact sweep apply the same block rule to
+    the same numbers."""
+    floats = ProbabilityMeasure.floats([float(w) for w in exact.weights])
+    report = is_associated(floats, tolerance=0)
+    expected = is_associated(exact)
+    assert report.verdict == expected.verdict
+    assert report.witness == expected.witness
+    assert report.details["pairs_checked"] == expected.details["pairs_checked"]
+    assert isinstance(report.margin, float)
+    assert Fraction(report.margin) == expected.margin
+    return report
+
+
+class TestModesAgree:
+    @settings(max_examples=40, deadline=None)
+    @given(dyadic_counts())
+    def test_counts_over_two_to_the_ten(self, counts):
+        assert_modes_agree(ProbabilityMeasure.exact([Fraction(c, 1024) for c in counts]))
+
+    def test_five_site_products_hold_over_every_block(self):
+        for ps in ([1, 3, 5, 7, 9], [15, 8, 1, 12, 4], [16, 2, 0, 13, 7]):
+            measure = ProbabilityMeasure.product([Fraction(k, 16) for k in ps])
+            report = assert_modes_agree(measure)
+            assert report.holds and report.margin == 0.0
+            assert report.details["pairs_checked"] == 7581 * 7582 // 2
+
+
 class TestChunking:
     def test_reports_do_not_depend_on_chunk_or_batch_size(self, monkeypatch):
         near_point = [Fraction(1, 10**30)] * 16

@@ -9,6 +9,12 @@ the package other than ``__init__.py`` or in the benchmark
 class of the package must be read as an attribute there.  A definition is
 not a reference, and neither is an import.  Helpers that only the tests
 need live in the tests (``tests/oracles.py``).
+
+Private code is held to the same rule: every private module-level
+function or class and every module-level constant must be loaded, as a
+name or an attribute, in a module of the package other than
+``__init__.py`` or in the benchmark.
+Dunder names such as ``__version__`` are module metadata and exempt.
 """
 
 import ast
@@ -55,6 +61,23 @@ def method_names():
     ]
 
 
+def private_names_and_constants():
+    """Private module-level functions and classes, and module-level
+    constants (assignment targets), by module."""
+    found = []
+    for path, tree in parsed_package():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if node.name.startswith("_"):
+                    found.append((path.stem, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [(path.stem, name.id) for target in targets
+                          for name in ast.walk(target) if isinstance(name, ast.Name)
+                          and not (name.id.startswith("__") and name.id.endswith("__"))]
+    return found
+
+
 def referencing_nodes():
     sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     sources += (ROOT / "perfbench").glob("*.py")
@@ -67,6 +90,16 @@ def referenced_names():
         node.id if isinstance(node, ast.Name) else node.attr
         for node in referencing_nodes()
         if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def loaded_names():
+    """Names and attributes read outside ``__init__.py``, which only
+    re-exports; an assignment target is not a read."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in referencing_nodes()
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
     }
 
 
@@ -98,3 +131,12 @@ def test_every_public_method_has_a_caller():
     accessed = accessed_attributes()
     unused = [f"{module}.{cls}.{name}" for module, cls, name in methods if name not in accessed]
     assert not unused, f"methods never accessed outside the tests: {unused}"
+
+
+def test_every_private_definition_and_constant_is_loaded():
+    names = private_names_and_constants()
+    known = {("measures", "_null_up_sets"), ("measures", "_CERT_BATCH"), ("measures", "EXACT")}
+    assert known <= set(names)
+    loaded = loaded_names()
+    unused = [f"{module}.{name}" for module, name in names if name not in loaded]
+    assert not unused, f"defined but never loaded in the package or the benchmark: {unused}"

@@ -378,6 +378,40 @@ class TestCli:
             err = capsys.readouterr().err
             assert err == "error: weights must be finite\n", err
 
+    def test_evolve_checks_site_counts_at_time_zero(self, tmp_path, capsys):
+        measure = tmp_path / "measure.json"
+        measure.write_text(json.dumps({"weights": ["1/8"] * 8}))
+        system = tmp_path / "contact.json"
+        system.write_text(json.dumps({"model": "contact", "edges": [[0, 1]]}))
+        for times in ("0", "0,1"):
+            argv = ["evolve", "--input", str(measure), "--system", str(system), "--t", times]
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: site counts differ: measure 3 vs generator 2\n", err
+
+    def test_deeply_nested_json_exit_two(self, tmp_path, capsys):
+        deep = "[" * 100000 + "]" * 100000
+        nested = tmp_path / "nested.json"
+        nested.write_text(deep)
+        weights = tmp_path / "weights.json"
+        weights.write_text('{"weights": ' + deep + "}")
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps({"model": "contact", "edges": [[0, 1]]}))
+        pair = tmp_path / "pair.json"
+        pair.write_text(json.dumps({"n": 2, "weights": ["1/4"] * 4}))
+        runs = [
+            (["check-measure", "--input", str(nested)], nested),
+            (["check-measure", "--input", str(weights)], weights),
+            (["evolve", "--input", str(pair), "--system", str(nested), "--t", "1"], nested),
+            (["verify-theorem", "--system", str(system), "--property", "associated",
+              "--measures", str(nested), "--count", "1", "--t", "1"], nested),
+        ]
+        for argv, path in runs:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err == f"error: {path}: JSON nested too deeply\n", err
+
     def test_missing_file_exit_two(self, capsys):
         assert main(["check-measure", "--input", "/nonexistent.json"]) == 2
 
