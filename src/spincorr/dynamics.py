@@ -17,16 +17,16 @@ summed in blocks of about sqrt(K), in about 2 sqrt(K) matrix products, and
 truncated at the tail, so up to 2^d * tail of mass is lost (ROADMAP item 2).
 Dense scaling and squaring (scipy's expm) is kept as a cross-check oracle;
 it is the only user of scipy and imports it on its first call.  Outputs are
-floats; only the derivative at t=0 is exact.
+floats; only the derivative at t=0 is exact: over Fraction for one measure,
+and over Python ints on one common denominator for the search's biquadratics.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import exp, inf, isqrt
+from math import exp, inf, isqrt, lcm
 
 import numpy as np
 
@@ -187,6 +187,13 @@ class Generator:
             mat[c, c] = -_rate_float(total)
         mat.flags.writeable = False
         return mat
+
+    @cached_property
+    def integer_rates(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(R, rows): R the lcm of the rate denominators, rows[c][x] = R rate(x, c)."""
+        rates = [[self.rates.rate(x, c) for x in range(self.n)] for c in configs(self.n)]
+        scale = lcm(*(r.denominator for row in rates for r in row))
+        return scale, tuple(tuple(int(r * scale) for r in row) for row in rates)
 
     @cached_property
     def uniformization_rate(self) -> Fraction:
@@ -486,57 +493,52 @@ def measure_flow(gen: Generator, measure) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _chain_rule(probs, flows, times):
-    """d/dt of p11 p00 - p10 p01 along the orbit at t = 0 by the product
-    rule; ``times`` multiplies a flow term by an event probability."""
-    p11, p00, p10, p01 = probs
-    f11, f00, f10, f01 = flows
-    return times(f11, p00) + times(f00, p11) - times(f10, p01) - times(f01, p10)
-
-
 def derivative_at_zero(gen: Generator, measure, poly: EventPolynomial) -> Fraction:
     """Exact d/dt F(mu S(t)) at t = 0 by the chain rule through mu Q."""
     pm = _as_probability(measure)
     if poly.n != gen.n or pm.n != gen.n:
         raise ValueError("functional, measure, and generator must share the site count")
-    probs = poly.event_probabilities
-    return _chain_rule(probs(pm.as_fractions()), probs(measure_flow(gen, pm)), operator.mul)
+    p11, p00, p10, p01 = poly.event_probabilities(pm.as_fractions())
+    f11, f00, f10, f01 = poly.event_probabilities(measure_flow(gen, pm))
+    return f11 * p00 + f00 * p11 - f10 * p01 - f01 * p10
+
+
+# corner spins (sx, sy), and in that order the exponents (a, b) of rho^a lam^b
+_CORNERS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
 def product_corners(gen: Generator, x: int, y: int, background) -> tuple:
-    """The four product measures with sites x and y pinned to spins
-    (0, 0), (1, 0), (0, 1), (1, 1) and every other site at probability
-    ``background``, each as (weights, flow mu Q)."""
+    """The four product measures with sites x and y pinned to the spins of
+    ``_CORNERS`` and every other site at probability ``background`` = a/b,
+    as integer (weights, flow mu Q) pairs over b^(n-2) and b^(n-2) R (R from
+    ``Generator.integer_rates``), and b^(2(n-2)) R, the denominator of a
+    weight sum times a flow sum."""
+    for site in (x, y):
+        validate_site(site, gen.n)
     if x == y:
         raise ValueError("sites must be distinct")
+    background = as_fraction(background)
+    a, b = background.numerator, background.denominator
+    scale, rows = gen.integer_rates
     corners = []
-    for sx, sy in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        ps = [background] * gen.n
-        ps[x], ps[y] = sx, sy
-        pm = ProbabilityMeasure.product(ps)
-        corners.append((pm.weights, measure_flow(gen, pm)))
-    return tuple(corners)
+    for sx, sy in _CORNERS:
+        weights = [1]
+        for site in range(gen.n):  # each site doubles the table, as in ProbabilityMeasure.product
+            off, on = {x: (1 - sx, sx), y: (1 - sy, sy)}.get(site, (b - a, a))
+            weights = [w * off for w in weights] + [w * on for w in weights]
+        flow = [0] * len(weights)
+        for source, w in enumerate(weights):
+            for site, rate in enumerate(rows[source] if w else ()):
+                flow[source] -= w * rate
+                flow[source ^ 1 << site] += w * rate
+        corners.append((weights, flow))
+    return tuple(corners), b ** (2 * (gen.n - 2)) * scale
 
 
-def _bilinear(v00, v10, v01, v11) -> np.ndarray:
-    # coefficients of rho^a lam^b in the interpolation of the four corner values
-    out = np.zeros((3, 3), dtype=object)
-    out[0, 0], out[1, 0], out[0, 1], out[1, 1] = v00, v10 - v00, v01 - v00, v11 - v10 - v01 + v00
-    return out
-
-
-def _bilinear_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # both factors have degree at most one in each variable, so the product fits 3 x 3
-    out = np.zeros((3, 3), dtype=object)
-    for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        out[i:i + 2, j:j + 2] += a[i, j] * b[:2, :2]
-    return out
-
-
-def derivative_coefficients(poly: EventPolynomial, corners) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact coefficients c[a][b] of rho^a lam^b in D(rho, lam), the
-    derivative at t = 0 of ``poly`` from the product measure with
-    probability rho at x, lam at y and the corners' background elsewhere.
+def derivative_coefficients(poly: EventPolynomial, corners) -> tuple[list[list[int]], int]:
+    """(c, denominator): D(rho, lam), the derivative at t = 0 of ``poly``
+    from the product measure with probability rho at x, lam at y and the
+    corners' background elsewhere, is sum c[a][b] rho^a lam^b / denominator.
 
     ``corners`` comes from ``product_corners``.  The product measure, and
     with it every event probability and (mu Q being linear in mu) every
@@ -545,14 +547,18 @@ def derivative_coefficients(poly: EventPolynomial, corners) -> tuple[tuple[Fract
     degree at most two in each variable and equals ``derivative_at_zero``
     at every (rho, lam) in [0, 1]^2.
     """
-    if any(len(weights) != 1 << poly.n for weights, _ in corners):
+    pairs, denominator = corners
+    if any(len(weights) != 1 << poly.n for weights, _ in pairs):
         raise ValueError("functional and corner measures must share the site count")
-
-    def interpolated(values):
-        per_corner = [poly.event_probabilities(v) for v in values]
-        return [_bilinear(*corner) for corner in zip(*per_corner)]
-
-    probs = interpolated(w for w, _ in corners)
-    flow_probs = interpolated(f for _, f in corners)
-    grid = _chain_rule(probs, flow_probs, _bilinear_product)
-    return tuple(tuple(Fraction(v) for v in row) for row in grid)
+    # per event, the coefficients in _CORNERS order of the weight and flow sums
+    (p11, p00, p10, p01), (f11, f00, f10, f01) = (
+        [(v00, v10 - v00, v01 - v00, v11 - v10 - v01 + v00)
+         for v00, v10, v01, v11 in zip(*map(poly.event_probabilities, vectors))]
+        for vectors in zip(*pairs)
+    )
+    grid = [[0] * 3 for _ in range(3)]
+    for sign, flow, prob in ((1, f11, p00), (1, f00, p11), (-1, f10, p01), (-1, f01, p10)):
+        for (i, j), f in zip(_CORNERS, flow):
+            for (k, m), p in zip(_CORNERS, prob):
+                grid[i + k][j + m] += sign * f * p
+    return grid, denominator

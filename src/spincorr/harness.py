@@ -439,8 +439,16 @@ def verify_preservation(spec: ExperimentSpec) -> ExperimentOutcome:
 
 SEARCH_TARGETS = ("association", "downward-fkg")
 
-_PARAM_GRID = tuple(Fraction(i, 8) for i in range(1, 8))
+_PARAM_GRID = range(1, 8)  # rho and lambda run over i/8 for i in this range
 _CONFIRM_TIMES = (0.01, 0.05, 0.1, 0.25, 0.5)
+
+
+def _grid_values(coefficients):
+    """(i, j, 8^4 D(i/8, j/8)) in search order from D's integer coefficients c[a][b]."""
+    for i in _PARAM_GRID:
+        q0, q1, q2 = (64 * c0 + 8 * i * c1 + i * i * c2 for c0, c1, c2 in zip(*coefficients))
+        for j in _PARAM_GRID:
+            yield i, j, 64 * q0 + 8 * j * q1 + j * j * q2
 
 
 @dataclass(frozen=True)
@@ -480,13 +488,14 @@ def search_counterexample(
     Product measures with two free sites x, y on a parameter grid are
     screened by the exact t = 0 derivative of the association determinant
     of (x, y) (for ``downward-fkg``, conditioned on zeros at a third site).
-    For each pair and background that derivative is one closed-form
-    biquadratic in (rho, lambda) (``derivative_coefficients``), evaluated at
-    every grid point.  Each negative value is recomputed by
-    ``derivative_at_zero`` on the product measure itself, then confirmed by
-    evolving the measure over a small time grid and running the target
-    checker.  ``budget`` caps the grid evaluations and confirmations
-    together.
+    For each pair and background that derivative is one biquadratic in
+    (rho, lambda) with integer coefficients over one common denominator
+    (``derivative_coefficients``), and each grid value, an integer over that
+    denominator times 8^4, is compared with 0 as an integer.  Only a negative
+    value becomes a Fraction; it is recomputed by ``derivative_at_zero`` on
+    the product measure itself, then confirmed by evolving the measure over
+    a small time grid and running the target checker.  ``budget`` caps the
+    grid evaluations and confirmations together.
 
     A found witness for ``downward-fkg`` is also a DCA violation, since
     conditional association implies the downward FKG property.
@@ -508,50 +517,47 @@ def search_counterexample(
             key = (x, y, background)
             if key not in corners:
                 corners[key] = product_corners(gen, x, y, background)
-            coefficients = derivative_coefficients(poly, corners[key])
-            for rho in _PARAM_GRID:
-                # D(rho, lam) = q0 + q1 lam + q2 lam^2 at this rho
-                q0, q1, q2 = (c0 + rho * (c1 + rho * c2) for c0, c1, c2 in zip(*coefficients))
-                for lam in _PARAM_GRID:
+            coefficients, denominator = derivative_coefficients(poly, corners[key])
+            for i, j, value in _grid_values(coefficients):
+                if evaluations >= budget:
+                    return exhausted()
+                evaluations += 1
+                if value >= 0:
+                    continue
+                deriv = Fraction(value, denominator * 8**4)
+                rho, lam = Fraction(i, 8), Fraction(j, 8)
+                ps = [background] * n
+                ps[x], ps[y] = rho, lam
+                mu = ProbabilityMeasure.product(ps)
+                reference = derivative_at_zero(gen, mu, poly)
+                if reference != deriv:
+                    raise ArithmeticError(
+                        f"closed-form derivative {deriv} differs from {reference} "
+                        f"at sites {x}, {y}, rho={rho}, lambda={lam}"
+                    )
+                certificate = {
+                    **{"conditioned_site": u for u in zero_sites},
+                    "sites": [x, y],
+                    "rho": str(rho),
+                    "lambda": str(lam),
+                    "background": str(background),
+                    "derivative": str(deriv),
+                }
+                for t in _CONFIRM_TIMES:
                     if evaluations >= budget:
                         return exhausted()
-                    deriv = q0 + lam * (q1 + lam * q2)
+                    evolved = semigroup_apply(gen, mu, t)
+                    report = check(evolved)
                     evaluations += 1
-                    if deriv >= 0:
-                        continue
-                    ps = [background] * n
-                    ps[x] = rho
-                    ps[y] = lam
-                    mu = ProbabilityMeasure.product(ps)
-                    reference = derivative_at_zero(gen, mu, poly)
-                    if reference != deriv:
-                        raise ArithmeticError(
-                            f"closed-form derivative {deriv} differs from {reference} "
-                            f"at sites {x}, {y}, rho={rho}, lambda={lam}"
+                    if report.fails:
+                        witness = {
+                            "product_probabilities": [str(p) for p in ps],
+                            "t": t,
+                            "report_property": report.property,
+                            "report_witness": report.witness,
+                            "report_margin": float(report.margin),
+                        }
+                        return SearchOutcome(
+                            target, True, witness, certificate, evaluations, "violation-found"
                         )
-                    certificate = {
-                        **{"conditioned_site": u for u in zero_sites},
-                        "sites": [x, y],
-                        "rho": str(rho),
-                        "lambda": str(lam),
-                        "background": str(background),
-                        "derivative": str(deriv),
-                    }
-                    for t in _CONFIRM_TIMES:
-                        if evaluations >= budget:
-                            return exhausted()
-                        evolved = semigroup_apply(gen, mu, t)
-                        report = check(evolved)
-                        evaluations += 1
-                        if report.fails:
-                            witness = {
-                                "product_probabilities": [str(p) for p in ps],
-                                "t": t,
-                                "report_property": report.property,
-                                "report_witness": report.witness,
-                                "report_margin": float(report.margin),
-                            }
-                            return SearchOutcome(
-                                target, True, witness, certificate, evaluations, "violation-found"
-                            )
     return exhausted()

@@ -3,9 +3,12 @@ tests use, kept out of the library.
 
 The kernel and splitting oracles run on the library's own uniformization
 (``_poisson_sweep`` at the default tail), so they see the same floats that
-``semigroup_apply`` computes.
+``semigroup_apply`` computes.  ``fraction_search`` is the counterexample
+search with the derivative screen over ``Fraction`` and numpy object arrays
+that the library's integer screen replaced, kept as its reference.
 """
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -16,10 +19,19 @@ from spincorr.dynamics import (
     RateTable,
     _check_time,
     _poisson_sweep,
+    association_determinant_poly,
     birth_submodularity,
+    build_generator,
+    measure_flow,
     semigroup_apply,
 )
-from spincorr.harness import _rng
+from spincorr.harness import (
+    _CONFIRM_TIMES,
+    DEFAULT_SEARCH_BUDGET,
+    SearchOutcome,
+    _rng,
+    _search_plan,
+)
 from spincorr.lattice import BudgetError, configs, lattice_pairs, single_bit_pairs
 from spincorr.measures import ProbabilityMeasure, WeightVector
 
@@ -110,3 +122,117 @@ def random_single_site_birth(seed: int, n: int, site: int) -> RateTable:
         if birth_submodularity(table).holds:
             return table
     raise BudgetError(f"no increasing submodular table found in {BIRTH_REJECTION_BUDGET} draws")
+
+
+def huge_denominator_system(seed: int, n: int) -> RateTable:
+    """Generic rates near 10^-10: numerators near 10^30 over denominators near
+    10^40, a different one for each rate, so their lcm has hundreds of digits."""
+    rng = random.Random(seed)
+    size = 1 << n
+
+    def table():
+        return [[Fraction(10**30 + rng.randrange(10**6), 10**40 + 7 + 2 * rng.randrange(10**6))
+                 for _ in range(size)] for _ in range(n)]
+
+    return RateTable.from_tables(table(), table())
+
+
+def _fraction_corners(gen: Generator, x: int, y: int, background) -> tuple:
+    """The four product measures with sites x, y pinned to (0, 0), (1, 0),
+    (0, 1), (1, 1) and ``background`` elsewhere, as (weights, flow mu Q)."""
+    corners = []
+    for sx, sy in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        ps = [background] * gen.n
+        ps[x], ps[y] = sx, sy
+        pm = ProbabilityMeasure.product(ps)
+        corners.append((pm.weights, measure_flow(gen, pm)))
+    return corners
+
+
+def _fraction_bilinear(v00, v10, v01, v11) -> np.ndarray:
+    out = np.zeros((3, 3), dtype=object)
+    out[0, 0], out[1, 0], out[0, 1], out[1, 1] = v00, v10 - v00, v01 - v00, v11 - v10 - v01 + v00
+    return out
+
+
+def _fraction_bilinear_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.zeros((3, 3), dtype=object)
+    for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        out[i:i + 2, j:j + 2] += a[i, j] * b[:2, :2]
+    return out
+
+
+def _fraction_coefficients(poly, corners) -> tuple[tuple[Fraction, ...], ...]:
+    """Coefficients of rho^a lam^b in the t = 0 derivative, over Fraction
+    and numpy object arrays."""
+
+    def interpolated(values):
+        per_corner = [poly.event_probabilities(v) for v in values]
+        return [_fraction_bilinear(*corner) for corner in zip(*per_corner)]
+
+    p11, p00, p10, p01 = interpolated(w for w, _ in corners)
+    f11, f00, f10, f01 = interpolated(f for _, f in corners)
+    times = _fraction_bilinear_product
+    grid = times(f11, p00) + times(f00, p11) - times(f10, p01) - times(f01, p10)
+    return tuple(tuple(Fraction(v) for v in row) for row in grid)
+
+
+def fraction_search(target: str, system: RateTable, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchOutcome:
+    """``search_counterexample`` with its derivative screen over Fraction:
+    the same cases, grid, visit order, budget accounting, confirmations and
+    certificates, each grid value evaluated from the rational coefficients."""
+    n = system.n
+    cases, backgrounds, check = _search_plan(target, n)
+    gen = build_generator(system)
+    grid = [Fraction(i, 8) for i in range(1, 8)]
+    evaluations = 0
+
+    def exhausted():
+        return SearchOutcome(target, False, None, None, evaluations, "search-exhausted")
+
+    corners = {}
+    for zero_sites, x, y in cases:
+        poly = association_determinant_poly(n, x, y, zero_sites=zero_sites)
+        for background in backgrounds:
+            key = (x, y, background)
+            if key not in corners:
+                corners[key] = _fraction_corners(gen, x, y, background)
+            coefficients = _fraction_coefficients(poly, corners[key])
+            for rho in grid:
+                q0, q1, q2 = (c0 + rho * (c1 + rho * c2) for c0, c1, c2 in zip(*coefficients))
+                for lam in grid:
+                    if evaluations >= budget:
+                        return exhausted()
+                    deriv = q0 + lam * (q1 + lam * q2)
+                    evaluations += 1
+                    if deriv >= 0:
+                        continue
+                    ps = [background] * n
+                    ps[x], ps[y] = rho, lam
+                    mu = ProbabilityMeasure.product(ps)
+                    certificate = {
+                        **{"conditioned_site": u for u in zero_sites},
+                        "sites": [x, y],
+                        "rho": str(rho),
+                        "lambda": str(lam),
+                        "background": str(background),
+                        "derivative": str(deriv),
+                    }
+                    for t in _CONFIRM_TIMES:
+                        if evaluations >= budget:
+                            return exhausted()
+                        evolved = semigroup_apply(gen, mu, t)
+                        report = check(evolved)
+                        evaluations += 1
+                        if report.fails:
+                            witness = {
+                                "product_probabilities": [str(p) for p in ps],
+                                "t": t,
+                                "report_property": report.property,
+                                "report_witness": report.witness,
+                                "report_margin": float(report.margin),
+                            }
+                            return SearchOutcome(
+                                target, True, witness, certificate, evaluations, "violation-found"
+                            )
+    return exhausted()

@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     determinant_value,
     generator_sum,
+    huge_denominator_system,
     point_mass,
     random_single_site_birth,
     trotter_compose,
@@ -38,8 +39,8 @@ from spincorr.dynamics import (
     semigroup_apply_expm,
 )
 from spincorr.harness import (
-    _PARAM_GRID,
     SEARCH_TARGETS,
+    _grid_values,
     _search_plan,
     corner_flip_system,
     crossed_birth_pair,
@@ -665,7 +666,28 @@ class TestDerivativeAtZero:
 
 
 def biquadratic(coeffs, rho, lam):
-    return sum(c * rho**a * lam**b for a, row in enumerate(coeffs) for b, c in enumerate(row))
+    numerators, denominator = coeffs
+    terms = (c * rho**a * lam**b for a, row in enumerate(numerators) for b, c in enumerate(row))
+    return Fraction(sum(terms), denominator)
+
+
+def assert_grid_matches_reference(system):
+    # every search case and background, every grid value the search compares with 0, exactly
+    n = system.n
+    gen = build_generator(system)
+    for target in SEARCH_TARGETS:
+        cases, backgrounds, _ = _search_plan(target, n)
+        for zero_sites, x, y in cases:
+            poly = association_determinant_poly(n, x, y, zero_sites=zero_sites)
+            for background in backgrounds:
+                coeffs, denominator = derivative_coefficients(poly, product_corners(gen, x, y, background))
+                assert all(type(c) is int for row in coeffs for c in row)
+                for i, j, value in _grid_values(coeffs):
+                    assert type(value) is int
+                    ps = [background] * n
+                    ps[x], ps[y] = Fraction(i, 8), Fraction(j, 8)
+                    mu = ProbabilityMeasure.product(ps)
+                    assert Fraction(value, denominator * 8**4) == derivative_at_zero(gen, mu, poly)
 
 
 class TestDerivativeCoefficients:
@@ -675,21 +697,25 @@ class TestDerivativeCoefficients:
         *((kind, n, seed) for kind in ("generic", "attractive") for n in (3, 4) for seed in (0, 1)),
     ])
     def test_biquadratic_equals_reference_on_the_search_grid(self, kind, n, seed):
-        # every search case and background, every grid point, exactly
         system = contact_process(path_edges(n)) if kind == "contact" else random_spin_system(seed, n, kind)
-        gen = build_generator(system)
-        for target in SEARCH_TARGETS:
-            cases, backgrounds, _ = _search_plan(target, n)
-            for zero_sites, x, y in cases:
-                poly = association_determinant_poly(n, x, y, zero_sites=zero_sites)
-                for background in backgrounds:
-                    coeffs = derivative_coefficients(poly, product_corners(gen, x, y, background))
-                    for rho in _PARAM_GRID:
-                        for lam in _PARAM_GRID:
-                            ps = [background] * n
-                            ps[x], ps[y] = rho, lam
-                            mu = ProbabilityMeasure.product(ps)
-                            assert biquadratic(coeffs, rho, lam) == derivative_at_zero(gen, mu, poly)
+        assert_grid_matches_reference(system)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_exact_at_huge_rate_denominators(self, seed):
+        # no int64 or float enters the screen: rate denominators near 10^40
+        # put the common denominator far beyond both ranges
+        system = huge_denominator_system(seed, 3)
+        scale, _ = build_generator(system).integer_rates
+        assert scale > 10**300
+        assert_grid_matches_reference(system)
+
+    def test_exact_for_a_single_huge_denominator(self):
+        denominator = 10**40 + 7
+        system = contact_process(
+            path_edges(3), infection=Fraction(10**30 + 1, denominator), recovery=Fraction(1, denominator)
+        )
+        assert build_generator(system).integer_rates[0] == denominator
+        assert_grid_matches_reference(system)
 
     def test_corners_reproduce_the_reference_off_the_grid(self):
         # the interpolation holds on the whole square, corners included
@@ -708,6 +734,12 @@ class TestDerivativeCoefficients:
             )
         with pytest.raises(ValueError):
             product_corners(gen, 1, 1, Fraction(1, 2))
+
+    @pytest.mark.parametrize("x, y", [(0, 3), (-1, 1)])
+    def test_corner_sites_range_checked(self, x, y):
+        gen = build_generator(contact_process(path_edges(3)))
+        with pytest.raises(ValueError, match="out of range for 3 sites"):
+            product_corners(gen, x, y, Fraction(1, 2))
 
 
 class TestSingleSiteClosedForm:

@@ -1,7 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from oracles import generator_sum, point_mass, random_single_site_birth
+from oracles import (
+    fraction_search,
+    generator_sum,
+    point_mass,
+    random_single_site_birth,
+)
 
 from spincorr import harness
 from spincorr.dynamics import (
@@ -10,11 +15,13 @@ from spincorr.dynamics import (
     births_increasing,
     build_generator,
     contact_process,
-    derivative_coefficients,
     path_edges,
     semigroup_apply,
 )
+from spincorr.fixtures import fixture_corpus
 from spincorr.harness import (
+    DEFAULT_SEARCH_BUDGET,
+    SEARCH_TARGETS,
     ExperimentSpec,
     SearchOutcome,
     corner_flip_system,
@@ -22,6 +29,7 @@ from spincorr.harness import (
     derangement_measure,
     implication_gap_measures,
     random_measure,
+    random_spin_system,
     search_counterexample,
     supermodular_single_birth,
     verify_preservation,
@@ -35,6 +43,7 @@ from spincorr.measures import (
     project_zeros,
     satisfies_lattice,
 )
+from spincorr.serialize import rate_table_from_dict
 from spincorr.three_site import COORDINATES, classify
 
 
@@ -288,17 +297,44 @@ class TestSearchCounterexample:
         outcome = search_counterexample(target, contact_process(path_edges(4)))
         assert outcome == SearchOutcome(target, False, None, None, evaluations, "search-exhausted")
 
-    def test_closed_form_is_checked_against_the_reference(self, monkeypatch):
-        # a candidate's closed-form derivative that disagrees with
-        # derivative_at_zero on the product measure itself is an error
-        def shifted(poly, corners):
-            (c00, *row0), *rows = derivative_coefficients(poly, corners)
-            return ((c00 - 1, *row0), *rows)
+    @pytest.mark.parametrize("system", [
+        crossed_birth_pair(),  # has negative grid values
+        RateTable.independent_flips(3, (1, 2, 3), (3, 2, 1)),  # every grid value is exactly 0
+    ], ids=["crossed_birth_pair", "independent_flips3"])
+    def test_closed_form_is_checked_against_the_reference(self, monkeypatch, system):
+        # a grid value that disagrees with derivative_at_zero on the product
+        # measure itself, here by one unit of its denominator, is an error
+        grid_values = harness._grid_values
 
-        monkeypatch.setattr(harness, "derivative_coefficients", shifted)
+        def shifted(coefficients):
+            return ((i, j, value - 1) for i, j, value in grid_values(coefficients))
+
+        monkeypatch.setattr(harness, "_grid_values", shifted)
         with pytest.raises(ArithmeticError):
-            search_counterexample("association", crossed_birth_pair())
+            search_counterexample("association", system)
 
     def test_unknown_target_rejected(self):
         with pytest.raises(ValueError):
             search_counterexample("bogus", crossed_birth_pair())
+
+
+def differential_systems():
+    systems = [(f"contact_path{k}", contact_process(path_edges(k))) for k in (3, 4, 5)]
+    systems += [
+        (f"fixture-{name}", rate_table_from_dict(doc))
+        for name, doc in sorted(fixture_corpus().items()) if "weights" not in doc
+    ]
+    systems += [
+        (f"{kind}{n}-seed{seed}", random_spin_system(seed, n, kind))
+        for kind in ("generic", "attractive", "independent") for n in (2, 3, 4, 5) for seed in (0, 1, 2)
+    ]
+    return [pytest.param(system, id=name) for name, system in systems]
+
+
+@pytest.mark.parametrize("system", differential_systems())
+def test_search_matches_the_fraction_screen(system):
+    # the integer screen against the Fraction screen it replaced: same
+    # outcome, evaluations, witness and certificate at every budget
+    for target in SEARCH_TARGETS:
+        for budget in (0, 1, 7, 50, 51, 52, 300, DEFAULT_SEARCH_BUDGET):
+            assert search_counterexample(target, system, budget) == fraction_search(target, system, budget)
