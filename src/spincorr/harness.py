@@ -49,7 +49,7 @@ from .measures import (
     satisfies_lattice,
 )
 from .three_site import classify, from_coordinates
-from .tilts import TiltFunction, dca_falsify
+from .tilts import TiltFunction, dca_falsify, validate_budget
 
 DEFAULT_TIME_GRID = (0.1, 0.5, 1.0, 2.0)
 DEFAULT_MEASURE_MODE = "lattice"
@@ -329,8 +329,7 @@ class ExperimentSpec:
             raise ValueError("measures must hold at least one measure")
         if self.measure_count < 0:
             raise ValueError(f"measure count must be nonnegative, got {self.measure_count}")
-        if self.tilt_budget < 0:
-            raise ValueError(f"tilt budget must be nonnegative, got {self.tilt_budget}")
+        validate_budget(self.tilt_budget)
         _resolve_tolerance(FLOAT, self.tolerance)  # refuses NaN, inf and negative values
         for i, measure in enumerate(self.measures or ()):
             if measure.n != self.system.n:

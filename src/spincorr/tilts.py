@@ -15,20 +15,23 @@ Sampled tilts are built multiplicatively from exact rational parameters,
 with v_A >= 1 and u_x * prod_{A owning x} v_A <= 1.  Each all-ones
 monomial is supermodular, so h is log-supermodular, and the constraint on
 u_x makes raising any coordinate shrink h; validity therefore holds
-exactly, by construction, and is re-checked per sample.
+exactly, by construction, and is re-checked per sample, in integers.
+``dca_falsify`` draws each tilt once per process: one stream per (n, seed), 8 kept.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from math import lcm
+from functools import lru_cache
+from itertools import count, islice
+from math import lcm, prod
 
 import numpy as np
 
-from .lattice import configs, validate_site, validate_site_count
+from .lattice import validate_site, validate_site_count
 from .measures import (
     EXACT,
     FAILS,
@@ -62,38 +65,44 @@ class TiltFunction:
         validate_site_count(self.n)
         if len(self.site_factors) != self.n:
             raise ValueError(f"expected {self.n} site factors")
+        for where, factor in [*((f"site {x}", u) for x, u in enumerate(self.site_factors)),
+                              *((f"mask {m:#b}", v) for m, v in self.interaction_factors)]:
+            if isinstance(factor, bool) or not isinstance(factor, (int, Fraction)):
+                raise ValueError(f"{where}: factor {factor!r} is not an int or a Fraction")
         for mask, factor in self.interaction_factors:
             if mask.bit_count() < 2 or mask >= 1 << self.n:
                 raise ValueError(f"interaction mask {mask:#b} invalid for {self.n} sites")
-            if factor < 1:
+            if factor.numerator < factor.denominator:
                 raise ValueError(f"interaction factor {factor} below 1 breaks supermodularity")
         for x, u in enumerate(self.site_factors):
-            if not u > 0:
+            if u.numerator <= 0:
                 raise ValueError(f"site factor {u} at site {x} not strictly positive")
-            bound = u
-            for mask, factor in self.interaction_factors:
-                if mask >> x & 1:
-                    bound *= factor
-            if bound > 1:
-                raise ValueError(
-                    f"site {x}: u * prod(v) = {bound} > 1 would make h increasing there"
-                )
+            owning = [v for mask, v in self.interaction_factors if mask >> x & 1]
+            top = u.numerator * prod(v.numerator for v in owning)  # u * prod(v) = top / bottom
+            bottom = u.denominator * prod(v.denominator for v in owning)
+            if top > bottom:
+                raise ValueError(f"site {x}: u * prod(v) = {Fraction(top, bottom)} > 1 "
+                                 "would make h increasing there")
+
+    def _integer_table(self) -> tuple[list[int], int]:
+        """h as integer numerators over the product of the factors' denominators."""
+        nums, den = [1], 1
+        for u in self.site_factors:
+            nums = [v * u.denominator for v in nums] + [v * u.numerator for v in nums]
+            den *= u.denominator
+        for mask, factor in self.interaction_factors:
+            p, q = factor.numerator, factor.denominator
+            nums = [v * p if c & mask == mask else v * q for c, v in enumerate(nums)]
+            den *= q
+        return nums, den
 
     def values_exact(self) -> tuple[Fraction, ...]:
-        out = []
-        for c in configs(self.n):
-            v = Fraction(1)
-            for x, u in enumerate(self.site_factors):
-                if c >> x & 1:
-                    v *= u
-            for mask, factor in self.interaction_factors:
-                if c & mask == mask:
-                    v *= factor
-            out.append(v)
-        return tuple(out)
+        nums, den = self._integer_table()
+        return tuple(Fraction(v, den) for v in nums)
 
     def values_float(self) -> np.ndarray:
-        return np.array([float(v) for v in self.values_exact()], dtype=np.float64)
+        nums, den = self._integer_table()
+        return np.array([v / den for v in nums], dtype=np.float64)  # int / int is correctly rounded
 
 
 def conditioning_tilt(n: int, sites, eps) -> TiltFunction:
@@ -140,15 +149,12 @@ class TiltSampler:
             interactions = []
             for mask in interaction_masks:
                 if rng.random() < 0.4:
-                    interactions.append((mask, 1 + Fraction(rng.randrange(0, 9), 4)))
+                    interactions.append((mask, Fraction(4 + rng.randrange(0, 9), 4)))
             site_factors = []
             for x in range(self.n):
-                cap = Fraction(1)
-                for mask, factor in interactions:
-                    if mask >> x & 1:
-                        cap *= factor
-                rho = Fraction(rng.randrange(1, 17), 16)
-                site_factors.append(rho / cap)
+                owning = [v for mask, v in interactions if mask >> x & 1]
+                top, bottom = prod(v.numerator for v in owning), prod(v.denominator for v in owning)
+                site_factors.append(Fraction(rng.randrange(1, 17) * bottom, 16 * top))
             tf = TiltFunction(self.n, tuple(site_factors), tuple(interactions))
             tf.validate()
             yield tf
@@ -156,6 +162,29 @@ class TiltSampler:
 
 # ---------------------------------------------------------------------------
 # the DCA checker
+
+
+@lru_cache(maxsize=8)
+def _tilt_stream(n: int, seed: int):
+    """A ``TiltSampler(n, seed)`` iterator, its (tilt, read-only float table) pairs, a lock."""
+    return iter(TiltSampler(n, seed=seed)), [], threading.Lock()
+
+
+def _drawn_tilts(n: int, seed: int):
+    """The (tilt, float table) pairs of ``TiltSampler(n, seed)``, each drawn once."""
+    sampler, drawn, lock = _tilt_stream(n, seed)
+    for i in count():
+        with lock:
+            if i == len(drawn):
+                tf = next(sampler)
+                drawn.append((tf, tf.values_float()))
+                drawn[i][1].flags.writeable = False
+        yield drawn[i]
+
+
+def validate_budget(budget) -> None:
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
+        raise ValueError(f"tilt budget must be a nonnegative integer, got {budget!r}")
 
 
 def _tilt_witness(measure, tf: TiltFunction, tolerance):
@@ -203,12 +232,12 @@ def dca_falsify(
     closed forms decide the property.  For n >= 4 the checker first runs
     the downward-FKG screen (a necessary condition whose violation yields
     an explicit soft-conditioning witness) and then samples ``budget``
-    valid tilts from ``TiltSampler(n, seed)``; it never certifies `holds`
+    valid tilts from ``TiltSampler(n, seed)``, shared by every call on the
+    same (n, seed) while that stream is among the 8 cached; it never certifies `holds`
     at that size.  At most 5 sites for up-set checks; lattice, rates and
     dynamics up to 6: the screen raises ``BudgetError`` for n = 6.
     """
-    if budget < 0:
-        raise ValueError(f"tilt budget must be nonnegative, got {budget}")
+    validate_budget(budget)
     pm = _as_probability(measure)
     n = pm.n
     tol = _resolve_tolerance(pm.mode, tolerance)
@@ -261,21 +290,18 @@ def dca_falsify(
 
     weights = pm.as_float_array()
     best = None
-    sampled = 0
-    for tf in islice(iter(TiltSampler(n, seed=seed)), budget):
-        sampled += 1
-        tilted = weights * tf.values_float()
+    for sampled, (tf, table) in enumerate(islice(_drawn_tilts(n, seed), budget), 1):
+        tilted = weights * table
         tilted /= tilted.sum()
         margin = is_associated(ProbabilityMeasure.floats(tilted), tolerance=tolerance).margin
-        if best is None or margin < best:
-            best = margin
+        best = margin if best is None else min(best, margin)
         if margin < -max(tol, 1e-12):
             confirmed = _tilt_witness(pm, tf, tolerance)
             if confirmed is not None:
                 witness, exact_margin = confirmed
                 details["tilts_sampled"] = sampled
                 return PropertyReport("dca", FAILS, witness, exact_margin, details)
-    details["tilts_sampled"] = sampled
+    details["tilts_sampled"] = budget  # the stream never ends before the budget
     details["min_sampled_margin"] = best
     return PropertyReport("dca", SEARCH_EXHAUSTED, None, best, details)
 

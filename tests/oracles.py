@@ -6,6 +6,9 @@ The kernel and splitting oracles run on the library's own uniformization
 ``semigroup_apply`` computes.  ``fraction_search`` is the counterexample
 search with the derivative screen over ``Fraction`` and numpy object arrays
 that the library's integer screen replaced, kept as its reference.
+``fraction_tilt_values`` and ``fresh_sampler_dca`` are the ``Fraction``
+tilt tables and the DCA sampling loop on a fresh ``TiltSampler`` that the
+integer tables and the cached tilt stream replaced.
 """
 
 import random
@@ -33,7 +36,19 @@ from spincorr.harness import (
     _search_plan,
 )
 from spincorr.lattice import BudgetError, configs, lattice_pairs, single_bit_pairs
-from spincorr.measures import ProbabilityMeasure, WeightVector
+from spincorr.measures import (
+    EXACT,
+    FAILS,
+    SEARCH_EXHAUSTED,
+    ProbabilityMeasure,
+    PropertyReport,
+    WeightVector,
+    _as_probability,
+    _resolve_tolerance,
+    is_associated,
+    is_downward_fkg,
+)
+from spincorr.tilts import TiltSampler, _materialize_conditioning_witness, _tilt_witness
 
 BIRTH_REJECTION_BUDGET = 5000
 
@@ -107,6 +122,62 @@ def tilt_table_is_valid(values, n: int, tolerance: float = 0.0):
         if slack < -tolerance * max(abs(vals[a] * vals[b]), 1):
             return False, f"supermodularity fails at pair ({a}, {b})"
     return True, None
+
+
+def fraction_tilt_values(tf) -> tuple[Fraction, ...]:
+    """The table of h, configuration by configuration, as a product of
+    ``Fraction`` factors."""
+    out = []
+    for c in configs(tf.n):
+        v = Fraction(1)
+        for x, u in enumerate(tf.site_factors):
+            if c >> x & 1:
+                v *= u
+        for mask, factor in tf.interaction_factors:
+            if c & mask == mask:
+                v *= factor
+        out.append(v)
+    return tuple(out)
+
+
+def fresh_sampler_dca(measure, budget: int, *, tolerance=None, seed: int = 0) -> PropertyReport:
+    """``dca_falsify`` for n >= 4: the downward-FKG screen, then ``budget``
+    tilts from a fresh ``TiltSampler(n, seed)`` with ``Fraction`` tables."""
+    pm = _as_probability(measure)
+    n = pm.n
+    assert n >= 4
+    tol = _resolve_tolerance(pm.mode, tolerance)
+    details = {"mode": pm.mode, "sites": n}
+    if pm.mode != EXACT:
+        details["tolerance"] = tol
+    screen = is_downward_fkg(pm, tolerance=tolerance)
+    details["downward_fkg_screen"] = screen.verdict
+    if screen.fails:
+        witness, margin = _materialize_conditioning_witness(
+            pm, screen.witness["conditioned_sites"], tolerance
+        )
+        return PropertyReport("dca", FAILS, witness, margin, details)
+    weights = pm.as_float_array()
+    best = None
+    sampled = 0
+    sampler = iter(TiltSampler(n, seed=seed))
+    for _ in range(budget):
+        tf = next(sampler)
+        sampled += 1
+        tilted = weights * np.array([float(v) for v in fraction_tilt_values(tf)])
+        tilted /= tilted.sum()
+        margin = is_associated(ProbabilityMeasure.floats(tilted), tolerance=tolerance).margin
+        if best is None or margin < best:
+            best = margin
+        if margin < -max(tol, 1e-12):
+            confirmed = _tilt_witness(pm, tf, tolerance)
+            if confirmed is not None:
+                witness, exact_margin = confirmed
+                details["tilts_sampled"] = sampled
+                return PropertyReport("dca", FAILS, witness, exact_margin, details)
+    details["tilts_sampled"] = sampled
+    details["min_sampled_margin"] = best
+    return PropertyReport("dca", SEARCH_EXHAUSTED, None, best, details)
 
 
 def random_single_site_birth(seed: int, n: int, site: int) -> RateTable:

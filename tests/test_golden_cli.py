@@ -55,6 +55,13 @@ def corpus_runs() -> list[list[str]]:
         ["evolve", "--input", fx(m), "--system", fx(s), "--t", "0,0.5,2"]
         for m in MEASURES for s in SYSTEMS
     ]
+    # at --budget 20 the four-site DCA checks above stop inside the 45
+    # conditioning tilts; these two also sample 15 random tilts
+    runs += [
+        ["verify-theorem", "--system", fx("contact_path4"), "--property", "dca", "--count", "2",
+         "--budget", "60", "--t", "0.1,1.0"],
+        ["check-measure", "--input", fx("derangement4"), "--budget", "60"],
+    ]
     return runs
 
 

@@ -211,6 +211,11 @@ class TestVerifyPreservation:
         spec = ExperimentSpec(system=crossed_birth_pair(), property="associated", measure_count=0)
         assert verify_preservation(spec).summary == "no-qualifying-measures"
 
+    @pytest.mark.parametrize("budget", [True, 2.0, -1, "3"])
+    def test_tilt_budget_must_be_a_nonnegative_integer(self, budget):
+        with pytest.raises(ValueError, match="tilt budget must be a nonnegative integer"):
+            ExperimentSpec(system=crossed_birth_pair(), property="dca", tilt_budget=budget)
+
     def test_unqualified_measures_are_skipped(self):
         gap1, _ = implication_gap_measures(Fraction(1, 100))
         spec = ExperimentSpec(

@@ -1,9 +1,13 @@
+import sys
+import threading
 from fractions import Fraction
 from itertools import islice
 
+import numpy as np
 import pytest
-from oracles import tilt_table_is_valid
+from oracles import fraction_tilt_values, fresh_sampler_dca, tilt_table_is_valid
 
+from spincorr import tilts
 from spincorr.harness import derangement_measure, implication_gap_measures, random_measure
 from spincorr.measures import (
     FAILS,
@@ -52,6 +56,33 @@ class TestTiltFunction:
         tf = TiltFunction(2, (Fraction(1), Fraction(1)), ((0b11, Fraction(2)),))
         with pytest.raises(ValueError):
             tf.validate()
+
+    @pytest.mark.parametrize("sites,interactions,where", [
+        ((0.5, 0.5), (), "site 0"),
+        ((Fraction(1, 2), True), (), "site 1"),
+        ((np.float64(0.5), Fraction(1, 2)), (), "site 0"),
+        ((Fraction(1, 4), "1/4"), (), "site 1"),
+        ((Fraction(1, 4), Fraction(1, 4)), ((0b11, 1.5),), "mask 0b11"),
+        ((Fraction(1, 4), Fraction(1, 4)), ((0b11, False),), "mask 0b11"),
+    ])
+    def test_factors_must_be_exact(self, sites, interactions, where):
+        with pytest.raises(ValueError, match=f"{where}: factor .* is not an int or a Fraction"):
+            TiltFunction(2, sites, interactions).validate()
+
+    def test_int_factors_are_exact(self):
+        tf = TiltFunction(2, (1, Fraction(1, 2)), ((0b11, 1),))
+        tf.validate()
+        assert tf.values_exact() == (1, 1, Fraction(1, 2), Fraction(1, 2))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_tables_match_the_fraction_product(self, n, seed):
+        # every conditioning tilt, then 40 sampled ones
+        for tf in islice(iter(TiltSampler(n, seed=seed)), 3 * ((1 << n) - 1) + 40):
+            reference = fraction_tilt_values(tf)
+            assert tf.values_exact() == reference
+            expected = np.array([float(v) for v in reference], dtype=np.float64)
+            assert tf.values_float().tobytes() == expected.tobytes()
 
     def test_sampler_is_deterministic(self):
         first = [tf.values_exact() for tf in islice(iter(TiltSampler(3, seed=9)), 40)]
@@ -138,3 +169,88 @@ class TestDcaFalsify:
             mu = normalize(random_measure(seed, 3, "generic"))
             if satisfies_lattice(mu).holds:
                 assert dca_falsify(mu).verdict == HOLDS
+
+
+def _same_report(actual, expected):
+    """Verdict, witness, details and margin agree, floats bit for bit."""
+    def exact(value):
+        return float.hex(value) if isinstance(value, float) else value
+    assert actual.verdict == expected.verdict
+    assert actual.witness == expected.witness
+    assert {k: exact(v) for k, v in actual.details.items()} == {
+        k: exact(v) for k, v in expected.details.items()}
+    assert exact(actual.margin) == exact(expected.margin)
+
+
+def _stream_measures(n):
+    """Exact and float measures that pass the screen, and one that fails it."""
+    _, gap2 = implication_gap_measures(EPS)
+    base = normalize(gap2)
+    failing = ProbabilityMeasure(n, tuple(
+        base.weights[c & 0b111] * Fraction(1, 1 << (n - 3)) for c in range(1 << n)))
+    derangement = derangement_measure(n)
+    return [derangement, ProbabilityMeasure.floats(derangement.as_float_array()),
+            normalize(random_measure(1, n, "lattice")), failing]
+
+
+class TestTiltStream:
+    """dca_falsify reads one cached tilt stream per (n, seed); its reports
+    match the loop over a fresh TiltSampler whatever the order of calls."""
+
+    def _check(self, calls, measures):
+        tilts._tilt_stream.cache_clear()
+        for budget, seed in calls:
+            for mu in measures:
+                _same_report(dca_falsify(mu, budget=budget, seed=seed),
+                             fresh_sampler_dca(mu, budget, seed=seed))
+
+    def test_budgets_across_the_conditioning_family(self):
+        # n = 4 has 45 conditioning tilts: 45 ends the family, 46 adds a sampled tilt
+        self._check([(b, 0) for b in (0, 1, 45, 46, 60, 200)], _stream_measures(4))
+
+    def test_a_shorter_call_after_longer_ones(self):
+        self._check([(60, 0), (200, 0), (10, 0)], _stream_measures(4))
+
+    def test_seeds_interleaved(self):
+        self._check([(60, 0), (60, 1), (80, 0), (70, 1)], _stream_measures(4))
+
+    def test_five_sites(self):
+        # a five-site float sweep takes about 0.07 s (2-CPU host), so only a few
+        # tilts here; test_tables_match_the_fraction_product pins their tables
+        derangement = derangement_measure(5)
+        self._check([(0, 0), (1, 0), (2, 1), (3, 0)], [derangement])
+
+    def test_tables_are_shared_and_read_only(self):
+        tilts._tilt_stream.cache_clear()
+        first = list(islice(tilts._drawn_tilts(4, 0), 50))
+        again = list(islice(tilts._drawn_tilts(4, 0), 50))
+        assert all(a is b for a, b in zip(first, again))
+        with pytest.raises(ValueError):
+            first[0][1][0] = 2.0
+
+    def test_threads_sharing_a_stream_see_it_in_order(self):
+        tilts._tilt_stream.cache_clear()
+        expected = [tf.values_exact() for tf in islice(iter(TiltSampler(4, seed=2)), 120)]
+        results = [None] * 6
+
+        def draw(k):
+            results[k] = [tf.values_exact() for tf, _ in islice(tilts._drawn_tilts(4, 2), 120)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=draw, args=(k,)) for k in range(6)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert all(result == expected for result in results)
+
+    @pytest.mark.parametrize("budget", [True, 2.0, -1, "3", None])
+    def test_budget_must_be_a_nonnegative_integer(self, budget):
+        mu = derangement_measure(4)
+        with pytest.raises(ValueError, match="tilt budget must be a nonnegative integer"):
+            dca_falsify(mu, budget=budget)
