@@ -499,8 +499,7 @@ def search_counterexample(
     A found witness for ``downward-fkg`` is also a DCA violation, since
     conditional association implies the downward FKG property.
     """
-    if budget < 0:
-        raise ValueError(f"search budget must be nonnegative, got {budget}")
+    validate_budget(budget, "search")
     n = system.n
     cases, backgrounds, check = _search_plan(target, n)
     gen = build_generator(system)

@@ -32,7 +32,7 @@ callers then apply a tolerance to the slacks).
 
 from __future__ import annotations
 
-from .measures import WeightVector
+from .measures import EXACT, WeightVector
 
 SYSTEMS = ("cov-prod", "cov-any", "cov-pair", "det-zero-slice", "det-one-slice")
 
@@ -113,8 +113,9 @@ def classify(measure: WeightVector, tolerance=0) -> dict:
     lattice = det_zero and det_one and complements
     dca = cov_prod and cov_pair and det_zero
     associated = cov_prod and cov_any and cov_pair
-    if tolerance == 0:
-        # Sanity: the verdict set can never escape the implication chain.
+    if measure.mode == EXACT:
+        # Sanity: the verdict set can never escape the implication chain;
+        # float slacks near 0 can, and are left to the caller's tolerance.
         assert not (lattice and not dca)
         assert not (dca and not associated)
     return {"lattice": lattice, "dca": dca, "downward_fkg": dca, "associated": associated}

@@ -153,10 +153,11 @@ def fresh_sampler_dca(measure, budget: int, *, tolerance=None, seed: int = 0) ->
     screen = is_downward_fkg(pm, tolerance=tolerance)
     details["downward_fkg_screen"] = screen.verdict
     if screen.fails:
-        witness, margin = _materialize_conditioning_witness(
+        confirmed = _materialize_conditioning_witness(
             pm, screen.witness["conditioned_sites"], tolerance
         )
-        return PropertyReport("dca", FAILS, witness, margin, details)
+        if confirmed is not None:
+            return PropertyReport("dca", FAILS, *confirmed, details)
     weights = pm.as_float_array()
     best = None
     sampled = 0

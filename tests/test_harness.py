@@ -322,6 +322,12 @@ class TestSearchCounterexample:
         with pytest.raises(ValueError):
             search_counterexample("bogus", crossed_birth_pair())
 
+    @pytest.mark.parametrize("budget", [True, 2.5, -1, "3", None])
+    def test_budget_must_be_a_nonnegative_integer(self, budget):
+        # True would run one evaluation and 2.5 three; "3" used to be a TypeError
+        with pytest.raises(ValueError, match="search budget must be a nonnegative integer"):
+            search_counterexample("association", crossed_birth_pair(), budget)
+
 
 def differential_systems():
     systems = [(f"contact_path{k}", contact_process(path_edges(k))) for k in (3, 4, 5)]

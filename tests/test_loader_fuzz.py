@@ -8,6 +8,7 @@ Whatever a document holds, the loaders either build their object or raise
 import contextlib
 import io
 import json
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,10 @@ def mostly(good):
 
 def sized_lists(sizes, elements):
     return st.sampled_from(sizes).flatmap(lambda size: st.lists(elements, min_size=size, max_size=size))
+
+
+def one_in_four(bad, good):
+    return st.sampled_from([good, good, good, bad]).flatmap(lambda kind: kind)
 
 
 values = mostly(st.sampled_from(["0", "1", "1/2", "3/4", "1e400"]) | st.integers(0, 3))
@@ -108,6 +113,22 @@ def doc_path(tmp_path_factory):
 classify3 = ["classify3", "--input"]
 check_rates = ["check-rates", "--input"]
 check_measure = ["check-measure", "--budget", "5", "--input"]
+
+
+def float_weights(n):
+    """Float product measures, whose closed-form slacks are rounding noise
+    around 0, and arbitrary float weights."""
+    products = st.lists(st.floats(0.01, 0.99), min_size=n, max_size=n).map(
+        lambda ps: [prod(p if c >> x & 1 else 1 - p for x, p in enumerate(ps)) for c in range(1 << n)])
+    return products | sized_lists([1 << n], st.floats(0.001, 1))
+
+
+# one time in four: float two- and three-site weights at tolerance 0
+check_measure_inputs = one_in_four(
+    st.tuples(st.just(["check-measure", "--budget", "5", "--tolerance", "0", "--input"]),
+              st.sampled_from([2, 3]).flatmap(float_weights).map(lambda w: {"weights": w})),
+    st.tuples(st.just(check_measure), measures),
+)
 # past the first case's 49 grid points, so a negative derivative gets
 # confirmed by evolving the candidate measure
 search = st.sampled_from(SEARCH_TARGETS).map(
@@ -118,7 +139,7 @@ search = st.sampled_from(SEARCH_TARGETS).map(
 @settings(max_examples=300, deadline=None)
 @given(st.tuples(st.just(classify3), measures | coordinates)
        | st.tuples(st.just(check_rates), rates)
-       | st.tuples(st.just(check_measure), measures)
+       | check_measure_inputs
        | st.tuples(search, st.integers(1, 4).flatmap(generic_table) | rate_tables(3))  # n <= 4
        | st.tuples(st.sampled_from([classify3, check_rates, check_measure]) | search, anything))
 def test_cli_ends_in_an_exit_code(doc_path, command_and_doc):
@@ -141,10 +162,6 @@ def sized_inputs(n):
     )
     system = st.sampled_from([generic_table(n), generic_table(n), explicit_table(n), rate_tables(n - 1)])
     return st.tuples(measure, system.flatmap(lambda kind: kind))
-
-
-def one_in_four(bad, good):
-    return st.sampled_from([good, good, good, bad]).flatmap(lambda kind: kind)
 
 
 # three in four: a measure and a rate table of one size, n <= 4

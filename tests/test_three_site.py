@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import scaled, uniform
 
+from spincorr import three_site
 from spincorr.harness import derangement_measure, implication_gap_measures, random_measure
 from spincorr.measures import (
     WeightVector,
@@ -200,3 +201,22 @@ class TestChainConsistency:
                 assert verdicts["downward_fkg"]
             if verdicts["downward_fkg"]:
                 assert verdicts["associated"]
+
+    def test_float_slacks_at_zero_tolerance_return_verdicts(self):
+        # a float product measure: its slacks are rounding noise around 0,
+        # which at tolerance 0 can put the lattice condition outside DCA
+        mu = WeightVector.floats([0.029514837584755538, 0.075784238614897, 0.01958029447340307,
+                                  0.05027565217871138, 0.13899210617405308, 0.35688527540202564,
+                                  0.09220807536383419, 0.23675952020832014])
+        verdicts = classify(mu, tolerance=0)
+        assert verdicts["lattice"] and not verdicts["dca"]
+
+    def test_chain_is_asserted_on_exact_input(self, monkeypatch):
+        # a cov-any system that always fails would put DCA outside association
+        holds = three_site.system_holds
+        monkeypatch.setattr(three_site, "system_holds",
+                            lambda measure, system, tolerance=0:
+                            system != "cov-any" and holds(measure, system, tolerance))
+        with pytest.raises(AssertionError):
+            classify(random_measure(0, 3, "product"))
+        assert not classify(WeightVector.floats([1.0] * 8))["associated"]

@@ -1,15 +1,23 @@
+import contextlib
+import io
+import json
 import sys
 import threading
 from fractions import Fraction
 from itertools import islice
+from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from oracles import fraction_tilt_values, fresh_sampler_dca, tilt_table_is_valid
 
 from spincorr import tilts
+from spincorr.cli import main
 from spincorr.harness import derangement_measure, implication_gap_measures, random_measure
 from spincorr.measures import (
+    DEFAULT_FLOAT_TOLERANCE,
     FAILS,
     HOLDS,
     SEARCH_EXHAUSTED,
@@ -20,6 +28,7 @@ from spincorr.measures import (
     satisfies_lattice,
     tilt,
 )
+from spincorr.three_site import margins
 from spincorr.tilts import (
     TiltFunction,
     TiltSampler,
@@ -164,6 +173,30 @@ class TestDcaFalsify:
     def test_derangement_holds(self):
         assert dca_falsify(derangement_measure(3)).verdict == HOLDS
 
+    def test_float_witness_reverifies_on_the_exactly_normalized_measure(self):
+        # the binary sum of these floats is not exactly 1
+        mu = ProbabilityMeasure.floats([0.1, 0.4, 0.4, 0.1])
+        report = dca_falsify(mu)
+        assert report.fails
+        exact = normalize(WeightVector.exact(mu.as_fractions()))
+        assert reverify_tilt_witness(mu, report) == reverify_tilt_witness(exact, report) < 0
+
+    def test_an_unconfirmed_violation_raises_only_when_exact(self, monkeypatch):
+        # exact: the eps = 1/(6 T^2) bound guarantees a witness, so a miss is a
+        # bug; float: the violation sits within rounding of -tolerance
+        monkeypatch.setattr(tilts, "_tilt_witness", lambda *args: None)
+        mu = normalize(implication_gap_measures(EPS)[1])
+        with pytest.raises(RuntimeError, match="could not be reproduced"):
+            dca_falsify(mu)
+        floats = ProbabilityMeasure.floats(mu.as_float_array())
+        report = dca_falsify(floats)
+        assert report.holds and report.margin < -DEFAULT_FLOAT_TOLERANCE
+        # at four sites the failed screen falls through to tilt sampling
+        four = ProbabilityMeasure.floats([w / 2 for w in floats.weights for _ in range(2)])
+        report = dca_falsify(four, budget=3)
+        assert report.verdict == SEARCH_EXHAUSTED
+        assert report.details["downward_fkg_screen"] == FAILS
+
     def test_chain_against_lattice_at_three_sites(self):
         for seed in range(40):
             mu = normalize(random_measure(seed, 3, "generic"))
@@ -249,8 +282,101 @@ class TestTiltStream:
         assert not any(worker.is_alive() for worker in workers)
         assert all(result == expected for result in results)
 
+    def test_a_budget_past_the_stored_prefix(self):
+        # the stream keeps its first DEFAULT_TILT_BUDGET tilts; a longer call draws
+        # the rest itself, so the stored list stops growing
+        budget = tilts.DEFAULT_TILT_BUDGET + 20
+        self._check([(budget, 0), (budget + 5, 0), (30, 0)], [derangement_measure(4)])
+        assert len(tilts._tilt_stream(4, 0)[1]) == tilts.DEFAULT_TILT_BUDGET
+
     @pytest.mark.parametrize("budget", [True, 2.0, -1, "3", None])
     def test_budget_must_be_a_nonnegative_integer(self, budget):
         mu = derangement_measure(4)
         with pytest.raises(ValueError, match="tilt budget must be a nonnegative integer"):
             dca_falsify(mu, budget=budget)
+
+
+# Float measures at the DCA boundary on which the two- and three-site
+# checks used to raise: an unconfirmed witness (RuntimeError), an empty
+# zero-slice set ("min() arg is an empty sequence"), or the chain
+# assertion of three_site.classify.
+BOUNDARY_DOCUMENTS = [
+    [0.3595674775994071, 0.16543350663712514, 0.3253216738415143, 0.14967734192195345],
+    [0.2975, 0.1275, 0.4025, 0.1725],
+    [0.14425508335743753, 0.11779223807836836, 0.30848182410193437, 0.8161263591200314,
+     0.18072637992393747, 0.5816001636624663, 0.6389134689261841, 2.6327041729725185],
+    [0.554050247808328, 0.44045810180270206, 0.018081980827037603, 0.33149788914199063,
+     0.623927073891864, 0.5122622844634556, 0.06429079259075188, 0.41632357340147996],
+    [0.029514837584755538, 0.075784238614897, 0.01958029447340307, 0.05027565217871138,
+     0.13899210617405308, 0.35688527540202564, 0.09220807536383419, 0.23675952020832014],
+]
+
+
+def _closed_form_margin(weights):
+    pm = normalize(WeightVector.floats(weights))
+    if pm.n == 2:
+        w = pm.weights
+        return w[0b11] * w[0b00] - w[0b10] * w[0b01]
+    return min(slack for system in ("cov-prod", "cov-pair", "det-zero-slice")
+               for _, slack in margins(pm, system))
+
+
+def _float_report(weights, tolerance):
+    """dca_falsify on a float measure: a closed-form verdict and margin,
+    and a failure only below -tolerance."""
+    report = dca_falsify(WeightVector.floats(weights), tolerance=tolerance)
+    assert report.verdict in (HOLDS, FAILS)
+    assert report.margin == _closed_form_margin(weights)
+    tol = DEFAULT_FLOAT_TOLERANCE if tolerance is None else tolerance
+    assert not report.fails or report.margin < -tol
+    return report
+
+
+class TestFloatBoundary:
+    @pytest.mark.parametrize("tolerance", [None, 0])
+    @pytest.mark.parametrize("weights", BOUNDARY_DOCUMENTS)
+    def test_documents_end_in_a_verdict(self, tmp_path, weights, tolerance):
+        report = _float_report(weights, tolerance)
+        if report.fails:
+            assert reverify_tilt_witness(WeightVector.floats(weights), report) < 0
+        path = tmp_path / "measure.json"
+        path.write_text(json.dumps({"weights": weights}))
+        option = [] if tolerance is None else ["--tolerance", str(tolerance)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["check-measure", "--input", str(path), *option])
+        assert code in (0, 1)
+        assert err.getvalue() == ""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(
+        lambda n: st.lists(st.floats(0.001, 1), min_size=1 << n, max_size=1 << n)),
+        st.sampled_from([None, 0]))
+    def test_bisected_to_the_boundary(self, target, tolerance):
+        # from a ferromagnet, whose margin is positive, towards a measure
+        # that is not DCA, until the margin crosses -tolerance
+        tol = DEFAULT_FLOAT_TOLERANCE if tolerance is None else tolerance
+        assume(_closed_form_margin(target) < -tol)
+        start = [2.0 ** (c.bit_count() * (c.bit_count() - 1) // 2) for c in range(len(target))]
+
+        def mix(s):
+            return [(1 - s) * a + s * b for a, b in zip(start, target)]
+
+        lo, hi = 0.0, 1.0
+        while lo < (mid := (lo + hi) / 2) < hi:
+            if _closed_form_margin(mix(mid)) >= -tol:
+                lo = mid
+            else:
+                hi = mid
+        for s in (lo, hi):
+            report = _float_report(mix(s), tolerance)
+            if report.fails and tolerance is None:
+                assert reverify_tilt_witness(WeightVector.floats(mix(s)), report) < 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(
+        lambda n: st.lists(st.floats(0.01, 0.99), min_size=n, max_size=n)))
+    def test_float_products_at_zero_tolerance(self, probabilities):
+        weights = [prod(p if c >> x & 1 else 1 - p for x, p in enumerate(probabilities))
+                   for c in range(1 << len(probabilities))]
+        _float_report(weights, 0)
