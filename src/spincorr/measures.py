@@ -89,6 +89,8 @@ class WeightVector:
             )
         if self.mode == FLOAT and not all(math.isfinite(w) for w in self.weights):
             raise ValueError("weights must be finite")
+        if self.mode == FLOAT and not math.isfinite(self.total):
+            raise ValueError("total weight is beyond the float64 range")
         if any(w < 0 for w in self.weights):
             raise ValueError("weights must be nonnegative")
         if not self.total > 0:

@@ -8,14 +8,11 @@ semi-decidable: the checker either produces a concrete violating h or
 reports the search exhausted.  For one to three sites exact closed forms
 decide it.
 
-Sampled tilts are built multiplicatively from exact rational parameters,
-
-    h(eta) = prod_x u_x^eta(x) * prod_A v_A^[eta = 1 on A],   |A| >= 2,
-
-with v_A >= 1 and u_x * prod_{A owning x} v_A <= 1.  Each all-ones
-monomial is supermodular, so h is log-supermodular, and the constraint on
-u_x makes raising any coordinate shrink h; validity therefore holds
-exactly, by construction, and is re-checked per sample, in integers.
+``TiltFunction.validate`` decides that definition on h's integer table:
+h > 0, h non-increasing on every single-bit edge, and h(a&b) h(a|b) >=
+h(a) h(b) on every two-site square (for h > 0 the squares imply every pair).
+``TiltSampler`` draws from the subcone h(eta) = prod_x u_x^eta(x) *
+prod_A v_A^[eta = 1 on A] with v_A >= 1 and u_x * prod_{A owning x} v_A <= 1.
 ``dca_falsify`` draws the first 1 000 tilts of a (n, seed) stream once per process, 8 kept.
 """
 
@@ -25,13 +22,13 @@ import random
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import islice
+from functools import cached_property, lru_cache
+from itertools import chain, islice
 from math import lcm, prod
 
 import numpy as np
 
-from .lattice import validate_site, validate_site_count
+from .lattice import lattice_pairs, scan_slacks, single_bit_pairs, validate_site, validate_site_count
 from .measures import (
     EXACT,
     FAILS,
@@ -54,7 +51,7 @@ DEFAULT_TILT_BUDGET = 1000
 
 @dataclass(frozen=True)
 class TiltFunction:
-    """Strictly positive decreasing log-supermodular reweighting function."""
+    """Reweighting h by exact site and mask factors; valid if > 0, decreasing, log-supermodular."""
 
     n: int
     site_factors: tuple[Fraction, ...]
@@ -62,7 +59,7 @@ class TiltFunction:
     label: str = "sampled"
 
     def validate(self) -> None:
-        """Exact structural check of positivity, monotonicity, supermodularity."""
+        """Decide validity on h's exact table; a refusal names the failing entry, edge or square."""
         validate_site_count(self.n)
         if len(self.site_factors) != self.n:
             raise ValueError(f"expected {self.n} site factors")
@@ -70,23 +67,24 @@ class TiltFunction:
                               *((f"mask {m:#b}", v) for m, v in self.interaction_factors)]:
             if isinstance(factor, bool) or not isinstance(factor, (int, Fraction)):
                 raise ValueError(f"{where}: factor {factor!r} is not an int or a Fraction")
-        for mask, factor in self.interaction_factors:
+        for mask, _ in self.interaction_factors:
             if mask.bit_count() < 2 or mask >= 1 << self.n:
                 raise ValueError(f"interaction mask {mask:#b} invalid for {self.n} sites")
-            if factor.numerator < factor.denominator:
-                raise ValueError(f"interaction factor {factor} below 1 breaks supermodularity")
-        for x, u in enumerate(self.site_factors):
-            if u.numerator <= 0:
-                raise ValueError(f"site factor {u} at site {x} not strictly positive")
-            owning = [v for mask, v in self.interaction_factors if mask >> x & 1]
-            top = u.numerator * prod(v.numerator for v in owning)  # u * prod(v) = top / bottom
-            bottom = u.denominator * prod(v.denominator for v in owning)
-            if top > bottom:
-                raise ValueError(f"site {x}: u * prod(v) = {Fraction(top, bottom)} > 1 "
-                                 "would make h increasing there")
+        h, den = self._integer_table  # den > 0: h has its numerators' signs and order
+        for c, v in enumerate(h):
+            if v <= 0:
+                raise ValueError(f"h({c:#b}) = {Fraction(v, den)} is not strictly positive")
+        _, failure, _ = scan_slacks(chain(
+            ((("increases on edge", lo, hi), h[lo] - h[hi]) for lo, hi in single_bit_pairs(self.n)),
+            ((("is not log-supermodular on square", a, b), h[a & b] * h[a | b] - h[a] * h[b])
+             for a, b in lattice_pairs(self.n, strictly_positive=True)),
+        ))
+        if failure is not None:
+            raise ValueError("h {} {:#b}, {:#b}".format(*failure))
 
+    @cached_property
     def _integer_table(self) -> tuple[list[int], int]:
-        """h as integer numerators over the product of the factors' denominators."""
+        """h as integer numerators over the product of the factors' denominators; built once."""
         nums, den = [1], 1
         for u in self.site_factors:
             nums = [v * u.denominator for v in nums] + [v * u.numerator for v in nums]
@@ -98,11 +96,11 @@ class TiltFunction:
         return nums, den
 
     def values_exact(self) -> tuple[Fraction, ...]:
-        nums, den = self._integer_table()
+        nums, den = self._integer_table
         return tuple(Fraction(v, den) for v in nums)
 
     def values_float(self) -> np.ndarray:
-        nums, den = self._integer_table()
+        nums, den = self._integer_table
         return np.array([v / den for v in nums], dtype=np.float64)  # int / int is correctly rounded
 
 
@@ -110,9 +108,12 @@ def conditioning_tilt(n: int, sites, eps) -> TiltFunction:
     """Soft conditioning on zeros: h = prod over the listed sites of
     (eps/(1+eps))^eta(x).  As eps -> 0 the tilted measure converges to the
     measure conditioned on zeros there; eps-free sites are untouched."""
-    eps = Fraction(eps)
+    try:
+        eps = Fraction(eps)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise ValueError(f"eps must be a positive finite rational, got {eps!r}") from None
     if not eps > 0:
-        raise ValueError("eps must be positive")
+        raise ValueError(f"eps must be a positive finite rational, got {eps}")
     sites = set(sites)
     for x in sites:
         validate_site(x, n)
@@ -127,7 +128,7 @@ class TiltSampler:
 
     Starts with the soft-conditioning family over every nonempty site
     subset and eps in {1, 1/10, 1/100}, then draws random members of the
-    multiplicative family forever.  Iteration is reproducible from the
+    module docstring's subcone forever.  Iteration is reproducible from the
     seed; every emitted function passes its own exact validation.
     """
 

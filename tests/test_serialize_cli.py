@@ -314,6 +314,9 @@ class TestCli:
             (verify + ["--property", "associated", "--count", "-2"], "count"),
             (["classify3", "--input", doc_file("negative.json", {**coords, "c2": "-1/8"})],
              "coordinate c2 must be nonnegative"),
+            # each weight is finite, their float sum is not
+            (["check-measure", "--input", doc_file("overflow.json", {"weights": [1e308, 1e308]})],
+             "total weight is beyond the float64 range"),
         ]
         # two-site measures for the one-site system: refused whether or not
         # they qualify for the property

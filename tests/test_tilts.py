@@ -56,15 +56,31 @@ class TestTiltFunction:
         with pytest.raises(ValueError, match=f"site {bad} out of range for 3 sites"):
             conditioning_tilt(3, sites, 1)
 
+    @pytest.mark.parametrize("eps", [float("inf"), float("-inf"), float("nan"), "1/0", None,
+                                     "x", [1], 0, -1, "-1/2"])
+    def test_conditioning_tilt_eps_must_be_a_positive_finite_rational(self, eps):
+        with pytest.raises(ValueError, match="eps must be a positive finite rational"):
+            conditioning_tilt(3, [0], eps)
+
     def test_interaction_factor_below_one_rejected(self):
+        # h = (1, 1/2, 1/2, 1/8): decreasing, but h(00) h(11) < h(01) h(10)
         tf = TiltFunction(2, (Fraction(1, 2), Fraction(1, 2)), ((0b11, Fraction(1, 2)),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="h is not log-supermodular on square 0b1, 0b10$"):
             tf.validate()
 
     def test_increasing_direction_rejected(self):
+        # h = (1, 1, 1, 2): the first rising edge is 01 -> 11
         tf = TiltFunction(2, (Fraction(1), Fraction(1)), ((0b11, Fraction(2)),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="h increases on edge 0b1, 0b11$"):
             tf.validate()
+
+    @pytest.mark.parametrize("sites,interactions,message", [
+        ((Fraction(1, 2), 0), (), r"h\(0b10\) = 0 is not strictly positive"),
+        ((Fraction(1, 2), Fraction(1, 2)), ((0b11, -1),), r"h\(0b11\) = -1/4 is not strictly positive"),
+    ])
+    def test_nonpositive_entry_rejected(self, sites, interactions, message):
+        with pytest.raises(ValueError, match=message):
+            TiltFunction(2, sites, interactions).validate()
 
     @pytest.mark.parametrize("sites,interactions,where", [
         ((0.5, 0.5), (), "site 0"),
@@ -102,6 +118,93 @@ class TestTiltFunction:
         ok, reason = tilt_table_is_valid([1, 2], 1)
         assert not ok
         assert "decreasing" in reason
+
+
+def joint_conditioning_factors(amask: int, eps: Fraction) -> dict:
+    """Factor eps^((-1)^(|B|+1)) on each nonempty B within A, keyed by B's mask:
+    their product is h = eps^[eta != 0 on A], below 1 on every odd B with |B| >= 3."""
+    return {b: eps if b.bit_count() % 2 else 1 / eps
+            for b in range(1, amask + 1) if b & amask == b}
+
+
+def multiplied(*factor_maps) -> dict:
+    out = {}
+    for factors in factor_maps:
+        for mask, v in factors.items():
+            out[mask] = out.get(mask, 1) * v
+    return out
+
+
+def factored_tilt(n: int, factors: dict) -> TiltFunction:
+    """The tilt whose factor on mask B is factors[B]; a one-site mask holds a site factor."""
+    return TiltFunction(n, tuple(factors.get(1 << x, Fraction(1)) for x in range(n)),
+                        tuple((m, v) for m, v in sorted(factors.items()) if m.bit_count() >= 2))
+
+
+def interaction_masks(n: int) -> list:
+    return [m for m in range(1 << n) if m.bit_count() >= 2]
+
+
+def accepted(tf: TiltFunction) -> bool:
+    try:
+        tf.validate()
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def factorizations(draw):
+    """n in 2..4, site factors in (0, 1], each interaction factor (in [1/4, 4])
+    present with probability 1/10, times up to two joint-conditioning tilts,
+    on three sites or more where there are three: their triple factors are
+    below 1."""
+    n = draw(st.integers(2, 4))
+    masks = interaction_masks(n)
+    factors = {1 << x: Fraction(draw(st.integers(1, 16)), 16) for x in range(n)}
+    factors.update((m, Fraction(draw(st.integers(1, 16)), 4))
+                   for m in masks if draw(st.integers(0, 9)) == 0)
+    joint = [m for m in masks if m.bit_count() >= 3] or masks
+    planted = draw(st.lists(st.tuples(st.sampled_from(joint), st.integers(2, 10)), max_size=2))
+    return n, multiplied(factors, *(joint_conditioning_factors(a, Fraction(1, k))
+                                    for a, k in planted))
+
+
+class TestTiltCone:
+    """Validity is a property of h's table, whatever factors write it down."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_joint_conditioning_tilts_are_accepted(self, n):
+        for amask in interaction_masks(n):
+            for eps in (Fraction(1, 2), Fraction(1, 10), Fraction(1, 1000)):
+                tf = factored_tilt(n, joint_conditioning_factors(amask, eps))
+                assert tf.values_exact() == tuple(eps if c & amask else 1 for c in range(1 << n))
+                tf.validate()
+                ok, reason = tilt_table_is_valid(tf.values_exact(), n)
+                assert ok, reason
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_products_of_joint_conditioning_tilts_are_accepted(self, n):
+        masks = interaction_masks(n)
+        products = [[(a, Fraction(1, 2)), (b, Fraction(1, 1000))]
+                    for a in masks for b in masks if n < 5 or a == (1 << n) - 1]
+        products.append([(a, Fraction(1, 10)) for a in masks])
+        for planted in products:
+            tf = factored_tilt(n, multiplied(*(joint_conditioning_factors(a, eps)
+                                              for a, eps in planted)))
+            tf.validate()
+            ok, reason = tilt_table_is_valid(tf.values_exact(), n)
+            assert ok, reason
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_validate_agrees_with_the_table_oracle(self, data):
+        n, factors = data.draw(factorizations())
+        ok, _ = tilt_table_is_valid(factored_tilt(n, factors).values_exact(), n)
+        perm = data.draw(st.permutations(range(n)))
+        moved = {sum(1 << perm[x] for x in range(n) if m >> x & 1): v for m, v in factors.items()}
+        assert accepted(factored_tilt(n, factors)) == ok
+        assert accepted(factored_tilt(n, moved)) == ok
 
 
 class TestDcaFalsify:
