@@ -49,7 +49,7 @@ from .measures import (
     satisfies_lattice,
 )
 from .three_site import classify, from_coordinates
-from .tilts import TiltFunction, dca_falsify, validate_budget
+from .tilts import _factor_table, dca_falsify, validate_int
 
 DEFAULT_TIME_GRID = (0.1, 0.5, 1.0, 2.0)
 DEFAULT_MEASURE_MODE = "lattice"
@@ -112,15 +112,11 @@ def random_measure(seed: int, n: int, mode: str = "generic") -> WeightVector:
                     [Fraction(rng.randrange(1, 49), 48) for _ in range(size)]
                 )
             else:
-                site_factors = tuple(Fraction(rng.randrange(1, 25), 8) for _ in range(n))
-                interactions = tuple(
-                    (m, 1 + Fraction(rng.randrange(0, 9), 8))
-                    for m in interaction_masks
-                    if rng.random() < 0.5
-                )
-                candidate = WeightVector.exact(
-                    TiltFunction(n, site_factors, interactions).values_exact()
-                )
+                site_factors = [Fraction(rng.randrange(1, 25), 8) for _ in range(n)]
+                interactions = [(m, 1 + Fraction(rng.randrange(0, 9), 8))
+                                for m in interaction_masks if rng.random() < 0.5]
+                nums, den = _factor_table(site_factors, interactions)
+                candidate = WeightVector.exact([Fraction(v, den) for v in nums])
             if satisfies_lattice(candidate).holds:
                 return candidate
         raise BudgetError(
@@ -327,9 +323,11 @@ class ExperimentSpec:
             raise ValueError(f"unknown property {self.property!r}")
         if self.measures is not None and not self.measures:
             raise ValueError("measures must hold at least one measure")
-        if self.measure_count < 0:
-            raise ValueError(f"measure count must be nonnegative, got {self.measure_count}")
-        validate_budget(self.tilt_budget)
+        if not self.times:
+            raise ValueError("times must hold at least one time")
+        validate_int(self.seed, "seed")
+        validate_int(self.measure_count, "measure count", nonnegative=True)
+        validate_int(self.tilt_budget, "tilt budget", nonnegative=True)
         _resolve_tolerance(FLOAT, self.tolerance)  # refuses NaN, inf and negative values
         for i, measure in enumerate(self.measures or ()):
             if measure.n != self.system.n:
@@ -499,7 +497,7 @@ def search_counterexample(
     A found witness for ``downward-fkg`` is also a DCA violation, since
     conditional association implies the downward FKG property.
     """
-    validate_budget(budget, "search")
+    validate_int(budget, "search budget", nonnegative=True)
     n = system.n
     cases, backgrounds, check = _search_plan(target, n)
     gen = build_generator(system)

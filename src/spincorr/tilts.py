@@ -8,11 +8,13 @@ semi-decidable: the checker either produces a concrete violating h or
 reports the search exhausted.  For one to three sites exact closed forms
 decide it.
 
-``TiltFunction.validate`` decides that definition on h's integer table:
-h > 0, h non-increasing on every single-bit edge, and h(a&b) h(a|b) >=
-h(a) h(b) on every two-site square (for h > 0 the squares imply every pair).
+A ``TiltFunction`` is h's table, integer numerators over one positive
+denominator, and ``validate`` decides the definition on it: h > 0, h
+non-increasing on every single-bit edge, and h(a&b) h(a|b) >= h(a) h(b) on
+every two-site square (for h > 0 the squares imply every pair).
 ``TiltSampler`` draws from the subcone h(eta) = prod_x u_x^eta(x) *
-prod_A v_A^[eta = 1 on A] with v_A >= 1 and u_x * prod_{A owning x} v_A <= 1.
+prod_A v_A^[eta = 1 on A] with v_A >= 1 and u_x * prod_{A owning x} v_A <= 1;
+that factor form is only how it draws.
 ``dca_falsify`` draws the first 1 000 tilts of a (n, seed) stream once per process, 8 kept.
 """
 
@@ -22,7 +24,7 @@ import random
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, islice
 from math import lcm, prod
 
@@ -49,29 +51,45 @@ from .three_site import classify, margins
 DEFAULT_TILT_BUDGET = 1000
 
 
+def validate_int(value, name: str, *, nonnegative: bool = False) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or nonnegative and value < 0:
+        kind = "a nonnegative integer" if nonnegative else "an int"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
+def _factor_table(site_factors, interaction_factors=()) -> tuple[tuple[int, ...], int]:
+    """The module docstring's factor form of h, for ``int`` or ``Fraction`` factors."""
+    nums, den = [1], 1
+    for u in site_factors:
+        nums = [v * u.denominator for v in nums] + [v * u.numerator for v in nums]
+        den *= u.denominator
+    for mask, factor in interaction_factors:
+        p, q = factor.numerator, factor.denominator
+        nums = [v * p if c & mask == mask else v * q for c, v in enumerate(nums)]
+        den *= q
+    return tuple(nums), den
+
+
 @dataclass(frozen=True)
 class TiltFunction:
-    """Reweighting h by exact site and mask factors; valid if > 0, decreasing, log-supermodular."""
+    """h's integer table over one denominator; valid if > 0, decreasing, log-supermodular."""
 
     n: int
-    site_factors: tuple[Fraction, ...]
-    interaction_factors: tuple[tuple[int, Fraction], ...] = ()
+    numerators: tuple[int, ...]
+    denominator: int
     label: str = "sampled"
 
     def validate(self) -> None:
-        """Decide validity on h's exact table; a refusal names the failing entry, edge or square."""
+        """Decide validity on h's table; a refusal names the failing entry, edge or square."""
         validate_site_count(self.n)
-        if len(self.site_factors) != self.n:
-            raise ValueError(f"expected {self.n} site factors")
-        for where, factor in [*((f"site {x}", u) for x, u in enumerate(self.site_factors)),
-                              *((f"mask {m:#b}", v) for m, v in self.interaction_factors)]:
-            if isinstance(factor, bool) or not isinstance(factor, (int, Fraction)):
-                raise ValueError(f"{where}: factor {factor!r} is not an int or a Fraction")
-        for mask, _ in self.interaction_factors:
-            if mask.bit_count() < 2 or mask >= 1 << self.n:
-                raise ValueError(f"interaction mask {mask:#b} invalid for {self.n} sites")
-        h, den = self._integer_table  # den > 0: h has its numerators' signs and order
-        for c, v in enumerate(h):
+        h, den = self.numerators, self.denominator
+        if len(h) != 1 << self.n:
+            raise ValueError(f"expected {1 << self.n} numerators for {self.n} sites, got {len(h)}")
+        if isinstance(den, bool) or not isinstance(den, int) or den <= 0:
+            raise ValueError(f"denominator must be a positive int, got {den!r}")
+        for c, v in enumerate(h):  # den > 0: h has its numerators' signs and order
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"numerator of h({c:#b}) must be an int, got {v!r}")
             if v <= 0:
                 raise ValueError(f"h({c:#b}) = {Fraction(v, den)} is not strictly positive")
         _, failure, _ = scan_slacks(chain(
@@ -82,26 +100,11 @@ class TiltFunction:
         if failure is not None:
             raise ValueError("h {} {:#b}, {:#b}".format(*failure))
 
-    @cached_property
-    def _integer_table(self) -> tuple[list[int], int]:
-        """h as integer numerators over the product of the factors' denominators; built once."""
-        nums, den = [1], 1
-        for u in self.site_factors:
-            nums = [v * u.denominator for v in nums] + [v * u.numerator for v in nums]
-            den *= u.denominator
-        for mask, factor in self.interaction_factors:
-            p, q = factor.numerator, factor.denominator
-            nums = [v * p if c & mask == mask else v * q for c, v in enumerate(nums)]
-            den *= q
-        return nums, den
-
     def values_exact(self) -> tuple[Fraction, ...]:
-        nums, den = self._integer_table
-        return tuple(Fraction(v, den) for v in nums)
+        return tuple(Fraction(v, self.denominator) for v in self.numerators)
 
     def values_float(self) -> np.ndarray:
-        nums, den = self._integer_table
-        return np.array([v / den for v in nums], dtype=np.float64)  # int / int is correctly rounded
+        return np.array([v / self.denominator for v in self.numerators])  # correctly rounded
 
 
 def conditioning_tilt(n: int, sites, eps) -> TiltFunction:
@@ -118,8 +121,8 @@ def conditioning_tilt(n: int, sites, eps) -> TiltFunction:
     for x in sites:
         validate_site(x, n)
     factor = eps / (1 + eps)
-    site_factors = tuple(factor if x in sites else Fraction(1) for x in range(n))
-    return TiltFunction(n, site_factors, (), label=f"conditioning-{sorted(sites)}-eps={eps}")
+    table = _factor_table(factor if x in sites else 1 for x in range(n))
+    return TiltFunction(n, *table, label=f"conditioning-{sorted(sites)}-eps={eps}")
 
 
 @dataclass
@@ -135,6 +138,9 @@ class TiltSampler:
     n: int
     seed: int = 0
 
+    def __post_init__(self):
+        validate_int(self.seed, "tilt seed")  # refused before any stream is cached
+
     def __iter__(self):
         validate_site_count(self.n)
         for amask in range(1, 1 << self.n):
@@ -144,20 +150,14 @@ class TiltSampler:
                 tf.validate()
                 yield tf
         rng = random.Random(self.seed * 1000003 + self.n)
-        interaction_masks = [
-            m for m in range(1 << self.n) if m.bit_count() >= 2
-        ]
+        interaction_masks = [m for m in range(1 << self.n) if m.bit_count() >= 2]
         while True:
-            interactions = []
-            for mask in interaction_masks:
-                if rng.random() < 0.4:
-                    interactions.append((mask, Fraction(4 + rng.randrange(0, 9), 4)))
-            site_factors = []
-            for x in range(self.n):
-                owning = [v for mask, v in interactions if mask >> x & 1]
-                top, bottom = prod(v.numerator for v in owning), prod(v.denominator for v in owning)
-                site_factors.append(Fraction(rng.randrange(1, 17) * bottom, 16 * top))
-            tf = TiltFunction(self.n, tuple(site_factors), tuple(interactions))
+            interactions = [(mask, Fraction(4 + rng.randrange(0, 9), 4))
+                            for mask in interaction_masks if rng.random() < 0.4]
+            site_factors = [Fraction(rng.randrange(1, 17), 16)
+                            / prod(v for mask, v in interactions if mask >> x & 1)
+                            for x in range(self.n)]
+            tf = TiltFunction(self.n, *_factor_table(site_factors, interactions))
             tf.validate()
             yield tf
 
@@ -185,11 +185,6 @@ def _drawn_tilts(n: int, seed: int):
         yield drawn[i]
     for tf in islice(TiltSampler(n, seed=seed), DEFAULT_TILT_BUDGET, None):
         yield tf, tf.values_float()
-
-
-def validate_budget(budget, kind: str = "tilt") -> None:
-    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
-        raise ValueError(f"{kind} budget must be a nonnegative integer, got {budget!r}")
 
 
 def _tilt_witness(measure, tf: TiltFunction, tolerance):
@@ -245,7 +240,8 @@ def dca_falsify(
     verdict is then `holds` with the closed-form margin, at n >= 4 the
     sampling runs.
     """
-    validate_budget(budget)
+    validate_int(budget, "tilt budget", nonnegative=True)
+    validate_int(seed, "tilt seed")
     pm = _as_probability(measure)
     n = pm.n
     tol = _resolve_tolerance(pm.mode, tolerance)

@@ -6,9 +6,10 @@ The kernel and splitting oracles run on the library's own uniformization
 ``semigroup_apply`` computes.  ``fraction_search`` is the counterexample
 search with the derivative screen over ``Fraction`` and numpy object arrays
 that the library's integer screen replaced, kept as its reference.
-``fraction_tilt_values`` and ``fresh_sampler_dca`` are the ``Fraction``
-tilt tables and the DCA sampling loop on a fresh ``TiltSampler`` that the
-integer tables and the cached tilt stream replaced.
+``fraction_tilt_values`` is the factor product over ``Fraction`` that
+``tilts._factor_table`` computes over integers, and ``fresh_sampler_dca``
+the DCA sampling loop on a fresh ``TiltSampler`` that the cached tilt
+stream replaced.
 """
 
 import random
@@ -124,16 +125,16 @@ def tilt_table_is_valid(values, n: int, tolerance: float = 0.0):
     return True, None
 
 
-def fraction_tilt_values(tf) -> tuple[Fraction, ...]:
-    """The table of h, configuration by configuration, as a product of
-    ``Fraction`` factors."""
+def fraction_tilt_values(n: int, site_factors, interactions) -> tuple[Fraction, ...]:
+    """The table of h(eta) = prod_x u_x^eta(x) * prod_A v_A^[eta = 1 on A],
+    configuration by configuration, as a product of ``Fraction`` factors."""
     out = []
-    for c in configs(tf.n):
+    for c in configs(n):
         v = Fraction(1)
-        for x, u in enumerate(tf.site_factors):
+        for x, u in enumerate(site_factors):
             if c >> x & 1:
                 v *= u
-        for mask, factor in tf.interaction_factors:
+        for mask, factor in interactions:
             if c & mask == mask:
                 v *= factor
         out.append(v)
@@ -165,7 +166,7 @@ def fresh_sampler_dca(measure, budget: int, *, tolerance=None, seed: int = 0) ->
     for _ in range(budget):
         tf = next(sampler)
         sampled += 1
-        tilted = weights * np.array([float(v) for v in fraction_tilt_values(tf)])
+        tilted = weights * np.array([float(v) for v in tf.values_exact()])
         tilted /= tilted.sum()
         margin = is_associated(ProbabilityMeasure.floats(tilted), tolerance=tolerance).margin
         if best is None or margin < best:

@@ -211,6 +211,20 @@ class TestVerifyPreservation:
         spec = ExperimentSpec(system=crossed_birth_pair(), property="associated", measure_count=0)
         assert verify_preservation(spec).summary == "no-qualifying-measures"
 
+    def test_empty_time_grid_refused(self):
+        with pytest.raises(ValueError, match="^times must hold at least one time$"):
+            ExperimentSpec(system=crossed_birth_pair(), property="associated", times=())
+
+    @pytest.mark.parametrize("count", [2.5, "2", True, -1, None])
+    def test_measure_count_must_be_a_nonnegative_integer(self, count):
+        with pytest.raises(ValueError, match="^measure count must be a nonnegative integer, got "):
+            ExperimentSpec(system=crossed_birth_pair(), property="associated", measure_count=count)
+
+    @pytest.mark.parametrize("seed", [1.5, "0", None, False])
+    def test_seed_must_be_an_int(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an int, got "):
+            ExperimentSpec(system=crossed_birth_pair(), property="associated", seed=seed)
+
     @pytest.mark.parametrize("budget", [True, 2.0, -1, "3"])
     def test_tilt_budget_must_be_a_nonnegative_integer(self, budget):
         with pytest.raises(ValueError, match="tilt budget must be a nonnegative integer"):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -32,6 +33,7 @@ from spincorr.three_site import margins
 from spincorr.tilts import (
     TiltFunction,
     TiltSampler,
+    _factor_table,
     conditioning_tilt,
     dca_falsify,
     reverify_tilt_witness,
@@ -64,13 +66,13 @@ class TestTiltFunction:
 
     def test_interaction_factor_below_one_rejected(self):
         # h = (1, 1/2, 1/2, 1/8): decreasing, but h(00) h(11) < h(01) h(10)
-        tf = TiltFunction(2, (Fraction(1, 2), Fraction(1, 2)), ((0b11, Fraction(1, 2)),))
+        tf = TiltFunction(2, *_factor_table((Fraction(1, 2),) * 2, ((0b11, Fraction(1, 2)),)))
         with pytest.raises(ValueError, match="h is not log-supermodular on square 0b1, 0b10$"):
             tf.validate()
 
     def test_increasing_direction_rejected(self):
         # h = (1, 1, 1, 2): the first rising edge is 01 -> 11
-        tf = TiltFunction(2, (Fraction(1), Fraction(1)), ((0b11, Fraction(2)),))
+        tf = TiltFunction(2, *_factor_table((1, 1), ((0b11, 2),)))
         with pytest.raises(ValueError, match="h increases on edge 0b1, 0b11$"):
             tf.validate()
 
@@ -80,34 +82,64 @@ class TestTiltFunction:
     ])
     def test_nonpositive_entry_rejected(self, sites, interactions, message):
         with pytest.raises(ValueError, match=message):
-            TiltFunction(2, sites, interactions).validate()
+            TiltFunction(2, *_factor_table(sites, interactions)).validate()
 
-    @pytest.mark.parametrize("sites,interactions,where", [
-        ((0.5, 0.5), (), "site 0"),
-        ((Fraction(1, 2), True), (), "site 1"),
-        ((np.float64(0.5), Fraction(1, 2)), (), "site 0"),
-        ((Fraction(1, 4), "1/4"), (), "site 1"),
-        ((Fraction(1, 4), Fraction(1, 4)), ((0b11, 1.5),), "mask 0b11"),
-        ((Fraction(1, 4), Fraction(1, 4)), ((0b11, False),), "mask 0b11"),
+    @pytest.mark.parametrize("numerators,denominator,message", [
+        ((4, 2, 2), 4, "expected 4 numerators for 2 sites, got 3"),
+        ((4, 2, 2, 1, 1), 4, "expected 4 numerators for 2 sites, got 5"),
+        ((4, 2, 2, 1), 0, "denominator must be a positive int, got 0"),
+        ((4, 2, 2, 1), -4, "denominator must be a positive int, got -4"),
+        ((4, 2, 2, 1), 4.0, "denominator must be a positive int, got 4.0"),
+        ((1, 1, 1, 1), True, "denominator must be a positive int, got True"),
+        ((4, 2, 2.0, 1), 4, r"numerator of h\(0b10\) must be an int, got 2.0"),
+        ((True, 1, 1, 1), 1, r"numerator of h\(0b0\) must be an int, got True"),
+        ((4, np.int64(2), 2, 1), 4, r"numerator of h\(0b1\) must be an int, got "),
+        ((4, 2, 2, Fraction(1)), 4, r"numerator of h\(0b11\) must be an int, got Fraction"),
+        ((4, 2, 2, "1"), 4, r"numerator of h\(0b11\) must be an int, got '1'"),
     ])
-    def test_factors_must_be_exact(self, sites, interactions, where):
-        with pytest.raises(ValueError, match=f"{where}: factor .* is not an int or a Fraction"):
-            TiltFunction(2, sites, interactions).validate()
+    def test_table_shape_is_checked(self, numerators, denominator, message):
+        with pytest.raises(ValueError, match=message):
+            TiltFunction(2, numerators, denominator).validate()
+
+    def test_a_table_is_read_over_its_denominator(self):
+        # the same h over two denominators; the label does not enter validity
+        for tf in (TiltFunction(2, (2, 2, 1, 1), 2), TiltFunction(2, (6, 6, 3, 3), 6, "mine")):
+            tf.validate()
+            assert tf.values_exact() == (1, 1, Fraction(1, 2), Fraction(1, 2))
+            assert tf.values_float().tolist() == [1.0, 1.0, 0.5, 0.5]
 
     def test_int_factors_are_exact(self):
-        tf = TiltFunction(2, (1, Fraction(1, 2)), ((0b11, 1),))
+        tf = TiltFunction(2, *_factor_table((1, Fraction(1, 2)), ((0b11, 1),)))
         tf.validate()
         assert tf.values_exact() == (1, 1, Fraction(1, 2), Fraction(1, 2))
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_tables_match_the_fraction_product(self, n, seed):
-        # every conditioning tilt, then 40 sampled ones
-        for tf in islice(iter(TiltSampler(n, seed=seed)), 3 * ((1 << n) - 1) + 40):
-            reference = fraction_tilt_values(tf)
-            assert tf.values_exact() == reference
-            expected = np.array([float(v) for v in reference], dtype=np.float64)
-            assert tf.values_float().tobytes() == expected.tobytes()
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_factor_tables_match_the_fraction_product(self, data):
+        # factors below and above 1, as ints or Fractions, and repeated masks
+        n = data.draw(st.integers(1, 5))
+        factor = st.one_of(st.integers(1, 4), st.fractions(Fraction(1, 64), 8, max_denominator=64))
+        site_factors = data.draw(st.lists(factor, min_size=n, max_size=n))
+        masks = interaction_masks(n)
+        interactions = data.draw(st.lists(st.tuples(st.sampled_from(masks), factor), max_size=6)
+                                 if masks else st.just([]))
+        reference = fraction_tilt_values(n, site_factors, interactions)
+        tf = TiltFunction(n, *_factor_table(site_factors, interactions))
+        assert tf.values_exact() == reference
+        expected = np.array([float(v) for v in reference], dtype=np.float64)
+        assert tf.values_float().tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n,seed,digest", [
+        (2, 0, "645fb07e7836c1fb"), (2, 1, "4c996c815f99d028"),
+        (3, 0, "4ac9056437e1755f"), (3, 1, "b2068f27f5444f81"),
+        (4, 0, "afaf06c2960fd13e"), (4, 1, "6b98d08c6ba0e82a"),
+        (5, 0, "06ba3b7befce8651"), (5, 1, "7aa3d993fb156873"),
+    ])
+    def test_sampled_stream_is_pinned(self, n, seed, digest):
+        # the first 200 tilts, conditioning family included, label and table
+        lines = (f"{tf.label}:{','.join(map(str, tf.values_exact()))}"
+                 for tf in islice(TiltSampler(n, seed), 200))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == digest
 
     def test_sampler_is_deterministic(self):
         first = [tf.values_exact() for tf in islice(iter(TiltSampler(3, seed=9)), 40)]
@@ -137,8 +169,9 @@ def multiplied(*factor_maps) -> dict:
 
 def factored_tilt(n: int, factors: dict) -> TiltFunction:
     """The tilt whose factor on mask B is factors[B]; a one-site mask holds a site factor."""
-    return TiltFunction(n, tuple(factors.get(1 << x, Fraction(1)) for x in range(n)),
-                        tuple((m, v) for m, v in sorted(factors.items()) if m.bit_count() >= 2))
+    return TiltFunction(n, *_factor_table(
+        [factors.get(1 << x, 1) for x in range(n)],
+        [(m, v) for m, v in sorted(factors.items()) if m.bit_count() >= 2]))
 
 
 def interaction_masks(n: int) -> list:
@@ -391,6 +424,20 @@ class TestTiltStream:
         budget = tilts.DEFAULT_TILT_BUDGET + 20
         self._check([(budget, 0), (budget + 5, 0), (30, 0)], [derangement_measure(4)])
         assert len(tilts._tilt_stream(4, 0)[1]) == tilts.DEFAULT_TILT_BUDGET
+
+    @pytest.mark.parametrize("seed", ["x", None, 1.5, True])
+    def test_seed_must_be_an_int(self, seed):
+        # refused before the stream cache is read: True would find seed 1's
+        # stream, and a stream whose sampler failed to start stays dead
+        mu = derangement_measure(4)
+        dca_falsify(mu, budget=5, seed=1)
+        cached = tilts._tilt_stream.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^tilt seed must be an int, got "):
+                dca_falsify(mu, budget=50, seed=seed)
+            with pytest.raises(ValueError, match="^tilt seed must be an int, got "):
+                TiltSampler(4, seed)
+        assert tilts._tilt_stream.cache_info().currsize == cached
 
     @pytest.mark.parametrize("budget", [True, 2.0, -1, "3", None])
     def test_budget_must_be_a_nonnegative_integer(self, budget):
