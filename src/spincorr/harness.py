@@ -43,6 +43,7 @@ from .measures import (
     ProbabilityMeasure,
     PropertyReport,
     WeightVector,
+    _as_probability,
     _resolve_tolerance,
     is_associated,
     is_downward_fkg,
@@ -87,6 +88,7 @@ def random_measure(seed: int, n: int, mode: str = "generic") -> WeightVector:
     ``lattice`` rejection-samples strictly positive vectors against the
     lattice condition, ``product`` factorizes over sites.
     """
+    validate_int(seed, "seed")
     validate_site_count(n)
     rng = _rng(seed, n, salt=_salt(mode))
     size = 1 << n
@@ -143,6 +145,7 @@ def random_increasing_table(rng: random.Random, n: int):
 def random_spin_system(seed: int, n: int, kind: str = "generic") -> RateTable:
     """Seeded rate tables: ``generic`` unconstrained nonnegative rationals,
     ``attractive`` monotone rates, ``independent`` constant rates."""
+    validate_int(seed, "seed")
     rng = _rng(seed, n, salt=_salt(kind))
     if kind == "generic":
         size = 1 << n
@@ -387,13 +390,14 @@ def verify_preservation(spec: ExperimentSpec) -> ExperimentOutcome:
         if base.fails:
             skipped.append(i)
             continue
+        initial = _as_probability(start)  # normalized once for every semigroup_apply
         for t in spec.times:
-            evolved = semigroup_apply(gen, start, t)
+            evolved = semigroup_apply(gen, initial, t)
             report = evaluate_property(
                 spec.property, evolved, tolerance=spec.tolerance, tilt_budget=spec.tilt_budget
             )
             if report.fails:
-                evolved = semigroup_apply(gen, start, t, tail=REVERIFY_TAIL)
+                evolved = semigroup_apply(gen, initial, t, tail=REVERIFY_TAIL)
                 report = evaluate_property(
                     spec.property, evolved, tolerance=spec.tolerance, tilt_budget=spec.tilt_budget
                 )

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -106,7 +106,7 @@ class WeightVector:
         weights = tuple(weights)
         return cls(_infer_sites(len(weights)), weights, FLOAT)
 
-    @property
+    @cached_property
     def total(self):
         return sum(self.weights)
 
@@ -132,8 +132,8 @@ class ProbabilityMeasure(WeightVector):
         if self.mode == EXACT:
             if self.total != 1:
                 raise ValueError(f"exact measure must sum to 1, got {self.total}")
-        elif abs(self.total - 1.0) > FLOAT_NORMALIZATION_SLACK:
-            raise ValueError(f"float measure sums to {self.total!r}, outside 1e-12 of 1")
+        else:
+            _check_float_mass(self.total)
 
     @classmethod
     def product(cls, ones_probabilities) -> "ProbabilityMeasure":
@@ -148,6 +148,11 @@ class ProbabilityMeasure(WeightVector):
             q = 1 - p
             weights = [w * q for w in weights] + [w * p for w in weights]
         return cls(n, tuple(weights), EXACT)
+
+
+def _check_float_mass(total: float) -> None:
+    if not abs(total - 1.0) <= FLOAT_NORMALIZATION_SLACK:  # NaN fails too
+        raise ValueError(f"float measure sums to {total!r}, outside 1e-12 of 1")
 
 
 def normalize(weights: WeightVector) -> ProbabilityMeasure:
@@ -301,7 +306,7 @@ def _null_up_sets(n: int, support) -> np.ndarray:
 
 def _sweep(n: int, weights: np.ndarray, null: np.ndarray, low: float, high: float, certify):
     """The block rule of ``is_associated``, in both arithmetic modes, on
-    the float64 weights of one measure and its ``_null_up_sets``.
+    checked and normalized float64 weights and their ``_null_up_sets``.
 
     Each chunk of rows is one GEMM, [M*w | -p] @ [M | p]^T with p = M @ w,
     over the columns j >= the chunk's first row; entries with j < i and
@@ -318,8 +323,10 @@ def _sweep(n: int, weights: np.ndarray, null: np.ndarray, low: float, high: floa
     """
     matrix, _, lower, blocks = _sweep_tables(n)
     p = weights @ matrix.T
-    left = np.column_stack([matrix * weights, -p])
-    right = np.column_stack([matrix, p])
+    left = np.empty((matrix.shape[0], weights.size + 1))
+    right = np.empty_like(left)  # not a view into one buffer: misaligned, it slows the GEMM
+    np.multiply(matrix, weights, out=left[:, :-1])
+    left[:, -1], right[:, :-1], right[:, -1] = -p, matrix, p
 
     def screen(lo, hi):
         h = hi - lo
@@ -356,6 +363,12 @@ def _sweep(n: int, weights: np.ndarray, null: np.ndarray, low: float, high: floa
         if violation is not None:
             break
     return violation, sum(pairs for pairs, _ in blocks[:len(minima)]), minima, screen
+
+
+def _float_sweep(n: int, weights: np.ndarray, null: np.ndarray, tol: float):
+    """Float-mode ``_sweep`` by ``is_associated``'s rule: (violation, pairs, margin)."""
+    violation, checked, minima, _ = _sweep(n, weights, null, -tol, -tol, None)  # never certifies
+    return violation, checked, min([0.0] + [m for block in minima for *_, m in block])
 
 
 def _exact_sweep(n: int, weights):
@@ -440,7 +453,9 @@ def is_associated(measure, *, tolerance=None) -> PropertyReport:
     """Positive correlations: cov(f, g) >= 0 for all increasing f, g.
 
     By the layer-cake decomposition and bilinearity of covariance it is
-    enough to sweep indicator pairs of up-sets, so the check is exact.
+    enough to sweep indicator pairs of up-sets, so the check is exact.  An
+    unnormalized exact vector is swept as is (the rule is scale invariant);
+    a float one is divided by its ``total``, as ``normalize`` does.
 
     One sweep, ``_sweep``, serves both modes: it visits the unordered
     pairs (U, V), U <= V in enumeration order, in row blocks of
@@ -462,22 +477,23 @@ def is_associated(measure, *, tolerance=None) -> PropertyReport:
     At most 5 sites for up-set checks; lattice, rates and dynamics up to
     6: ``enumerate_up_sets`` raises ``BudgetError`` for n = 6.
     """
-    pm = _as_probability(measure)
-    n = pm.n
-    tol = _resolve_tolerance(pm.mode, tolerance)
+    if not isinstance(measure, WeightVector):
+        raise TypeError(f"expected a WeightVector or ProbabilityMeasure, got {type(measure)!r}")
+    n, mode = measure.n, measure.mode
+    tol = _resolve_tolerance(mode, tolerance)
     masks = enumerate_up_sets(n)
-    details = {"mode": pm.mode, "up_sets": len(masks)}
-    if pm.mode == FLOAT:
+    details = {"mode": mode, "up_sets": len(masks)}
+    if mode == FLOAT:
         details["tolerance"] = tol
 
-    if pm.mode == EXACT:
-        best, violation, checked, total = _exact_sweep(n, pm.weights)
+    if mode == EXACT:
+        best, violation, checked, total = _exact_sweep(n, measure.weights)
         margin = Fraction(best, total * total)
     else:
-        weights = pm.as_float_array()
-        null = _null_up_sets(n, weights > 0)
-        violation, checked, minima, _ = _sweep(n, weights, null, -tol, -tol, None)  # never certifies
-        margin = min([0.0] + [chunk_min for block in minima for *_, chunk_min in block])
+        weights = measure.as_float_array()
+        if not isinstance(measure, ProbabilityMeasure):
+            weights /= measure.total
+        violation, checked, margin = _float_sweep(n, weights, _null_up_sets(n, weights > 0), tol)
     details["pairs_checked"] = checked
 
     if violation is not None:
@@ -532,7 +548,10 @@ def is_downward_fkg(measure, *, tolerance=None) -> PropertyReport:
     Conditioning events of zero probability are skipped, matching the
     standing convention for conditional properties.  In float mode,
     slices with mass below 1e-12 are also skipped: their conditional
-    weights would be dominated by semigroup truncation noise.
+    weights would be dominated by semigroup truncation noise.  The empty
+    conditioning is the measure itself and the others go to
+    ``is_associated`` unnormalized, but a slice with one site left has
+    nested up-sets, so margin exactly 0, and is not swept.
     """
     pm = _as_probability(measure)
     n = pm.n
@@ -548,10 +567,12 @@ def is_downward_fkg(measure, *, tolerance=None) -> PropertyReport:
             skipped += 1
             continue
         checked += 1
-        if len(weights) == 1:
-            continue  # single configuration left: trivially associated
+        if len(weights) <= 2:
+            if len(weights) == 2 and best is None:  # no margin is positive
+                best = Fraction(0) if pm.mode == EXACT else 0.0
+            continue
         remaining = tuple(x for x in range(n) if not amask >> x & 1)
-        sub = ProbabilityMeasure(len(remaining), tuple(w / mass for w in weights), pm.mode)
+        sub = pm if amask == 0 else WeightVector(len(remaining), tuple(weights), pm.mode)
         report = is_associated(sub, tolerance=tolerance)
         if best is None or report.margin < best:
             best = report.margin

@@ -34,12 +34,15 @@ from .lattice import lattice_pairs, scan_slacks, single_bit_pairs, validate_site
 from .measures import (
     EXACT,
     FAILS,
+    FLOAT,
     HOLDS,
     SEARCH_EXHAUSTED,
-    ProbabilityMeasure,
     PropertyReport,
     WeightVector,
     _as_probability,
+    _check_float_mass,
+    _float_sweep,
+    _null_up_sets,
     _resolve_tolerance,
     _up_set_pair_covariance,
     is_associated,
@@ -283,11 +286,16 @@ def dca_falsify(
             return PropertyReport("dca", FAILS, *confirmed, details)
 
     weights = pm.as_float_array()
+    support = np.count_nonzero(weights)
+    null = _null_up_sets(n, weights > 0)  # h > 0 keeps the support, unless a weight underflows
+    float_tol = _resolve_tolerance(FLOAT, tolerance)
     best = None
     for sampled, (tf, table) in enumerate(islice(_drawn_tilts(n, seed), budget), 1):
         tilted = weights * table
         tilted /= tilted.sum()
-        margin = is_associated(ProbabilityMeasure.floats(tilted), tolerance=tolerance).margin
+        _check_float_mass(sum(tilted.tolist()))
+        tilt_null = null if np.count_nonzero(tilted) == support else _null_up_sets(n, tilted > 0)
+        margin = _float_sweep(n, tilted, tilt_null, float_tol)[2]  # is_associated's margin
         best = margin if best is None else min(best, margin)
         if margin < -max(tol, 1e-12):
             confirmed = _tilt_witness(pm, tf, tolerance)

@@ -9,7 +9,8 @@ that the library's integer screen replaced, kept as its reference.
 ``fraction_tilt_values`` is the factor product over ``Fraction`` that
 ``tilts._factor_table`` computes over integers, and ``fresh_sampler_dca``
 the DCA sampling loop on a fresh ``TiltSampler`` that the cached tilt
-stream replaced.
+stream replaced.  ``reference_downward_fkg`` sweeps every conditioning of
+at least one site, normalized, through ``is_associated``.
 """
 
 import random
@@ -40,6 +41,7 @@ from spincorr.lattice import BudgetError, configs, lattice_pairs, single_bit_pai
 from spincorr.measures import (
     EXACT,
     FAILS,
+    HOLDS,
     SEARCH_EXHAUSTED,
     ProbabilityMeasure,
     PropertyReport,
@@ -180,6 +182,42 @@ def fresh_sampler_dca(measure, budget: int, *, tolerance=None, seed: int = 0) ->
     details["tilts_sampled"] = sampled
     details["min_sampled_margin"] = best
     return PropertyReport("dca", SEARCH_EXHAUSTED, None, best, details)
+
+
+def reference_downward_fkg(measure, *, tolerance=None) -> PropertyReport:
+    """``is_downward_fkg`` with no shortcut: every slice of at least one
+    site goes through ``is_associated``, the empty conditioning as the
+    measure itself and every other one as a ``ProbabilityMeasure`` divided
+    by its mass (exactly, or by the Python sum of its floats)."""
+    pm = _as_probability(measure)
+    n = pm.n
+    tol = _resolve_tolerance(pm.mode, tolerance)
+    floor = 0 if pm.mode == EXACT else 1e-12
+    best = witness = None
+    checked = skipped = 0
+    for amask in range(1 << n):
+        weights = [w for c, w in enumerate(pm.weights) if c & amask == 0]
+        mass = sum(weights)
+        if not mass > floor:
+            skipped += 1
+            continue
+        checked += 1
+        if len(weights) == 1:
+            continue  # no site left: no up-set pair to check
+        remaining = [x for x in range(n) if not amask >> x & 1]
+        sub = pm if amask == 0 else ProbabilityMeasure(
+            len(remaining), tuple(w / mass for w in weights), pm.mode)
+        report = is_associated(sub, tolerance=tolerance)
+        if best is None or report.margin < best:
+            best = report.margin
+        if report.fails:
+            witness = {"conditioned_sites": [x for x in range(n) if amask >> x & 1],
+                       "remaining_sites": remaining, **report.witness}
+            break
+    details = {"mode": pm.mode, "subsets_checked": checked, "subsets_skipped": skipped}
+    if pm.mode != EXACT:
+        details["tolerance"] = tol
+    return PropertyReport("downward-fkg", FAILS if witness else HOLDS, witness, best, details)
 
 
 def random_single_site_birth(seed: int, n: int, site: int) -> RateTable:

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,31 @@ class TestRandomMeasure:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             random_measure(0, 3, "bogus")
+
+
+class TestGeneratorSeeds:
+    """Both seeded generators refuse a seed that is not an int (a bool
+    included) and draw for an int seed what they always drew."""
+
+    @pytest.mark.parametrize("seed", [1.5, True, "x", None])
+    def test_seed_must_be_an_int(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an int, got "):
+            random_measure(seed, 3)
+        with pytest.raises(ValueError, match="^seed must be an int, got "):
+            random_spin_system(seed, 3)
+
+    @pytest.mark.parametrize("seed, measures, systems", [
+        (0, "c0e2f6900e5fc39e", "784d30f692909daa"),
+        (1, "dcb4c895b9dcac5f", "f481375d8b455f1b"),
+        (10**6, "03d6f15da47c2ed9", "8d2352fb3b14b622"),
+    ])
+    def test_int_seeds_draw_as_before(self, seed, measures, systems):
+        drawn = [random_measure(seed, 3, mode).weights for mode in harness.MEASURE_MODES]
+        tables = [random_spin_system(seed, 3, kind)
+                  for kind in ("generic", "attractive", "independent")]
+        assert hashlib.sha256(repr(drawn).encode()).hexdigest()[:16] == measures
+        rates = [(table.birth, table.death) for table in tables]
+        assert hashlib.sha256(repr(rates).encode()).hexdigest()[:16] == systems
 
 
 class TestRandomSingleSiteBirth:
