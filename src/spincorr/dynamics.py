@@ -34,6 +34,7 @@ from .lattice import (
     configs,
     scan_slacks,
     single_bit_pairs,
+    site_product,
     two_site_quadruples,
     validate_site,
     validate_site_count,
@@ -123,9 +124,6 @@ class RateTable:
             return self.death[site][config]
         return self.birth[site][config]
 
-    def exit_rate(self, config: int) -> Fraction:
-        return sum(self.rate(x, config) for x in range(self.n))
-
 
 def contact_process(edges, infection=1, recovery=1, n: int | None = None) -> RateTable:
     """Contact process on a finite graph: births at rate
@@ -176,7 +174,7 @@ class Generator:
 
     @cached_property
     def exit_rates(self) -> tuple[Fraction, ...]:
-        return tuple(self.rates.exit_rate(c) for c in configs(self.n))
+        return tuple(sum(self.rates.rate(x, c) for x in range(self.n)) for c in configs(self.n))
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -522,10 +520,8 @@ def product_corners(gen: Generator, x: int, y: int, background) -> tuple:
     scale, rows = gen.integer_rates
     corners = []
     for sx, sy in _CORNERS:
-        weights = [1]
-        for site in range(gen.n):  # each site doubles the table, as in ProbabilityMeasure.product
-            off, on = {x: (1 - sx, sx), y: (1 - sy, sy)}.get(site, (b - a, a))
-            weights = [w * off for w in weights] + [w * on for w in weights]
+        pinned = {x: (1 - sx, sx), y: (1 - sy, sy)}
+        weights = site_product(pinned.get(site, (b - a, a)) for site in range(gen.n))
         flow = [0] * len(weights)
         for source, w in enumerate(weights):
             for site, rate in enumerate(rows[source] if w else ()):

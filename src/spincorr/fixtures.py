@@ -30,12 +30,12 @@ def fixture_corpus() -> dict[str, dict]:
 
     measure(
         "derangement3",
-        WeightVector(3, derangement_measure(3).weights),
+        derangement_measure(3),
         "non-fixed-point indicators of a uniform permutation of 3 points",
     )
     measure(
         "derangement4",
-        WeightVector(4, derangement_measure(4).weights),
+        derangement_measure(4),
         "non-fixed-point indicators of a uniform permutation of 4 points",
     )
     measure(

@@ -35,7 +35,7 @@ from .dynamics import (
     product_corners,
     semigroup_apply,
 )
-from .lattice import BudgetError, configs, single_bit_pairs, validate_site_count
+from .lattice import configs, single_bit_pairs, validate_site_count
 from .measures import (
     DEFAULT_FLOAT_TOLERANCE,
     EXACT,
@@ -57,7 +57,6 @@ DEFAULT_MEASURE_MODE = "lattice"
 DEFAULT_MEASURE_COUNT = 20
 DEFAULT_PRESERVATION_TILT_BUDGET = 200
 DEFAULT_SEARCH_BUDGET = 20000
-LATTICE_REJECTION_BUDGET = 5000
 REVERIFY_TAIL = 1e-16
 
 MEASURE_MODES = ("generic", "strictly-positive", "lattice", "product")
@@ -85,8 +84,9 @@ def random_measure(seed: int, n: int, mode: str = "generic") -> WeightVector:
 
     ``generic`` zeroes each coordinate with probability 1/4 (so sparse
     supports occur), ``strictly-positive`` keeps every weight positive,
-    ``lattice`` rejection-samples strictly positive vectors against the
-    lattice condition, ``product`` factorizes over sites.
+    ``lattice`` returns a strictly positive draw if it is lattice and else
+    a product-interaction vector (interaction factors >= 1), which always
+    is; ``product`` factorizes over sites.
     """
     validate_int(seed, "seed")
     validate_site_count(n)
@@ -103,28 +103,19 @@ def random_measure(seed: int, n: int, mode: str = "generic") -> WeightVector:
     if mode == "strictly-positive":
         return WeightVector.exact([Fraction(rng.randrange(1, 49), 48) for _ in range(size)])
     if mode == "lattice":
-        # Rejection against the lattice condition.  Proposals alternate
-        # between generic positive vectors (diverse, rarely accepted for
-        # n >= 4) and a log-supermodular product-interaction family that
-        # always qualifies; every draw is checked before acceptance.
-        interaction_masks = [m for m in range(size) if m.bit_count() >= 2]
-        for attempt in range(LATTICE_REJECTION_BUDGET):
-            if attempt % 2 == 0:
-                candidate = WeightVector.exact(
-                    [Fraction(rng.randrange(1, 49), 48) for _ in range(size)]
-                )
-            else:
-                site_factors = [Fraction(rng.randrange(1, 25), 8) for _ in range(n)]
-                interactions = [(m, 1 + Fraction(rng.randrange(0, 9), 8))
-                                for m in interaction_masks if rng.random() < 0.5]
-                nums, den = _factor_table(site_factors, interactions)
-                candidate = WeightVector.exact([Fraction(v, den) for v in nums])
-            if satisfies_lattice(candidate).holds:
-                return candidate
-        raise BudgetError(
-            f"lattice rejection budget exhausted after {LATTICE_REJECTION_BUDGET} draws "
-            f"(n={n}, seed={seed})"
-        )
+        # The first draw is rarely lattice for n >= 4; the second has every
+        # interaction factor >= 1, so it is log-supermodular and always is.
+        candidate = WeightVector.exact([Fraction(rng.randrange(1, 49), 48) for _ in range(size)])
+        if satisfies_lattice(candidate).holds:
+            return candidate
+        site_factors = [Fraction(rng.randrange(1, 25), 8) for _ in range(n)]
+        interactions = [(m, 1 + Fraction(rng.randrange(0, 9), 8))
+                        for m in range(size) if m.bit_count() >= 2 and rng.random() < 0.5]
+        nums, den = _factor_table(site_factors, interactions)
+        candidate = WeightVector.exact([Fraction(v, den) for v in nums])
+        if not satisfies_lattice(candidate).holds:
+            raise RuntimeError(f"internal consistency failure: lattice draw (n={n}, seed={seed})")
+        return candidate
     if mode == "product":
         ps = [Fraction(rng.randrange(1, 16), 16) for _ in range(n)]
         return WeightVector(n, ProbabilityMeasure.product(ps).weights, EXACT)
@@ -146,6 +137,7 @@ def random_spin_system(seed: int, n: int, kind: str = "generic") -> RateTable:
     """Seeded rate tables: ``generic`` unconstrained nonnegative rationals,
     ``attractive`` monotone rates, ``independent`` constant rates."""
     validate_int(seed, "seed")
+    validate_site_count(n)
     rng = _rng(seed, n, salt=_salt(kind))
     if kind == "generic":
         size = 1 << n
@@ -174,7 +166,7 @@ def random_spin_system(seed: int, n: int, kind: str = "generic") -> RateTable:
 def derangement_measure(k: int) -> ProbabilityMeasure:
     """Law of the non-fixed-point indicators of a uniform permutation of k
     points.  Associated and downward FKG, but not lattice FKG for k >= 3."""
-    if not 2 <= k <= 5:
+    if not isinstance(k, int) or not 2 <= k <= 5:
         raise ValueError(f"permutation size must be in [2, 5], got {k}")
     counts = [0] * (1 << k)
     total = 0

@@ -30,9 +30,10 @@ class BudgetError(RuntimeError):
     """An enumeration or sweep would exceed its configured budget."""
 
 
-def validate_site_count(n: int) -> None:
+def validate_site_count(n: int) -> int:
     if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_SITES:
         raise ValueError(f"site count must be an integer in [1, {MAX_SITES}], got {n!r}")
+    return n
 
 
 def validate_site(x, n: int) -> None:
@@ -45,6 +46,14 @@ def validate_site(x, n: int) -> None:
 def configs(n: int) -> range:
     """All configuration masks of an n-site system, in index order."""
     return range(1 << n)
+
+
+def site_product(pairs) -> list:
+    """The table whose entry c is the product over sites x of ``pairs[x][c >> x & 1]``."""
+    table = [1]
+    for off, on in pairs:
+        table = [v * off for v in table] + [v * on for v in table]
+    return table
 
 
 def single_bit_pairs(n: int):

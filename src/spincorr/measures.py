@@ -30,6 +30,7 @@ from .lattice import (
     enumerate_up_sets,
     lattice_pairs,
     scan_slacks,
+    site_product,
     up_set_matrix,
     up_set_members,
     validate_site,
@@ -143,11 +144,7 @@ class ProbabilityMeasure(WeightVector):
         validate_site_count(n)
         if any(not 0 <= p <= 1 for p in ps):
             raise ValueError("site probabilities must lie in [0, 1]")
-        weights = [Fraction(1)]
-        for p in ps:  # each site doubles the table: configs without it, then with it
-            q = 1 - p
-            weights = [w * q for w in weights] + [w * p for w in weights]
-        return cls(n, tuple(weights), EXACT)
+        return cls(n, tuple(site_product((1 - p, p) for p in ps)), EXACT)
 
 
 def _check_float_mass(total: float) -> None:
@@ -161,23 +158,28 @@ def normalize(weights: WeightVector) -> ProbabilityMeasure:
     return ProbabilityMeasure(weights.n, tuple(w / total for w in weights.weights), weights.mode)
 
 
+def _check_vector(measure) -> None:
+    if not isinstance(measure, WeightVector):
+        raise TypeError(f"expected a WeightVector or ProbabilityMeasure, got {type(measure)!r}")
+
+
 def _as_probability(measure) -> ProbabilityMeasure:
     if isinstance(measure, ProbabilityMeasure):
         return measure
-    if isinstance(measure, WeightVector):
-        return normalize(measure)
-    raise TypeError(f"expected a WeightVector or ProbabilityMeasure, got {type(measure)!r}")
+    _check_vector(measure)
+    return normalize(measure)
 
 
 # ---------------------------------------------------------------------------
 # conditioning and tilting
 
 
-def _zero_slice(weights, amask: int) -> list:
-    """The weights of the configurations with spin 0 at every site of
-    ``amask``, ascending: entry i belongs to configuration i of the
+def _zero_slice(measure, amask: int) -> tuple[list, tuple]:
+    """The weights with spin 0 at every site of ``amask`` and the remaining
+    sites, both ascending: entry i belongs to configuration i of the
     remaining sites, whose new site j is the j-th remaining old site."""
-    return [w for c, w in enumerate(weights) if c & amask == 0]
+    remaining = tuple(x for x in range(measure.n) if not amask >> x & 1)
+    return [w for c, w in enumerate(measure.weights) if c & amask == 0], remaining
 
 
 def project_zeros(measure, sites):
@@ -192,11 +194,10 @@ def project_zeros(measure, sites):
     for x in pinned:
         validate_site(x, pm.n)
         amask |= 1 << x
-    weights = _zero_slice(pm.weights, amask)
+    weights, remaining = _zero_slice(pm, amask)
     total = sum(weights)
     if not total > 0:
         raise ValueError(f"conditioning event (zeros on sites {pinned}) has zero probability")
-    remaining = tuple(x for x in range(pm.n) if not amask >> x & 1)
     if not remaining:
         raise ValueError("projection needs at least one remaining site")
     return ProbabilityMeasure(len(remaining), tuple(w / total for w in weights), pm.mode), remaining
@@ -246,6 +247,13 @@ class PropertyReport:
     @property
     def fails(self) -> bool:
         return self.verdict == FAILS
+
+
+def _report(prop: str, mode: str, tol: float, witness, margin, details: dict) -> PropertyReport:
+    """A checker's report: float mode records the tolerance; a witness fails it."""
+    if mode == FLOAT:
+        details["tolerance"] = tol
+    return PropertyReport(prop, HOLDS if witness is None else FAILS, witness, margin, details)
 
 
 def _resolve_tolerance(mode: str, tolerance) -> float:
@@ -477,14 +485,10 @@ def is_associated(measure, *, tolerance=None) -> PropertyReport:
     At most 5 sites for up-set checks; lattice, rates and dynamics up to
     6: ``enumerate_up_sets`` raises ``BudgetError`` for n = 6.
     """
-    if not isinstance(measure, WeightVector):
-        raise TypeError(f"expected a WeightVector or ProbabilityMeasure, got {type(measure)!r}")
+    _check_vector(measure)
     n, mode = measure.n, measure.mode
     tol = _resolve_tolerance(mode, tolerance)
     masks = enumerate_up_sets(n)
-    details = {"mode": mode, "up_sets": len(masks)}
-    if mode == FLOAT:
-        details["tolerance"] = tol
 
     if mode == EXACT:
         best, violation, checked, total = _exact_sweep(n, measure.weights)
@@ -494,13 +498,9 @@ def is_associated(measure, *, tolerance=None) -> PropertyReport:
         if not isinstance(measure, ProbabilityMeasure):
             weights /= measure.total
         violation, checked, margin = _float_sweep(n, weights, _null_up_sets(n, weights > 0), tol)
-    details["pairs_checked"] = checked
-
-    if violation is not None:
-        return PropertyReport(
-            "associated", FAILS, _association_witness(masks, violation), margin, details
-        )
-    return PropertyReport("associated", HOLDS, None, margin, details)
+    witness = None if violation is None else _association_witness(masks, violation)
+    details = {"mode": mode, "up_sets": len(masks), "pairs_checked": checked}
+    return _report("associated", mode, tol, witness, margin, details)
 
 
 # ---------------------------------------------------------------------------
@@ -510,11 +510,10 @@ def is_associated(measure, *, tolerance=None) -> PropertyReport:
 def satisfies_lattice(measure, *, tolerance=None) -> PropertyReport:
     """FKG lattice condition: mu(a&b)*mu(a|b) >= mu(a)*mu(b) for all pairs.
 
-    Scale invariant, so unnormalized weight vectors are accepted.  Pairs
-    with comparable configurations hold with equality and are skipped.
+    Takes a ``WeightVector``, normalized or not (the condition is scale
+    invariant).  Comparable pairs hold with equality and are skipped.
     """
-    if not isinstance(measure, WeightVector):
-        measure = WeightVector.exact(measure)
+    _check_vector(measure)
     w = measure.weights
     tol = _resolve_tolerance(measure.mode, tolerance)
     strictly_positive = all(v > 0 for v in w)
@@ -528,13 +527,11 @@ def satisfies_lattice(measure, *, tolerance=None) -> PropertyReport:
         "strictly_positive": strictly_positive,
         "pairs_checked": checked,
     }
-    if measure.mode == FLOAT:
-        details["tolerance"] = tol
+    witness = None
     if violation is not None:
         a, b = violation
         witness = {"eta": a, "zeta": b, "meet": a & b, "join": a | b}
-        return PropertyReport("fkg-lattice", FAILS, witness, best, details)
-    return PropertyReport("fkg-lattice", HOLDS, None, best, details)
+    return _report("fkg-lattice", measure.mode, tol, witness, best, details)
 
 
 # ---------------------------------------------------------------------------
@@ -556,12 +553,12 @@ def is_downward_fkg(measure, *, tolerance=None) -> PropertyReport:
     pm = _as_probability(measure)
     n = pm.n
     tol = _resolve_tolerance(pm.mode, tolerance)
-    floor = 0 if pm.mode == EXACT else 1e-12
+    floor = 0 if pm.mode == EXACT else FLOAT_NORMALIZATION_SLACK
     best = None
     witness = None
     checked = skipped = 0
     for amask in range(1 << n):
-        weights = _zero_slice(pm.weights, amask)
+        weights, remaining = _zero_slice(pm, amask)
         mass = sum(weights)
         if not mass > floor:
             skipped += 1
@@ -571,7 +568,6 @@ def is_downward_fkg(measure, *, tolerance=None) -> PropertyReport:
             if len(weights) == 2 and best is None:  # no margin is positive
                 best = Fraction(0) if pm.mode == EXACT else 0.0
             continue
-        remaining = tuple(x for x in range(n) if not amask >> x & 1)
         sub = pm if amask == 0 else WeightVector(len(remaining), tuple(weights), pm.mode)
         report = is_associated(sub, tolerance=tolerance)
         if best is None or report.margin < best:
@@ -584,11 +580,7 @@ def is_downward_fkg(measure, *, tolerance=None) -> PropertyReport:
             }
             break
     details = {"mode": pm.mode, "subsets_checked": checked, "subsets_skipped": skipped}
-    if pm.mode == FLOAT:
-        details["tolerance"] = tol
-    if witness is not None:
-        return PropertyReport("downward-fkg", FAILS, witness, best, details)
-    return PropertyReport("downward-fkg", HOLDS, None, best, details)
+    return _report("downward-fkg", pm.mode, tol, witness, best, details)
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +605,7 @@ def reverify_witness(measure, report: PropertyReport):
     statement about the serialized measure: a float total a few ulps off 1
     cannot turn an identically zero covariance negative.
     """
-    if not isinstance(measure, WeightVector):
-        raise TypeError(f"expected a WeightVector or ProbabilityMeasure, got {type(measure)!r}")
+    _check_vector(measure)
     pm = normalize(WeightVector(measure.n, measure.as_fractions()))
     w = pm.weights
     witness = report.witness

@@ -68,13 +68,6 @@ def parse_rational(value, where: str = "value") -> Fraction:
     raise ValueError(f"{where}: expected an integer or 'p/q' string, got {type(value).__name__}")
 
 
-def _site_count(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"'n' must be an integer, got {value!r}")
-    validate_site_count(value)
-    return value
-
-
 def json_safe(value, where: str = "value"):
     """Recursively convert Fractions to "p/q" strings and tuples to lists.
 
@@ -133,7 +126,7 @@ def measure_from_dict(doc: dict, *, force_mode: str | None = None) -> WeightVect
         raise ValueError(f"unknown mode {mode!r}")
     weights = [_weight(w, mode, f"weights[{i}]") for i, w in enumerate(raw)]
     vector = WeightVector.exact(weights) if mode == EXACT else WeightVector.floats(weights)
-    if "n" in doc and _site_count(doc["n"]) != vector.n:
+    if "n" in doc and validate_site_count(doc["n"]) != vector.n:
         raise ValueError(f"declared n={doc['n']} but weights imply n={vector.n}")
     return vector
 
@@ -165,12 +158,12 @@ def rate_table_from_dict(doc: dict) -> RateTable:
             [tuple(e) for e in edges],
             infection=parse_rational(doc.get("lambda", 1), "lambda"),
             recovery=parse_rational(doc.get("delta", 1), "delta"),
-            n=None if doc.get("n") is None else _site_count(doc["n"]),
+            n=None if doc.get("n") is None else validate_site_count(doc["n"]),
         )
     for key in ("n", "beta", "delta"):
         if key not in doc:
             raise ValueError(f"spin-system document is missing {key!r}")
-    n = _site_count(doc["n"])
+    n = validate_site_count(doc["n"])
     size = 1 << n
 
     def table(block, name):

@@ -30,11 +30,14 @@ from math import lcm, prod
 
 import numpy as np
 
-from .lattice import lattice_pairs, scan_slacks, single_bit_pairs, validate_site, validate_site_count
+from .lattice import (
+    lattice_pairs, scan_slacks, single_bit_pairs, site_product, validate_site, validate_site_count,
+)
 from .measures import (
     EXACT,
     FAILS,
     FLOAT,
+    FLOAT_NORMALIZATION_SLACK,
     HOLDS,
     SEARCH_EXHAUSTED,
     PropertyReport,
@@ -62,10 +65,8 @@ def validate_int(value, name: str, *, nonnegative: bool = False) -> None:
 
 def _factor_table(site_factors, interaction_factors=()) -> tuple[tuple[int, ...], int]:
     """The module docstring's factor form of h, for ``int`` or ``Fraction`` factors."""
-    nums, den = [1], 1
-    for u in site_factors:
-        nums = [v * u.denominator for v in nums] + [v * u.numerator for v in nums]
-        den *= u.denominator
+    nums = site_product((u.denominator, u.numerator) for u in site_factors)
+    den = nums[0]  # no site on: the product of the site denominators
     for mask, factor in interaction_factors:
         p, q = factor.numerator, factor.denominator
         nums = [v * p if c & mask == mask else v * q for c, v in enumerate(nums)]
@@ -297,7 +298,7 @@ def dca_falsify(
         tilt_null = null if np.count_nonzero(tilted) == support else _null_up_sets(n, tilted > 0)
         margin = _float_sweep(n, tilted, tilt_null, float_tol)[2]  # is_associated's margin
         best = margin if best is None else min(best, margin)
-        if margin < -max(tol, 1e-12):
+        if margin < -max(tol, FLOAT_NORMALIZATION_SLACK):
             confirmed = _tilt_witness(pm, tf, tolerance)
             if confirmed is not None:
                 details["tilts_sampled"] = sampled

@@ -1,5 +1,7 @@
 import hashlib
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from oracles import (
@@ -99,6 +101,29 @@ class TestGeneratorSeeds:
         rates = [(table.birth, table.death) for table in tables]
         assert hashlib.sha256(repr(rates).encode()).hexdigest()[:16] == systems
 
+    @pytest.mark.parametrize("n, seed, digest", [
+        (4, 0, "6fdbe1ce6a25bd2e"),
+        (4, 1, "2f9a44ed75ead02d"),
+        (4, 10**6, "10945ba267879381"),
+        (5, 0, "71f0302440a43c0d"),
+        (5, 1, "cb231d8f725cb433"),
+        (5, 10**6, "28016fc56eeaba77"),
+        (6, 0, "8fd105e083dc63c0"),
+        (6, 1, "a00717bd850f4278"),
+        (6, 10**6, "f481156791bf6bc6"),
+    ])
+    def test_lattice_draws_as_before(self, n, seed, digest):
+        # for n >= 4 the product-interaction draw usually wins
+        weights = random_measure(seed, n, "lattice").weights
+        assert hashlib.sha256(repr(weights).encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("kind", ["generic", "attractive", "independent"])
+    @pytest.mark.parametrize("n", [0, True, 2.5, "3", 7])
+    def test_spin_systems_refuse_a_bad_site_count(self, kind, n):
+        # True used to draw a one-site system and 2.5 to fail with a TypeError
+        with pytest.raises(ValueError, match="^site count must be an integer in"):
+            random_spin_system(0, n, kind)
+
 
 class TestRandomSingleSiteBirth:
     def test_postconditions(self):
@@ -155,6 +180,12 @@ class TestDerangementMeasure:
             derangement_measure(1)
         with pytest.raises(ValueError):
             derangement_measure(6)
+
+    @pytest.mark.parametrize("k", [2.5, "3", 3.0])
+    def test_non_int_sizes_refused(self, k):
+        # 2.5 used to fail in a shift with a TypeError
+        with pytest.raises(ValueError, match="permutation size must be in"):
+            derangement_measure(k)
 
 
 class TestImplicationGapMeasures:
@@ -367,6 +398,41 @@ class TestSearchCounterexample:
         # True would run one evaluation and 2.5 three; "3" used to be a TypeError
         with pytest.raises(ValueError, match="search budget must be a nonnegative integer"):
             search_counterexample("association", crossed_birth_pair(), budget)
+
+
+class TestBenchmarkTracerBindings:
+    """The benchmark's tracer wraps module attributes by name; each binding
+    it reads must exist, be called on a small run, and be restored."""
+
+    def test_bindings_install_record_and_restore(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        originals = [(module, name, getattr(module, name))
+                     for module, name, _, _ in tracing._bindings()]
+        tracer = tracing.Tracer()
+        try:
+            tracer.install()
+            # through the module attributes, which the tracer wraps
+            harness.verify_preservation(ExperimentSpec(
+                contact_process(path_edges(4)), "dca", measure_count=1, tilt_budget=5
+            ))
+            harness.search_counterexample("association", crossed_birth_pair())
+        finally:
+            tracer.remove()
+        assert all(getattr(module, name) is original for module, name, original in originals)
+        layers = {span[2] for span in tracer.spans}
+        assert {
+            "harness.random_measure",
+            "measures.lattice",
+            "harness.preservation",
+            "tilts.dca",
+            "measures.downward_fkg",
+            "dynamics.semigroup",
+            "harness.search",
+            "dynamics.derivative",
+        } <= layers
 
 
 def differential_systems():

@@ -244,6 +244,13 @@ class TestSatisfiesLattice:
         assert {report.witness["eta"], report.witness["zeta"]} == {0b001, 0b110}
 
 
+@pytest.mark.parametrize("check", [is_associated, satisfies_lattice, is_downward_fkg])
+def test_checkers_refuse_a_plain_sequence(check):
+    # satisfies_lattice used to wrap a sequence with WeightVector.exact
+    with pytest.raises(TypeError, match="^expected a WeightVector or ProbabilityMeasure, got "):
+        check([Fraction(1, 4)] * 4)
+
+
 class TestConditionZeros:
     def test_empty_set_is_identity(self):
         mu = normalize(random_measure(2, 3, "generic"))
