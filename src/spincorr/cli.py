@@ -273,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, tolerance=True):
+    def common(p, func, *, tolerance=True):
+        p.set_defaults(func=func)
         p.add_argument("--format", choices=("json", "markdown"), default="json")
         p.add_argument("--output", help="write the report here instead of stdout")
         if tolerance:
@@ -288,28 +289,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for the DCA tilt sampler")
     p.add_argument("--assert", dest="asserts", default=None,
                    help="comma list of properties that must hold (exit 1 otherwise)")
-    common(p)
-    p.set_defaults(func=_cmd_check_measure)
+    common(p, _cmd_check_measure)
 
     p = sub.add_parser("check-rates", help="run all rate classifiers on a spin system")
     p.add_argument("--input", required=True, help="spin-system JSON file")
     p.add_argument("--assert", dest="asserts", default=None)
-    common(p, tolerance=False)
-    p.set_defaults(func=_cmd_check_rates)
+    common(p, _cmd_check_rates, tolerance=False)
 
     p = sub.add_parser("evolve", help="evolve a measure under a spin system")
     p.add_argument("--input", required=True, help="measure JSON file")
     p.add_argument("--system", required=True, help="spin-system JSON file")
     p.add_argument("--t", required=True, help="comma list of times")
-    common(p, tolerance=False)
-    p.set_defaults(func=_cmd_evolve)
+    common(p, _cmd_evolve, tolerance=False)
 
     p = sub.add_parser("classify3", help="closed-form verdicts for a three-site measure")
     p.add_argument("--input", required=True,
                    help="measure JSON file (weights, or named coordinates a,b1..d)")
     p.add_argument("--assert", dest="asserts", default=None)
-    common(p, tolerance=False)
-    p.set_defaults(func=_cmd_classify3)
+    common(p, _cmd_classify3, tolerance=False)
 
     p = sub.add_parser("verify-theorem", help="preservation experiment for one property")
     p.add_argument("--system", required=True, help="spin-system JSON file")
@@ -324,21 +321,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=DEFAULT_PRESERVATION_TILT_BUDGET,
                    help="tilt samples for DCA checks")
-    common(p)
-    p.set_defaults(func=_cmd_verify_theorem)
+    common(p, _cmd_verify_theorem)
 
     p = sub.add_parser("search", help="search for a preservation counterexample")
     p.add_argument("--system", required=True, help="spin-system JSON file")
     p.add_argument("--target", required=True, choices=SEARCH_TARGETS)
     p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET,
                    help="cap on derivative and evolution evaluations")
-    common(p, tolerance=False)
-    p.set_defaults(func=_cmd_search)
+    common(p, _cmd_search, tolerance=False)
 
     p = sub.add_parser("fixtures", help="write the bundled fixture corpus")
     p.add_argument("--out", default="fixtures", help="target directory")
-    common(p, tolerance=False)
-    p.set_defaults(func=_cmd_fixtures)
+    common(p, _cmd_fixtures, tolerance=False)
 
     return parser
 
@@ -351,7 +345,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

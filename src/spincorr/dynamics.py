@@ -106,18 +106,6 @@ class RateTable:
             [[deaths[x]] * size for x in range(n)],
         )
 
-    @classmethod
-    def single_site_birth(cls, n: int, site: int, values) -> "RateTable":
-        """All rates zero except the birth rate at one site."""
-        validate_site_count(n)
-        validate_site(site, n)
-        size = 1 << n
-        zero = [Fraction(0)] * size
-        birth = [list(zero) for _ in range(n)]
-        birth[site] = [as_fraction(v) for v in values]
-        death = [list(zero) for _ in range(n)]
-        return cls.from_tables(birth, death)
-
     def rate(self, site: int, config: int) -> Fraction:
         """Flip rate at the site in this configuration (birth or death)."""
         if config >> site & 1:

@@ -59,7 +59,7 @@ def fixture_corpus() -> dict[str, dict]:
     }
     system(
         "corner_flip3",
-        corner_flip_system(3),
+        corner_flip_system(),
         "births only one step below full occupation, deaths only one step "
         "above empty; preserves the lattice condition without independent flips",
     )

@@ -35,7 +35,7 @@ from .dynamics import (
     product_corners,
     semigroup_apply,
 )
-from .lattice import configs, single_bit_pairs, validate_site_count
+from .lattice import configs, single_bit_pairs, site_product, validate_site_count
 from .measures import (
     DEFAULT_FLOAT_TOLERANCE,
     EXACT,
@@ -118,7 +118,7 @@ def random_measure(seed: int, n: int, mode: str = "generic") -> WeightVector:
         return candidate
     if mode == "product":
         ps = [Fraction(rng.randrange(1, 16), 16) for _ in range(n)]
-        return WeightVector(n, ProbabilityMeasure.product(ps).weights, EXACT)
+        return WeightVector(n, tuple(site_product((1 - p, p) for p in ps)))
     raise ValueError(f"unknown measure mode {mode!r}; known: {MEASURE_MODES}")
 
 
@@ -182,14 +182,14 @@ def derangement_measure(k: int) -> ProbabilityMeasure:
     )
 
 
-def corner_flip_system(n: int = 3) -> RateTable:
+def corner_flip_system() -> RateTable:
     """Births only one step below the full configuration, deaths only one
     step above the empty one: site x turns on at rate 1 when every other
     site is occupied, and off at rate 1 when it is the lone occupant.
     For three sites this preserves the lattice condition without having
     independent flips; every non-constant configuration loses mass at
     exactly rate exp(-t)."""
-    validate_site_count(n)
+    n = 3
 
     def birth(x, c):
         others = ((1 << n) - 1) & ~(1 << x)
@@ -219,8 +219,13 @@ def supermodular_single_birth() -> RateTable:
     """Three sites; the only rate is a birth at site 2 equal to the product
     of the other two spins.  Increasing but strictly supermodular, so it
     breaks the submodularity needed to preserve conditional association."""
-    values = [Fraction((c >> 0 & 1) * (c >> 1 & 1)) for c in configs(3)]
-    return RateTable.single_site_birth(3, 2, values)
+    def birth(x, c):
+        return Fraction((c >> 0 & 1) * (c >> 1 & 1)) if x == 2 else Fraction(0)
+
+    def death(x, c):
+        return Fraction(0)
+
+    return RateTable.from_site_functions(3, birth, death)
 
 
 def implication_gap_measures(eps) -> tuple[WeightVector, WeightVector]:

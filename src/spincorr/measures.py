@@ -447,16 +447,6 @@ def _exact_sweep(n: int, weights):
     return best, violation, checked, total
 
 
-def _association_witness(masks, pair):
-    i, j = pair
-    return {
-        "up_set_u": list(up_set_members(masks[i])),
-        "up_set_v": list(up_set_members(masks[j])),
-        "mask_u": int(masks[i]),
-        "mask_v": int(masks[j]),
-    }
-
-
 def is_associated(measure, *, tolerance=None) -> PropertyReport:
     """Positive correlations: cov(f, g) >= 0 for all increasing f, g.
 
@@ -498,7 +488,15 @@ def is_associated(measure, *, tolerance=None) -> PropertyReport:
         if not isinstance(measure, ProbabilityMeasure):
             weights /= measure.total
         violation, checked, margin = _float_sweep(n, weights, _null_up_sets(n, weights > 0), tol)
-    witness = None if violation is None else _association_witness(masks, violation)
+    witness = None
+    if violation is not None:
+        i, j = violation
+        witness = {
+            "up_set_u": list(up_set_members(masks[i])),
+            "up_set_v": list(up_set_members(masks[j])),
+            "mask_u": int(masks[i]),
+            "mask_v": int(masks[j]),
+        }
     details = {"mode": mode, "up_sets": len(masks), "pairs_checked": checked}
     return _report("associated", mode, tol, witness, margin, details)
 

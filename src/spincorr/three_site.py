@@ -34,7 +34,15 @@ from __future__ import annotations
 
 from .measures import EXACT, WeightVector
 
-SYSTEMS = ("cov-prod", "cov-any", "cov-pair", "det-zero-slice", "det-one-slice")
+# slack of each system at the distinguished site i, with j, k the other two
+_SLACKS = {
+    "cov-prod": lambda a, b, c, d, i, j, k: a * (c[j] + c[k] + d) - b[i] * (b[j] + b[k] + c[i]),
+    "cov-any": lambda a, b, c, d, i, j, k: d * (b[j] + b[k] + a) - c[i] * (c[j] + c[k] + b[i]),
+    "cov-pair": lambda a, b, c, d, i, j, k: (b[i] + a) * (c[i] + d) - (c[k] + b[j]) * (b[k] + c[j]),
+    "det-zero-slice": lambda a, b, c, d, i, j, k: b[i] * d - c[j] * c[k],
+    "det-one-slice": lambda a, b, c, d, i, j, k: c[i] * a - b[j] * b[k],
+}
+SYSTEMS = tuple(_SLACKS)
 
 # configuration mask per coordinate name, bit i = site i + 1
 COORDINATES = {
@@ -72,23 +80,10 @@ def margins(measure: WeightVector, system: str):
     ``cov-pair``, the covariance of the two sites other than i).
     """
     a, b, c, d = _coordinates(measure)
-    out = []
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        if system == "cov-prod":
-            slack = a * (c[j] + c[k] + d) - b[i] * (b[j] + b[k] + c[i])
-        elif system == "cov-any":
-            slack = d * (b[j] + b[k] + a) - c[i] * (c[j] + c[k] + b[i])
-        elif system == "cov-pair":
-            slack = (b[i] + a) * (c[i] + d) - (c[k] + b[j]) * (b[k] + c[j])
-        elif system == "det-zero-slice":
-            slack = b[i] * d - c[j] * c[k]
-        elif system == "det-one-slice":
-            slack = c[i] * a - b[j] * b[k]
-        else:
-            raise ValueError(f"unknown inequality system {system!r}; known: {SYSTEMS}")
-        out.append((i + 1, slack))
-    return tuple(out)
+    slack = _SLACKS.get(system)
+    if slack is None:
+        raise ValueError(f"unknown inequality system {system!r}; known: {SYSTEMS}")
+    return tuple((i + 1, slack(a, b, c, d, i, (i + 1) % 3, (i + 2) % 3)) for i in range(3))
 
 
 def system_holds(measure: WeightVector, system: str, tolerance=0) -> bool:

@@ -229,7 +229,8 @@ def random_single_site_birth(seed: int, n: int, site: int) -> RateTable:
         values = [Fraction(rng.randrange(0, 13), 4) for _ in configs(n)]
         for lo, hi in single_bit_pairs(n):
             values[hi] = max(values[hi], values[lo])
-        table = RateTable.single_site_birth(n, site, values)
+        table = RateTable.from_site_functions(
+            n, lambda x, c: values[c] if x == site else 0, lambda x, c: 0)
         if birth_submodularity(table).holds:
             return table
     raise BudgetError(f"no increasing submodular table found in {BIRTH_REJECTION_BUDGET} draws")

@@ -214,7 +214,7 @@ def test_criterion_5_lattice_preservation():
     margins_ok = all(cell.report.margin >= -TOL for cell in outcome.cells)
     flips_ok = outcome.hypotheses_satisfied and outcome.summary == "all-hold" and margins_ok
 
-    corner = corner_flip_system(3)
+    corner = corner_flip_system()
     gen = build_generator(corner)
     closed_ok = True
     for seed in range(5):

@@ -149,7 +149,7 @@ class TestSemigroupApply:
     def test_corner_flip_closed_form(self):
         # off the constant configurations mass decays at exactly rate one;
         # the constants absorb what their neighbours shed
-        system = corner_flip_system(3)
+        system = corner_flip_system()
         gen = build_generator(system)
         mu = normalize(random_measure(12, 3, "strictly-positive"))
         for t in (0.1, 0.8, 2.0):
@@ -363,7 +363,7 @@ class TestRateClassifiers:
     def test_independent_flips_detection(self):
         assert has_independent_flips(RateTable.independent_flips(3, [1, 1, 1], [2, 2, 2])).holds
         assert has_independent_flips(contact_process(path_edges(3))).fails
-        assert has_independent_flips(corner_flip_system(3)).fails
+        assert has_independent_flips(corner_flip_system()).fails
 
     def test_deaths_constant(self):
         assert deaths_constant(contact_process(path_edges(3))).holds
@@ -443,7 +443,7 @@ class TestBirthsAdditive:
 
     def test_corner_flip_fails_at_the_pair(self):
         # singletons +1, the pair -1: inclusion-exclusion of 'all others full'
-        report = births_additive(corner_flip_system(3))
+        report = births_additive(corner_flip_system())
         assert report.fails
         assert report.witness == {"site": 0, "empty_rate": "0", "negative_coefficient_mask": 0b110}
 
@@ -537,7 +537,8 @@ class TestBirthSubmodularity:
                     for a in configs(3)
                     for b in configs(3)
                 )
-                single = RateTable.single_site_birth(3, site, table)
+                single = RateTable.from_site_functions(
+                    3, lambda x, c: table[c] if x == site else 0, lambda x, c: 0)
                 assert birth_submodularity(single).holds == (full >= 0)
 
 

@@ -117,6 +117,16 @@ class TestGeneratorSeeds:
         weights = random_measure(seed, n, "lattice").weights
         assert hashlib.sha256(repr(weights).encode()).hexdigest()[:16] == digest
 
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "8f979ead2bfeba6c"),
+        (1, "eac66384fc8cae63"),
+        (10**6, "f83b80870b1bde50"),
+    ])
+    def test_product_draws_as_before(self, seed, digest):
+        drawn = random_measure(seed, 5, "product")
+        assert type(drawn) is WeightVector
+        assert hashlib.sha256(repr(drawn.weights).encode()).hexdigest()[:16] == digest
+
     @pytest.mark.parametrize("kind", ["generic", "attractive", "independent"])
     @pytest.mark.parametrize("n", [0, True, 2.5, "3", 7])
     def test_spin_systems_refuse_a_bad_site_count(self, kind, n):
@@ -219,7 +229,7 @@ class TestVerifyPreservation:
 
     def test_corner_flip_preserves_lattice_despite_failed_hypothesis(self):
         spec = ExperimentSpec(
-            system=corner_flip_system(3),
+            system=corner_flip_system(),
             property="fkg-lattice",
             times=(0.1, 0.5, 1.0, 2.0),
             measure_mode="lattice",
@@ -331,7 +341,7 @@ class TestVerifyPreservation:
     def test_summed_generator_still_preserves_lattice(self):
         # corner flips plus constant flips: each part preserves the lattice
         # condition, and so does their sum
-        corner = corner_flip_system(3)
+        corner = corner_flip_system()
         constant = RateTable.independent_flips(3, (1, 1, 1), (1, 1, 1))
         gen = generator_sum(build_generator(corner), build_generator(constant))
         for seed in range(4):

@@ -107,7 +107,6 @@ class TestSiteCount:
             WeightVector(True, (1, 1))
         for build in (
             lambda: RateTable.independent_flips(True, [1], [1]),
-            lambda: RateTable.single_site_birth(True, 0, [0, 1]),
             lambda: RateTable.from_site_functions(True, lambda x, c: 1, lambda x, c: 1),
         ):
             with pytest.raises(ValueError, match="site count must be an integer"):

@@ -312,6 +312,11 @@ class TestCli:
             (verify + ["--property", "dca", "--budget", "-3"], "budget"),
             (["search", "--system", system, "--target", "association", "--budget", "-1"], "budget"),
             (verify + ["--property", "associated", "--count", "-2"], "count"),
+            (evolve + ["abc"], "--t expects a comma-separated list of times, got 'abc'"),
+            (evolve + [","], "--t expects at least one time"),
+            (["check-rates", "--input",
+              doc_file("negative_rate.json", {**rates, "beta": {"0": ["-1", "1"]}})],
+             "negative rate at site 0"),
             (["classify3", "--input", doc_file("negative.json", {**coords, "c2": "-1/8"})],
              "coordinate c2 must be nonnegative"),
             # each weight is finite, their float sum is not
@@ -418,9 +423,32 @@ class TestCli:
     def test_missing_file_exit_two(self, capsys):
         assert main(["check-measure", "--input", "/nonexistent.json"]) == 2
 
+    def test_output_file_holds_the_stdout_bytes(self, fixture_dir, tmp_path, capsys):
+        argv = ["classify3", "--input", str(fixture_dir / "derangement3.json")]
+        for fmt in ("json", "markdown"):
+            assert main(argv + ["--format", fmt]) == 0
+            printed = capsys.readouterr().out
+            report = tmp_path / f"report.{fmt}"
+            assert main(argv + ["--format", fmt, "--output", str(report)]) == 0
+            assert capsys.readouterr().out == ""
+            assert report.read_bytes() == printed.encode("utf-8")
+
     def test_markdown_format(self, fixture_dir, capsys):
         path = str(fixture_dir / "derangement3.json")
         assert main(["classify3", "--input", path, "--format", "markdown"]) == 0
         out = capsys.readouterr().out
         assert out.endswith("\n")
         assert "**lattice**" in out
+        # scalars in a list are bulleted one level below their key, and a
+        # dict in a list sits under a bare bullet
+        gap = str(fixture_dir / "gap_downward_fkg_vs_association.json")
+        argv = ["check-measure", "--input", gap, "--budget", "20", "--format", "markdown"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "\n  - **weights**:\n    - 50/309\n    - 50/309\n" in out
+        assert "\n      - **tilt_values**:\n        - 1\n        - 1/2\n" in out
+        assert "\n      - **conditioned_sites**:\n        - 0\n" in out
+        system = str(fixture_dir / "corner_flip3.json")
+        argv = ["evolve", "--input", gap, "--system", system, "--t", "0", "--format", "markdown"]
+        assert main(argv) == 0
+        assert "- **evolved**:\n  -\n    - **mode**: exact\n" in capsys.readouterr().out

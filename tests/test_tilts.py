@@ -23,6 +23,7 @@ from spincorr.measures import (
     HOLDS,
     SEARCH_EXHAUSTED,
     ProbabilityMeasure,
+    PropertyReport,
     WeightVector,
     is_associated,
     normalize,
@@ -293,6 +294,26 @@ class TestDcaFalsify:
         report = dca_falsify(mu, budget=50)
         assert report.verdict == FAILS
         assert reverify_tilt_witness(mu, report) < 0
+
+    def test_a_sampled_tilt_confirms_past_a_holding_screen(self, monkeypatch):
+        # the gap measure times an independent fair site fails the screen;
+        # no known four-site measure is downward FKG but not DCA, so the
+        # screen is patched to hold and the sampled tilts must find it
+        base = normalize(implication_gap_measures(EPS)[1])
+        mu = ProbabilityMeasure(4, tuple(base.weights[c & 0b111] / 2 for c in range(16)))
+        report = dca_falsify(mu, budget=45)
+        assert report.fails and report.details["downward_fkg_screen"] == FAILS
+        assert "tilts_sampled" not in report.details
+        holding = PropertyReport("downward-fkg", HOLDS, None, None, {})
+        monkeypatch.setattr(tilts, "is_downward_fkg", lambda *args, **kwargs: holding)
+        floats = ProbabilityMeasure.floats(mu.as_float_array())
+        for measure in (mu, floats):
+            report = dca_falsify(measure, budget=45)
+            assert report.fails and report.details["downward_fkg_screen"] == HOLDS
+            assert report.details["tilts_sampled"] == 1
+            assert report.witness["tilt_label"] == "conditioning-[0]-eps=1"
+            assert float(reverify_tilt_witness(measure, report)) == pytest.approx(-0.0103, abs=1e-4)
+        assert dca_falsify(mu, budget=45).margin == Fraction(-100, 4851)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_witness_when_the_conditioned_slice_is_tiny(self, n):
