@@ -18,7 +18,7 @@ from .measures import (
     satisfies_lattice,
     tilt,
 )
-from .tilts import TiltFunction, TiltSampler, conditioning_tilt, dca_falsify
+from .tilts import TiltFunction, conditioning_tilt, dca_falsify
 from .dynamics import (
     EventPolynomial,
     Generator,

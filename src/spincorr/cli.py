@@ -128,9 +128,7 @@ def _cmd_check_measure(args) -> int:
     vector = measure_from_dict(load_json(args.input), force_mode=args.mode)
     measure = normalize(vector)
     reports = {
-        name: evaluate_property(
-            name, measure, tolerance=args.tolerance, tilt_budget=args.budget, tilt_seed=args.seed
-        )
+        name: evaluate_property(name, measure, tolerance=args.tolerance, tilt_budget=args.budget)
         for name in PROPERTIES
     }
     body = {
@@ -285,8 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="measure JSON file")
     p.add_argument("--mode", choices=("exact", "float"), default=None,
                    help="force the arithmetic mode instead of inferring it")
-    p.add_argument("--budget", type=int, default=500, help="tilt samples for the DCA check")
-    p.add_argument("--seed", type=int, default=0, help="seed for the DCA tilt sampler")
+    p.add_argument("--budget", type=int, default=500,
+                   help="at most this many soft-conditioning tilts for the DCA check")
+    p.add_argument("--seed", type=int, default=0, help="no effect; the DCA tilts are not random")
     p.add_argument("--assert", dest="asserts", default=None,
                    help="comma list of properties that must hold (exit 1 otherwise)")
     common(p, _cmd_check_measure)
@@ -320,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random initial measures to draw")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=DEFAULT_PRESERVATION_TILT_BUDGET,
-                   help="tilt samples for DCA checks")
+                   help="at most this many soft-conditioning tilts per DCA check")
     common(p, _cmd_verify_theorem)
 
     p = sub.add_parser("search", help="search for a preservation counterexample")

@@ -266,7 +266,6 @@ def evaluate_property(
     *,
     tolerance=None,
     tilt_budget: int = DEFAULT_PRESERVATION_TILT_BUDGET,
-    tilt_seed: int = 0,
 ) -> PropertyReport:
     if name == "associated":
         return is_associated(measure, tolerance=tolerance)
@@ -275,7 +274,7 @@ def evaluate_property(
     if name == "downward-fkg":
         return is_downward_fkg(measure, tolerance=tolerance)
     if name == "dca":
-        return dca_falsify(measure, budget=tilt_budget, tolerance=tolerance, seed=tilt_seed)
+        return dca_falsify(measure, budget=tilt_budget, tolerance=tolerance)
     raise ValueError(f"unknown property {name!r}; known: {PROPERTIES}")
 
 

@@ -12,21 +12,18 @@ A ``TiltFunction`` is h's table, integer numerators over one positive
 denominator, and ``validate`` decides the definition on it: h > 0, h
 non-increasing on every single-bit edge, and h(a&b) h(a|b) >= h(a) h(b) on
 every two-site square (for h > 0 the squares imply every pair).
-``TiltSampler`` draws from the subcone h(eta) = prod_x u_x^eta(x) *
-prod_A v_A^[eta = 1 on A] with v_A >= 1 and u_x * prod_{A owning x} v_A <= 1;
-that factor form is only how it draws.
-``dca_falsify`` draws the first 1 000 tilts of a (n, seed) stream once per process, 8 kept.
+At four sites or more ``dca_falsify`` sweeps the soft-conditioning family:
+``conditioning_tilt`` on every nonempty site set with eps in {1, 1/10,
+1/100}, built once per n per process.
 """
 
 from __future__ import annotations
 
-import random
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice
-from math import lcm, prod
+from itertools import chain
+from math import lcm
 
 import numpy as np
 
@@ -54,8 +51,6 @@ from .measures import (
 )
 from .three_site import classify, margins
 
-DEFAULT_TILT_BUDGET = 1000
-
 
 def validate_int(value, name: str, *, nonnegative: bool = False) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or nonnegative and value < 0:
@@ -64,7 +59,8 @@ def validate_int(value, name: str, *, nonnegative: bool = False) -> None:
 
 
 def _factor_table(site_factors, interaction_factors=()) -> tuple[tuple[int, ...], int]:
-    """The module docstring's factor form of h, for ``int`` or ``Fraction`` factors."""
+    """The table of h(eta) = prod_x u_x^eta(x) * prod_A v_A^[eta = 1 on A] as
+    integer numerators over one denominator, for ``int`` or ``Fraction`` factors."""
     nums = site_product((u.denominator, u.numerator) for u in site_factors)
     den = nums[0]  # no site on: the product of the site denominators
     for mask, factor in interaction_factors:
@@ -129,66 +125,24 @@ def conditioning_tilt(n: int, sites, eps) -> TiltFunction:
     return TiltFunction(n, *table, label=f"conditioning-{sorted(sites)}-eps={eps}")
 
 
-@dataclass
-class TiltSampler:
-    """Deterministic stream of valid tilt functions.
-
-    Starts with the soft-conditioning family over every nonempty site
-    subset and eps in {1, 1/10, 1/100}, then draws random members of the
-    module docstring's subcone forever.  Iteration is reproducible from the
-    seed; every emitted function passes its own exact validation.
-    """
-
-    n: int
-    seed: int = 0
-
-    def __post_init__(self):
-        validate_int(self.seed, "tilt seed")  # refused before any stream is cached
-
-    def __iter__(self):
-        validate_site_count(self.n)
-        for amask in range(1, 1 << self.n):
-            sites = [x for x in range(self.n) if amask >> x & 1]
-            for eps in (Fraction(1), Fraction(1, 10), Fraction(1, 100)):
-                tf = conditioning_tilt(self.n, sites, eps)
-                tf.validate()
-                yield tf
-        rng = random.Random(self.seed * 1000003 + self.n)
-        interaction_masks = [m for m in range(1 << self.n) if m.bit_count() >= 2]
-        while True:
-            interactions = [(mask, Fraction(4 + rng.randrange(0, 9), 4))
-                            for mask in interaction_masks if rng.random() < 0.4]
-            site_factors = [Fraction(rng.randrange(1, 17), 16)
-                            / prod(v for mask, v in interactions if mask >> x & 1)
-                            for x in range(self.n)]
-            tf = TiltFunction(self.n, *_factor_table(site_factors, interactions))
-            tf.validate()
-            yield tf
-
-
 # ---------------------------------------------------------------------------
 # the DCA checker
 
 
-@lru_cache(maxsize=8)
-def _tilt_stream(n: int, seed: int):
-    """A ``TiltSampler(n, seed)`` iterator, its (tilt, read-only float table) pairs, a lock."""
-    return iter(TiltSampler(n, seed=seed)), [], threading.Lock()
-
-
-def _drawn_tilts(n: int, seed: int):
-    """The (tilt, float table) pairs of ``TiltSampler(n, seed)``: the first
-    ``DEFAULT_TILT_BUDGET`` drawn once and kept, the rest by this caller."""
-    sampler, drawn, lock = _tilt_stream(n, seed)
-    for i in range(DEFAULT_TILT_BUDGET):
-        with lock:
-            if i == len(drawn):
-                tf = next(sampler)
-                drawn.append((tf, tf.values_float()))
-                drawn[i][1].flags.writeable = False
-        yield drawn[i]
-    for tf in islice(TiltSampler(n, seed=seed), DEFAULT_TILT_BUDGET, None):
-        yield tf, tf.values_float()
+@lru_cache(maxsize=None)
+def _conditioning_family(n: int) -> tuple[tuple[TiltFunction, np.ndarray], ...]:
+    """The soft-conditioning tilts as (tilt, read-only float table) pairs:
+    site sets by ascending mask, each with eps = 1, 1/10, 1/100."""
+    family = []
+    for amask in range(1, 1 << n):
+        sites = [x for x in range(n) if amask >> x & 1]
+        for eps in (Fraction(1), Fraction(1, 10), Fraction(1, 100)):
+            tf = conditioning_tilt(n, sites, eps)
+            tf.validate()
+            table = tf.values_float()
+            table.flags.writeable = False
+            family.append((tf, table))
+    return tuple(family)
 
 
 def _tilt_witness(measure, tf: TiltFunction, tolerance):
@@ -223,7 +177,7 @@ def _materialize_conditioning_witness(pm, sites, tolerance):
 
 def dca_falsify(
     measure,
-    budget: int = DEFAULT_TILT_BUDGET,
+    budget: int = 1000,
     *,
     tolerance=None,
     seed: int = 0,
@@ -236,13 +190,13 @@ def dca_falsify(
     witnessed by soft conditioning on no site if association fails, else
     on the first site whose zero-slice determinant is negative.  For
     n >= 4 the downward-FKG screen (a necessary condition) runs first,
-    then ``budget`` tilts of ``TiltSampler(n, seed)``, the first 1 000
-    shared by every call on the same (n, seed) while its stream is among
-    the 8 cached; `holds` is never certified there, and the screen raises
-    ``BudgetError`` for n = 6.  A float violation that no soft-conditioning
-    tilt confirms lies within rounding of -tolerance: at n <= 3 the
-    verdict is then `holds` with the closed-form margin, at n >= 4 the
-    sampling runs.
+    then the first ``budget`` tilts of the soft-conditioning family, all
+    (2^n - 1) * 3 of them by default; `holds` is never certified there,
+    and the screen raises ``BudgetError`` for n = 6.  ``seed`` has no
+    effect: it is still accepted, and must be an int.  A float violation
+    that no soft-conditioning tilt confirms lies within rounding of
+    -tolerance: at n <= 3 the verdict is then `holds` with the
+    closed-form margin, at n >= 4 the sweep runs.
     """
     validate_int(budget, "tilt budget", nonnegative=True)
     validate_int(seed, "tilt seed")
@@ -277,7 +231,7 @@ def dca_falsify(
                 return PropertyReport("dca", FAILS, confirmed[0], margin, details)
         return PropertyReport("dca", HOLDS, None, margin, details)
 
-    # n >= 4: necessary screen, then sampling.
+    # n >= 4: necessary screen, then the family.
     screen = is_downward_fkg(pm, tolerance=tolerance)
     details["downward_fkg_screen"] = screen.verdict
     if screen.fails:
@@ -291,7 +245,8 @@ def dca_falsify(
     null = _null_up_sets(n, weights > 0)  # h > 0 keeps the support, unless a weight underflows
     float_tol = _resolve_tolerance(FLOAT, tolerance)
     best = None
-    for sampled, (tf, table) in enumerate(islice(_drawn_tilts(n, seed), budget), 1):
+    family = _conditioning_family(n)[:budget]
+    for sampled, (tf, table) in enumerate(family, 1):
         tilted = weights * table
         tilted /= tilted.sum()
         _check_float_mass(sum(tilted.tolist()))
@@ -303,7 +258,7 @@ def dca_falsify(
             if confirmed is not None:
                 details["tilts_sampled"] = sampled
                 return PropertyReport("dca", FAILS, *confirmed, details)
-    details["tilts_sampled"] = budget  # the stream never ends before the budget
+    details["tilts_sampled"] = len(family)
     details["min_sampled_margin"] = best
     return PropertyReport("dca", SEARCH_EXHAUSTED, None, best, details)
 

@@ -7,14 +7,17 @@ The kernel and splitting oracles run on the library's own uniformization
 search with the derivative screen over ``Fraction`` and numpy object arrays
 that the library's integer screen replaced, kept as its reference.
 ``fraction_tilt_values`` is the factor product over ``Fraction`` that
-``tilts._factor_table`` computes over integers, and ``fresh_sampler_dca``
-the DCA sampling loop on a fresh ``TiltSampler`` that the cached tilt
-stream replaced.  ``reference_downward_fkg`` sweeps every conditioning of
-at least one site, normalized, through ``is_associated``.
+``tilts._factor_table`` computes over integers.  ``sampled_tilts`` is the
+DCA tilt stream the library once swept, the soft-conditioning family
+followed by random draws from a subcone of the valid tilts, and
+``fresh_family_dca`` the DCA sweep over a freshly built family with
+``Fraction`` tables.  ``reference_downward_fkg`` sweeps every conditioning
+of at least one site, normalized, through ``is_associated``.
 """
 
 import random
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 
@@ -51,7 +54,13 @@ from spincorr.measures import (
     is_associated,
     is_downward_fkg,
 )
-from spincorr.tilts import TiltSampler, _materialize_conditioning_witness, _tilt_witness
+from spincorr.tilts import (
+    TiltFunction,
+    _factor_table,
+    _materialize_conditioning_witness,
+    _tilt_witness,
+    conditioning_tilt,
+)
 
 BIRTH_REJECTION_BUDGET = 5000
 
@@ -143,9 +152,38 @@ def fraction_tilt_values(n: int, site_factors, interactions) -> tuple[Fraction, 
     return tuple(out)
 
 
-def fresh_sampler_dca(measure, budget: int, *, tolerance=None, seed: int = 0) -> PropertyReport:
-    """``dca_falsify`` for n >= 4: the downward-FKG screen, then ``budget``
-    tilts from a fresh ``TiltSampler(n, seed)`` with ``Fraction`` tables."""
+def conditioning_family(n: int) -> list[TiltFunction]:
+    """Soft conditioning on every nonempty site set, by ascending mask, each
+    with eps = 1, 1/10, 1/100."""
+    return [conditioning_tilt(n, [x for x in range(n) if amask >> x & 1], eps)
+            for amask in range(1, 1 << n)
+            for eps in (Fraction(1), Fraction(1, 10), Fraction(1, 100))]
+
+
+def sampled_tilts(n: int, seed: int = 0):
+    """The conditioning family, then forever random members of the subcone
+    h(eta) = prod_x u_x^eta(x) * prod_A v_A^[eta = 1 on A] with v_A >= 1 and
+    u_x * prod_{A owning x} v_A <= 1; every emitted tilt is validated."""
+    for tf in conditioning_family(n):
+        tf.validate()
+        yield tf
+    rng = random.Random(seed * 1000003 + n)
+    interaction_masks = [m for m in range(1 << n) if m.bit_count() >= 2]
+    while True:
+        interactions = [(mask, Fraction(4 + rng.randrange(0, 9), 4))
+                        for mask in interaction_masks if rng.random() < 0.4]
+        site_factors = [Fraction(rng.randrange(1, 17), 16)
+                        / prod(v for mask, v in interactions if mask >> x & 1)
+                        for x in range(n)]
+        tf = TiltFunction(n, *_factor_table(site_factors, interactions))
+        tf.validate()
+        yield tf
+
+
+def fresh_family_dca(measure, budget: int, *, tolerance=None) -> PropertyReport:
+    """``dca_falsify`` for n >= 4: the downward-FKG screen, then the first
+    ``budget`` tilts of a freshly built conditioning family with ``Fraction``
+    tables."""
     pm = _as_probability(measure)
     n = pm.n
     assert n >= 4
@@ -164,9 +202,7 @@ def fresh_sampler_dca(measure, budget: int, *, tolerance=None, seed: int = 0) ->
     weights = pm.as_float_array()
     best = None
     sampled = 0
-    sampler = iter(TiltSampler(n, seed=seed))
-    for _ in range(budget):
-        tf = next(sampler)
+    for tf in conditioning_family(n)[:budget]:
         sampled += 1
         tilted = weights * np.array([float(v) for v in tf.values_exact()])
         tilted /= tilted.sum()

@@ -15,6 +15,7 @@ from oracles import (
     generator_sum,
     point_mass,
     random_single_site_birth,
+    sampled_tilts,
     tilt_table_is_valid,
     trotter_compose,
     uniformized_kernel,
@@ -54,7 +55,7 @@ from spincorr.measures import (
 )
 from spincorr.dynamics import RateTable
 from spincorr.three_site import classify
-from spincorr.tilts import TiltSampler, dca_falsify, reverify_tilt_witness
+from spincorr.tilts import dca_falsify, reverify_tilt_witness
 
 TOL = 1e-9
 EPS = Fraction(1, 100)
@@ -108,7 +109,7 @@ def test_criterion_1_three_site_oracle_equivalence():
         # the closed-form DCA verdict must survive 1000 sampled valid tilts
         weights = mu.as_float_array()
         tables = []
-        for tf in islice(iter(TiltSampler(3, seed=index)), 1000):
+        for tf in islice(sampled_tilts(3, seed=index), 1000):
             tf.validate()
             tables.append((tf, tf.values_float()))
         stacked = np.stack([h for _, h in tables])
@@ -349,7 +350,7 @@ def _sample_fact_triples(seed: int, n: int):
     f = [float(v) for v in random_increasing_table(rng, n)]
     g = [float(v) for v in random_increasing_table(rng, n)]
     h_positive = [rng.uniform(0.1, 2.0) for _ in configs(n)]
-    h_valid = next(islice(iter(TiltSampler(n, seed=seed)), 3 + seed % 17, None)).values_float()
+    h_valid = next(islice(sampled_tilts(n, seed=seed), 3 + seed % 17, None)).values_float()
     # positive and log-supermodular but not necessarily monotone
     site = [rng.uniform(0.25, 2.0) for _ in range(n)]
     pair_boost = {}

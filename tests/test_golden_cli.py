@@ -56,7 +56,7 @@ def corpus_runs() -> list[list[str]]:
         for m in MEASURES for s in SYSTEMS
     ]
     # at --budget 20 the four-site DCA checks above stop inside the 45
-    # conditioning tilts; these two also sample 15 random tilts
+    # conditioning tilts; at --budget 60 these two sweep all 45
     runs += [
         ["verify-theorem", "--system", fx("contact_path4"), "--property", "dca", "--count", "2",
          "--budget", "60", "--t", "0.1,1.0"],

@@ -137,10 +137,6 @@ class TestCli:
         write_fixtures(str(directory))
         return directory
 
-    def run(self, *argv, capsys=None):
-        code = main(list(argv))
-        return code
-
     def test_check_measure_exit_codes(self, fixture_dir, capsys):
         path = str(fixture_dir / "derangement3.json")
         assert main(["check-measure", "--input", path]) == 0
@@ -170,12 +166,6 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["evolved"][0]["t"] == 0
         assert out["evolved"][0]["weights"] == measure_to_dict(derangement_measure(3))["weights"]
-
-    def test_evolve_output_file(self, fixture_dir, tmp_path):
-        measure = str(fixture_dir / "derangement3.json")
-        system = str(fixture_dir / "contact_path4.json")
-        # measure and system sizes disagree: input error
-        assert main(["evolve", "--input", measure, "--system", system, "--t", "0.5"]) == 2
 
     def test_evolve_at_huge_lambda_t_ends(self, fixture_dir, tmp_path, capsys):
         # lambda*t of 1e12 and 5e6 take 31 and 14 halvings; squaring the
@@ -424,14 +414,24 @@ class TestCli:
         assert main(["check-measure", "--input", "/nonexistent.json"]) == 2
 
     def test_output_file_holds_the_stdout_bytes(self, fixture_dir, tmp_path, capsys):
-        argv = ["classify3", "--input", str(fixture_dir / "derangement3.json")]
-        for fmt in ("json", "markdown"):
-            assert main(argv + ["--format", fmt]) == 0
-            printed = capsys.readouterr().out
-            report = tmp_path / f"report.{fmt}"
-            assert main(argv + ["--format", fmt, "--output", str(report)]) == 0
-            assert capsys.readouterr().out == ""
-            assert report.read_bytes() == printed.encode("utf-8")
+        for argv in (["classify3", "--input", str(fixture_dir / "derangement3.json")],
+                     ["evolve", "--input", str(fixture_dir / "derangement4.json"),
+                      "--system", str(fixture_dir / "contact_path4.json"), "--t", "0,0.5"]):
+            for fmt in ("json", "markdown"):
+                assert main(argv + ["--format", fmt]) == 0
+                printed = capsys.readouterr().out
+                report = tmp_path / f"{argv[0]}.{fmt}"
+                assert main(argv + ["--format", fmt, "--output", str(report)]) == 0
+                assert capsys.readouterr().out == ""
+                assert report.read_bytes() == printed.encode("utf-8")
+
+    def test_check_measure_seed_has_no_effect(self, fixture_dir, capsys):
+        argv = ["check-measure", "--input", str(fixture_dir / "derangement4.json")]
+        printed = []
+        for seed in ("0", "7"):
+            assert main(argv + ["--seed", seed]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
 
     def test_markdown_format(self, fixture_dir, capsys):
         path = str(fixture_dir / "derangement3.json")

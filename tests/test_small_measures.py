@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import fresh_sampler_dca, reference_downward_fkg
+from oracles import fresh_family_dca, reference_downward_fkg
 
 from spincorr import measures, tilts
 from spincorr.cli import main
@@ -114,11 +114,10 @@ class TestExactScaleInvariance:
 
 class TestDcaTiltSweep:
     def test_a_tilt_that_loses_its_mass_is_refused(self, monkeypatch):
-        def drawn(n, seed):
-            tf = tilts.conditioning_tilt(n, [0], 1)
-            yield tf, np.full(1 << n, np.nan)
+        def family(n):
+            return ((tilts.conditioning_tilt(n, [0], 1), np.full(1 << n, np.nan)),)
 
-        monkeypatch.setattr(tilts, "_drawn_tilts", drawn)
+        monkeypatch.setattr(tilts, "_conditioning_family", family)
         with pytest.raises(ValueError, match="^float measure sums to nan, outside 1e-12 of 1$"):
             dca_falsify(derangement_measure(4), budget=1)
 
@@ -139,6 +138,6 @@ class TestDcaTiltSweep:
         monkeypatch.setattr(tilts, "_float_sweep", recording)
         for tolerance in (None, 0):
             assert (report_key(dca_falsify(measure, budget=60, tolerance=tolerance))
-                    == report_key(fresh_sampler_dca(measure, 60, tolerance=tolerance)))
+                    == report_key(fresh_family_dca(measure, 60, tolerance=tolerance)))
         full = np.count_nonzero(weights)
         assert set(supports) == {full - 1, full}

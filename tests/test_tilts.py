@@ -2,8 +2,6 @@ import contextlib
 import hashlib
 import io
 import json
-import sys
-import threading
 from fractions import Fraction
 from itertools import islice
 from math import prod
@@ -12,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import fraction_tilt_values, fresh_sampler_dca, tilt_table_is_valid
+from oracles import fraction_tilt_values, fresh_family_dca, sampled_tilts, tilt_table_is_valid
 
 from spincorr import tilts
 from spincorr.cli import main
@@ -33,7 +31,6 @@ from spincorr.measures import (
 from spincorr.three_site import margins
 from spincorr.tilts import (
     TiltFunction,
-    TiltSampler,
     _factor_table,
     conditioning_tilt,
     dca_falsify,
@@ -43,9 +40,14 @@ from spincorr.tilts import (
 EPS = Fraction(1, 100)
 
 
+def _digest(stream) -> str:
+    lines = (f"{tf.label}:{','.join(map(str, tf.values_exact()))}" for tf in stream)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
 class TestTiltFunction:
     def test_sampled_family_is_valid_by_table_check(self):
-        for tf in islice(iter(TiltSampler(3, seed=5)), 60):
+        for tf in islice(sampled_tilts(3, seed=5), 60):
             tf.validate()
             ok, reason = tilt_table_is_valid(tf.values_exact(), 3)
             assert ok, reason
@@ -138,14 +140,19 @@ class TestTiltFunction:
     ])
     def test_sampled_stream_is_pinned(self, n, seed, digest):
         # the first 200 tilts, conditioning family included, label and table
-        lines = (f"{tf.label}:{','.join(map(str, tf.values_exact()))}"
-                 for tf in islice(TiltSampler(n, seed), 200))
-        assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == digest
+        assert _digest(islice(sampled_tilts(n, seed), 200)) == digest
 
-    def test_sampler_is_deterministic(self):
-        first = [tf.values_exact() for tf in islice(iter(TiltSampler(3, seed=9)), 40)]
-        second = [tf.values_exact() for tf in islice(iter(TiltSampler(3, seed=9)), 40)]
-        assert first == second
+    @pytest.mark.parametrize("n,digest", [
+        (2, "eecae46b77603527"), (3, "e1384b8fbef62a21"),
+        (4, "0e97217590c63c2a"), (5, "5026733183735ccd"),
+    ])
+    def test_conditioning_family_is_pinned(self, n, digest):
+        # the (2^n - 1) * 3 tilts that dca_falsify sweeps, label and table
+        family = tilts._conditioning_family(n)
+        assert len(family) == ((1 << n) - 1) * 3
+        assert _digest(tf for tf, _ in family) == digest
+        for tf, table in family:
+            assert table.tobytes() == tf.values_float().tobytes()
 
     def test_table_check_flags_increasing_table(self):
         ok, reason = tilt_table_is_valid([1, 2], 1)
@@ -384,81 +391,41 @@ def _stream_measures(n):
 
 
 class TestTiltStream:
-    """dca_falsify reads one cached tilt stream per (n, seed); its reports
-    match the loop over a fresh TiltSampler whatever the order of calls."""
+    """dca_falsify sweeps the soft-conditioning family, built once per n; its
+    reports match the sweep over a freshly built family whatever the order
+    of calls, and the seed changes nothing."""
 
     def _check(self, calls, measures):
-        tilts._tilt_stream.cache_clear()
+        tilts._conditioning_family.cache_clear()
         for budget, seed in calls:
             for mu in measures:
-                _same_report(dca_falsify(mu, budget=budget, seed=seed),
-                             fresh_sampler_dca(mu, budget, seed=seed))
+                _same_report(dca_falsify(mu, budget=budget, seed=seed), fresh_family_dca(mu, budget))
 
     def test_budgets_across_the_conditioning_family(self):
-        # n = 4 has 45 conditioning tilts: 45 ends the family, 46 adds a sampled tilt
+        # n = 4 has 45 conditioning tilts: a budget past 45 sweeps those 45
         self._check([(b, 0) for b in (0, 1, 45, 46, 60, 200)], _stream_measures(4))
 
     def test_a_shorter_call_after_longer_ones(self):
         self._check([(60, 0), (200, 0), (10, 0)], _stream_measures(4))
 
-    def test_seeds_interleaved(self):
-        self._check([(60, 0), (60, 1), (80, 0), (70, 1)], _stream_measures(4))
-
     def test_five_sites(self):
         # a five-site float sweep takes about 0.07 s (2-CPU host), so only a few
-        # tilts here; test_tables_match_the_fraction_product pins their tables
+        # tilts here; test_conditioning_family_is_pinned pins their tables
         derangement = derangement_measure(5)
         self._check([(0, 0), (1, 0), (2, 1), (3, 0)], [derangement])
 
     def test_tables_are_shared_and_read_only(self):
-        tilts._tilt_stream.cache_clear()
-        first = list(islice(tilts._drawn_tilts(4, 0), 50))
-        again = list(islice(tilts._drawn_tilts(4, 0), 50))
+        tilts._conditioning_family.cache_clear()
+        first, again = tilts._conditioning_family(4), tilts._conditioning_family(4)
         assert all(a is b for a, b in zip(first, again))
         with pytest.raises(ValueError):
             first[0][1][0] = 2.0
 
-    def test_threads_sharing_a_stream_see_it_in_order(self):
-        tilts._tilt_stream.cache_clear()
-        expected = [tf.values_exact() for tf in islice(iter(TiltSampler(4, seed=2)), 120)]
-        results = [None] * 6
-
-        def draw(k):
-            results[k] = [tf.values_exact() for tf, _ in islice(tilts._drawn_tilts(4, 2), 120)]
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            workers = [threading.Thread(target=draw, args=(k,)) for k in range(6)]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(worker.is_alive() for worker in workers)
-        assert all(result == expected for result in results)
-
-    def test_a_budget_past_the_stored_prefix(self):
-        # the stream keeps its first DEFAULT_TILT_BUDGET tilts; a longer call draws
-        # the rest itself, so the stored list stops growing
-        budget = tilts.DEFAULT_TILT_BUDGET + 20
-        self._check([(budget, 0), (budget + 5, 0), (30, 0)], [derangement_measure(4)])
-        assert len(tilts._tilt_stream(4, 0)[1]) == tilts.DEFAULT_TILT_BUDGET
-
     @pytest.mark.parametrize("seed", ["x", None, 1.5, True])
     def test_seed_must_be_an_int(self, seed):
-        # refused before the stream cache is read: True would find seed 1's
-        # stream, and a stream whose sampler failed to start stays dead
         mu = derangement_measure(4)
-        dca_falsify(mu, budget=5, seed=1)
-        cached = tilts._tilt_stream.cache_info().currsize
-        for _ in range(2):
-            with pytest.raises(ValueError, match="^tilt seed must be an int, got "):
-                dca_falsify(mu, budget=50, seed=seed)
-            with pytest.raises(ValueError, match="^tilt seed must be an int, got "):
-                TiltSampler(4, seed)
-        assert tilts._tilt_stream.cache_info().currsize == cached
+        with pytest.raises(ValueError, match="^tilt seed must be an int, got "):
+            dca_falsify(mu, budget=50, seed=seed)
 
     @pytest.mark.parametrize("budget", [True, 2.0, -1, "3", None])
     def test_budget_must_be_a_nonnegative_integer(self, budget):
