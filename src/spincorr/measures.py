@@ -10,11 +10,11 @@ Every checker returns a :class:`PropertyReport` whose ``fails`` verdict
 carries a witness that re-evaluates to a strict violation on its own.
 
 Association up to five sites is decided by one blocked sweep over pairs
-of up-sets (``_sweep``), shared by both arithmetic modes: a float64 GEMM
-screens every pair against two thresholds.  Float mode sets both to
--tolerance; exact mode sets them to an a-priori rounding bound either side
-of 0 and recomputes the pairs between over Python ints, so exact verdicts
-and margins never depend on the size of the weights' common denominator.
+of up-sets (``_sweep``), shared by both arithmetic modes: a GEMM screens
+every pair against two thresholds.  Float mode sets both to -tolerance;
+exact mode (float32 at five sites) sets them to a rounding bound either
+side of 0 and recomputes over Python ints the pairs between that a float64
+recheck leaves undecided: exact verdicts and margins hold for any weights.
 """
 
 from __future__ import annotations
@@ -285,8 +285,8 @@ def _sweep_tables(n: int):
     """Per-n constants of the sweep: the membership matrix as float64, the
     up-set masks as int64 (ascending, so ``searchsorted`` finds the row of
     an intersection), a strictly lower triangle covering one chunk's
-    leading square, and per row block the number of pairs i <= j in it and
-    its chunks as row ranges."""
+    leading square, per row block the number of pairs i <= j in it and
+    its chunks as row ranges, and the exact screen's type and bounds."""
     matrix = up_set_matrix(n).astype(np.float64)
     k = matrix.shape[0]
     block = max(1, min(k, _BLOCK_ENTRIES // k))
@@ -301,7 +301,10 @@ def _sweep_tables(n: int):
     lower = np.tri(step, step, -1, dtype=bool)
     for shared in (matrix, masks, lower):
         shared.flags.writeable = False
-    return matrix, masks, lower, blocks
+    screen = np.float32 if step < k else np.float64  # several chunks (n = 5): GEMMs dominate
+    bounds = [float((4 * 2**n + 8) * np.finfo(t).eps + (2**(n + 1) + 2) * np.finfo(t).tiny)
+              for t in (screen, np.float64)]
+    return matrix, masks, lower, blocks, screen, *bounds
 
 
 def _null_up_sets(n: int, support) -> np.ndarray:
@@ -317,21 +320,25 @@ def _sweep(n: int, weights: np.ndarray, null: np.ndarray, low: float, high: floa
     checked and normalized float64 weights and their ``_null_up_sets``.
 
     Each chunk of rows is one GEMM, [M*w | -p] @ [M | p]^T with p = M @ w,
-    over the columns j >= the chunk's first row; entries with j < i and
-    the rows and columns of null up-sets are +inf, and chunks of only
-    null rows (all of a point mass) are not computed.  A value below
-    ``low`` violates and one at or above ``high`` holds; the pairs between,
-    before the first value below ``low``, go to ``certify(rows, columns)``
-    _CERT_BATCH at a time, which returns their exact values, and the
-    first negative one violates.  The sweep stops after the first block
-    holding a violation.  Returns (first violating pair or None, pairs in
-    the blocks swept, per block swept its chunks' (lo, hi, float minimum),
-    ``screen``); ``screen(lo, hi)`` recomputes a chunk as (flat values,
-    ncols), flat entry (i - lo) * ncols + (j - lo) being the pair (i, j).
+    in exact mode in ``_sweep_tables``' screen type, over the columns
+    j >= the chunk's first row; entries with j < i and the rows and
+    columns of null up-sets are +inf, and chunks of only null rows (all of
+    a point mass) are not computed.  A value below ``low`` violates and one
+    at or above ``high`` holds; the pairs between, before the first value
+    below ``low``, are rechecked _CERT_BATCH at a time, those with a recheck
+    below the float64 bound go to ``certify(i, j, rows of U & V)``, which
+    returns their exact values, and the first negative one violates.  The
+    sweep stops after the first block holding a violation.  Returns (first
+    violating pair or None, pairs in the blocks swept, per block swept its
+    chunks' (lo, hi, float minimum), ``screen``, ``recheck``); ``screen(lo,
+    hi)`` recomputes a chunk as (flat values, ncols), flat entry
+    (i - lo) * ncols + (j - lo) being the pair (i, j), and ``recheck(lo,
+    flat, ncols)`` gives the entries ``flat`` as (i, j, rows of U & V,
+    float64 p(U & V) - p(U)*p(V)).
     """
-    matrix, _, lower, blocks = _sweep_tables(n)
+    matrix, masks, lower, blocks, dtype, _, bound = _sweep_tables(n)
     p = weights @ matrix.T
-    left = np.empty((matrix.shape[0], weights.size + 1))
+    left = np.empty((matrix.shape[0], weights.size + 1), dtype if certify else np.float64)
     right = np.empty_like(left)  # not a view into one buffer: misaligned, it slows the GEMM
     np.multiply(matrix, weights, out=left[:, :-1])
     left[:, -1], right[:, :-1], right[:, -1] = -p, matrix, p
@@ -343,6 +350,11 @@ def _sweep(n: int, weights: np.ndarray, null: np.ndarray, low: float, high: floa
         values[:, null[lo:]] = np.inf
         values[null[lo:hi]] = np.inf
         return values.ravel(), values.shape[1]
+
+    def recheck(lo, flat, ncols):
+        i, j = lo + flat // ncols, lo + flat % ncols
+        inter = masks.searchsorted(masks[i] & masks[j])
+        return i, j, inter, p[inter] - p[i] * p[j]
 
     violation = None
     minima = []
@@ -362,88 +374,95 @@ def _sweep(n: int, weights: np.ndarray, null: np.ndarray, low: float, high: floa
             undecided = (values[:first] < high).nonzero()[0]
             for start in range(0, undecided.size, _CERT_BATCH):
                 batch = undecided[start:start + _CERT_BATCH]
-                negative = (certify(lo + batch // ncols, lo + batch % ncols) < 0).nonzero()[0]
+                i, j, inter, rechecked = recheck(lo, batch, ncols)
+                kept = (rechecked < bound).nonzero()[0]  # the others hold
+                negative = (certify(i[kept], j[kept], inter[kept]) < 0).nonzero()[0]
                 if negative.size:
-                    first = int(batch[negative[0]])
+                    first = int(batch[kept[negative[0]]])
                     break
             if first < values.size:
                 violation = lo + first // ncols, lo + first % ncols
         if violation is not None:
             break
-    return violation, sum(pairs for pairs, _ in blocks[:len(minima)]), minima, screen
+    return violation, sum(pairs for pairs, _ in blocks[:len(minima)]), minima, screen, recheck
 
 
 def _float_sweep(n: int, weights: np.ndarray, null: np.ndarray, tol: float):
     """Float-mode ``_sweep`` by ``is_associated``'s rule: (violation, pairs, margin)."""
-    violation, checked, minima, _ = _sweep(n, weights, null, -tol, -tol, None)  # never certifies
+    violation, checked, minima, _, _ = _sweep(n, weights, null, -tol, -tol, None)  # never certifies
     return violation, checked, min([0.0] + [m for block in minima for *_, m in block])
 
 
 def _exact_sweep(n: int, weights):
-    """Exact ``_sweep``: a float64 filter, certified over Python ints.
+    """Exact ``_sweep``: a float screen, certified over Python ints.
 
     Write the weights as integers a_c over their common denominator T and
     S(U) for the sum of a_c over U; the exact value of a pair is
-    N(U, V) = T*S(U & V) - S(U)*S(V) = T^2 cov(1_U, 1_V).  The filter is
+    N(U, V) = T*S(U & V) - S(U)*S(V) = T^2 cov(1_U, 1_V).  The screen is
     ``_sweep`` on the normalized weights rounded to float64, so no
-    denominator overflows it, with ``low, high = -bound, bound``: pairs
-    whose float value cannot decide the sign are recomputed as N over
-    Python ints.
+    denominator overflows it, with ``low, high = -band, band``; the pairs
+    it cannot decide whose float64 recheck lies below ``bound`` are
+    recomputed as N over Python ints, and the others have N > 0.
 
-    Error bound (u = 2^-53, m = 2^n + 1 terms per GEMM dot product): each
-    rounded weight is within u*w_c of w_c (plus an underflow term of
-    2^-1075); each p(U) = sum of w over U is within about m*u of mu(U);
-    the dot product itself is within gamma_m = m*u/(1 - m*u) times the sum
-    of its absolute terms, which is at most about 2, in any summation
-    order (Higham, "Accuracy and Stability of Numerical Algorithms",
-    section 3.1).  Since every mu is at most 1, each float value lies
-    within (4m + 1)*u, plus terms of order u^2 and 2^-1075, of the exact
-    covariance.  ``bound`` is twice that, which also covers the rounding of
-    the thresholds computed from it.
+    Error bound (u = 2^-24 or 2^-53, tiny = 2^-126 or 2^-1022 for a float32
+    or float64 screen, m = 2^n + 1 terms per GEMM dot product): each weight
+    in the screen type is within (u + 2^-53)*w_c of w_c, or tiny if flushed
+    to 0; each p(U) = sum of w over U is within about m*2^-53 of mu(U) in
+    float64, and u*mu(U) more in float32; the dot product itself is within
+    gamma_m = m*u/(1 - m*u) times the sum of its absolute terms, which is
+    at most about 2, in any summation order (Higham, "Accuracy and
+    Stability of Numerical Algorithms", section 3.1), plus m*tiny for
+    partial sums flushed to 0.  Since every mu is at most 1, each screen
+    value lies within (4m + 1)*u + 2m*tiny, plus terms of order u^2, of the
+    exact covariance.  ``band`` is 2*((4m + 4)*u + m*tiny), which also
+    covers the rounding of the thresholds computed from it.  The float64
+    recheck has no GEMM term and lies within ``bound``.
 
     Null up-sets (probability 0 or 1, taken from the exact support) have
     covariance exactly 0 with every up-set and are never certified.  Among
     them is the full up-set, the last one, which lies in every block, so a
     block without a violation has exact minimum 0.  The exact minimum of a
-    block with a violation is the least certified N among its pairs within
-    2*bound of its float minimum; their chunks are computed again, and any
-    evaluation within the bound finds them.  Returns (numerator of the
-    margin, violation pair or None, pairs, T); the margin is numerator / T^2.
+    block with a violation is the least N among its pairs within 2*band of
+    its screen minimum and 2*bound of their least recheck (their chunks are
+    computed again; any evaluation within the bounds finds them).  Returns
+    (margin numerator, violation or None, pairs, T); margin = numerator/T^2.
     """
-    masks = _sweep_tables(n)[1]
     membership = up_set_matrix(n)
     denom = math.lcm(*[w.denominator for w in weights])
     ints = [w.numerator * (denom // w.denominator) for w in weights]
     total = sum(ints)
     exact_weights = np.array(ints, dtype=object)
-    sums = np.zeros(len(masks), dtype=object)
-    known = np.zeros(len(masks), dtype=bool)
+    sums = np.zeros(len(membership), dtype=object)
+    known = np.zeros(len(membership), dtype=bool)
+    band, bound = _sweep_tables(n)[5:]
 
-    def certify(i, j):
+    def certify(i, j, inter):
         """N of the pairs (i[k], j[k]); up-set sums are cached per call."""
-        inter = masks.searchsorted(masks[i] & masks[j])
         need = np.concatenate([i, j, inter])
         need = need[~known[need]]
         sums[need] = membership[need] @ exact_weights
         known[need] = True
         return total * sums[inter] - sums[i] * sums[j]
 
-    bound = (2**n + 2) * 2.0**-50
-    violation, checked, minima, screen = _sweep(
+    violation, checked, minima, screen, recheck = _sweep(
         n, np.array([a / total for a in ints]), _null_up_sets(n, [a > 0 for a in ints]),
-        -bound, bound, certify,
+        -band, band, certify,
     )
     if violation is None:
         return 0, None, checked, total
-    threshold = min(chunk_min for *_, chunk_min in minima[-1]) + 2 * bound
-    best = 0
+    threshold = min(chunk_min for *_, chunk_min in minima[-1]) + 2 * band
+    best, cut = 0, math.inf
     for lo, hi, chunk_min in minima[-1]:
         if chunk_min <= threshold:
             values, ncols = screen(lo, hi)
             flat = (values <= threshold).nonzero()[0]
             for start in range(0, flat.size, _CERT_BATCH):
-                batch = flat[start:start + _CERT_BATCH]
-                best = min(best, certify(lo + batch // ncols, lo + batch % ncols).min())
+                i, j, inter, rechecked = recheck(lo, flat[start:start + _CERT_BATCH], ncols)
+                cut = min(cut, rechecked.min() + 2 * bound)
+                kept = rechecked <= cut
+                if not kept.all():
+                    i, j, inter = i[kept], j[kept], inter[kept]
+                best = min(best, certify(i, j, inter).min(initial=0))
     return best, violation, checked, total
 
 
@@ -457,13 +476,14 @@ def is_associated(measure, *, tolerance=None) -> PropertyReport:
 
     One sweep, ``_sweep``, serves both modes: it visits the unordered
     pairs (U, V), U <= V in enumeration order, in row blocks of
-    (1 << 23) // K up-sets (K up-sets), a float64 GEMM per chunk of rows,
+    (1 << 23) // K up-sets (K up-sets), one GEMM per chunk of rows,
     and stops after the first block holding a violation.  Float mode
     calls a value below -tolerance a violation and its margin is the
     minimum of 0.0 (the full up-set's exact value) and the float values
-    swept.  In exact mode the float values only screen: every pair they
-    cannot decide, within an a-priori rounding bound of 0 or of the
-    violating block's float minimum, is recomputed over Python ints (see
+    swept.  In exact mode the float values, float32 at five sites, only
+    screen: every pair they cannot decide, within an a-priori rounding
+    bound of 0 or of the violating block's float minimum, is recomputed
+    over Python ints if a float64 recheck cannot decide it either (see
     ``_exact_sweep``), so the verdict and margin are exact for any
     denominator.  Failing-margin rule: a failing report carries the
     lexicographically first violating pair and the minimum over the row

@@ -1,17 +1,21 @@
 """The association sweep against an exact reference of its block rule.
 
-``is_associated`` screens up-set pairs in float64 and certifies the
-undecided ones over Python ints; whatever the screen does, its reports must
-equal the rule evaluated exactly pair by pair: sweep the up-set rows in
-blocks of (1 << 23) // K, stop after the first block holding a violation,
-report that pair (lexicographically first), the minimum over the blocks
-swept, and the number of pairs in them.
+``is_associated`` screens up-set pairs in floats, float32 at five sites
+and float64 below, rechecks the undecided pairs in float64 and certifies
+what stays undecided over Python ints; whatever the screen does, its
+reports must equal the rule evaluated exactly pair by pair: sweep the
+up-set rows in blocks of (1 << 23) // K, stop after the first block
+holding a violation, report that pair (lexicographically first), the
+minimum over the blocks swept, and the number of pairs in them.  The
+screen and recheck values themselves must lie within their a-priori
+rounding bounds of the exact covariances.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -28,21 +32,27 @@ from spincorr.measures import (
 from spincorr.tilts import dca_falsify
 
 
+def integer_weights(weights):
+    """(T, numerators) of the normalized weights over their common denominator T."""
+    fracs = [Fraction(w) for w in weights]
+    fracs = [f / sum(fracs) for f in fracs]
+    total = math.lcm(*(f.denominator for f in fracs))
+    return total, [f.numerator * (total // f.denominator) for f in fracs]
+
+
 def reference_association(weights):
     """(verdict, (mask_u, mask_v) or None, margin, pairs) by the block rule.
 
     With T the common denominator of the normalized weights and S(U) the sum
     of their numerators over U, every pair is evaluated as the integer
-    T*S(U & V) - S(U)*S(V) = T^2 cov(1_U, 1_V); no float is involved.
+    T*S(U & V) - S(U)*S(V) = T^2 cov(1_U, 1_V); no float is involved.  Both
+    products are at most T^2, so below 2^62 int64 holds them exactly.
     """
-    fracs = [Fraction(w) for w in weights]
-    fracs = [f / sum(fracs) for f in fracs]
-    n = len(fracs).bit_length() - 1
-    total = math.lcm(*(f.denominator for f in fracs))
-    ints = [f.numerator * (total // f.denominator) for f in fracs]
-    masks = enumerate_up_sets(n)
+    total, ints = integer_weights(weights)
+    masks = enumerate_up_sets(len(ints).bit_length() - 1)
     mask_array = np.array(masks, dtype=np.int64)
-    sums = np.array([sum(ints[c] for c in up_set_members(m)) for m in masks], dtype=object)
+    sums = np.array([sum(ints[c] for c in up_set_members(m)) for m in masks],
+                    dtype=np.int64 if total**2 < 2**62 else object)
     k = len(masks)
     block = max(1, min(k, (1 << 23) // k))
     best = None
@@ -59,8 +69,8 @@ def reference_association(weights):
             if witness is None and negative.size:
                 witness = (masks[i], masks[i + int(negative[0])])
         if witness is not None:
-            return "fails", witness, Fraction(best, total * total), pairs
-    return "holds", None, Fraction(best, total * total), pairs
+            return "fails", witness, Fraction(int(best), total * total), pairs
+    return "holds", None, Fraction(int(best), total * total), pairs
 
 
 def engine(measure):
@@ -263,3 +273,102 @@ class TestChunking:
             measures._sweep_tables.cache_clear()
         for measure, report in zip(cases, expected):
             assert report == reference_association(measure.weights)
+
+
+def five_site_underflow_sibling():
+    """A five-site sibling of ``test_weight_that_underflows_float64``: the
+    failing two-site weights (0, tiny, 1, 1) times the uniform measure on
+    three more sites, with a tiny weight that float32 flushes to 0 and
+    float64 keeps."""
+    tiny = Fraction(1, 10**50)
+    assert np.float32(float(tiny)) == 0 < float(tiny)
+    return WeightVector.exact([0, tiny, 1, 1] * 8)
+
+
+class TestScreenPrecision:
+    def test_reports_do_not_depend_on_the_screen_precision(self, monkeypatch):
+        cases = [random_measure(0, 5, family)
+                 for family in ("lattice", "product", "strictly-positive", "generic")]
+        cases += [derangement_measure(5), five_site_underflow_sibling()]
+        tables = measures._sweep_tables
+        assert tables(5)[4] is np.float32
+        assert tables(4)[4:] == (np.float64, (2**4 + 2) * 2.0**-50, (2**4 + 2) * 2.0**-50)
+        expected = [engine(measure) for measure in cases]
+        # the five-site screen in float64, with the float64 bound, as below five sites
+        monkeypatch.setattr(measures, "_sweep_tables",
+                            lambda n: (*tables(n)[:4], np.float64, tables(n)[6], tables(n)[6]))
+        assert [engine(measure) for measure in cases] == expected
+        assert [report[0] for report in expected] == ["holds"] * 2 + ["fails"] * 2 + ["holds", "fails"]
+        for measure, report in zip(cases, expected):
+            assert report == reference_association(measure.weights)
+
+
+five_site_weights = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(1, 2**40), st.integers(2**80, 2**81)),
+    st.sampled_from([Fraction(1, 10**40), Fraction(1, 10**50), Fraction(1, 2**149)]),
+)
+
+
+@st.composite
+def five_site_measures(draw):
+    """A five-site draw of any family, with a few weights replaced: totals
+    above 2^80 and weights below float32's normal range, some of which it
+    flushes to 0."""
+    family = draw(st.sampled_from(["generic", "strictly-positive", "lattice", "product"]))
+    weights = list(normalize(random_measure(draw(st.integers(0, 10**6)), 5, family)).weights)
+    for config, weight in draw(st.lists(st.tuples(st.integers(0, 31), five_site_weights), max_size=4)):
+        weights[config] = weight
+    assume(any(weights))
+    return WeightVector.exact(weights), draw(st.integers(0, 2**32 - 1))
+
+
+def exact_covariances(weights, i, j):
+    """cov(1_U, 1_V) of the up-set pairs (i[k], j[k]), each correctly
+    rounded to float64 from N / T^2 over Python ints."""
+    total, ints = integer_weights(weights)
+    masks = enumerate_up_sets(5)
+
+    def s(mask):
+        return sum(ints[c] for c in up_set_members(mask))
+
+    return np.array([(total * s(masks[a] & masks[b]) - s(masks[a]) * s(masks[b])) / total**2
+                     for a, b in zip(i.tolist(), j.tolist())])
+
+
+class TestRoundingBounds:
+    @settings(max_examples=25, deadline=None)
+    @given(five_site_measures())
+    def test_screen_and_recheck_values_lie_within_their_bounds(self, drawn):
+        """Sampled float32 screen values of the first and last chunk swept,
+        with each chunk's extremes, lie within the screen's band of the
+        exact covariance, and their float64 rechecks within the recheck's
+        bound."""
+        measure, seed = drawn
+        sweep, spied = measures._sweep, {}
+
+        def spy(n, weights, null, low, high, certify):
+            result = sweep(n, weights, null, low, high, certify)
+            spied.update(band=high, minima=result[2], screen=result[3], recheck=result[4])
+            return result
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(measures, "_sweep", spy)
+            is_associated(measure)
+        rng = np.random.default_rng(seed)
+        # a float64 quotient is within 2^-53 of the exact covariance (|cov| <= 1/4)
+        band = spied["band"] - 2.0**-53
+        bound = measures._sweep_tables(5)[6] - 2.0**-53
+        chunks = [block for block in spied["minima"] if block]
+        for lo, hi, _ in {chunks[0][0], chunks[-1][-1]}:
+            values, ncols = spied["screen"](lo, hi)
+            assert values.dtype == np.float32
+            finite = np.isfinite(values).nonzero()[0]
+            flat = np.unique(np.concatenate([
+                rng.choice(finite, min(finite.size, 1500), replace=False),
+                finite[[values[finite].argmin(), values[finite].argmax()]],
+            ]))
+            i, j, _, rechecked = spied["recheck"](lo, flat, ncols)
+            exact = exact_covariances(measure.weights, i, j)
+            assert np.abs(values[flat].astype(np.float64) - exact).max() <= band
+            assert np.abs(rechecked - exact).max() <= bound
