@@ -17,7 +17,6 @@ from . import fixtures as fixtures_mod
 from .harness import (
     DEFAULT_MEASURE_COUNT,
     DEFAULT_MEASURE_MODE,
-    DEFAULT_PRESERVATION_TILT_BUDGET,
     DEFAULT_SEARCH_BUDGET,
     DEFAULT_TIME_GRID,
     MEASURE_MODES,
@@ -62,6 +61,7 @@ from .three_site import (
     from_coordinates,
     margins,
 )
+from .tilts import DEFAULT_TILT_BUDGET
 
 
 def _emit(args, document) -> None:
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="measure JSON file")
     p.add_argument("--mode", choices=("exact", "float"), default=None,
                    help="force the arithmetic mode instead of inferring it")
-    p.add_argument("--budget", type=int, default=500,
+    p.add_argument("--budget", type=int, default=DEFAULT_TILT_BUDGET,
                    help="at most this many soft-conditioning tilts for the DCA check")
     p.add_argument("--seed", type=int, default=0, help="no effect; the DCA tilts are not random")
     p.add_argument("--assert", dest="asserts", default=None,
@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=DEFAULT_MEASURE_COUNT,
                    help="random initial measures to draw")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=DEFAULT_PRESERVATION_TILT_BUDGET,
+    p.add_argument("--budget", type=int, default=DEFAULT_TILT_BUDGET,
                    help="at most this many soft-conditioning tilts per DCA check")
     common(p, _cmd_verify_theorem)
 

@@ -50,12 +50,11 @@ from .measures import (
     satisfies_lattice,
 )
 from .three_site import classify, from_coordinates
-from .tilts import _factor_table, dca_falsify, validate_int
+from .tilts import DEFAULT_TILT_BUDGET, dca_falsify, validate_int
 
 DEFAULT_TIME_GRID = (0.1, 0.5, 1.0, 2.0)
 DEFAULT_MEASURE_MODE = "lattice"
 DEFAULT_MEASURE_COUNT = 20
-DEFAULT_PRESERVATION_TILT_BUDGET = 200
 DEFAULT_SEARCH_BUDGET = 20000
 REVERIFY_TAIL = 1e-16
 
@@ -77,6 +76,18 @@ def _salt(label: str) -> int:
 
 def _rng(seed: int, n: int, salt: int = 0) -> random.Random:
     return random.Random((seed * 1000003 + n) * 1000003 + salt)
+
+
+def _factor_table(site_factors, interaction_factors=()) -> tuple[tuple[int, ...], int]:
+    """The table of h(eta) = prod_x u_x^eta(x) * prod_A v_A^[eta = 1 on A] as
+    integer numerators over one denominator, for ``int`` or ``Fraction`` factors."""
+    nums = site_product((u.denominator, u.numerator) for u in site_factors)
+    den = nums[0]  # no site on: the product of the site denominators
+    for mask, factor in interaction_factors:
+        p, q = factor.numerator, factor.denominator
+        nums = [v * p if c & mask == mask else v * q for c, v in enumerate(nums)]
+        den *= q
+    return tuple(nums), den
 
 
 def random_measure(seed: int, n: int, mode: str = "generic") -> WeightVector:
@@ -265,7 +276,7 @@ def evaluate_property(
     measure,
     *,
     tolerance=None,
-    tilt_budget: int = DEFAULT_PRESERVATION_TILT_BUDGET,
+    tilt_budget: int = DEFAULT_TILT_BUDGET,
 ) -> PropertyReport:
     if name == "associated":
         return is_associated(measure, tolerance=tolerance)
@@ -315,7 +326,7 @@ class ExperimentSpec:
     measure_count: int = DEFAULT_MEASURE_COUNT
     measures: tuple[WeightVector, ...] | None = None
     tolerance: float = DEFAULT_FLOAT_TOLERANCE
-    tilt_budget: int = DEFAULT_PRESERVATION_TILT_BUDGET
+    tilt_budget: int = DEFAULT_TILT_BUDGET
 
     def __post_init__(self):
         if self.property not in PROPERTIES:

@@ -1,4 +1,4 @@
-"""Valid tilt functions and the falsification check for downward
+"""Soft-conditioning tilts and the falsification check for downward
 conditional association (DCA).
 
 A measure is DCA when every tilt mu_h = h*mu / sum(h*mu) by a strictly
@@ -8,28 +8,23 @@ semi-decidable: the checker either produces a concrete violating h or
 reports the search exhausted.  For one to three sites exact closed forms
 decide it.
 
-A ``TiltFunction`` is h's table, integer numerators over one positive
-denominator, and ``validate`` decides the definition on it: h > 0, h
-non-increasing on every single-bit edge, and h(a&b) h(a|b) >= h(a) h(b) on
-every two-site square (for h > 0 the squares imply every pair).
-At four sites or more ``dca_falsify`` sweeps the soft-conditioning family:
+The only tilts built here are soft conditioning on zeros,
+h = (eps/(1+eps))^|eta on A|, held as (label, exact ``Fraction`` table):
+positive, decreasing and log-modular by construction, so valid.  At four
+sites or more ``dca_falsify`` sweeps the soft-conditioning family:
 ``conditioning_tilt`` on every nonempty site set with eps in {1, 1/10,
-1/100}, built once per n per process.
+1/100}, built with its float tables once per n per process.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from math import lcm
 
 import numpy as np
 
-from .lattice import (
-    lattice_pairs, scan_slacks, single_bit_pairs, site_product, validate_site, validate_site_count,
-)
+from .lattice import site_product, validate_site, validate_site_count
 from .measures import (
     EXACT,
     FAILS,
@@ -51,6 +46,8 @@ from .measures import (
 )
 from .three_site import classify, margins
 
+DEFAULT_TILT_BUDGET = 200  # past the largest family: (2^6 - 1) * 3 = 189 tilts
+
 
 def validate_int(value, name: str, *, nonnegative: bool = False) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or nonnegative and value < 0:
@@ -58,59 +55,11 @@ def validate_int(value, name: str, *, nonnegative: bool = False) -> None:
         raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
-def _factor_table(site_factors, interaction_factors=()) -> tuple[tuple[int, ...], int]:
-    """The table of h(eta) = prod_x u_x^eta(x) * prod_A v_A^[eta = 1 on A] as
-    integer numerators over one denominator, for ``int`` or ``Fraction`` factors."""
-    nums = site_product((u.denominator, u.numerator) for u in site_factors)
-    den = nums[0]  # no site on: the product of the site denominators
-    for mask, factor in interaction_factors:
-        p, q = factor.numerator, factor.denominator
-        nums = [v * p if c & mask == mask else v * q for c, v in enumerate(nums)]
-        den *= q
-    return tuple(nums), den
-
-
-@dataclass(frozen=True)
-class TiltFunction:
-    """h's integer table over one denominator; valid if > 0, decreasing, log-supermodular."""
-
-    n: int
-    numerators: tuple[int, ...]
-    denominator: int
-    label: str = "sampled"
-
-    def validate(self) -> None:
-        """Decide validity on h's table; a refusal names the failing entry, edge or square."""
-        validate_site_count(self.n)
-        h, den = self.numerators, self.denominator
-        if len(h) != 1 << self.n:
-            raise ValueError(f"expected {1 << self.n} numerators for {self.n} sites, got {len(h)}")
-        if isinstance(den, bool) or not isinstance(den, int) or den <= 0:
-            raise ValueError(f"denominator must be a positive int, got {den!r}")
-        for c, v in enumerate(h):  # den > 0: h has its numerators' signs and order
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ValueError(f"numerator of h({c:#b}) must be an int, got {v!r}")
-            if v <= 0:
-                raise ValueError(f"h({c:#b}) = {Fraction(v, den)} is not strictly positive")
-        _, failure, _ = scan_slacks(chain(
-            ((("increases on edge", lo, hi), h[lo] - h[hi]) for lo, hi in single_bit_pairs(self.n)),
-            ((("is not log-supermodular on square", a, b), h[a & b] * h[a | b] - h[a] * h[b])
-             for a, b in lattice_pairs(self.n, strictly_positive=True)),
-        ))
-        if failure is not None:
-            raise ValueError("h {} {:#b}, {:#b}".format(*failure))
-
-    def values_exact(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(v, self.denominator) for v in self.numerators)
-
-    def values_float(self) -> np.ndarray:
-        return np.array([v / self.denominator for v in self.numerators])  # correctly rounded
-
-
-def conditioning_tilt(n: int, sites, eps) -> TiltFunction:
-    """Soft conditioning on zeros: h = prod over the listed sites of
-    (eps/(1+eps))^eta(x).  As eps -> 0 the tilted measure converges to the
-    measure conditioned on zeros there; eps-free sites are untouched."""
+def conditioning_tilt(n: int, sites, eps) -> tuple[str, tuple[Fraction, ...]]:
+    """Soft conditioning on zeros, as (label, h): h = prod over the listed
+    sites of (eps/(1+eps))^eta(x).  As eps -> 0 the tilted measure converges
+    to the measure conditioned on zeros there; eps-free sites are untouched."""
+    validate_site_count(n)
     try:
         eps = Fraction(eps)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
@@ -121,8 +70,12 @@ def conditioning_tilt(n: int, sites, eps) -> TiltFunction:
     for x in sites:
         validate_site(x, n)
     factor = eps / (1 + eps)
-    table = _factor_table(factor if x in sites else 1 for x in range(n))
-    return TiltFunction(n, *table, label=f"conditioning-{sorted(sites)}-eps={eps}")
+    # integer numerators over nums[0], the denominator to the |sites|; h
+    # takes |sites| + 1 values, each held once
+    nums = site_product((factor.denominator, factor.numerator) if x in sites else (1, 1)
+                        for x in range(n))
+    values = {v: Fraction(v, nums[0]) for v in set(nums)}
+    return f"conditioning-{sorted(sites)}-eps={eps}", tuple(values[v] for v in nums)
 
 
 # ---------------------------------------------------------------------------
@@ -130,29 +83,27 @@ def conditioning_tilt(n: int, sites, eps) -> TiltFunction:
 
 
 @lru_cache(maxsize=None)
-def _conditioning_family(n: int) -> tuple[tuple[TiltFunction, np.ndarray], ...]:
-    """The soft-conditioning tilts as (tilt, read-only float table) pairs:
+def _conditioning_family(n: int) -> tuple[tuple[str, tuple[Fraction, ...], np.ndarray], ...]:
+    """The soft-conditioning tilts as (label, h, read-only float table):
     site sets by ascending mask, each with eps = 1, 1/10, 1/100."""
     family = []
     for amask in range(1, 1 << n):
         sites = [x for x in range(n) if amask >> x & 1]
         for eps in (Fraction(1), Fraction(1, 10), Fraction(1, 100)):
-            tf = conditioning_tilt(n, sites, eps)
-            tf.validate()
-            table = tf.values_float()
+            label, h = conditioning_tilt(n, sites, eps)
+            table = np.array([float(v) for v in h])  # correctly rounded
             table.flags.writeable = False
-            family.append((tf, table))
+            family.append((label, h, table))
     return tuple(family)
 
 
-def _tilt_witness(measure, tf: TiltFunction, tolerance):
+def _tilt_witness(measure, label: str, h, tolerance):
     """Exact (or float, matching the measure) confirmation of one tilt:
     (witness, margin), or None when the tilted measure is associated."""
-    values = tf.values_exact()
-    report = is_associated(tilt(measure, values), tolerance=tolerance)
+    report = is_associated(tilt(measure, h), tolerance=tolerance)
     if report.fails:
-        label = {"tilt_values": [str(v) for v in values], "tilt_label": tf.label}
-        return {**label, **report.witness}, report.margin
+        witness = {"tilt_values": [str(v) for v in h], "tilt_label": label, **report.witness}
+        return witness, report.margin
 
 
 def _materialize_conditioning_witness(pm, sites, tolerance):
@@ -164,8 +115,7 @@ def _materialize_conditioning_witness(pm, sites, tolerance):
     -tolerance may have no witness, and then gives None."""
     total = lcm(*(w.denominator for w in pm.as_fractions()))
     for eps in [Fraction(1, 10**k) for k in range(13)] + [Fraction(1, 6 * total**2)]:
-        tf = conditioning_tilt(pm.n, sites, eps)
-        confirmed = _tilt_witness(pm, tf, tolerance)
+        confirmed = _tilt_witness(pm, *conditioning_tilt(pm.n, sites, eps), tolerance)
         if confirmed is not None:
             return confirmed
     if pm.mode == EXACT:
@@ -177,7 +127,7 @@ def _materialize_conditioning_witness(pm, sites, tolerance):
 
 def dca_falsify(
     measure,
-    budget: int = 1000,
+    budget: int = DEFAULT_TILT_BUDGET,
     *,
     tolerance=None,
     seed: int = 0,
@@ -246,7 +196,7 @@ def dca_falsify(
     float_tol = _resolve_tolerance(FLOAT, tolerance)
     best = None
     family = _conditioning_family(n)[:budget]
-    for sampled, (tf, table) in enumerate(family, 1):
+    for sampled, (label, h, table) in enumerate(family, 1):
         tilted = weights * table
         tilted /= tilted.sum()
         _check_float_mass(sum(tilted.tolist()))
@@ -254,7 +204,7 @@ def dca_falsify(
         margin = _float_sweep(n, tilted, tilt_null, float_tol)[2]  # is_associated's margin
         best = margin if best is None else min(best, margin)
         if margin < -max(tol, FLOAT_NORMALIZATION_SLACK):
-            confirmed = _tilt_witness(pm, tf, tolerance)
+            confirmed = _tilt_witness(pm, label, h, tolerance)
             if confirmed is not None:
                 details["tilts_sampled"] = sampled
                 return PropertyReport("dca", FAILS, *confirmed, details)

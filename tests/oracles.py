@@ -7,9 +7,10 @@ The kernel and splitting oracles run on the library's own uniformization
 search with the derivative screen over ``Fraction`` and numpy object arrays
 that the library's integer screen replaced, kept as its reference.
 ``fraction_tilt_values`` is the factor product over ``Fraction`` that
-``tilts._factor_table`` computes over integers.  ``sampled_tilts`` is the
+``harness._factor_table`` computes over integers.  ``sampled_tilts`` is the
 DCA tilt stream the library once swept, the soft-conditioning family
-followed by random draws from a subcone of the valid tilts, and
+followed by random draws from a subcone of the valid tilts, as
+(label, ``Fraction`` table) pairs, and
 ``fresh_family_dca`` the DCA sweep over a freshly built family with
 ``Fraction`` tables.  ``reference_downward_fkg`` sweeps every conditioning
 of at least one site, normalized, through ``is_associated``.
@@ -37,6 +38,7 @@ from spincorr.harness import (
     _CONFIRM_TIMES,
     DEFAULT_SEARCH_BUDGET,
     SearchOutcome,
+    _factor_table,
     _rng,
     _search_plan,
 )
@@ -54,13 +56,7 @@ from spincorr.measures import (
     is_associated,
     is_downward_fkg,
 )
-from spincorr.tilts import (
-    TiltFunction,
-    _factor_table,
-    _materialize_conditioning_witness,
-    _tilt_witness,
-    conditioning_tilt,
-)
+from spincorr.tilts import _materialize_conditioning_witness, _tilt_witness, conditioning_tilt
 
 BIRTH_REJECTION_BUDGET = 5000
 
@@ -122,8 +118,9 @@ def tilt_table_is_valid(values, n: int, tolerance: float = 0.0):
     vals = list(values)
     if len(vals) != 1 << n:
         return False, f"expected {1 << n} values"
-    if any(not v > 0 for v in vals):
-        return False, "not strictly positive"
+    for c, v in enumerate(vals):
+        if not v > 0:
+            return False, f"h({c:#b}) = {v} is not strictly positive"
     for lo, hi in single_bit_pairs(n):
         if vals[hi] - vals[lo] > tolerance * max(abs(vals[lo]), 1):
             return False, f"not decreasing at pair ({lo}, {hi})"
@@ -152,9 +149,9 @@ def fraction_tilt_values(n: int, site_factors, interactions) -> tuple[Fraction, 
     return tuple(out)
 
 
-def conditioning_family(n: int) -> list[TiltFunction]:
+def conditioning_family(n: int) -> list[tuple[str, tuple[Fraction, ...]]]:
     """Soft conditioning on every nonempty site set, by ascending mask, each
-    with eps = 1, 1/10, 1/100."""
+    with eps = 1, 1/10, 1/100, as (label, h) pairs."""
     return [conditioning_tilt(n, [x for x in range(n) if amask >> x & 1], eps)
             for amask in range(1, 1 << n)
             for eps in (Fraction(1), Fraction(1, 10), Fraction(1, 100))]
@@ -163,10 +160,8 @@ def conditioning_family(n: int) -> list[TiltFunction]:
 def sampled_tilts(n: int, seed: int = 0):
     """The conditioning family, then forever random members of the subcone
     h(eta) = prod_x u_x^eta(x) * prod_A v_A^[eta = 1 on A] with v_A >= 1 and
-    u_x * prod_{A owning x} v_A <= 1; every emitted tilt is validated."""
-    for tf in conditioning_family(n):
-        tf.validate()
-        yield tf
+    u_x * prod_{A owning x} v_A <= 1, labelled "sampled"."""
+    yield from conditioning_family(n)
     rng = random.Random(seed * 1000003 + n)
     interaction_masks = [m for m in range(1 << n) if m.bit_count() >= 2]
     while True:
@@ -175,9 +170,8 @@ def sampled_tilts(n: int, seed: int = 0):
         site_factors = [Fraction(rng.randrange(1, 17), 16)
                         / prod(v for mask, v in interactions if mask >> x & 1)
                         for x in range(n)]
-        tf = TiltFunction(n, *_factor_table(site_factors, interactions))
-        tf.validate()
-        yield tf
+        nums, den = _factor_table(site_factors, interactions)
+        yield "sampled", tuple(Fraction(v, den) for v in nums)
 
 
 def fresh_family_dca(measure, budget: int, *, tolerance=None) -> PropertyReport:
@@ -202,15 +196,15 @@ def fresh_family_dca(measure, budget: int, *, tolerance=None) -> PropertyReport:
     weights = pm.as_float_array()
     best = None
     sampled = 0
-    for tf in conditioning_family(n)[:budget]:
+    for label, h in conditioning_family(n)[:budget]:
         sampled += 1
-        tilted = weights * np.array([float(v) for v in tf.values_exact()])
+        tilted = weights * np.array([float(v) for v in h])
         tilted /= tilted.sum()
         margin = is_associated(ProbabilityMeasure.floats(tilted), tolerance=tolerance).margin
         if best is None or margin < best:
             best = margin
         if margin < -max(tol, 1e-12):
-            confirmed = _tilt_witness(pm, tf, tolerance)
+            confirmed = _tilt_witness(pm, label, h, tolerance)
             if confirmed is not None:
                 witness, exact_margin = confirmed
                 details["tilts_sampled"] = sampled

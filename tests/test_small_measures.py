@@ -115,7 +115,7 @@ class TestExactScaleInvariance:
 class TestDcaTiltSweep:
     def test_a_tilt_that_loses_its_mass_is_refused(self, monkeypatch):
         def family(n):
-            return ((tilts.conditioning_tilt(n, [0], 1), np.full(1 << n, np.nan)),)
+            return ((*tilts.conditioning_tilt(n, [0], 1), np.full(1 << n, np.nan)),)
 
         monkeypatch.setattr(tilts, "_conditioning_family", family)
         with pytest.raises(ValueError, match="^float measure sums to nan, outside 1e-12 of 1$"):

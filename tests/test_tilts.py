@@ -1,7 +1,9 @@
 import contextlib
 import hashlib
+import inspect
 import io
 import json
+import re
 from fractions import Fraction
 from itertools import islice
 from math import prod
@@ -13,8 +15,15 @@ from hypothesis import strategies as st
 from oracles import fraction_tilt_values, fresh_family_dca, sampled_tilts, tilt_table_is_valid
 
 from spincorr import tilts
-from spincorr.cli import main
-from spincorr.harness import derangement_measure, implication_gap_measures, random_measure
+from spincorr.cli import build_parser, main
+from spincorr.harness import (
+    ExperimentSpec,
+    _factor_table,
+    derangement_measure,
+    evaluate_property,
+    implication_gap_measures,
+    random_measure,
+)
 from spincorr.measures import (
     DEFAULT_FLOAT_TOLERANCE,
     FAILS,
@@ -29,135 +38,14 @@ from spincorr.measures import (
     tilt,
 )
 from spincorr.three_site import margins
-from spincorr.tilts import (
-    TiltFunction,
-    _factor_table,
-    conditioning_tilt,
-    dca_falsify,
-    reverify_tilt_witness,
-)
+from spincorr.tilts import conditioning_tilt, dca_falsify, reverify_tilt_witness
 
 EPS = Fraction(1, 100)
 
 
 def _digest(stream) -> str:
-    lines = (f"{tf.label}:{','.join(map(str, tf.values_exact()))}" for tf in stream)
+    lines = (f"{label}:{','.join(map(str, h))}" for label, h in stream)
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
-
-
-class TestTiltFunction:
-    def test_sampled_family_is_valid_by_table_check(self):
-        for tf in islice(sampled_tilts(3, seed=5), 60):
-            tf.validate()
-            ok, reason = tilt_table_is_valid(tf.values_exact(), 3)
-            assert ok, reason
-
-    def test_conditioning_tilt_values(self):
-        tf = conditioning_tilt(2, [0], Fraction(1))
-        assert tf.values_exact() == (1, Fraction(1, 2), 1, Fraction(1, 2))
-
-    @pytest.mark.parametrize("sites,bad", [([5], 5), ([0, -1], -1), ([3], 3)])
-    def test_conditioning_tilt_sites_range_checked(self, sites, bad):
-        with pytest.raises(ValueError, match=f"site {bad} out of range for 3 sites"):
-            conditioning_tilt(3, sites, 1)
-
-    @pytest.mark.parametrize("eps", [float("inf"), float("-inf"), float("nan"), "1/0", None,
-                                     "x", [1], 0, -1, "-1/2"])
-    def test_conditioning_tilt_eps_must_be_a_positive_finite_rational(self, eps):
-        with pytest.raises(ValueError, match="eps must be a positive finite rational"):
-            conditioning_tilt(3, [0], eps)
-
-    def test_interaction_factor_below_one_rejected(self):
-        # h = (1, 1/2, 1/2, 1/8): decreasing, but h(00) h(11) < h(01) h(10)
-        tf = TiltFunction(2, *_factor_table((Fraction(1, 2),) * 2, ((0b11, Fraction(1, 2)),)))
-        with pytest.raises(ValueError, match="h is not log-supermodular on square 0b1, 0b10$"):
-            tf.validate()
-
-    def test_increasing_direction_rejected(self):
-        # h = (1, 1, 1, 2): the first rising edge is 01 -> 11
-        tf = TiltFunction(2, *_factor_table((1, 1), ((0b11, 2),)))
-        with pytest.raises(ValueError, match="h increases on edge 0b1, 0b11$"):
-            tf.validate()
-
-    @pytest.mark.parametrize("sites,interactions,message", [
-        ((Fraction(1, 2), 0), (), r"h\(0b10\) = 0 is not strictly positive"),
-        ((Fraction(1, 2), Fraction(1, 2)), ((0b11, -1),), r"h\(0b11\) = -1/4 is not strictly positive"),
-    ])
-    def test_nonpositive_entry_rejected(self, sites, interactions, message):
-        with pytest.raises(ValueError, match=message):
-            TiltFunction(2, *_factor_table(sites, interactions)).validate()
-
-    @pytest.mark.parametrize("numerators,denominator,message", [
-        ((4, 2, 2), 4, "expected 4 numerators for 2 sites, got 3"),
-        ((4, 2, 2, 1, 1), 4, "expected 4 numerators for 2 sites, got 5"),
-        ((4, 2, 2, 1), 0, "denominator must be a positive int, got 0"),
-        ((4, 2, 2, 1), -4, "denominator must be a positive int, got -4"),
-        ((4, 2, 2, 1), 4.0, "denominator must be a positive int, got 4.0"),
-        ((1, 1, 1, 1), True, "denominator must be a positive int, got True"),
-        ((4, 2, 2.0, 1), 4, r"numerator of h\(0b10\) must be an int, got 2.0"),
-        ((True, 1, 1, 1), 1, r"numerator of h\(0b0\) must be an int, got True"),
-        ((4, np.int64(2), 2, 1), 4, r"numerator of h\(0b1\) must be an int, got "),
-        ((4, 2, 2, Fraction(1)), 4, r"numerator of h\(0b11\) must be an int, got Fraction"),
-        ((4, 2, 2, "1"), 4, r"numerator of h\(0b11\) must be an int, got '1'"),
-    ])
-    def test_table_shape_is_checked(self, numerators, denominator, message):
-        with pytest.raises(ValueError, match=message):
-            TiltFunction(2, numerators, denominator).validate()
-
-    def test_a_table_is_read_over_its_denominator(self):
-        # the same h over two denominators; the label does not enter validity
-        for tf in (TiltFunction(2, (2, 2, 1, 1), 2), TiltFunction(2, (6, 6, 3, 3), 6, "mine")):
-            tf.validate()
-            assert tf.values_exact() == (1, 1, Fraction(1, 2), Fraction(1, 2))
-            assert tf.values_float().tolist() == [1.0, 1.0, 0.5, 0.5]
-
-    def test_int_factors_are_exact(self):
-        tf = TiltFunction(2, *_factor_table((1, Fraction(1, 2)), ((0b11, 1),)))
-        tf.validate()
-        assert tf.values_exact() == (1, 1, Fraction(1, 2), Fraction(1, 2))
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_factor_tables_match_the_fraction_product(self, data):
-        # factors below and above 1, as ints or Fractions, and repeated masks
-        n = data.draw(st.integers(1, 5))
-        factor = st.one_of(st.integers(1, 4), st.fractions(Fraction(1, 64), 8, max_denominator=64))
-        site_factors = data.draw(st.lists(factor, min_size=n, max_size=n))
-        masks = interaction_masks(n)
-        interactions = data.draw(st.lists(st.tuples(st.sampled_from(masks), factor), max_size=6)
-                                 if masks else st.just([]))
-        reference = fraction_tilt_values(n, site_factors, interactions)
-        tf = TiltFunction(n, *_factor_table(site_factors, interactions))
-        assert tf.values_exact() == reference
-        expected = np.array([float(v) for v in reference], dtype=np.float64)
-        assert tf.values_float().tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("n,seed,digest", [
-        (2, 0, "645fb07e7836c1fb"), (2, 1, "4c996c815f99d028"),
-        (3, 0, "4ac9056437e1755f"), (3, 1, "b2068f27f5444f81"),
-        (4, 0, "afaf06c2960fd13e"), (4, 1, "6b98d08c6ba0e82a"),
-        (5, 0, "06ba3b7befce8651"), (5, 1, "7aa3d993fb156873"),
-    ])
-    def test_sampled_stream_is_pinned(self, n, seed, digest):
-        # the first 200 tilts, conditioning family included, label and table
-        assert _digest(islice(sampled_tilts(n, seed), 200)) == digest
-
-    @pytest.mark.parametrize("n,digest", [
-        (2, "eecae46b77603527"), (3, "e1384b8fbef62a21"),
-        (4, "0e97217590c63c2a"), (5, "5026733183735ccd"),
-    ])
-    def test_conditioning_family_is_pinned(self, n, digest):
-        # the (2^n - 1) * 3 tilts that dca_falsify sweeps, label and table
-        family = tilts._conditioning_family(n)
-        assert len(family) == ((1 << n) - 1) * 3
-        assert _digest(tf for tf, _ in family) == digest
-        for tf, table in family:
-            assert table.tobytes() == tf.values_float().tobytes()
-
-    def test_table_check_flags_increasing_table(self):
-        ok, reason = tilt_table_is_valid([1, 2], 1)
-        assert not ok
-        assert "decreasing" in reason
 
 
 def joint_conditioning_factors(amask: int, eps: Fraction) -> dict:
@@ -175,23 +63,17 @@ def multiplied(*factor_maps) -> dict:
     return out
 
 
-def factored_tilt(n: int, factors: dict) -> TiltFunction:
-    """The tilt whose factor on mask B is factors[B]; a one-site mask holds a site factor."""
-    return TiltFunction(n, *_factor_table(
+def factored_table(n: int, factors: dict) -> tuple[Fraction, ...]:
+    """The table of the tilt whose factor on mask B is factors[B]; a one-site
+    mask holds a site factor."""
+    nums, den = _factor_table(
         [factors.get(1 << x, 1) for x in range(n)],
-        [(m, v) for m, v in sorted(factors.items()) if m.bit_count() >= 2]))
+        [(m, v) for m, v in sorted(factors.items()) if m.bit_count() >= 2])
+    return tuple(Fraction(v, den) for v in nums)
 
 
 def interaction_masks(n: int) -> list:
     return [m for m in range(1 << n) if m.bit_count() >= 2]
-
-
-def accepted(tf: TiltFunction) -> bool:
-    try:
-        tf.validate()
-    except ValueError:
-        return False
-    return True
 
 
 @st.composite
@@ -211,6 +93,108 @@ def factorizations(draw):
                                     for a, k in planted))
 
 
+class TestTiltFunction:
+    def test_sampled_family_is_valid_by_table_check(self):
+        for label, h in islice(sampled_tilts(3, seed=5), 60):
+            ok, reason = tilt_table_is_valid(h, 3)
+            assert ok, (label, reason)
+
+    def test_conditioning_tilt_values(self):
+        assert conditioning_tilt(2, [0], Fraction(1)) == (
+            "conditioning-[0]-eps=1", (1, Fraction(1, 2), 1, Fraction(1, 2)))
+
+    @pytest.mark.parametrize("sites,bad", [([5], 5), ([0, -1], -1), ([3], 3)])
+    def test_conditioning_tilt_sites_range_checked(self, sites, bad):
+        with pytest.raises(ValueError, match=f"site {bad} out of range for 3 sites"):
+            conditioning_tilt(3, sites, 1)
+
+    @pytest.mark.parametrize("eps", [float("inf"), float("-inf"), float("nan"), "1/0", None,
+                                     "x", [1], 0, -1, "-1/2"])
+    def test_conditioning_tilt_eps_must_be_a_positive_finite_rational(self, eps):
+        with pytest.raises(ValueError, match="eps must be a positive finite rational"):
+            conditioning_tilt(3, [0], eps)
+
+    @pytest.mark.parametrize("n", [0, 7, True])
+    def test_conditioning_tilt_site_count_checked(self, n):
+        with pytest.raises(ValueError, match=r"^site count must be an integer in \[1, 6\], got "):
+            conditioning_tilt(n, [], 1)
+
+    def test_interaction_factor_below_one_rejected(self):
+        # h = (1, 1/2, 1/2, 1/8): decreasing, but h(00) h(11) < h(01) h(10)
+        h = factored_table(2, {0b01: Fraction(1, 2), 0b10: Fraction(1, 2), 0b11: Fraction(1, 2)})
+        assert tilt_table_is_valid(h, 2) == (False, "supermodularity fails at pair (1, 2)")
+
+    def test_increasing_direction_rejected(self):
+        # h = (1, 1, 1, 2): the first rising edge is 01 -> 11
+        h = factored_table(2, {0b11: 2})
+        assert tilt_table_is_valid(h, 2) == (False, "not decreasing at pair (1, 3)")
+
+    @pytest.mark.parametrize("sites,interactions,message", [
+        ((Fraction(1, 2), 0), (), r"h\(0b10\) = 0 is not strictly positive"),
+        ((Fraction(1, 2), Fraction(1, 2)), ((0b11, -1),), r"h\(0b11\) = -1/4 is not strictly positive"),
+    ])
+    def test_nonpositive_entry_rejected(self, sites, interactions, message):
+        nums, den = _factor_table(sites, interactions)
+        ok, reason = tilt_table_is_valid([Fraction(v, den) for v in nums], 2)
+        assert not ok
+        assert re.fullmatch(message, reason)
+
+    def test_int_factors_are_exact(self):
+        nums, den = _factor_table((1, Fraction(1, 2)), ((0b11, 1),))
+        assert tuple(Fraction(v, den) for v in nums) == (1, 1, Fraction(1, 2), Fraction(1, 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_factor_tables_match_the_fraction_product(self, data):
+        # factors below and above 1, as ints or Fractions, and repeated masks
+        n = data.draw(st.integers(1, 5))
+        factor = st.one_of(st.integers(1, 4), st.fractions(Fraction(1, 64), 8, max_denominator=64))
+        site_factors = data.draw(st.lists(factor, min_size=n, max_size=n))
+        masks = interaction_masks(n)
+        interactions = data.draw(st.lists(st.tuples(st.sampled_from(masks), factor), max_size=6)
+                                 if masks else st.just([]))
+        nums, den = _factor_table(site_factors, interactions)
+        reference = fraction_tilt_values(n, site_factors, interactions)
+        assert tuple(Fraction(v, den) for v in nums) == reference
+
+    @pytest.mark.parametrize("n,seed,digest", [
+        (2, 0, "645fb07e7836c1fb"), (2, 1, "4c996c815f99d028"),
+        (3, 0, "4ac9056437e1755f"), (3, 1, "b2068f27f5444f81"),
+        (4, 0, "afaf06c2960fd13e"), (4, 1, "6b98d08c6ba0e82a"),
+        (5, 0, "06ba3b7befce8651"), (5, 1, "7aa3d993fb156873"),
+    ])
+    def test_sampled_stream_is_pinned(self, n, seed, digest):
+        # the first 200 tilts, conditioning family included, label and table;
+        # each is valid by the table check
+        stream = list(islice(sampled_tilts(n, seed), 200))
+        assert _digest(stream) == digest
+        for label, h in stream:
+            assert tilt_table_is_valid(h, n) == (True, None), label
+
+    @pytest.mark.parametrize("n,digest", [
+        (2, "eecae46b77603527"), (3, "e1384b8fbef62a21"),
+        (4, "0e97217590c63c2a"), (5, "5026733183735ccd"),
+    ])
+    def test_conditioning_family_is_pinned(self, n, digest):
+        # the (2^n - 1) * 3 tilts that dca_falsify sweeps, label and table
+        family = tilts._conditioning_family(n)
+        assert len(family) == ((1 << n) - 1) * 3
+        assert _digest((label, h) for label, h, _ in family) == digest
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_conditioning_family_is_valid_with_its_float_tables(self, n):
+        # each h is positive, decreasing and log-supermodular exactly, and its
+        # float table is the correctly rounded h, byte for byte
+        for label, h, table in tilts._conditioning_family(n):
+            assert tilt_table_is_valid(h, n) == (True, None), label
+            assert table.tobytes() == np.array([float(v) for v in h]).tobytes()
+
+    def test_table_check_flags_increasing_table(self):
+        ok, reason = tilt_table_is_valid([1, 2], 1)
+        assert not ok
+        assert "decreasing" in reason
+
+
 class TestTiltCone:
     """Validity is a property of h's table, whatever factors write it down."""
 
@@ -218,10 +202,9 @@ class TestTiltCone:
     def test_joint_conditioning_tilts_are_accepted(self, n):
         for amask in interaction_masks(n):
             for eps in (Fraction(1, 2), Fraction(1, 10), Fraction(1, 1000)):
-                tf = factored_tilt(n, joint_conditioning_factors(amask, eps))
-                assert tf.values_exact() == tuple(eps if c & amask else 1 for c in range(1 << n))
-                tf.validate()
-                ok, reason = tilt_table_is_valid(tf.values_exact(), n)
+                h = factored_table(n, joint_conditioning_factors(amask, eps))
+                assert h == tuple(eps if c & amask else 1 for c in range(1 << n))
+                ok, reason = tilt_table_is_valid(h, n)
                 assert ok, reason
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -231,21 +214,20 @@ class TestTiltCone:
                     for a in masks for b in masks if n < 5 or a == (1 << n) - 1]
         products.append([(a, Fraction(1, 10)) for a in masks])
         for planted in products:
-            tf = factored_tilt(n, multiplied(*(joint_conditioning_factors(a, eps)
-                                              for a, eps in planted)))
-            tf.validate()
-            ok, reason = tilt_table_is_valid(tf.values_exact(), n)
+            h = factored_table(n, multiplied(*(joint_conditioning_factors(a, eps)
+                                               for a, eps in planted)))
+            ok, reason = tilt_table_is_valid(h, n)
             assert ok, reason
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_validate_agrees_with_the_table_oracle(self, data):
+    def test_the_table_check_ignores_site_labels(self, data):
+        # relabelling the sites moves every factor with them: validity stays
         n, factors = data.draw(factorizations())
-        ok, _ = tilt_table_is_valid(factored_tilt(n, factors).values_exact(), n)
+        ok, _ = tilt_table_is_valid(factored_table(n, factors), n)
         perm = data.draw(st.permutations(range(n)))
         moved = {sum(1 << perm[x] for x in range(n) if m >> x & 1): v for m, v in factors.items()}
-        assert accepted(factored_tilt(n, factors)) == ok
-        assert accepted(factored_tilt(n, moved)) == ok
+        assert tilt_table_is_valid(factored_table(n, moved), n)[0] == ok
 
 
 class TestDcaFalsify:
@@ -367,6 +349,23 @@ class TestDcaFalsify:
             if satisfies_lattice(mu).holds:
                 assert dca_falsify(mu).verdict == HOLDS
 
+    @pytest.mark.parametrize("caller", [
+        "dca_falsify", "evaluate_property", "ExperimentSpec", "check-measure", "verify-theorem"])
+    def test_one_default_tilt_budget_sweeps_every_family(self, caller):
+        # every entry point defaults to the same budget, past the largest family
+        parser = build_parser()
+        default = {
+            "dca_falsify": lambda: inspect.signature(dca_falsify).parameters["budget"].default,
+            "evaluate_property": lambda: inspect.signature(
+                evaluate_property).parameters["tilt_budget"].default,
+            "ExperimentSpec": lambda: ExperimentSpec.__dataclass_fields__["tilt_budget"].default,
+            "check-measure": lambda: parser.parse_args(["check-measure", "--input", "m"]).budget,
+            "verify-theorem": lambda: parser.parse_args(
+                ["verify-theorem", "--system", "s", "--property", "dca"]).budget,
+        }[caller]()
+        assert default == tilts.DEFAULT_TILT_BUDGET
+        assert all(len(tilts._conditioning_family(n)) <= default for n in range(2, 7))
+
 
 def _same_report(actual, expected):
     """Verdict, witness, details and margin agree, floats bit for bit."""
@@ -419,7 +418,7 @@ class TestTiltStream:
         first, again = tilts._conditioning_family(4), tilts._conditioning_family(4)
         assert all(a is b for a, b in zip(first, again))
         with pytest.raises(ValueError):
-            first[0][1][0] = 2.0
+            first[0][2][0] = 2.0
 
     @pytest.mark.parametrize("seed", ["x", None, 1.5, True])
     def test_seed_must_be_an_int(self, seed):
