@@ -44,12 +44,12 @@ from .serialize import (
     dumps,
     envelope,
     experiment_outcome_to_dict,
+    json_safe,
     load_json,
     measure_from_dict,
     measure_to_dict,
     parse_rational,
     rate_table_from_dict,
-    rational_str,
     report_to_dict,
     search_outcome_to_dict,
 )
@@ -204,17 +204,10 @@ def _cmd_classify3(args) -> int:
     body = {
         "input": args.input,
         "verdicts": verdicts,
-        "margins": {
-            system: {
-                str(site): rational_str(slack, f"margins.{system}.{site}")
-                for site, slack in margins(measure, system)
-            }
-            for system in SYSTEMS
-        },
-        "complement_products": {
-            str(site): rational_str(slack, f"complement_products.{site}")
-            for site, slack in complement_products(measure)
-        },
+        "margins": json_safe({system: dict(margins(measure, system)) for system in SYSTEMS},
+                             "margins"),
+        "complement_products": json_safe(dict(complement_products(measure)),
+                                         "complement_products"),
     }
     _emit(args, envelope("classify3", body))
     return _assert_exit(args.asserts, verdicts)

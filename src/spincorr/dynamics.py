@@ -100,11 +100,7 @@ class RateTable:
         deaths = [as_fraction(d) for d in deaths]
         if len(births) != n or len(deaths) != n:
             raise ValueError(f"expected {n} birth and death constants")
-        size = 1 << n
-        return cls.from_tables(
-            [[births[x]] * size for x in range(n)],
-            [[deaths[x]] * size for x in range(n)],
-        )
+        return cls.from_site_functions(n, lambda x, c: births[x], lambda x, c: deaths[x])
 
     def rate(self, site: int, config: int) -> Fraction:
         """Flip rate at the site in this configuration (birth or death)."""

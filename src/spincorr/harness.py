@@ -38,7 +38,6 @@ from .dynamics import (
 from .lattice import configs, single_bit_pairs, site_product, validate_site_count
 from .measures import (
     DEFAULT_FLOAT_TOLERANCE,
-    EXACT,
     FLOAT,
     ProbabilityMeasure,
     PropertyReport,
@@ -47,6 +46,7 @@ from .measures import (
     _resolve_tolerance,
     is_associated,
     is_downward_fkg,
+    normalize,
     satisfies_lattice,
 )
 from .three_site import classify, from_coordinates
@@ -180,17 +180,13 @@ def derangement_measure(k: int) -> ProbabilityMeasure:
     if not isinstance(k, int) or not 2 <= k <= 5:
         raise ValueError(f"permutation size must be in [2, 5], got {k}")
     counts = [0] * (1 << k)
-    total = 0
     for pi in permutations(range(k)):
         mask = 0
         for i in range(k):
             if pi[i] != i:
                 mask |= 1 << i
         counts[mask] += 1
-        total += 1
-    return ProbabilityMeasure(
-        k, tuple(Fraction(c, total) for c in counts), EXACT
-    )
+    return normalize(WeightVector.exact(counts))
 
 
 def corner_flip_system() -> RateTable:

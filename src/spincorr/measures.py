@@ -112,9 +112,7 @@ class WeightVector:
         return sum(self.weights)
 
     def as_float_array(self) -> np.ndarray:
-        """float64 weights; an exact weight rounds once, p / q as ints."""
-        if self.mode == EXACT:
-            return np.array([w.numerator / w.denominator for w in self.weights], dtype=np.float64)
+        """float64 weights; an exact weight rounds once, by ``float``: p / q as ints."""
         return np.array(self.weights, dtype=np.float64)
 
     def as_fractions(self) -> tuple:

@@ -8,8 +8,10 @@ spin at site x is bit x of i.
 
 Every document this package writes carries ``format_version``.  The
 ``*_to_dict`` functions return JSON-native values, rationals already
-converted by ``rational_str`` or ``json_safe`` (which names the field of an
-oversized one), so ``dumps`` only formats.
+converted by ``json_safe``, which names the field of an oversized one, so
+``dumps`` only formats.  Two fields call ``rational_str`` directly: a
+report's margin, which writes a float margin as its exact "p/q" too, and a
+rate table's rates, whose fields are named ``beta[x][i]``.
 """
 
 from __future__ import annotations
@@ -88,11 +90,7 @@ def json_safe(value, where: str = "value"):
 
 
 def measure_to_dict(measure: WeightVector) -> dict:
-    if measure.mode == EXACT:
-        weights = [rational_str(w, f"weights[{i}]") for i, w in enumerate(measure.weights)]
-    else:
-        weights = [float(w) for w in measure.weights]
-    return {"n": measure.n, "mode": measure.mode, "weights": weights}
+    return {"n": measure.n, "mode": measure.mode, "weights": json_safe(measure.weights, "weights")}
 
 
 def _weight(value, mode: str, where: str):
@@ -234,16 +232,7 @@ def experiment_outcome_to_dict(outcome: ExperimentOutcome) -> dict:
 
 
 def search_outcome_to_dict(outcome: SearchOutcome) -> dict:
-    return {
-        "target": outcome.target,
-        "found": outcome.found,
-        "summary": outcome.summary,
-        "evaluations": outcome.evaluations,
-        "witness": json_safe(outcome.witness, "witness"),
-        "derivative_certificate": json_safe(
-            outcome.derivative_certificate, "derivative_certificate"
-        ),
-    }
+    return {name: json_safe(value, name) for name, value in vars(outcome).items()}
 
 
 # ---------------------------------------------------------------------------

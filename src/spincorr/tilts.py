@@ -42,6 +42,7 @@ from .measures import (
     _up_set_pair_covariance,
     is_associated,
     is_downward_fkg,
+    satisfies_lattice,
     tilt,
 )
 from .three_site import classify, margins
@@ -91,7 +92,7 @@ def _conditioning_family(n: int) -> tuple[tuple[str, tuple[Fraction, ...], np.nd
         sites = [x for x in range(n) if amask >> x & 1]
         for eps in (Fraction(1), Fraction(1, 10), Fraction(1, 100)):
             label, h = conditioning_tilt(n, sites, eps)
-            table = np.array([float(v) for v in h])  # correctly rounded
+            table = np.array(h, dtype=np.float64)  # correctly rounded
             table.flags.writeable = False
             family.append((label, h, table))
     return tuple(family)
@@ -162,9 +163,8 @@ def dca_falsify(
         return PropertyReport("dca", HOLDS, None, None, details)
 
     if n <= 3:
-        if n == 2:
-            w = pm.weights
-            margin = w[0b11] * w[0b00] - w[0b10] * w[0b01]
+        if n == 2:  # the lattice condition's one square
+            margin = satisfies_lattice(pm, tolerance=tolerance).margin
             dca = associated = margin >= -tol
         else:
             margin = min(slack for system in ("cov-prod", "cov-pair", "det-zero-slice")

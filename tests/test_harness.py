@@ -46,7 +46,7 @@ from spincorr.measures import (
     project_zeros,
     satisfies_lattice,
 )
-from spincorr.serialize import rate_table_from_dict
+from spincorr.serialize import rate_table_from_dict, search_outcome_to_dict
 from spincorr.three_site import COORDINATES, classify
 
 
@@ -190,6 +190,17 @@ class TestDerangementMeasure:
             derangement_measure(1)
         with pytest.raises(ValueError):
             derangement_measure(6)
+
+    @pytest.mark.parametrize("k, digest", [
+        (2, "c258bbe4ec5f4bd8"),
+        (3, "1190a8077570a457"),
+        (4, "b9e80fc8a0430be7"),
+        (5, "2696bbf1cd77e134"),
+    ])
+    def test_weights_as_before(self, k, digest):
+        mu = derangement_measure(k)
+        assert type(mu) is ProbabilityMeasure
+        assert hashlib.sha256(repr(mu.weights).encode()).hexdigest()[:16] == digest
 
     @pytest.mark.parametrize("k", [2.5, "3", 3.0])
     def test_non_int_sizes_refused(self, k):
@@ -408,6 +419,52 @@ class TestSearchCounterexample:
         # True would run one evaluation and 2.5 three; "3" used to be a TypeError
         with pytest.raises(ValueError, match="search budget must be a nonnegative integer"):
             search_counterexample("association", crossed_birth_pair(), budget)
+
+
+class TestSearchOutcomeDocument:
+    """``search_outcome_to_dict`` writes exactly the ``SearchOutcome``
+    fields, every Fraction as a "p/q" string."""
+
+    def test_found_search(self):
+        outcome = search_counterexample("association", crossed_birth_pair())
+        assert search_outcome_to_dict(outcome) == {
+            "target": "association",
+            "found": True,
+            "witness": {
+                "product_probabilities": ["1/8", "1/8"],
+                "t": 0.01,
+                "report_property": "associated",
+                "report_witness": {"up_set_u": [1, 3], "up_set_v": [2, 3],
+                                   "mask_u": 10, "mask_v": 12},
+                "report_margin": outcome.witness["report_margin"],  # a float, not pinned
+            },
+            "derivative_certificate": {"sites": [0, 1], "rho": "1/8", "lambda": "1/8",
+                                       "background": "1/8", "derivative": "-49/256"},
+            "evaluations": 2,
+            "summary": "violation-found",
+        }
+
+    def test_exhausted_search(self):
+        outcome = search_counterexample("association", contact_process(path_edges(3)))
+        assert search_outcome_to_dict(outcome) == {
+            "target": "association",
+            "found": False,
+            "witness": None,
+            "derivative_certificate": None,
+            "evaluations": 588,
+            "summary": "search-exhausted",
+        }
+
+    def test_fractions_become_strings_named_by_field(self):
+        outcome = SearchOutcome("association", True, {"p": (Fraction(1, 8),)},
+                                {"derivative": Fraction(-49, 256)}, 1, "violation-found")
+        doc = search_outcome_to_dict(outcome)
+        assert (doc["witness"], doc["derivative_certificate"]) == (
+            {"p": ["1/8"]}, {"derivative": "-49/256"})
+        huge = SearchOutcome("association", True, None,
+                             {"derivative": Fraction(10**5000, 3)}, 1, "violation-found")
+        with pytest.raises(ValueError, match=r"^derivative_certificate\.derivative: "):
+            search_outcome_to_dict(huge)
 
 
 class TestBenchmarkTracerBindings:

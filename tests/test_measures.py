@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -115,6 +116,25 @@ class TestAsFloatArray:
             self.assert_bits_match_float(
                 WeightVector.exact([Fraction(1, 3**k), Fraction(2**k + 1, 3**k), 1, 5])
             )
+
+    def test_huge_rationals_divide_as_ints(self):
+        # numpy converts a Fraction with float(), p / q as ints: the same bits
+        # for 3 000-bit numerators and denominators, and 0.0 on underflow
+        rng = random.Random(0)
+        for _ in range(50):
+            weights = [Fraction(rng.getrandbits(3000) + 1, rng.getrandbits(3000) + 1)
+                       for _ in range(7)] + [Fraction(1, 2**1100)]
+            vector = WeightVector.exact(weights)
+            expected = np.array([w.numerator / w.denominator for w in vector.weights])
+            assert expected[-1] == 0.0
+            assert vector.as_float_array().tobytes() == expected.tobytes()
+
+    def test_a_weight_past_the_float_range_overflows_both_ways(self):
+        weight = Fraction(10**400, 3)
+        with pytest.raises(OverflowError):
+            WeightVector.exact([weight, 1]).as_float_array()
+        with pytest.raises(OverflowError):
+            weight.numerator / weight.denominator
 
 
 class TestExpectationCovariance:

@@ -15,6 +15,9 @@ function or class and every module-level constant must be loaded, as a
 name or an attribute, in a module of the package other than
 ``__init__.py`` or in the benchmark.
 Dunder names such as ``__version__`` are module metadata and exempt.
+
+Every name a module other than ``__init__.py`` imports must be read in
+that module, unless it is listed in ``IMPORTED_FOR_THE_TRACER``.
 """
 
 import ast
@@ -22,6 +25,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "spincorr"
+
+# (module, name) imported only so that perfbench/tracing.py can wrap it there
+IMPORTED_FOR_THE_TRACER = set()
 
 
 def parsed_package():
@@ -140,3 +146,32 @@ def test_every_private_definition_and_constant_is_loaded():
     loaded = loaded_names()
     unused = [f"{module}.{name}" for module, name in names if name not in loaded]
     assert not unused, f"defined but never loaded in the package or the benchmark: {unused}"
+
+
+def module_imports():
+    """(module, name, read) for each name a module other than
+    ``__init__.py`` imports, ``__future__`` features aside; ``read`` says
+    whether the module loads it as a name."""
+    found = []
+    for path, tree in parsed_package():
+        if path.name == "__init__.py":
+            continue
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found += [
+            (path.stem, name, name in read)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for name in (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        ]
+    return found
+
+
+def test_every_import_is_read():
+    imports = module_imports()
+    assert {("measures", "np"), ("cli", "json_safe")} <= {(m, name) for m, name, _ in imports}
+    unread = {(module, name) for module, name, read in imports if not read}
+    assert IMPORTED_FOR_THE_TRACER <= unread, "listed for the tracer but read after all"
+    unused = sorted(f"{module}.{name}" for module, name in unread - IMPORTED_FOR_THE_TRACER)
+    assert not unused, f"imported but never read: {unused}"

@@ -184,10 +184,11 @@ class TestTiltFunction:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_conditioning_family_is_valid_with_its_float_tables(self, n):
         # each h is positive, decreasing and log-supermodular exactly, and its
-        # float table is the correctly rounded h, byte for byte
+        # float table is the correctly rounded h, p / q as ints, byte for byte
         for label, h, table in tilts._conditioning_family(n):
             assert tilt_table_is_valid(h, n) == (True, None), label
             assert table.tobytes() == np.array([float(v) for v in h]).tobytes()
+            assert table.tobytes() == np.array([v.numerator / v.denominator for v in h]).tobytes()
 
     def test_table_check_flags_increasing_table(self):
         ok, reason = tilt_table_is_valid([1, 2], 1)
