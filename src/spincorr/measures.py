@@ -11,10 +11,11 @@ carries a witness that re-evaluates to a strict violation on its own.
 
 Association up to five sites is decided by one blocked sweep over pairs
 of up-sets (``_sweep``), shared by both arithmetic modes: a GEMM screens
-every pair against two thresholds.  Float mode sets both to -tolerance;
-exact mode (float32 at five sites) sets them to a rounding bound either
-side of 0 and recomputes over Python ints the pairs between that a float64
-recheck leaves undecided: exact verdicts and margins hold for any weights.
+whole chunks of pairs against two thresholds.  Float mode sets both to
+-tolerance; exact mode (float32 at five sites) sets them to a rounding
+bound either side of 0 and recomputes over Python ints, once each, the
+pairs between that a float64 recheck leaves undecided: exact verdicts and
+margins hold for any weights.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ def _infer_sites(count: int) -> int:
     n = count.bit_length() - 1
     if count != 1 << n:
         raise ValueError(f"weight vector length {count} is not a power of two")
-    validate_site_count(n)
     return n
 
 
@@ -193,12 +193,11 @@ def project_zeros(measure, sites):
         validate_site(x, pm.n)
         amask |= 1 << x
     weights, remaining = _zero_slice(pm, amask)
-    total = sum(weights)
-    if not total > 0:
+    if not sum(weights) > 0:
         raise ValueError(f"conditioning event (zeros on sites {pinned}) has zero probability")
     if not remaining:
         raise ValueError("projection needs at least one remaining site")
-    return ProbabilityMeasure(len(remaining), tuple(w / total for w in weights), pm.mode), remaining
+    return normalize(WeightVector(len(remaining), tuple(weights), pm.mode)), remaining
 
 
 def tilt(measure, h_values) -> ProbabilityMeasure:
@@ -215,8 +214,7 @@ def tilt(measure, h_values) -> ProbabilityMeasure:
         weights = [w * as_fraction(v) for w, v in zip(pm.weights, h)]
     else:
         weights = [float(w) * float(v) for w, v in zip(pm.weights, h)]
-    total = sum(weights)
-    return ProbabilityMeasure(pm.n, tuple(w / total for w in weights), out_mode)
+    return normalize(WeightVector(pm.n, tuple(weights), out_mode))
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +280,7 @@ _CERT_BATCH = 1 << 16
 def _sweep_tables(n: int):
     """Per-n constants of the sweep: the membership matrix as float64, the
     up-set masks as int64 (ascending, so ``searchsorted`` finds the row of
-    an intersection), a strictly lower triangle covering one chunk's
-    leading square, per row block the number of pairs i <= j in it and
+    an intersection), per row block the number of pairs i <= j in it and
     its chunks as row ranges, and the exact screen's type and bounds."""
     matrix = up_set_matrix(n).astype(np.float64)
     k = matrix.shape[0]
@@ -296,13 +293,11 @@ def _sweep_tables(n: int):
         chunks = [(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
         blocks.append((rows * (k - start) - rows * (rows - 1) // 2, chunks))
     masks = np.asarray(enumerate_up_sets(n), dtype=np.int64)
-    lower = np.tri(step, step, -1, dtype=bool)
-    for shared in (matrix, masks, lower):
-        shared.flags.writeable = False
+    matrix.flags.writeable = masks.flags.writeable = False
     screen = np.float32 if step < k else np.float64  # several chunks (n = 5): GEMMs dominate
     bounds = [float((4 * 2**n + 8) * np.finfo(t).eps + (2**(n + 1) + 2) * np.finfo(t).tiny)
               for t in (screen, np.float64)]
-    return matrix, masks, lower, blocks, screen, *bounds
+    return matrix, masks, blocks, screen, *bounds
 
 
 def _null_up_sets(n: int, support) -> np.ndarray:
@@ -313,28 +308,34 @@ def _null_up_sets(n: int, support) -> np.ndarray:
     return (in_support == 0) | (in_support == in_support[-1])
 
 
+def _pairs_once(flat, ncols):
+    """Entries row * ncols + column of a chunk with column >= row: each pair once, as i <= j."""
+    return flat[flat >= flat // ncols * (ncols + 1)]
+
+
 def _sweep(n: int, weights: np.ndarray, null: np.ndarray, low: float, high: float, certify):
     """The block rule of ``is_associated``, in both arithmetic modes, on
     checked and normalized float64 weights and their ``_null_up_sets``.
 
     Each chunk of rows is one GEMM, [M*w | -p] @ [M | p]^T with p = M @ w,
-    in exact mode in ``_sweep_tables``' screen type, over the columns
-    j >= the chunk's first row; entries with j < i and the rows and
-    columns of null up-sets are +inf, and chunks of only null rows (all of
-    a point mass) are not computed.  A value below ``low`` violates and one
-    at or above ``high`` holds; the pairs between, before the first value
-    below ``low``, are rechecked _CERT_BATCH at a time, those with a recheck
-    below the float64 bound go to ``certify(i, j, rows of U & V)``, which
-    returns their exact values, and the first negative one violates.  The
-    sweep stops after the first block holding a violation.  Returns (first
-    violating pair or None, pairs in the blocks swept, per block swept its
-    chunks' (lo, hi, float minimum), ``screen``, ``recheck``); ``screen(lo,
-    hi)`` recomputes a chunk as (flat values, ncols), flat entry
-    (i - lo) * ncols + (j - lo) being the pair (i, j), and ``recheck(lo,
-    flat, ncols)`` gives the entries ``flat`` as (i, j, rows of U & V,
-    float64 p(U & V) - p(U)*p(V)).
+    in exact mode in ``_sweep_tables``' screen type, over its rows and the
+    columns j >= its first row; rows and columns of null up-sets are +inf,
+    and chunks of only null rows (a point mass) are not computed.  Entry
+    (i, j), j < i, repeats the earlier (j, i) term for term, so the first
+    violation and the minima are those of the pairs i <= j.  A value below
+    ``low`` violates and one at or above ``high`` holds; the pairs between
+    before the first value below ``low`` (``_pairs_once``) are rechecked
+    _CERT_BATCH at a time, those with a recheck below the float64 bound go
+    to ``certify(i, j, rows of U & V)``, which returns their exact values,
+    and the first negative one violates, ending the sweep after its block.
+    Returns (first violating pair or None, pairs in the blocks swept, per
+    block swept its chunks' (lo, hi, float minimum), ``screen``,
+    ``recheck``): ``screen(lo, hi)`` recomputes a chunk as (flat values,
+    ncols), flat entry (i - lo) * ncols + (j - lo) being the pair (i, j);
+    ``recheck(lo, flat, ncols)`` gives the entries ``flat`` as (i, j, rows
+    of U & V, float64 p(U & V) - p(U)*p(V)).
     """
-    matrix, masks, lower, blocks, dtype, _, bound = _sweep_tables(n)
+    matrix, masks, blocks, dtype, _, bound = _sweep_tables(n)
     p = weights @ matrix.T
     left = np.empty((matrix.shape[0], weights.size + 1), dtype if certify else np.float64)
     right = np.empty_like(left)  # not a view into one buffer: misaligned, it slows the GEMM
@@ -342,15 +343,14 @@ def _sweep(n: int, weights: np.ndarray, null: np.ndarray, low: float, high: floa
     left[:, -1], right[:, :-1], right[:, -1] = -p, matrix, p
 
     def screen(lo, hi):
-        h = hi - lo
         values = left[lo:hi] @ right[lo:].T
-        np.copyto(values[:, :h], np.inf, where=lower[:h, :h])
         values[:, null[lo:]] = np.inf
         values[null[lo:hi]] = np.inf
         return values.ravel(), values.shape[1]
 
     def recheck(lo, flat, ncols):
-        i, j = lo + flat // ncols, lo + flat % ncols
+        rows = flat // ncols
+        i, j = lo + rows, lo + flat - rows * ncols
         inter = masks.searchsorted(masks[i] & masks[j])
         return i, j, inter, p[inter] - p[i] * p[j]
 
@@ -369,7 +369,7 @@ def _sweep(n: int, weights: np.ndarray, null: np.ndarray, low: float, high: floa
             first = values.size
             if chunk_min < low:
                 first = int((values < low).argmax())
-            undecided = (values[:first] < high).nonzero()[0]
+            undecided = _pairs_once((values[:first] < high).nonzero()[0], ncols)
             for start in range(0, undecided.size, _CERT_BATCH):
                 batch = undecided[start:start + _CERT_BATCH]
                 i, j, inter, rechecked = recheck(lo, batch, ncols)
@@ -399,7 +399,7 @@ def _exact_sweep(n: int, weights):
     N(U, V) = T*S(U & V) - S(U)*S(V) = T^2 cov(1_U, 1_V).  The screen is
     ``_sweep`` on the normalized weights rounded to float64, so no
     denominator overflows it, with ``low, high = -band, band``; the pairs
-    it cannot decide whose float64 recheck lies below ``bound`` are
+    i <= j it cannot decide whose float64 recheck lies below ``bound`` are
     recomputed as N over Python ints, and the others have N > 0.
 
     Error bound (u = 2^-24 or 2^-53, tiny = 2^-126 or 2^-1022 for a float32
@@ -432,7 +432,7 @@ def _exact_sweep(n: int, weights):
     exact_weights = np.array(ints, dtype=object)
     sums = np.zeros(len(membership), dtype=object)
     known = np.zeros(len(membership), dtype=bool)
-    band, bound = _sweep_tables(n)[5:]
+    band, bound = _sweep_tables(n)[4:]
 
     def certify(i, j, inter):
         """N of the pairs (i[k], j[k]); up-set sums are cached per call."""
@@ -453,14 +453,12 @@ def _exact_sweep(n: int, weights):
     for lo, hi, chunk_min in minima[-1]:
         if chunk_min <= threshold:
             values, ncols = screen(lo, hi)
-            flat = (values <= threshold).nonzero()[0]
+            flat = _pairs_once((values <= threshold).nonzero()[0], ncols)
             for start in range(0, flat.size, _CERT_BATCH):
                 i, j, inter, rechecked = recheck(lo, flat[start:start + _CERT_BATCH], ncols)
                 cut = min(cut, rechecked.min() + 2 * bound)
                 kept = rechecked <= cut
-                if not kept.all():
-                    i, j, inter = i[kept], j[kept], inter[kept]
-                best = min(best, certify(i, j, inter).min(initial=0))
+                best = min(best, certify(i[kept], j[kept], inter[kept]).min(initial=0))
     return best, violation, checked, total
 
 
@@ -472,18 +470,19 @@ def is_associated(measure, *, tolerance=None) -> PropertyReport:
     unnormalized exact vector is swept as is (the rule is scale invariant);
     a float one is divided by its ``total``, as ``normalize`` does.
 
-    One sweep, ``_sweep``, serves both modes: it visits the unordered
-    pairs (U, V), U <= V in enumeration order, in row blocks of
-    (1 << 23) // K up-sets (K up-sets), one GEMM per chunk of rows,
-    and stops after the first block holding a violation.  Float mode
-    calls a value below -tolerance a violation and its margin is the
-    minimum of 0.0 (the full up-set's exact value) and the float values
-    swept.  In exact mode the float values, float32 at five sites, only
-    screen: every pair they cannot decide, within an a-priori rounding
-    bound of 0 or of the violating block's float minimum, is recomputed
-    over Python ints if a float64 recheck cannot decide it either (see
-    ``_exact_sweep``), so the verdict and margin are exact for any
-    denominator.  Failing-margin rule: a failing report carries the
+    One sweep, ``_sweep``, serves both modes: it visits the pairs (U, V)
+    in row blocks of (1 << 23) // K up-sets (K up-sets), one GEMM per
+    whole chunk of rows, where V before U repeats (V, U), met earlier with
+    the same value, so reports name U <= V in enumeration order and count
+    each pair once.  It stops after the first block with a violation.
+    Float mode calls a value below -tolerance a violation and its margin
+    is the minimum of 0.0 (the full up-set's exact value) and the float
+    values swept.  In exact mode the float values, float32 at five sites,
+    only screen: every pair they cannot decide, within an a-priori
+    rounding bound of 0 or of the violating block's float minimum, is
+    recomputed over Python ints if a float64 recheck cannot decide it
+    either (see ``_exact_sweep``), so the verdict and margin are exact for
+    any denominator.  Failing-margin rule: a failing report carries the
     lexicographically first violating pair and the minimum over the row
     blocks up to and including the first block with a violation, and
     ``pairs_checked`` counts the pairs of those blocks.  A holding report

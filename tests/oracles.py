@@ -13,7 +13,10 @@ followed by random draws from a subcone of the valid tilts, as
 (label, ``Fraction`` table) pairs, and
 ``fresh_family_dca`` the DCA sweep over a freshly built family with
 ``Fraction`` tables.  ``reference_downward_fkg`` sweeps every conditioning
-of at least one site, normalized, through ``is_associated``.
+of at least one site, normalized, through ``is_associated``.  ``permute``
+and ``flip`` map a vector by a site permutation and by the global spin
+flip; association and the lattice condition are invariant under both,
+downward FKG under permutations.
 """
 
 import random
@@ -72,6 +75,25 @@ def uniform(n: int) -> ProbabilityMeasure:
 
 def scaled(vector: WeightVector, factor) -> WeightVector:
     return WeightVector(vector.n, tuple(w * factor for w in vector.weights), vector.mode)
+
+
+def permuted_configs(n: int, perm) -> list[int]:
+    """The image of each configuration when site x moves to site perm[x]."""
+    return [sum(1 << perm[x] for x in range(n) if c >> x & 1) for c in range(1 << n)]
+
+
+def permute(vector: WeightVector, perm) -> WeightVector:
+    """The same vector type with site x moved to site perm[x]."""
+    weights = [None] * len(vector.weights)
+    for w, image in zip(vector.weights, permuted_configs(vector.n, perm)):
+        weights[image] = w
+    return type(vector)(vector.n, tuple(weights), vector.mode)
+
+
+def flip(vector: WeightVector) -> WeightVector:
+    """The global spin flip eta -> 1 - eta: configuration c takes the
+    weight of its complement."""
+    return type(vector)(vector.n, vector.weights[::-1], vector.mode)
 
 
 def determinant_value(poly, weights):

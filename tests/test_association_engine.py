@@ -291,12 +291,12 @@ class TestScreenPrecision:
                  for family in ("lattice", "product", "strictly-positive", "generic")]
         cases += [derangement_measure(5), five_site_underflow_sibling()]
         tables = measures._sweep_tables
-        assert tables(5)[4] is np.float32
-        assert tables(4)[4:] == (np.float64, (2**4 + 2) * 2.0**-50, (2**4 + 2) * 2.0**-50)
+        assert tables(5)[3] is np.float32
+        assert tables(4)[3:] == (np.float64, (2**4 + 2) * 2.0**-50, (2**4 + 2) * 2.0**-50)
         expected = [engine(measure) for measure in cases]
         # the five-site screen in float64, with the float64 bound, as below five sites
         monkeypatch.setattr(measures, "_sweep_tables",
-                            lambda n: (*tables(n)[:4], np.float64, tables(n)[6], tables(n)[6]))
+                            lambda n: (*tables(n)[:3], np.float64, tables(n)[5], tables(n)[5]))
         assert [engine(measure) for measure in cases] == expected
         assert [report[0] for report in expected] == ["holds"] * 2 + ["fails"] * 2 + ["holds", "fails"]
         for measure, report in zip(cases, expected):
@@ -358,7 +358,7 @@ class TestRoundingBounds:
         rng = np.random.default_rng(seed)
         # a float64 quotient is within 2^-53 of the exact covariance (|cov| <= 1/4)
         band = spied["band"] - 2.0**-53
-        bound = measures._sweep_tables(5)[6] - 2.0**-53
+        bound = measures._sweep_tables(5)[5] - 2.0**-53
         chunks = [block for block in spied["minima"] if block]
         for lo, hi, _ in {chunks[0][0], chunks[-1][-1]}:
             values, ncols = spied["screen"](lo, hi)

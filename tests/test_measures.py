@@ -373,6 +373,11 @@ class TestTilt:
         with pytest.raises(ValueError):
             tilt(mu, [1, 1, 0, 1])
 
+    def test_tilt_whose_float_weights_all_underflow_is_rejected(self):
+        mu = normalize(WeightVector.floats([0.25] * 4))
+        with pytest.raises(ValueError, match="total weight must be positive"):
+            tilt(mu, [5e-324] * 4)
+
 
 class TestIsDownwardFkg:
     def test_derangement_holds(self):
