@@ -360,15 +360,31 @@ class CellOutcome:
 
 @dataclass(frozen=True)
 class ExperimentOutcome:
+    """What a preservation run observed; its verdicts derive from these."""
+
     property: str
     hypotheses: tuple[tuple[str, bool], ...]
-    hypotheses_satisfied: bool
     cells: tuple[CellOutcome, ...]
-    violations: tuple[CellOutcome, ...]
     skipped_measures: tuple[int, ...]
-    build_failing: bool
-    summary: str
     witness: dict | None = None
+
+    @property
+    def hypotheses_satisfied(self) -> bool:
+        return all(ok for _, ok in self.hypotheses)
+
+    @property
+    def violations(self) -> tuple[CellOutcome, ...]:
+        return tuple(cell for cell in self.cells if cell.report.fails)
+
+    @property
+    def build_failing(self) -> bool:
+        return bool(self.violations) and self.hypotheses_satisfied
+
+    @property
+    def summary(self) -> str:
+        if self.violations:
+            return "violation-found"
+        return "all-hold" if self.cells else "no-qualifying-measures"
 
 
 def verify_preservation(spec: ExperimentSpec) -> ExperimentOutcome:
@@ -380,10 +396,7 @@ def verify_preservation(spec: ExperimentSpec) -> ExperimentOutcome:
     separate genuine violations from truncation noise.
     """
     gen = build_generator(spec.system)
-    hypotheses = hypothesis_reports(spec.property, spec.system)
-    hyp_ok = all(ok for _, ok in hypotheses)
     cells = []
-    violations = []
     skipped = []
     witness = None
     for i, start in enumerate(spec.initial_measures()):
@@ -404,35 +417,22 @@ def verify_preservation(spec: ExperimentSpec) -> ExperimentOutcome:
                 report = evaluate_property(
                     spec.property, evolved, tolerance=spec.tolerance, tilt_budget=spec.tilt_budget
                 )
-            cell = CellOutcome(i, t, report)
-            cells.append(cell)
-            if report.fails:
-                violations.append(cell)
-                if witness is None:
-                    witness = {
-                        "measure_index": i,
-                        "initial_weights": [str(w) for w in start.weights],
-                        "t": t,
-                        "evolved_weights": [repr(float(w)) for w in evolved.weights],
-                        "report_property": report.property,
-                        "report_witness": report.witness,
-                        "report_margin": float(report.margin),
-                    }
-    if violations:
-        summary = "violation-found"
-    elif not cells:
-        summary = "no-qualifying-measures"
-    else:
-        summary = "all-hold"
+            cells.append(CellOutcome(i, t, report))
+            if report.fails and witness is None:
+                witness = {
+                    "measure_index": i,
+                    "initial_weights": [str(w) for w in start.weights],
+                    "t": t,
+                    "evolved_weights": [repr(float(w)) for w in evolved.weights],
+                    "report_property": report.property,
+                    "report_witness": report.witness,
+                    "report_margin": float(report.margin),
+                }
     return ExperimentOutcome(
         property=spec.property,
-        hypotheses=hypotheses,
-        hypotheses_satisfied=hyp_ok,
+        hypotheses=hypothesis_reports(spec.property, spec.system),
         cells=tuple(cells),
-        violations=tuple(violations),
         skipped_measures=tuple(skipped),
-        build_failing=bool(violations) and hyp_ok,
-        summary=summary,
         witness=witness,
     )
 

@@ -181,13 +181,8 @@ def up_set_intersection_table(n: int) -> np.ndarray:
     """
     if n > 4:
         raise BudgetError(f"intersection table not built for n={n}")
-    masks = _up_sets(n)
-    index = {m: i for i, m in enumerate(masks)}
-    k = len(masks)
-    table = np.empty((k, k), dtype=np.int32)
-    for i, mi in enumerate(masks):
-        for j, mj in enumerate(masks):
-            table[i, j] = index[mi & mj]
+    masks = np.asarray(_up_sets(n), dtype=np.int64)  # ascending
+    table = masks.searchsorted(masks[:, None] & masks).astype(np.int32)
     table.flags.writeable = False
     return table
 

@@ -14,8 +14,8 @@ of up-sets (``_sweep``), shared by both arithmetic modes: a GEMM screens
 whole chunks of pairs against two thresholds.  Float mode sets both to
 -tolerance; exact mode (float32 at five sites) sets them to a rounding
 bound either side of 0 and recomputes over Python ints, once each, the
-pairs between that a float64 recheck leaves undecided: exact verdicts and
-margins hold for any weights.
+incomparable pairs between that a float64 recheck leaves undecided: exact
+verdicts and margins hold for any weights.
 """
 
 from __future__ import annotations
@@ -325,9 +325,10 @@ def _sweep(n: int, weights: np.ndarray, null: np.ndarray, low: float, high: floa
     violation and the minima are those of the pairs i <= j.  A value below
     ``low`` violates and one at or above ``high`` holds; the pairs between
     before the first value below ``low`` (``_pairs_once``) are rechecked
-    _CERT_BATCH at a time, those with a recheck below the float64 bound go
-    to ``certify(i, j, rows of U & V)``, which returns their exact values,
-    and the first negative one violates, ending the sweep after its block.
+    _CERT_BATCH at a time, those with a recheck below the float64 bound,
+    but for comparable U and V, go to ``certify(i, j, rows of U & V)``,
+    which returns their exact values, and the first negative one violates,
+    ending the sweep after its block.
     Returns (first violating pair or None, pairs in the blocks swept, per
     block swept its chunks' (lo, hi, float minimum), ``screen``,
     ``recheck``): ``screen(lo, hi)`` recomputes a chunk as (flat values,
@@ -374,6 +375,7 @@ def _sweep(n: int, weights: np.ndarray, null: np.ndarray, low: float, high: floa
                 batch = undecided[start:start + _CERT_BATCH]
                 i, j, inter, rechecked = recheck(lo, batch, ncols)
                 kept = (rechecked < bound).nonzero()[0]  # the others hold
+                kept = kept[(inter[kept] != i[kept]) & (inter[kept] != j[kept])]  # incomparable
                 negative = (certify(i[kept], j[kept], inter[kept]) < 0).nonzero()[0]
                 if negative.size:
                     first = int(batch[kept[negative[0]]])
@@ -400,7 +402,9 @@ def _exact_sweep(n: int, weights):
     ``_sweep`` on the normalized weights rounded to float64, so no
     denominator overflows it, with ``low, high = -band, band``; the pairs
     i <= j it cannot decide whose float64 recheck lies below ``bound`` are
-    recomputed as N over Python ints, and the others have N > 0.
+    recomputed as N over Python ints, and the others have N > 0.  A
+    comparable pair, U <= V say, has N = S(U)*(T - S(V)) >= 0, so it can
+    neither violate nor lower a margin, and is never recomputed.
 
     Error bound (u = 2^-24 or 2^-53, tiny = 2^-126 or 2^-1022 for a float32
     or float64 screen, m = 2^n + 1 terms per GEMM dot product): each weight
@@ -457,7 +461,8 @@ def _exact_sweep(n: int, weights):
             for start in range(0, flat.size, _CERT_BATCH):
                 i, j, inter, rechecked = recheck(lo, flat[start:start + _CERT_BATCH], ncols)
                 cut = min(cut, rechecked.min() + 2 * bound)
-                kept = rechecked <= cut
+                kept = (rechecked <= cut).nonzero()[0]
+                kept = kept[(inter[kept] != i[kept]) & (inter[kept] != j[kept])]
                 best = min(best, certify(i[kept], j[kept], inter[kept]).min(initial=0))
     return best, violation, checked, total
 
@@ -481,13 +486,14 @@ def is_associated(measure, *, tolerance=None) -> PropertyReport:
     only screen: every pair they cannot decide, within an a-priori
     rounding bound of 0 or of the violating block's float minimum, is
     recomputed over Python ints if a float64 recheck cannot decide it
-    either (see ``_exact_sweep``), so the verdict and margin are exact for
-    any denominator.  Failing-margin rule: a failing report carries the
-    lexicographically first violating pair and the minimum over the row
-    blocks up to and including the first block with a violation, and
-    ``pairs_checked`` counts the pairs of those blocks.  A holding report
-    has swept every pair and carries the global minimum; in exact mode
-    that is 0 (the full up-set is uncorrelated with every up-set).
+    either and U, V are incomparable (see ``_exact_sweep``), so the
+    verdict and margin are exact for any denominator.  Failing-margin
+    rule: a failing report carries the lexicographically first violating
+    pair and the minimum over the row blocks up to and including the first
+    block with a violation, and ``pairs_checked`` counts the pairs of
+    those blocks.  A holding report has swept every pair and carries the
+    global minimum; in exact mode that is 0 (the full up-set is
+    uncorrelated with every up-set).
 
     At most 5 sites for up-set checks; lattice, rates and dynamics up to
     6: ``enumerate_up_sets`` raises ``BudgetError`` for n = 6.

@@ -86,10 +86,6 @@ def margins(measure: WeightVector, system: str):
     return tuple((i + 1, slack(a, b, c, d, i, (i + 1) % 3, (i + 2) % 3)) for i in range(3))
 
 
-def system_holds(measure: WeightVector, system: str, tolerance=0) -> bool:
-    return all(slack >= -tolerance for _, slack in margins(measure, system))
-
-
 def complement_products(measure: WeightVector):
     """Slacks a*d - b_i*c_i for the three complementary configuration pairs."""
     a, b, c, d = _coordinates(measure)
@@ -99,15 +95,12 @@ def complement_products(measure: WeightVector):
 def classify(measure: WeightVector, tolerance=0) -> dict:
     """Verdicts for all four chain properties from the closed forms, keyed
     ``lattice``, ``dca``, ``downward_fkg`` and ``associated``."""
-    cov_prod = system_holds(measure, "cov-prod", tolerance)
-    cov_any = system_holds(measure, "cov-any", tolerance)
-    cov_pair = system_holds(measure, "cov-pair", tolerance)
-    det_zero = system_holds(measure, "det-zero-slice", tolerance)
-    det_one = system_holds(measure, "det-one-slice", tolerance)
+    holds = {system: all(slack >= -tolerance for _, slack in margins(measure, system))
+             for system in SYSTEMS}
     complements = all(slack >= -tolerance for _, slack in complement_products(measure))
-    lattice = det_zero and det_one and complements
-    dca = cov_prod and cov_pair and det_zero
-    associated = cov_prod and cov_any and cov_pair
+    lattice = holds["det-zero-slice"] and holds["det-one-slice"] and complements
+    dca = holds["cov-prod"] and holds["cov-pair"] and holds["det-zero-slice"]
+    associated = holds["cov-prod"] and holds["cov-any"] and holds["cov-pair"]
     if measure.mode == EXACT:
         # Sanity: the verdict set can never escape the implication chain;
         # float slacks near 0 can, and are left to the caller's tolerance.

@@ -47,7 +47,7 @@ from .measures import (
 )
 from .three_site import classify, margins
 
-DEFAULT_TILT_BUDGET = 200  # past the largest family: (2^6 - 1) * 3 = 189 tilts
+DEFAULT_TILT_BUDGET = 200  # past the largest swept family: 93 tilts at n = 5 (n = 6 is refused)
 
 
 def validate_int(value, name: str, *, nonnegative: bool = False) -> None:
@@ -164,8 +164,8 @@ def dca_falsify(
 
     if n <= 3:
         if n == 2:  # the lattice condition's one square
-            margin = satisfies_lattice(pm, tolerance=tolerance).margin
-            dca = associated = margin >= -tol
+            square = satisfies_lattice(pm, tolerance=tolerance)
+            margin, dca, associated = square.margin, square.holds, square.holds
         else:
             margin = min(slack for system in ("cov-prod", "cov-pair", "det-zero-slice")
                          for _, slack in margins(pm, system))

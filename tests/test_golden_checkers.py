@@ -8,7 +8,14 @@ The expected results in ``golden/checkers.json`` were produced by
   birth and death attractiveness violations at different pairs and
   submodularity failures at different sites;
 - ``satisfies_lattice`` on exact and float weights, with and without zero
-  weights.
+  weights;
+- ``is_associated``, ``is_downward_fkg`` and ``dca_falsify`` (budget 45),
+  details included, on every measure family at n = 2-4, exact and in
+  floats at the default tolerance and at 0, on edge inputs (near point
+  masses, a total past 2^80, a conditioning-tilted lattice draw, the
+  derangement measures, ``EDGE_WEIGHTS``) and on a five-site handful
+  that reaches the float32 screen, its float64 recheck and the Python-int
+  certifier.
 
 Comparison is the one of the golden CLI corpus: floats (and float reprs)
 within 1e-12, everything else exactly.
@@ -17,14 +24,26 @@ within 1e-12, everything else exactly.
 import contextlib
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
+from test_association_engine import five_site_underflow_sibling
 from test_golden_cli import _mismatches
+from test_small_measures import EDGE_WEIGHTS
 
 from spincorr.cli import main
-from spincorr.harness import random_measure, random_spin_system
-from spincorr.measures import WeightVector, satisfies_lattice
+from spincorr.harness import derangement_measure, random_measure, random_spin_system
+from spincorr.measures import (
+    ProbabilityMeasure,
+    WeightVector,
+    is_associated,
+    is_downward_fkg,
+    normalize,
+    satisfies_lattice,
+    tilt,
+)
 from spincorr.serialize import rate_table_to_dict, report_to_dict
+from spincorr.tilts import conditioning_tilt, dca_falsify
 
 GOLDEN = Path(__file__).parent / "golden" / "checkers.json"
 
@@ -34,6 +53,37 @@ MEASURE_FAMILIES = ("generic", "strictly-positive", "lattice", "product")
 
 def _as_floats(vector):
     return WeightVector.floats([float(w) for w in vector.weights])
+
+
+def near_point_mass(n: int, rest: Fraction) -> WeightVector:
+    """Weight 1 on configuration 5 and ``rest`` on every other configuration."""
+    weights = [rest] * (1 << n)
+    weights[5] = Fraction(1)
+    return WeightVector.exact(weights)
+
+
+def edge_measures():
+    """(name, measure) of the hand-built edge inputs at n <= 4."""
+    past_2_80 = list(normalize(random_measure(0, 4, "strictly-positive")).weights)
+    past_2_80[3] += Fraction(1, 3 * 2**80)
+    lattice = normalize(random_measure(0, 4, "lattice"))
+    out = [
+        ("near-point 1e-30 n=4", near_point_mass(4, Fraction(1, 10**30))),
+        ("near-point 1e-12 n=4", near_point_mass(4, Fraction(1, 10**12))),
+        ("total past 2^80 n=4", WeightVector.exact(past_2_80)),
+        ("tilted lattice n=4", tilt(lattice, conditioning_tilt(4, [0, 2], "1/10")[1])),
+    ]
+    out += [(f"derangement{k}", derangement_measure(k)) for k in (2, 3, 4)]
+    return out + [("edge weights", WeightVector.floats(EDGE_WEIGHTS))]
+
+
+def _report_entries(results, name, measure):
+    """The three up-set checkers' reports; a float measure at the default tolerance and at 0."""
+    for tolerance in (None,) if measure.mode == "exact" else (None, 0):
+        for prop, check in (("associated", is_associated), ("downward-fkg", is_downward_fkg),
+                            ("dca", lambda m, tolerance: dca_falsify(m, 45, tolerance=tolerance))):
+            report = check(measure, tolerance=tolerance)
+            results[f"{prop} {name} tolerance={tolerance}"] = report_to_dict(report)
 
 
 def _check_rates(workdir, rates) -> dict:
@@ -62,6 +112,31 @@ def record(workdir) -> dict:
                 for mode, weights in (("exact", vector), ("float", _as_floats(vector))):
                     report = satisfies_lattice(weights)
                     results[f"lattice {family} {mode} n={n} seed={seed}"] = report_to_dict(report)
+    for family in MEASURE_FAMILIES:
+        for n in range(2, 5):
+            for seed in range(3):
+                vector = random_measure(seed, n, family)
+                name = f"{family} n={n} seed={seed}"
+                _report_entries(results, f"{name} exact", vector)
+                _report_entries(results, f"{name} float", _as_floats(vector))
+    for name, measure in edge_measures():
+        _report_entries(results, name, measure)
+    five_site = [
+        ("associated generic n=5 seed=0", is_associated, random_measure(0, 5, "generic")),
+        ("associated strictly-positive n=5 seed=0", is_associated,
+         random_measure(0, 5, "strictly-positive")),
+        ("associated derangement5", is_associated, derangement_measure(5)),
+        ("downward-fkg derangement5", is_downward_fkg, derangement_measure(5)),
+        ("associated near-point 1e-7 n=5", is_associated, near_point_mass(5, Fraction(1, 10**7))),
+        ("associated float32 underflow n=5", is_associated, five_site_underflow_sibling()),
+        # exact zeros that float32 rounds either side of 0: only the band keeps them undecided
+        ("associated non-dyadic product n=5", is_associated, ProbabilityMeasure.product(
+            [Fraction(1, 3), Fraction(2, 7), Fraction(3, 5), Fraction(5, 11), Fraction(4, 9)])),
+        ("dca budget 3 lattice n=5 seed=0", lambda m: dca_falsify(m, 3),
+         random_measure(0, 5, "lattice")),
+    ]
+    for name, check, measure in five_site:
+        results[name] = report_to_dict(check(measure))
     return results
 
 

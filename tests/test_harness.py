@@ -39,6 +39,7 @@ from spincorr.harness import (
 )
 from spincorr.measures import (
     ProbabilityMeasure,
+    PropertyReport,
     WeightVector,
     is_associated,
     is_downward_fkg,
@@ -281,6 +282,22 @@ class TestVerifyPreservation:
             [float(w) for w in map(float, outcome.witness["evolved_weights"])]
         )
         assert is_associated(evolved).fails
+
+    def test_outcome_verdicts_derive_from_its_cells(self):
+        # a violation under satisfied hypotheses fails the build
+        held = harness.CellOutcome(0, 0.1, PropertyReport("associated", "holds", None, 0.0))
+        failed = harness.CellOutcome(0, 1.0, PropertyReport("associated", "fails", {}, -1.0))
+        satisfied, unsatisfied = (("attractive", True),), (("attractive", False),)
+        outcome = harness.ExperimentOutcome("associated", satisfied, (held, failed), ())
+        assert outcome.violations == (failed,)
+        assert (outcome.summary, outcome.build_failing) == ("violation-found", True)
+        outcome = harness.ExperimentOutcome("associated", unsatisfied, (held, failed), ())
+        assert (outcome.hypotheses_satisfied, outcome.build_failing) == (False, False)
+        outcome = harness.ExperimentOutcome("associated", satisfied, (held,), (1,))
+        assert (outcome.summary, outcome.violations, outcome.build_failing) == (
+            "all-hold", (), False)
+        outcome = harness.ExperimentOutcome("associated", satisfied, (), (0,))
+        assert outcome.summary == "no-qualifying-measures"
 
     def test_empty_measure_list_refused(self):
         # an explicit empty list checks nothing; a count of 0 draws nothing

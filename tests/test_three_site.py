@@ -21,10 +21,13 @@ from spincorr.three_site import (
     complement_products,
     from_coordinates,
     margins,
-    system_holds,
 )
 
 EPS = Fraction(1, 100)
+
+
+def system_holds(measure, system):
+    return all(slack >= 0 for _, slack in margins(measure, system))
 
 
 class TestCoordinates:
@@ -47,7 +50,6 @@ class TestCoordinates:
         measure = uniform(n)
         for call in (
             lambda: margins(measure, "cov-prod"),
-            lambda: system_holds(measure, "cov-prod"),
             lambda: complement_products(measure),
             lambda: classify(measure),
         ):
@@ -213,10 +215,10 @@ class TestChainConsistency:
 
     def test_chain_is_asserted_on_exact_input(self, monkeypatch):
         # a cov-any system that always fails would put DCA outside association
-        holds = three_site.system_holds
-        monkeypatch.setattr(three_site, "system_holds",
-                            lambda measure, system, tolerance=0:
-                            system != "cov-any" and holds(measure, system, tolerance))
+        slacks = three_site.margins
+        monkeypatch.setattr(three_site, "margins",
+                            lambda measure, system:
+                            ((1, -1),) * 3 if system == "cov-any" else slacks(measure, system))
         with pytest.raises(AssertionError):
             classify(random_measure(0, 3, "product"))
         assert not classify(WeightVector.floats([1.0] * 8))["associated"]
