@@ -3,9 +3,11 @@
 Exit codes: 0 all checks passed, 1 a violation was found (or an asserted
 property failed), 2 malformed input, usage error, unreadable file, or a
 refused budget (such as check-measure on six sites: at most 5 sites for
-up-set checks; lattice, rates and dynamics up to 6).  Every run
-emits one machine-readable JSON report (or a markdown rendering with
---format markdown), UTF-8 and newline-terminated.
+up-set checks; lattice, rates and dynamics up to 6).  Every run that
+exits 0 or 1 emits one machine-readable JSON report (or a markdown
+rendering with --format markdown), UTF-8 and newline-terminated; a run
+that exits 2 writes only its ``error:`` line.  check-measure checks its
+--assert names before it runs any checker.
 """
 
 from __future__ import annotations
@@ -64,15 +66,6 @@ from .three_site import (
 from .tilts import DEFAULT_TILT_BUDGET
 
 
-def _emit(args, document) -> None:
-    text = dumps(document) if args.format == "json" else _markdown(document)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _markdown(document) -> str:
     lines = []
 
@@ -110,37 +103,40 @@ def _parse_times(text: str) -> tuple[float, ...]:
     return times
 
 
-def _assert_exit(asserted: str | None, holds: dict[str, bool]) -> int:
-    """Exit code for the comma list ``--assert``: 1 if a named property
-    fails, else 0; an unknown name is a usage error."""
+def _asserted(asserted: str | None, known) -> list[str]:
+    """The names in the comma list ``--assert``; one not in ``known`` is a usage error."""
     names = [part.strip() for part in (asserted or "").split(",") if part.strip()]
     for name in names:
-        if name not in holds:
-            raise ValueError(f"--assert names unknown property {name!r}; known: {sorted(holds)}")
-    return 1 if any(not holds[name] for name in names) else 0
+        if name not in known:
+            raise ValueError(f"--assert names unknown property {name!r}; known: {sorted(known)}")
+    return names
+
+
+def _assert_exit(asserted: str | None, holds: dict[str, bool]) -> int:
+    """Exit code for ``--assert``: 1 if a named property fails, else 0."""
+    return 1 if any(not holds[name] for name in _asserted(asserted, holds)) else 0
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_check_measure(args) -> int:
+def _cmd_check_measure(args) -> tuple[dict, int]:
+    _asserted(args.asserts, PROPERTIES)  # before the checkers run
     vector = measure_from_dict(load_json(args.input), force_mode=args.mode)
     measure = normalize(vector)
     reports = {
         name: evaluate_property(name, measure, tolerance=args.tolerance, tilt_budget=args.budget)
         for name in PROPERTIES
     }
-    body = {
+    return {
         "input": args.input,
         "measure": measure_to_dict(measure),
         "reports": {name: report_to_dict(r) for name, r in reports.items()},
-    }
-    _emit(args, envelope("check-measure", body))
-    return _assert_exit(args.asserts, {name: r.holds for name, r in reports.items()})
+    }, _assert_exit(args.asserts, {name: r.holds for name, r in reports.items()})
 
 
-def _cmd_check_rates(args) -> int:
+def _cmd_check_rates(args) -> tuple[dict, int]:
     rates = rate_table_from_dict(load_json(args.input))
     reports = {
         report.property: report
@@ -154,16 +150,14 @@ def _cmd_check_rates(args) -> int:
             births_increasing(rates),
         )
     }
-    body = {
+    return {
         "input": args.input,
         "n": rates.n,
         "reports": {name: report_to_dict(r) for name, r in reports.items()},
-    }
-    _emit(args, envelope("check-rates", body))
-    return _assert_exit(args.asserts, {name: r.holds for name, r in reports.items()})
+    }, _assert_exit(args.asserts, {name: r.holds for name, r in reports.items()})
 
 
-def _cmd_evolve(args) -> int:
+def _cmd_evolve(args) -> tuple[dict, int]:
     vector = measure_from_dict(load_json(args.input))
     rates = rate_table_from_dict(load_json(args.system))
     if vector.n != rates.n:  # t = 0 echoes the measure without evolving it
@@ -174,9 +168,7 @@ def _cmd_evolve(args) -> int:
     for t in _parse_times(args.t):
         out = measure if t == 0 else semigroup_apply(gen, measure, t)
         evolved.append({"t": t, **measure_to_dict(out)})
-    body = {"input": args.input, "system": args.system, "evolved": evolved}
-    _emit(args, envelope("evolve", body))
-    return 0
+    return {"input": args.input, "system": args.system, "evolved": evolved}, 0
 
 
 def _coords_from_dict(doc: dict) -> WeightVector:
@@ -191,7 +183,7 @@ def _coords_from_dict(doc: dict) -> WeightVector:
     return from_coordinates(**values)
 
 
-def _cmd_classify3(args) -> int:
+def _cmd_classify3(args) -> tuple[dict, int]:
     doc = load_json(args.input)
     if isinstance(doc, dict) and "a" in doc and "weights" not in doc:
         measure = _coords_from_dict(doc)
@@ -201,19 +193,17 @@ def _cmd_classify3(args) -> int:
             raise ValueError(f"classify3 needs a three-site measure, got n={vector.n}")
         measure = WeightVector(3, vector.as_fractions())
     verdicts = classify(measure)
-    body = {
+    return {
         "input": args.input,
         "verdicts": verdicts,
         "margins": json_safe({system: dict(margins(measure, system)) for system in SYSTEMS},
                              "margins"),
         "complement_products": json_safe(dict(complement_products(measure)),
                                          "complement_products"),
-    }
-    _emit(args, envelope("classify3", body))
-    return _assert_exit(args.asserts, verdicts)
+    }, _assert_exit(args.asserts, verdicts)
 
 
-def _cmd_verify_theorem(args) -> int:
+def _cmd_verify_theorem(args) -> tuple[dict, int]:
     rates = rate_table_from_dict(load_json(args.system))
     measures = None
     if args.measures:
@@ -234,23 +224,18 @@ def _cmd_verify_theorem(args) -> int:
     )
     outcome = verify_preservation(spec)
     body = {"system": args.system, "outcome": experiment_outcome_to_dict(outcome)}
-    _emit(args, envelope("verify-theorem", body))
-    return 1 if outcome.violations else 0
+    return body, 1 if outcome.violations else 0
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> tuple[dict, int]:
     rates = rate_table_from_dict(load_json(args.system))
     outcome = search_counterexample(args.target, rates, budget=args.budget)
     body = {"system": args.system, "outcome": search_outcome_to_dict(outcome)}
-    _emit(args, envelope("search", body))
-    return 1 if outcome.found else 0
+    return body, 1 if outcome.found else 0
 
 
-def _cmd_fixtures(args) -> int:
-    paths = fixtures_mod.write_fixtures(args.out)
-    body = {"directory": args.out, "written": paths}
-    _emit(args, envelope("fixtures", body))
-    return 0
+def _cmd_fixtures(args) -> tuple[dict, int]:
+    return {"directory": args.out, "written": fixtures_mod.write_fixtures(args.out)}, 0
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +318,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        body, code = args.func(args)
+        document = envelope(args.command, body)
+        text = dumps(document) if args.format == "json" else _markdown(document)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (ValueError, OSError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

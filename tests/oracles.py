@@ -16,7 +16,8 @@ followed by random draws from a subcone of the valid tilts, as
 of at least one site, normalized, through ``is_associated``.  ``permute``
 and ``flip`` map a vector by a site permutation and by the global spin
 flip; association and the lattice condition are invariant under both,
-downward FKG under permutations.
+downward FKG under permutations.  ``permute_rates`` and ``flip_rates`` map
+a spin system the same way; the flip swaps births and deaths.
 """
 
 import random
@@ -94,6 +95,31 @@ def flip(vector: WeightVector) -> WeightVector:
     """The global spin flip eta -> 1 - eta: configuration c takes the
     weight of its complement."""
     return type(vector)(vector.n, vector.weights[::-1], vector.mode)
+
+
+def permute_rates(rates: RateTable, perm) -> RateTable:
+    """The same system with site x moved to site perm[x]."""
+    images = permuted_configs(rates.n, perm)
+
+    def move(tables):
+        out = [[None] * len(images) for _ in tables]
+        for x, table in enumerate(tables):
+            for c, image in enumerate(images):
+                out[perm[x]][image] = table[c]
+        return out
+
+    return RateTable.from_tables(move(rates.birth), move(rates.death))
+
+
+def flip_rates(rates: RateTable) -> RateTable:
+    """The global spin flip: a death at configuration c becomes a birth at
+    its complement, and a birth a death."""
+    full = (1 << rates.n) - 1
+
+    def move(tables):
+        return [[table[full ^ c] for c in range(full + 1)] for table in tables]
+
+    return RateTable.from_tables(move(rates.death), move(rates.birth))
 
 
 def determinant_value(poly, weights):

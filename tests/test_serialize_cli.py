@@ -207,15 +207,33 @@ class TestCli:
         ("classify3", "gap_lattice_vs_dca.json", ["associated", "dca", "lattice"]),
     ])
     def test_unknown_assert_name_is_a_usage_error(
-        self, fixture_dir, capsys, command, fixture, known
+        self, fixture_dir, tmp_path, capsys, command, fixture, known
     ):
-        path = str(fixture_dir / fixture)
-        assert main([command, "--input", path, "--assert", "bogus"]) == 2
+        """Exit 2 with one error line and no report, on stdout or at --output."""
+        argv = [command, "--input", str(fixture_dir / fixture), "--assert", "bogus"]
+        report = tmp_path / "report.json"
+        for extra in ([], ["--output", str(report)]):
+            assert main(argv + extra) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            errors = [line for line in err.splitlines() if line.startswith("error:")]
+            assert len(errors) == 1
+            assert "unknown property 'bogus'" in errors[0]
+            assert all(repr(name) in errors[0] for name in known)
+        assert not report.exists()
+
+    def test_check_measure_refuses_unknown_assert_before_checking(
+        self, fixture_dir, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a checker ran")
+
+        monkeypatch.setattr("spincorr.cli.evaluate_property", refuse)
+        path = str(fixture_dir / "derangement3.json")
+        assert main(["check-measure", "--input", path, "--assert", "associated,bogus"]) == 2
         err = capsys.readouterr().err
-        errors = [line for line in err.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1
-        assert "unknown property 'bogus'" in errors[0]
-        assert all(repr(name) in errors[0] for name in known)
+        assert err.startswith("error: --assert names unknown property 'bogus'; known: [")
+        assert err.count("\n") == 1
 
     def test_classify3_named_coordinates(self, tmp_path, capsys):
         doc = {"a": "1/3", "b1": "1/6", "b2": "1/6", "b3": "1/6",
