@@ -242,12 +242,22 @@ def _cmd_fixtures(args) -> tuple[dict, int]:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The ``spincorr`` parser.  Given ``argv``, only the subcommands it names
+    get their arguments and help option: argparse runs only the subparser its
+    command token names, so the parse, the help and every error are those of
+    ``build_parser()``, which builds all seven."""
     parser = argparse.ArgumentParser(
         prog="spincorr",
         description="Correlation-property checks and spin-system dynamics on {0,1}^n",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, summary):
+        if argv is None or name in argv:
+            return sub.add_parser(name, help=summary)
+        sub.add_parser(name, help=summary, add_help=False)
+        return None
 
     def common(p, func, *, tolerance=True):
         p.set_defaults(func=func)
@@ -257,73 +267,75 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tolerance", type=float, default=DEFAULT_FLOAT_TOLERANCE,
                            help="margin tolerance for float-mode checks")
 
-    p = sub.add_parser("check-measure", help="run the correlation-property suite on a measure")
-    p.add_argument("--input", required=True, help="measure JSON file")
-    p.add_argument("--mode", choices=("exact", "float"), default=None,
-                   help="force the arithmetic mode instead of inferring it")
-    p.add_argument("--budget", type=int, default=DEFAULT_TILT_BUDGET,
-                   help="at most this many soft-conditioning tilts for the DCA check")
-    p.add_argument("--seed", type=int, default=0, help="no effect; the DCA tilts are not random")
-    p.add_argument("--assert", dest="asserts", default=None,
-                   help="comma list of properties that must hold (exit 1 otherwise)")
-    common(p, _cmd_check_measure)
+    if p := add("check-measure", "run the correlation-property suite on a measure"):
+        p.add_argument("--input", required=True, help="measure JSON file")
+        p.add_argument("--mode", choices=("exact", "float"), default=None,
+                       help="force the arithmetic mode instead of inferring it")
+        p.add_argument("--budget", type=int, default=DEFAULT_TILT_BUDGET,
+                       help="at most this many soft-conditioning tilts for the DCA check")
+        p.add_argument("--seed", type=int, default=0,
+                       help="no effect; the DCA tilts are not random")
+        p.add_argument("--assert", dest="asserts", default=None,
+                       help="comma list of properties that must hold (exit 1 otherwise)")
+        common(p, _cmd_check_measure)
 
-    p = sub.add_parser("check-rates", help="run all rate classifiers on a spin system")
-    p.add_argument("--input", required=True, help="spin-system JSON file")
-    p.add_argument("--assert", dest="asserts", default=None)
-    common(p, _cmd_check_rates, tolerance=False)
+    if p := add("check-rates", "run all rate classifiers on a spin system"):
+        p.add_argument("--input", required=True, help="spin-system JSON file")
+        p.add_argument("--assert", dest="asserts", default=None)
+        common(p, _cmd_check_rates, tolerance=False)
 
-    p = sub.add_parser("evolve", help="evolve a measure under a spin system")
-    p.add_argument("--input", required=True, help="measure JSON file")
-    p.add_argument("--system", required=True, help="spin-system JSON file")
-    p.add_argument("--t", required=True, help="comma list of times")
-    common(p, _cmd_evolve, tolerance=False)
+    if p := add("evolve", "evolve a measure under a spin system"):
+        p.add_argument("--input", required=True, help="measure JSON file")
+        p.add_argument("--system", required=True, help="spin-system JSON file")
+        p.add_argument("--t", required=True, help="comma list of times")
+        common(p, _cmd_evolve, tolerance=False)
 
-    p = sub.add_parser("classify3", help="closed-form verdicts for a three-site measure")
-    p.add_argument("--input", required=True,
-                   help="measure JSON file (weights, or named coordinates a,b1..d)")
-    p.add_argument("--assert", dest="asserts", default=None)
-    common(p, _cmd_classify3, tolerance=False)
+    if p := add("classify3", "closed-form verdicts for a three-site measure"):
+        p.add_argument("--input", required=True,
+                       help="measure JSON file (weights, or named coordinates a,b1..d)")
+        p.add_argument("--assert", dest="asserts", default=None)
+        common(p, _cmd_classify3, tolerance=False)
 
-    p = sub.add_parser("verify-theorem", help="preservation experiment for one property")
-    p.add_argument("--system", required=True, help="spin-system JSON file")
-    p.add_argument("--property", required=True, choices=PROPERTIES)
-    p.add_argument("--t", default=",".join(map(str, DEFAULT_TIME_GRID)),
-                   help="comma list of times")
-    p.add_argument("--measures", default=None,
-                   help="JSON file with one measure or an array of measures")
-    p.add_argument("--family", default=DEFAULT_MEASURE_MODE, choices=MEASURE_MODES)
-    p.add_argument("--count", type=int, default=DEFAULT_MEASURE_COUNT,
-                   help="random initial measures to draw")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=DEFAULT_TILT_BUDGET,
-                   help="at most this many soft-conditioning tilts per DCA check")
-    common(p, _cmd_verify_theorem)
+    if p := add("verify-theorem", "preservation experiment for one property"):
+        p.add_argument("--system", required=True, help="spin-system JSON file")
+        p.add_argument("--property", required=True, choices=PROPERTIES)
+        p.add_argument("--t", default=",".join(map(str, DEFAULT_TIME_GRID)),
+                       help="comma list of times")
+        p.add_argument("--measures", default=None,
+                       help="JSON file with one measure or an array of measures")
+        p.add_argument("--family", default=DEFAULT_MEASURE_MODE, choices=MEASURE_MODES)
+        p.add_argument("--count", type=int, default=DEFAULT_MEASURE_COUNT,
+                       help="random initial measures to draw")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--budget", type=int, default=DEFAULT_TILT_BUDGET,
+                       help="at most this many soft-conditioning tilts per DCA check")
+        common(p, _cmd_verify_theorem)
 
-    p = sub.add_parser("search", help="search for a preservation counterexample")
-    p.add_argument("--system", required=True, help="spin-system JSON file")
-    p.add_argument("--target", required=True, choices=SEARCH_TARGETS)
-    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET,
-                   help="cap on derivative and evolution evaluations")
-    common(p, _cmd_search, tolerance=False)
+    if p := add("search", "search for a preservation counterexample"):
+        p.add_argument("--system", required=True, help="spin-system JSON file")
+        p.add_argument("--target", required=True, choices=SEARCH_TARGETS)
+        p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET,
+                       help="cap on derivative and evolution evaluations")
+        common(p, _cmd_search, tolerance=False)
 
-    p = sub.add_parser("fixtures", help="write the bundled fixture corpus")
-    p.add_argument("--out", default="fixtures", help="target directory")
-    common(p, _cmd_fixtures, tolerance=False)
+    if p := add("fixtures", "write the bundled fixture corpus"):
+        p.add_argument("--out", default="fixtures", help="target directory")
+        common(p, _cmd_fixtures, tolerance=False)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         body, code = args.func(args)
         document = envelope(args.command, body)
         text = dumps(document) if args.format == "json" else _markdown(document)
         if args.output:
-            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+            data = text.encode("utf-8")  # before the open: an exit-2 run leaves no file
+            with open(args.output, "wb") as fh:
+                fh.write(data)
         else:
             sys.stdout.write(text)
         return code

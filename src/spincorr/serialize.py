@@ -9,9 +9,11 @@ spin at site x is bit x of i.
 Every document this package writes carries ``format_version``.  The
 ``*_to_dict`` functions return JSON-native values, rationals already
 converted by ``json_safe``, which names the field of an oversized one, so
-``dumps`` only formats.  Two fields call ``rational_str`` directly: a
-report's margin, which writes a float margin as its exact "p/q" too, and a
-rate table's rates, whose fields are named ``beta[x][i]``.
+``dumps`` only formats: it writes the indented, key-sorted text itself,
+the bytes ``json`` writes, without ``json``'s pure-Python encoder.  Two
+fields call ``rational_str`` directly: a report's margin, which writes a
+float margin as its exact "p/q" too, and a rate table's rates, whose fields
+are named ``beta[x][i]``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .dynamics import RateTable, contact_process
 from .harness import CellOutcome, ExperimentOutcome, SearchOutcome
@@ -27,6 +30,7 @@ from .lattice import validate_site_count
 from .measures import EXACT, FLOAT, PropertyReport, WeightVector
 
 FORMAT_VERSION = 1
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json writes them
 
 # Largest decimal exponent magnitude a rational string may carry.  Fraction
 # expands "1e<k>" into a k-digit integer, in time that grows faster than
@@ -244,7 +248,34 @@ def envelope(command: str, body: dict) -> dict:
 
 
 def dumps(document) -> str:
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    """The text of ``json.dumps(document, indent=2, sort_keys=True) + "\\n"``; a key
+    that is not a ``str``, or a value ``json`` cannot write, raises ``TypeError``."""
+    return _write(document, "\n") + "\n"
+
+
+def _write(value, newline: str) -> str:
+    """``value`` as JSON text whose nested lines start with ``newline``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        brackets, items = "[]", [_write(v, inner) for v in value]
+    elif isinstance(value, dict):
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        brackets, items = "{}", [encode_basestring_ascii(key) + ": " + _write(value[key], inner)
+                                 for key in sorted(value)]
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
 def load_json(path: str):

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
+import math
 import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from spincorr.cli import main
+from spincorr.cli import build_parser, main
 from spincorr.dynamics import contact_process, path_edges
 from spincorr.fixtures import fixture_corpus, write_fixtures
 from spincorr.harness import derangement_measure, random_measure
@@ -20,6 +25,7 @@ from spincorr.serialize import (
     report_from_dict,
     report_to_dict,
 )
+from test_golden_cli import GOLDEN, corpus_runs
 
 
 class TestRationals:
@@ -443,6 +449,17 @@ class TestCli:
                 assert capsys.readouterr().out == ""
                 assert report.read_bytes() == printed.encode("utf-8")
 
+    def test_unencodable_report_leaves_no_output_file(self, fixture_dir, tmp_path, capsys):
+        # the input's name, echoed in the report, holds a lone surrogate: the
+        # JSON escapes it, but markdown cannot be written as UTF-8
+        source = tmp_path / os.fsdecode(b"m\xff.json")
+        source.write_bytes((fixture_dir / "derangement3.json").read_bytes())
+        report = tmp_path / "out.md"
+        argv = ["classify3", "--input", str(source), "--format", "markdown"]
+        assert main(argv + ["--output", str(report)]) == 2
+        assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't encode")
+        assert not report.exists()
+
     def test_check_measure_seed_has_no_effect(self, fixture_dir, capsys):
         argv = ["check-measure", "--input", str(fixture_dir / "derangement4.json")]
         printed = []
@@ -470,3 +487,76 @@ class TestCli:
         argv = ["evolve", "--input", gap, "--system", system, "--t", "0", "--format", "markdown"]
         assert main(argv) == 0
         assert "- **evolved**:\n  -\n    - **mode**: exact\n" in capsys.readouterr().out
+
+
+SUBCOMMANDS = ("check-measure", "check-rates", "evolve", "classify3", "verify-theorem", "search",
+               "fixtures")
+
+
+class TestParser:
+    USAGE = [
+        ["--help"], ["-h"], ["--he"],
+        *([name, "--help"] for name in SUBCOMMANDS),
+        [], ["no-such-command"],
+        ["check-measure"],
+        ["verify-theorem", "--system", "s", "--property", "no-such-property"],
+        ["check-rates", "--input", "r.json", "--bogus"],
+        ["--foo", "check-rates", "--input", "r.json"],
+        ["-1", "evolve"],
+        ["--", "fixtures", "--out"],
+        ["evolve", "--input", "check-measure"],
+        ["check-measure", "-h", "evolve"],
+    ]
+    PARSED = [["classify3", "--inp", "m.json"], *corpus_runs()]
+
+    @staticmethod
+    def parse(parser, argv):
+        """The namespace, or the exit code, with what was printed."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = vars(parser.parse_args(argv))
+            except SystemExit as exc:
+                result = exc.code
+        return result, out.getvalue(), err.getvalue()
+
+    def test_partial_parser_parses_like_the_full_one(self, monkeypatch):
+        # argparse wraps help and usage to COLUMNS
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv in self.USAGE + self.PARSED:
+            expected = self.parse(build_parser(), argv)
+            assert self.parse(build_parser(argv), argv) == expected, argv
+            assert isinstance(expected[0], dict) == (argv in self.PARSED), argv
+
+
+def _json_trees():
+    text = st.text(st.characters(exclude_categories=()) | st.characters(categories=["Cs", "Cc"]))
+    leaves = (st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64)
+              | st.integers(max_value=-2**64) | st.floats() | text
+              | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-308]))
+    return st.recursive(leaves, lambda children: (
+        st.lists(children) | st.lists(children).map(tuple) | st.dictionaries(text, children)))
+
+
+class TestDumps:
+    @staticmethod
+    def reference(document):
+        return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+    @given(_json_trees())
+    def test_writes_what_json_writes(self, document):
+        assert dumps(document) == self.reference(document)
+
+    def test_golden_documents(self):
+        corpus = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        documents = [entry["stdout"] for entry in corpus.values()
+                     if isinstance(entry["stdout"], dict)]
+        assert len(documents) == 55
+        for document in documents:
+            assert dumps(document) == self.reference(document)
+
+    def test_what_json_cannot_write_raises_type_error(self):
+        with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+            dumps({"margin": [Fraction(1, 2)]})
+        with pytest.raises(TypeError):
+            dumps({"details": {1: "a"}})
