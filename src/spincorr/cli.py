@@ -332,8 +332,8 @@ def main(argv=None) -> int:
         body, code = args.func(args)
         document = envelope(args.command, body)
         text = dumps(document) if args.format == "json" else _markdown(document)
+        data = text.encode("utf-8")  # before either destination: an exit-2 run writes nothing
         if args.output:
-            data = text.encode("utf-8")  # before the open: an exit-2 run leaves no file
             with open(args.output, "wb") as fh:
                 fh.write(data)
         else:

@@ -45,10 +45,12 @@ from spincorr.measures import (
     is_downward_fkg,
     normalize,
     project_zeros,
+    reverify_witness,
     satisfies_lattice,
 )
 from spincorr.serialize import rate_table_from_dict, search_outcome_to_dict
 from spincorr.three_site import COORDINATES, classify
+from spincorr.tilts import reverify_tilt_witness
 
 
 class TestRandomMeasure:
@@ -282,6 +284,26 @@ class TestVerifyPreservation:
             [float(w) for w in map(float, outcome.witness["evolved_weights"])]
         )
         assert is_associated(evolved).fails
+
+    @pytest.mark.parametrize("system,prop,mode", [
+        (crossed_birth_pair, "associated", "product"),
+        (supermodular_single_birth, "dca", "lattice"),
+    ])
+    def test_each_cell_is_evolved_once(self, monkeypatch, system, prop, mode):
+        evolved = []
+
+        def recording(*args, **kwargs):
+            evolved.append(semigroup_apply(*args, **kwargs))
+            return evolved[-1]
+
+        monkeypatch.setattr(harness, "semigroup_apply", recording)
+        outcome = verify_preservation(
+            ExperimentSpec(system(), prop, measure_mode=mode, measure_count=4))
+        assert outcome.violations and len(evolved) == len(outcome.cells)
+        reverify = reverify_tilt_witness if prop == "dca" else reverify_witness
+        for cell, measure in zip(outcome.cells, evolved):
+            if cell.report.fails:
+                assert reverify(measure, cell.report) < 0
 
     def test_outcome_verdicts_derive_from_its_cells(self):
         # a violation under satisfied hypotheses fails the build

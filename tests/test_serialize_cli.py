@@ -460,6 +460,20 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't encode")
         assert not report.exists()
 
+    def test_unencodable_report_is_refused_on_stdout(self, fixture_dir, tmp_path, capsys,
+                                                     monkeypatch):
+        # stdout as the C/POSIX locale opens it: surrogateescape would write
+        # the lone surrogate as the raw byte 0xff
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="surrogateescape",
+                                  write_through=True)
+        monkeypatch.setattr("sys.stdout", stdout)
+        source = tmp_path / os.fsdecode(b"m\xff.json")
+        source.write_bytes((fixture_dir / "derangement3.json").read_bytes())
+        assert main(["classify3", "--input", str(source), "--format", "markdown"]) == 2
+        assert stdout.buffer.getvalue() == b""
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: 'utf-8' codec can't encode")
+
     def test_check_measure_seed_has_no_effect(self, fixture_dir, capsys):
         argv = ["check-measure", "--input", str(fixture_dir / "derangement4.json")]
         printed = []
