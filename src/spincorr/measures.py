@@ -15,7 +15,11 @@ whole chunks of pairs against two thresholds.  Float mode sets both to
 -tolerance; exact mode (float32 at five sites) sets them to a rounding
 bound either side of 0 and recomputes over Python ints, once each, the
 incomparable pairs between that a float64 recheck leaves undecided: exact
-verdicts and margins hold for any weights.
+verdicts and margins hold for any weights.  At five sites, where a sweep
+has 61 chunks, the screen writes every chunk into one buffer per sweep,
+and float mode screens a chunk in float32 after two it decided, computing
+in float64 only the chunks that screen cannot show positive: its reports
+are those of a float64 sweep, bit for bit.
 """
 
 from __future__ import annotations
@@ -281,7 +285,11 @@ def _sweep_tables(n: int):
     """Per-n constants of the sweep: the membership matrix as float64, the
     up-set masks as int64 (ascending, so ``searchsorted`` finds the row of
     an intersection), per row block the number of pairs i <= j in it and
-    its chunks as row ranges, and the exact screen's type and bounds."""
+    its chunks as row ranges (the first is the largest: a sweep's screen
+    buffer holds its rows times K entries), the screen's type, float32
+    where a sweep has several chunks (n = 5), and two bounds from the
+    formula of ``_exact_sweep``: ``band`` for the screen type and ``bound``
+    for float64, which covers the float64 recheck and a float64 GEMM."""
     matrix = up_set_matrix(n).astype(np.float64)
     k = matrix.shape[0]
     block = max(1, min(k, _BLOCK_ENTRIES // k))
@@ -329,22 +337,46 @@ def _sweep(n: int, weights: np.ndarray, null: np.ndarray, low: float, high: floa
     but for comparable U and V, go to ``certify(i, j, rows of U & V)``,
     which returns their exact values, and the first negative one violates,
     ending the sweep after its block.
+    Where a sweep has several chunks (n = 5) the screen GEMM writes into
+    one ``buffer`` allocated per sweep, so the values ``screen`` returns are
+    overwritten by its next call.  Float mode (``certify`` None) there
+    computes its first chunks in float64, as below five sites, and screens
+    a chunk in the screen type first once two chunks in a row were decided
+    (minimum at least ``band + bound``): a lone decided chunk is often a
+    block's short last one, and on products the next block's first is not
+    decided.  A screened chunk with minimum at least ``band + bound`` has
+    every float64 value above 0, since each screen value lies within
+    ``band`` and each float64 value within ``bound`` of the same exact
+    value: it holds no violation and nothing below the margin's 0.0, and
+    is skipped.  Any other chunk is computed in float64 into a fresh array
+    from the float64 operands, so the values, first violation and minima
+    are those of a float64 sweep, bit for bit.
     Returns (first violating pair or None, pairs in the blocks swept, per
-    block swept its chunks' (lo, hi, float minimum), ``screen``,
-    ``recheck``): ``screen(lo, hi)`` recomputes a chunk as (flat values,
-    ncols), flat entry (i - lo) * ncols + (j - lo) being the pair (i, j);
+    block swept its chunks' (lo, hi, float minimum), but for the chunks
+    float mode skipped, ``screen``, ``recheck``): ``screen(lo, hi)``
+    recomputes a chunk as the sweep computes it, as (flat values, ncols),
+    flat entry (i - lo) * ncols + (j - lo) being the pair (i, j), and
+    ``screen(lo, hi, True)`` as float mode screens it;
     ``recheck(lo, flat, ncols)`` gives the entries ``flat`` as (i, j, rows
     of U & V, float64 p(U & V) - p(U)*p(V)).
     """
-    matrix, masks, blocks, dtype, _, bound = _sweep_tables(n)
+    matrix, masks, blocks, dtype, band, bound = _sweep_tables(n)
+    k = matrix.shape[0]
     p = weights @ matrix.T
-    left = np.empty((matrix.shape[0], weights.size + 1), dtype if certify else np.float64)
+    left = np.empty((k, weights.size + 1), dtype if certify else np.float64)
     right = np.empty_like(left)  # not a view into one buffer: misaligned, it slows the GEMM
     np.multiply(matrix, weights, out=left[:, :-1])
     left[:, -1], right[:, :-1], right[:, -1] = -p, matrix, p
+    step = blocks[0][1][0][1]  # rows of the first chunk, the largest
+    buffer = np.empty(step * k, dtype) if step < k else None  # several chunks (n = 5)
+    float_screen = not certify and buffer is not None
+    quick = (left.astype(dtype), right.astype(dtype)) if float_screen else (left, right)
 
-    def screen(lo, hi):
-        values = left[lo:hi] @ right[lo:].T
+    def screen(lo, hi, fast=bool(certify)):
+        operands, out = (quick, buffer) if fast else ((left, right), None)
+        if out is not None:
+            out = out[:(hi - lo) * (k - lo)].reshape(hi - lo, k - lo)
+        values = np.matmul(operands[0][lo:hi], operands[1][lo:].T, out=out)
         values[:, null[lo:]] = np.inf
         values[null[lo:hi]] = np.inf
         return values.ravel(), values.shape[1]
@@ -355,15 +387,19 @@ def _sweep(n: int, weights: np.ndarray, null: np.ndarray, low: float, high: floa
         inter = masks.searchsorted(masks[i] & masks[j])
         return i, j, inter, p[inter] - p[i] * p[j]
 
-    violation = None
+    violation, decided, cut = None, 0, band + bound  # decided: chunks in a row
     minima = []
     for _, chunks in blocks:
         minima.append([])
         for lo, hi in chunks:
+            values = None  # the last chunk's, freed before the next GEMM
             if null[lo:hi].all():
                 continue
+            if decided > 1 and float(screen(lo, hi, True)[0].min()) >= cut:
+                continue  # every float64 value is > 0: neither a violation nor below 0.0
             values, ncols = screen(lo, hi)
             chunk_min = float(values.min())
+            decided = decided + 1 if float_screen and chunk_min >= cut else 0
             minima[-1].append((lo, hi, chunk_min))
             if violation is not None or chunk_min >= high:
                 continue
@@ -388,7 +424,14 @@ def _sweep(n: int, weights: np.ndarray, null: np.ndarray, low: float, high: floa
 
 
 def _float_sweep(n: int, weights: np.ndarray, null: np.ndarray, tol: float):
-    """Float-mode ``_sweep`` by ``is_associated``'s rule: (violation, pairs, margin)."""
+    """Float-mode ``_sweep`` by ``is_associated``'s rule: (violation, pairs, margin).
+
+    ``_exact_sweep``'s error bound, on which ``_sweep``'s float32 screen
+    rests, covers float-mode weights as they are: a pair's exact value is
+    that of the binary weights swept, so no weight carries a rounding of
+    its own, and they sum to 1 within 1e-12, so every mu is at most
+    1 + 1e-12, an excess that the bands' factor 2 absorbs.
+    """
     violation, checked, minima, _, _ = _sweep(n, weights, null, -tol, -tol, None)  # never certifies
     return violation, checked, min([0.0] + [m for block in minima for *_, m in block])
 

@@ -21,15 +21,18 @@ from hypothesis import strategies as st
 
 from spincorr import measures
 from spincorr.harness import derangement_measure, implication_gap_measures, random_measure
-from spincorr.lattice import enumerate_up_sets, up_set_members
+from spincorr.lattice import enumerate_up_sets, up_set_matrix, up_set_members
 from spincorr.measures import (
     ProbabilityMeasure,
     WeightVector,
     is_associated,
     normalize,
     reverify_witness,
+    tilt,
 )
-from spincorr.tilts import dca_falsify
+from spincorr.tilts import conditioning_tilt, dca_falsify
+
+FAMILIES = ("lattice", "product", "strictly-positive", "generic")
 
 
 def integer_weights(weights):
@@ -285,18 +288,40 @@ def five_site_underflow_sibling():
     return WeightVector.exact([0, tiny, 1, 1] * 8)
 
 
+def near_point_mass(n: int, rest: Fraction) -> WeightVector:
+    """Weight 1 on configuration 5 and ``rest`` on every other configuration."""
+    weights = [rest] * (1 << n)
+    weights[5] = Fraction(1)
+    return WeightVector.exact(weights)
+
+
+def non_dyadic_product() -> ProbabilityMeasure:
+    """Five sites whose exact zero covariances float32 rounds either side of 0."""
+    return ProbabilityMeasure.product(
+        [Fraction(1, 3), Fraction(2, 7), Fraction(3, 5), Fraction(5, 11), Fraction(4, 9)])
+
+
+def soft_conditioned(measure):
+    """``measure`` tilted by soft conditioning on zeros with eps = 1/100 on all five sites."""
+    return tilt(measure, conditioning_tilt(5, range(5), "1/100")[1])
+
+
+def float_screen_precision(monkeypatch):
+    """Set the five-site screen to float64, with the float64 bound, as below five sites."""
+    tables = measures._sweep_tables
+    monkeypatch.setattr(measures, "_sweep_tables",
+                        lambda n: (*tables(n)[:3], np.float64, tables(n)[5], tables(n)[5]))
+
+
 class TestScreenPrecision:
     def test_reports_do_not_depend_on_the_screen_precision(self, monkeypatch):
-        cases = [random_measure(0, 5, family)
-                 for family in ("lattice", "product", "strictly-positive", "generic")]
+        cases = [random_measure(0, 5, family) for family in FAMILIES]
         cases += [derangement_measure(5), five_site_underflow_sibling()]
         tables = measures._sweep_tables
         assert tables(5)[3] is np.float32
         assert tables(4)[3:] == (np.float64, (2**4 + 2) * 2.0**-50, (2**4 + 2) * 2.0**-50)
         expected = [engine(measure) for measure in cases]
-        # the five-site screen in float64, with the float64 bound, as below five sites
-        monkeypatch.setattr(measures, "_sweep_tables",
-                            lambda n: (*tables(n)[:3], np.float64, tables(n)[5], tables(n)[5]))
+        float_screen_precision(monkeypatch)
         assert [engine(measure) for measure in cases] == expected
         assert [report[0] for report in expected] == ["holds"] * 2 + ["fails"] * 2 + ["holds", "fails"]
         for measure, report in zip(cases, expected):
@@ -372,3 +397,109 @@ class TestRoundingBounds:
             exact = exact_covariances(measure.weights, i, j)
             assert np.abs(values[flat].astype(np.float64) - exact).max() <= band
             assert np.abs(rechecked - exact).max() <= bound
+
+
+def hidden_violation() -> WeightVector:
+    """The five-site lattice draw 0 mixed, with weight t, with the uniform
+    measure on the configurations in exactly one of the up-sets of rows 315
+    and 6815, t chosen so that their covariance is about -1e-10: a
+    violation at tolerance 0 that float32 rounds to a positive value, in a
+    chunk whose float32 minimum lies in the band."""
+    masks = enumerate_up_sets(5)
+    differ = [c for c in range(32) if (masks[315] ^ masks[6815]) >> c & 1]
+    t = Fraction(0.034447648349607486)
+    lattice = normalize(random_measure(0, 5, "lattice")).weights
+    return WeightVector.exact([(1 - t) * w + (t / len(differ) if c in differ else 0)
+                               for c, w in enumerate(lattice)])
+
+
+class TestFloatScreenPrecision:
+    def test_float_reports_do_not_depend_on_the_screen_precision(self, monkeypatch):
+        """Float mode computes in float64 only the five-site chunks its
+        screen cannot decide, so its reports are those of a float64 screen,
+        bit for bit: on sweeps the screen decides, that fail in their first
+        chunk, whose every chunk lies in the band, and whose one violation
+        float32 cannot see."""
+        cases = [random_measure(0, 5, family) for family in FAMILIES]
+        cases += [derangement_measure(5), soft_conditioned(derangement_measure(5))]
+        cases += [near_point_mass(5, Fraction(1, 10**e)) for e in (3, 7, 12, 30)]
+        cases += [non_dyadic_product(), five_site_underflow_sibling(), hidden_violation()]
+        cases = [WeightVector.floats([float(w) for w in measure.weights]) for measure in cases]
+        assert np.float32(cases[-2].weights[1]) == 0 < cases[-2].weights[1]
+
+        def reports():
+            # budget 3 reaches the first eps = 1/100 tilt
+            return [(is_associated(measure), is_associated(measure, tolerance=0),
+                     dca_falsify(measure, 3)) for measure in cases]
+
+        expected = reports()
+        float_screen_precision(monkeypatch)
+        assert reports() == expected
+
+
+@st.composite
+def five_site_float_measures(draw):
+    """Float weights of a five-site draw of any family, perhaps soft
+    conditioned with eps = 1/100 on all five sites, with a few weights
+    replaced by 0 or by weights below float32's normal range, some of which
+    it flushes to 0."""
+    family = draw(st.sampled_from(FAMILIES))
+    measure = normalize(random_measure(draw(st.integers(0, 10**6)), 5, family))
+    if draw(st.booleans()):
+        measure = soft_conditioned(measure)
+    weights = [float(w) for w in measure.weights]
+    tiny = st.sampled_from([0.0, 1e-39, 1e-42, 2.0**-149, 1e-50])
+    for config, weight in draw(st.lists(st.tuples(st.integers(0, 31), tiny), max_size=4)):
+        weights[config] = weight
+    assume(any(weights))
+    return WeightVector.floats(weights), draw(st.integers(0, 2**32 - 1))
+
+
+class TestFloatRoundingBounds:
+    @settings(max_examples=25, deadline=None)
+    @given(five_site_float_measures())
+    def test_float_screen_and_gemm_values_lie_within_their_bands(self, drawn):
+        """Sampled float32 screen values of the first and last chunk swept,
+        with each chunk's extremes, lie within the screen's band, and their
+        float64 GEMM values within the float64 band, of the exact value
+        mu(U & V) - mu(U)*mu(V) of the binary weights swept, read as
+        Fractions: a screen value at or above the sum of the bands has a
+        float64 value above 0."""
+        measure, seed = drawn
+        sweep, spied = measures._sweep, {}
+
+        def spy(n, weights, *args):
+            result = sweep(n, weights, *args)
+            spied.update(weights=weights, swept=len(result[2]), screen=result[3],
+                         recheck=result[4])
+            return result
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(measures, "_sweep", spy)
+            is_associated(measure)
+        fractions = [Fraction(w) for w in spied["weights"].tolist()]
+        total = math.lcm(*(f.denominator for f in fractions))
+        ints = np.array([f.numerator * (total // f.denominator) for f in fractions], dtype=object)
+        _, _, blocks, _, band, bound = measures._sweep_tables(5)
+        rng = np.random.default_rng(seed)
+        for lo, hi in {blocks[0][1][0], blocks[spied["swept"] - 1][1][-1]}:
+            screened, ncols = spied["screen"](lo, hi, True)
+            screened = screened.astype(np.float64)  # a copy: the next call overwrites the buffer
+            values, _ = spied["screen"](lo, hi, False)
+            assert values.dtype == np.float64
+            finite = np.isfinite(values).nonzero()[0]
+            if not finite.size:
+                continue
+            flat = np.unique(np.concatenate([
+                rng.choice(finite, min(finite.size, 1500), replace=False),
+                finite[[values[finite].argmin(), values[finite].argmax(),
+                        screened[finite].argmin(), screened[finite].argmax()]],
+            ]))
+            i, j, inter, _ = spied["recheck"](lo, flat, ncols)
+            rows = np.unique(np.concatenate([i, j, inter]))
+            sums = dict(zip(rows.tolist(), up_set_matrix(5)[rows].astype(object) @ ints))
+            # a float64 quotient is within 2^-53 of the exact value (|value| <= 1/4 + 1e-12)
+            exact = np.array([(total * sums[c] - sums[a] * sums[b]) / total**2
+                              for a, b, c in zip(i.tolist(), j.tolist(), inter.tolist())])
+            assert np.abs(screened[flat] - exact).max() <= band - 2.0**-53
+            assert np.abs(values[flat] - exact).max() <= bound - 2.0**-53

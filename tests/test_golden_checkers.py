@@ -15,7 +15,12 @@ The expected results in ``golden/checkers.json`` were produced by
   masses, a total past 2^80, a conditioning-tilted lattice draw, the
   derangement measures, ``EDGE_WEIGHTS``) and on a five-site handful
   that reaches the float32 screen, its float64 recheck and the Python-int
-  certifier.
+  certifier;
+- the float twins of that handful and of a lattice draw through
+  ``is_associated`` at the default tolerance and at 0, and ``dca_falsify``
+  (budget 3) on the float lattice draw and on ``derangement_measure(5)``:
+  sweeps whose chunks the float32 screen decides, that fail in their
+  first chunk, and whose every chunk lies in the screen's band.
 
 Comparison is the one of the golden CLI corpus: floats (and float reprs)
 within 1e-12, everything else exactly.
@@ -27,14 +32,17 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from test_association_engine import five_site_underflow_sibling
+from test_association_engine import (
+    five_site_underflow_sibling,
+    near_point_mass,
+    non_dyadic_product,
+)
 from test_golden_cli import _mismatches
 from test_small_measures import EDGE_WEIGHTS
 
 from spincorr.cli import main
 from spincorr.harness import derangement_measure, random_measure, random_spin_system
 from spincorr.measures import (
-    ProbabilityMeasure,
     WeightVector,
     is_associated,
     is_downward_fkg,
@@ -53,13 +61,6 @@ MEASURE_FAMILIES = ("generic", "strictly-positive", "lattice", "product")
 
 def _as_floats(vector):
     return WeightVector.floats([float(w) for w in vector.weights])
-
-
-def near_point_mass(n: int, rest: Fraction) -> WeightVector:
-    """Weight 1 on configuration 5 and ``rest`` on every other configuration."""
-    weights = [rest] * (1 << n)
-    weights[5] = Fraction(1)
-    return WeightVector.exact(weights)
 
 
 def edge_measures():
@@ -130,13 +131,23 @@ def record(workdir) -> dict:
         ("associated near-point 1e-7 n=5", is_associated, near_point_mass(5, Fraction(1, 10**7))),
         ("associated float32 underflow n=5", is_associated, five_site_underflow_sibling()),
         # exact zeros that float32 rounds either side of 0: only the band keeps them undecided
-        ("associated non-dyadic product n=5", is_associated, ProbabilityMeasure.product(
-            [Fraction(1, 3), Fraction(2, 7), Fraction(3, 5), Fraction(5, 11), Fraction(4, 9)])),
+        ("associated non-dyadic product n=5", is_associated, non_dyadic_product()),
         ("dca budget 3 lattice n=5 seed=0", lambda m: dca_falsify(m, 3),
          random_measure(0, 5, "lattice")),
     ]
     for name, check, measure in five_site:
         results[name] = report_to_dict(check(measure))
+    # float mode at five sites: the float32 screen decides, fails in the first chunk or leaves
+    # every chunk in its band
+    lattice = _as_floats(random_measure(0, 5, "lattice"))
+    associated = [("associated lattice n=5 seed=0", lattice)]
+    associated += [(name, measure) for name, check, measure in five_site if check is is_associated]
+    for name, measure in associated:
+        for tolerance in (None, 0):
+            report = is_associated(_as_floats(measure), tolerance=tolerance)
+            results[f"{name} float tolerance={tolerance}"] = report_to_dict(report)
+    results["dca budget 3 lattice n=5 seed=0 float"] = report_to_dict(dca_falsify(lattice, 3))
+    results["dca budget 3 derangement5"] = report_to_dict(dca_falsify(derangement_measure(5), 3))
     return results
 
 
