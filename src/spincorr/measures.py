@@ -19,7 +19,9 @@ verdicts and margins hold for any weights.  At five sites, where a sweep
 has 61 chunks, the screen writes every chunk into one buffer per sweep,
 and float mode screens a chunk in float32 after two it decided, computing
 in float64 only the chunks that screen cannot show positive: its reports
-are those of a float64 sweep, bit for bit.
+are those of a float64 sweep, bit for bit.  By Theorem 1.2 an exact
+measure that satisfies (1.3) is associated, unswept, ``pairs_checked``
+counting the pairs that verdict covers; float mode never takes that path.
 """
 
 from __future__ import annotations
@@ -436,6 +438,12 @@ def _float_sweep(n: int, weights: np.ndarray, null: np.ndarray, tol: float):
     return violation, checked, min([0.0] + [m for block in minima for *_, m in block])
 
 
+def _integer_weights(weights) -> tuple[list[int], int]:
+    """Exact weights as (integer numerators, their common denominator)."""
+    denom = math.lcm(*[w.denominator for w in weights])
+    return [w.numerator * (denom // w.denominator) for w in weights], denom
+
+
 def _exact_sweep(n: int, weights):
     """Exact ``_sweep``: a float screen, certified over Python ints.
 
@@ -473,8 +481,7 @@ def _exact_sweep(n: int, weights):
     (margin numerator, violation or None, pairs, T); margin = numerator/T^2.
     """
     membership = up_set_matrix(n)
-    denom = math.lcm(*[w.denominator for w in weights])
-    ints = [w.numerator * (denom // w.denominator) for w in weights]
+    ints = _integer_weights(weights)[0]
     total = sum(ints)
     exact_weights = np.array(ints, dtype=object)
     sums = np.zeros(len(membership), dtype=object)
@@ -534,9 +541,10 @@ def is_associated(measure, *, tolerance=None) -> PropertyReport:
     rule: a failing report carries the lexicographically first violating
     pair and the minimum over the row blocks up to and including the first
     block with a violation, and ``pairs_checked`` counts the pairs of
-    those blocks.  A holding report has swept every pair and carries the
-    global minimum; in exact mode that is 0 (the full up-set is
-    uncorrelated with every up-set).
+    those blocks.  A holding report counts every pair and carries the
+    global minimum, 0 in exact mode (the full up-set is uncorrelated
+    with every up-set), where a (1.3) measure holds by Theorem 1.2,
+    unswept, ``pairs_checked`` counting the pairs covered; float mode sweeps.
 
     At most 5 sites for up-set checks; lattice, rates and dynamics up to
     6: ``enumerate_up_sets`` raises ``BudgetError`` for n = 6.
@@ -546,7 +554,9 @@ def is_associated(measure, *, tolerance=None) -> PropertyReport:
     tol = _resolve_tolerance(mode, tolerance)
     masks = enumerate_up_sets(n)
 
-    if mode == EXACT:
+    if mode == EXACT and satisfies_lattice(measure).holds:  # associated by Theorem 1.2
+        violation, checked, margin = None, len(masks) * (len(masks) + 1) // 2, Fraction(0)
+    elif mode == EXACT:
         best, violation, checked, total = _exact_sweep(n, measure.weights)
         margin = Fraction(best, total * total)
     else:
@@ -578,7 +588,8 @@ def satisfies_lattice(measure, *, tolerance=None) -> PropertyReport:
     invariant).  Comparable pairs hold with equality and are skipped.
     """
     _check_vector(measure)
-    w = measure.weights
+    exact = measure.mode == EXACT
+    w, denom = _integer_weights(measure.weights) if exact else (measure.weights, 1)
     tol = _resolve_tolerance(measure.mode, tolerance)
     strictly_positive = all(v > 0 for v in w)
     best, violation, checked = scan_slacks(
@@ -586,6 +597,7 @@ def satisfies_lattice(measure, *, tolerance=None) -> PropertyReport:
          for a, b in lattice_pairs(measure.n, strictly_positive)),
         tol,
     )
+    margin = Fraction(best, denom * denom) if exact and best is not None else best
     details = {
         "mode": measure.mode,
         "strictly_positive": strictly_positive,
@@ -595,7 +607,7 @@ def satisfies_lattice(measure, *, tolerance=None) -> PropertyReport:
     if violation is not None:
         a, b = violation
         witness = {"eta": a, "zeta": b, "meet": a & b, "join": a | b}
-    return _report("fkg-lattice", measure.mode, tol, witness, best, details)
+    return _report("fkg-lattice", measure.mode, tol, witness, margin, details)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +624,8 @@ def is_downward_fkg(measure, *, tolerance=None) -> PropertyReport:
     weights would be dominated by semigroup truncation noise.  The empty
     conditioning is the measure itself and the others go to
     ``is_associated`` unnormalized, but a slice with one site left has
-    nested up-sets, so margin exactly 0, and is not swept.
+    nested up-sets, so margin exactly 0, and is not swept; by Theorem 1.2
+    nor is an exact (1.3) slice (see ``is_associated``), unlike a float one.
     """
     pm = _as_probability(measure)
     n = pm.n

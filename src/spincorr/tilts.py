@@ -143,10 +143,11 @@ def dca_falsify(
     n >= 4 the downward-FKG screen (a necessary condition) runs first,
     then the first ``budget`` tilts of the soft-conditioning family, all
     (2^n - 1) * 3 of them by default; `holds` is never certified there,
-    and the screen raises ``BudgetError`` for n = 6.  ``seed`` has no
-    effect: it is still accepted, and must be an int.  A float violation
-    that no soft-conditioning tilt confirms lies within rounding of
-    -tolerance: at n <= 3 the verdict is then `holds` with the
+    and the screen raises ``BudgetError`` for n = 6; it sweeps no exact
+    (1.3) slice (Theorem 1.2; see ``is_associated``), but every float one.
+    ``seed`` has no effect: it is still accepted, and must be an int.  A
+    float violation that no soft-conditioning tilt confirms lies within
+    rounding of -tolerance: at n <= 3 the verdict is then `holds` with the
     closed-form margin, at n >= 4 the sweep runs.
     """
     validate_int(budget, "tilt budget", nonnegative=True)

@@ -13,7 +13,9 @@ followed by random draws from a subcone of the valid tilts, as
 (label, ``Fraction`` table) pairs, and
 ``fresh_family_dca`` the DCA sweep over a freshly built family with
 ``Fraction`` tables.  ``reference_downward_fkg`` sweeps every conditioning
-of at least one site, normalized, through ``is_associated``.  ``permute``
+of at least one site, normalized, through ``is_associated``.
+``reference_lattice`` scans the lattice condition over ``Fraction``
+slacks, the reference for ``satisfies_lattice``'s integer scan.  ``permute``
 and ``flip`` map a vector by a site permutation and by the global spin
 flip; association and the lattice condition are invariant under both,
 downward FKG under permutations.  ``permute_rates`` and ``flip_rates`` map
@@ -260,6 +262,23 @@ def fresh_family_dca(measure, budget: int, *, tolerance=None) -> PropertyReport:
     details["tilts_sampled"] = sampled
     details["min_sampled_margin"] = best
     return PropertyReport("dca", SEARCH_EXHAUSTED, None, best, details)
+
+
+def reference_lattice(vector: WeightVector) -> tuple:
+    """(margin, witness, pairs checked) of the exact lattice condition: the
+    ``Fraction`` slacks w(a&b) w(a|b) - w(a) w(b) of the weights as given,
+    over ``lattice_pairs`` in order up to the first negative one."""
+    w = vector.as_fractions()
+    best = witness = None
+    checked = 0
+    for a, b in lattice_pairs(vector.n, all(v > 0 for v in w)):
+        checked += 1
+        slack = w[a & b] * w[a | b] - w[a] * w[b]
+        best = slack if best is None else min(best, slack)
+        if slack < 0:
+            witness = {"eta": a, "zeta": b, "meet": a & b, "join": a | b}
+            break
+    return best, witness, checked
 
 
 def reference_downward_fkg(measure, *, tolerance=None) -> PropertyReport:

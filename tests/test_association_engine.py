@@ -9,9 +9,15 @@ holding a violation, report that pair (lexicographically first), the
 minimum over the blocks swept, and the number of pairs in them.  The
 screen and recheck values themselves must lie within their a-priori
 rounding bounds of the exact covariances.
+
+An exact measure that satisfies (1.3) is associated by Theorem 1.2, and
+``is_associated`` reports it without a sweep; these tests sweep it anyway
+(``sweeping``), so that every family still exercises the screen, and
+``TestLatticeShortcut`` checks that the unswept report is the sweep's.
 """
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -19,15 +25,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import point_mass
+
 from spincorr import measures
 from spincorr.harness import derangement_measure, implication_gap_measures, random_measure
-from spincorr.lattice import enumerate_up_sets, up_set_matrix, up_set_members
+from spincorr.lattice import BudgetError, enumerate_up_sets, up_set_matrix, up_set_members
 from spincorr.measures import (
+    FAILS,
     ProbabilityMeasure,
+    PropertyReport,
     WeightVector,
     is_associated,
+    is_downward_fkg,
     normalize,
     reverify_witness,
+    satisfies_lattice,
     tilt,
 )
 from spincorr.tilts import conditioning_tilt, dca_falsify
@@ -76,8 +88,19 @@ def reference_association(weights):
     return "holds", None, Fraction(int(best), total * total), pairs
 
 
+@contextmanager
+def sweeping():
+    """Within it ``is_associated`` sweeps an exact measure that satisfies
+    (1.3) too, which it otherwise reports by Theorem 1.2 without a sweep."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measures, "satisfies_lattice",
+                      lambda vector: PropertyReport("fkg-lattice", FAILS))
+        yield
+
+
 def engine(measure):
-    report = is_associated(measure)
+    with sweeping():
+        report = is_associated(measure)
     witness = report.witness and (report.witness["mask_u"], report.witness["mask_v"])
     return report.verdict, witness, report.margin, report.details["pairs_checked"]
 
@@ -168,7 +191,9 @@ class TestCertification:
         # a point mass is the product with every site probability 0 or 1
         cases.append(ProbabilityMeasure.product([1, 0, 1, 0, 0]))
         for measure in cases:
-            report = is_associated(measure)
+            with sweeping():
+                report = is_associated(measure)
+            assert report == is_associated(measure)  # by Theorem 1.2, without a sweep
             assert report.holds
             assert report.margin == 0
             assert report.details["pairs_checked"] == {4: 14196, 5: 28739571}[measure.n]
@@ -235,7 +260,8 @@ def assert_modes_agree(exact):
     the same numbers."""
     floats = ProbabilityMeasure.floats([float(w) for w in exact.weights])
     report = is_associated(floats, tolerance=0)
-    expected = is_associated(exact)
+    with sweeping():
+        expected = is_associated(exact)
     assert report.verdict == expected.verdict
     assert report.witness == expected.witness
     assert report.details["pairs_checked"] == expected.details["pairs_checked"]
@@ -379,7 +405,8 @@ class TestRoundingBounds:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(measures, "_sweep", spy)
-            is_associated(measure)
+            # the sweep itself: is_associated reports a (1.3) draw without one
+            measures._exact_sweep(5, measure.weights)
         rng = np.random.default_rng(seed)
         # a float64 quotient is within 2^-53 of the exact covariance (|cov| <= 1/4)
         band = spied["band"] - 2.0**-53
@@ -397,6 +424,57 @@ class TestRoundingBounds:
             exact = exact_covariances(measure.weights, i, j)
             assert np.abs(values[flat].astype(np.float64) - exact).max() <= band
             assert np.abs(rechecked - exact).max() <= bound
+
+
+def lattice_measures(n: int) -> list:
+    """Exact measures that satisfy (1.3): lattice and product draws, and
+    three with zero weights: a product with a site at p = 0 and one at
+    p = 1, a point mass, and the lattice draw 0 restricted to the up-set of
+    configurations with site 0 on, which is closed under meets."""
+    pinned = [Fraction(1, 3)] * n
+    pinned[0], pinned[-1] = Fraction(0), Fraction(1)  # one site: p = 1
+    lattice = random_measure(0, n, "lattice").weights
+    return [random_measure(seed, n, family) for family in ("lattice", "product")
+            for seed in range(3)] + [
+        ProbabilityMeasure.product(pinned),
+        point_mass(n, (1 << n) // 3),
+        WeightVector.exact([w if c & 1 else 0 for c, w in enumerate(lattice)]),
+    ]
+
+
+class TestLatticeShortcut:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_reports_are_those_of_the_sweep(self, n, monkeypatch):
+        """An exact measure that satisfies (1.3) is associated by Theorem
+        1.2: is_associated and is_downward_fkg report it without a sweep,
+        in the reports the sweep builds (verdict, witness, margin, details,
+        ``pairs_checked`` counting every pair)."""
+        cases = lattice_measures(n)
+
+        def no_sweep(*args):
+            raise AssertionError("an exact (1.3) measure was swept")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(measures, "_exact_sweep", no_sweep)
+            assert all(satisfies_lattice(measure).holds for measure in cases)
+            reports = [(is_associated(measure), is_downward_fkg(measure)) for measure in cases]
+        with sweeping():
+            swept = [(is_associated(measure), is_downward_fkg(measure)) for measure in cases]
+        assert reports == swept
+        assert all(type(report.margin) is Fraction for pair in reports for report in pair)
+
+    def test_float_mode_and_six_sites_are_not_shortcut(self, monkeypatch):
+        """Passing (1.3) within a tolerance proves nothing, so a float copy
+        of a lattice draw is swept; six sites still exceed the budget."""
+        measure = random_measure(0, 5, "lattice")
+        floats = WeightVector.floats([float(w) for w in measure.weights])
+        sweep, swept = measures._sweep, []
+        monkeypatch.setattr(measures, "_sweep", lambda *args: swept.append(args) or sweep(*args))
+        assert satisfies_lattice(floats).holds
+        report = is_associated(floats)
+        assert len(swept) == 1 and report.holds and type(report.margin) is float
+        with pytest.raises(BudgetError):
+            is_associated(random_measure(0, 6, "lattice"))
 
 
 def hidden_violation() -> WeightVector:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import point_mass, scaled, uniform
+from oracles import point_mass, reference_lattice, scaled, uniform
 
 from spincorr.harness import (
     MEASURE_MODES,
@@ -262,6 +262,24 @@ class TestSatisfiesLattice:
         report = satisfies_lattice(WeightVector.exact(weights))
         assert report.fails
         assert {report.witness["eta"], report.witness["zeta"]} == {0b001, 0b110}
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_exact_scan_matches_the_fraction_reference(self, n):
+        """The exact scan, over integer numerators, has the margin, witness
+        and pair count of a scan over Fraction slacks: on every family,
+        unnormalized, scaled, and with weights of 1e-30."""
+        for family in MEASURE_MODES:
+            for seed in range(6):
+                drawn = random_measure(seed, n, family)
+                tiny = [Fraction(1, 10**30) if c % 3 == 1 else w
+                        for c, w in enumerate(drawn.weights)]
+                for vector in (drawn, normalize(drawn), scaled(drawn, Fraction(1, 10**30)),
+                               WeightVector.exact(tiny)):
+                    report = satisfies_lattice(vector)
+                    margin, witness, checked = reference_lattice(vector)
+                    assert type(report.margin) is Fraction and report.margin == margin
+                    assert report.witness == witness
+                    assert report.details["pairs_checked"] == checked
 
 
 @pytest.mark.parametrize("check", [is_associated, satisfies_lattice, is_downward_fkg])

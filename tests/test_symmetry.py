@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from oracles import flip, flip_rates, permute, permute_rates, permuted_configs
 
 from spincorr.dynamics import (
+    RateTable,
     association_determinant_poly,
     birth_submodularity,
     births_additive,
@@ -115,13 +116,31 @@ class TestSymmetryGuards:
                     assert up_sets.index(witness["mask_u"]) <= up_sets.index(witness["mask_v"])
 
 
-# contact paths on 2-4 sites and seeded draws of every kind at n = 2-4
+def top_coefficient_system(n: int, site: int) -> RateTable:
+    """Births at ``site`` only: each proper nonempty set of the other sites
+    adds 1 when the configuration meets it, and the set of all of them
+    adds -1/2, so births_additive fails at that top Moebius coefficient
+    alone; no deaths."""
+    others = (1 << n) - 1 ^ 1 << site
+    proper = [a for a in range(1, others) if a & ~others == 0]
+
+    def birth(x, c):
+        if x != site or not c & others:
+            return Fraction(0)
+        return sum(Fraction(1) for a in proper if c & a) - Fraction(1, 2)
+
+    return RateTable.from_site_functions(n, birth, lambda x, c: Fraction(0))
+
+
+# contact paths on 2-4 sites, seeded draws of every kind at n = 2-4, and
+# births that fail additivity only at the top coefficient, at each site
 SYSTEMS = [(f"contact_path{k}", contact_process(path_edges(k))) for k in (2, 3, 4)] + [
     (f"{kind} n={n} seed={seed}", random_spin_system(seed, n, kind))
     for kind in ("generic", "attractive", "independent")
     for n in (2, 3, 4)
     for seed in range(6)
-]
+] + [(f"top coefficient n={n} site={x}", top_coefficient_system(n, x))
+     for n in (3, 4) for x in range(n)]
 # lambda*t up to 1 150: one leaf, two leaves, and the leaf kernel squared
 SEMIGROUP_TIMES = (0.1, 1.0, 100.0)
 # float rounding only, far below the checkers' 1e-9 tolerance; measured at
