@@ -626,11 +626,15 @@ def is_downward_fkg(measure, *, tolerance=None) -> PropertyReport:
     ``is_associated`` unnormalized, but a slice with one site left has
     nested up-sets, so margin exactly 0, and is not swept; by Theorem 1.2
     nor is an exact (1.3) slice (see ``is_associated``), unlike a float one.
+    An exact measure that satisfies (1.3) takes one scan for all its slices,
+    each a sublattice and so (1.3) itself.
     """
     pm = _as_probability(measure)
     n = pm.n
     tol = _resolve_tolerance(pm.mode, tolerance)
     floor = 0 if pm.mode == EXACT else FLOAT_NORMALIZATION_SLACK
+    enumerate_up_sets(n)  # BudgetError for n = 6, as is_associated raises on the first slice
+    lattice = pm.mode == EXACT and satisfies_lattice(pm).holds
     best = None
     witness = None
     checked = skipped = 0
@@ -641,8 +645,8 @@ def is_downward_fkg(measure, *, tolerance=None) -> PropertyReport:
             skipped += 1
             continue
         checked += 1
-        if len(weights) <= 2:
-            if len(weights) == 2 and best is None:  # no margin is positive
+        if len(weights) <= 2 or lattice:
+            if len(weights) >= 2 and best is None:  # no margin is positive
                 best = Fraction(0) if pm.mode == EXACT else 0.0
             continue
         sub = pm if amask == 0 else WeightVector(len(remaining), tuple(weights), pm.mode)

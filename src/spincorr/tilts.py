@@ -13,7 +13,9 @@ h = (eps/(1+eps))^|eta on A|, held as (label, exact ``Fraction`` table):
 positive, decreasing and log-modular by construction, so valid.  At four
 sites or more ``dca_falsify`` sweeps the soft-conditioning family:
 ``conditioning_tilt`` on every nonempty site set with eps in {1, 1/10,
-1/100}, built with its float tables once per n per process.
+1/100}, built with its float tables once per n per process.  A log-modular
+h keeps (1.3), so on an exact (1.3) measure no tilt is swept: each is
+associated by Theorem 1.2.
 """
 
 from __future__ import annotations
@@ -145,6 +147,9 @@ def dca_falsify(
     (2^n - 1) * 3 of them by default; `holds` is never certified there,
     and the screen raises ``BudgetError`` for n = 6; it sweeps no exact
     (1.3) slice (Theorem 1.2; see ``is_associated``), but every float one.
+    Nor are the tilts of an exact (1.3) measure swept: each keeps (1.3),
+    so the report counts them in ``tilts_sampled`` with the float margin
+    0.0 (None for budget 0).  A float measure sweeps them.
     ``seed`` has no effect: it is still accepted, and must be an int.  A
     float violation that no soft-conditioning tilt confirms lies within
     rounding of -tolerance: at n <= 3 the verdict is then `holds` with the
@@ -191,12 +196,17 @@ def dca_falsify(
         if confirmed is not None:
             return PropertyReport("dca", FAILS, *confirmed, details)
 
+    family = _conditioning_family(n)[:budget]
+    details["tilts_sampled"] = len(family)
+    if pm.mode == EXACT and satisfies_lattice(pm).holds:
+        # a log-modular h keeps (1.3), so every tilt is associated by Theorem 1.2, margin 0
+        details["min_sampled_margin"] = best = 0.0 if family else None
+        return PropertyReport("dca", SEARCH_EXHAUSTED, None, best, details)
     weights = pm.as_float_array()
     support = np.count_nonzero(weights)
     null = _null_up_sets(n, weights > 0)  # h > 0 keeps the support, unless a weight underflows
     float_tol = _resolve_tolerance(FLOAT, tolerance)
     best = None
-    family = _conditioning_family(n)[:budget]
     for sampled, (label, h, table) in enumerate(family, 1):
         tilted = weights * table
         tilted /= tilted.sum()
@@ -209,7 +219,6 @@ def dca_falsify(
             if confirmed is not None:
                 details["tilts_sampled"] = sampled
                 return PropertyReport("dca", FAILS, *confirmed, details)
-    details["tilts_sampled"] = len(family)
     details["min_sampled_margin"] = best
     return PropertyReport("dca", SEARCH_EXHAUSTED, None, best, details)
 

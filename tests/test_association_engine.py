@@ -476,6 +476,24 @@ class TestLatticeShortcut:
         with pytest.raises(BudgetError):
             is_associated(random_measure(0, 6, "lattice"))
 
+    def test_downward_fkg_scans_the_lattice_condition_once(self, monkeypatch):
+        """Every zero slice of a (1.3) measure is a sublattice, so one exact
+        scan covers them all; a float copy sweeps its 26 slices with two or
+        more sites left, and six sites still exceed the budget."""
+        scan, scans = measures.satisfies_lattice, []
+        monkeypatch.setattr(measures, "satisfies_lattice",
+                            lambda *args, **kwargs: scans.append(args) or scan(*args, **kwargs))
+        for measure in lattice_measures(5):
+            scans.clear()
+            assert is_downward_fkg(measure).holds and len(scans) == 1
+        measure = random_measure(0, 5, "lattice")
+        floats = WeightVector.floats([float(w) for w in measure.weights])
+        sweep, swept = measures._sweep, []
+        monkeypatch.setattr(measures, "_sweep", lambda *args: swept.append(args) or sweep(*args))
+        assert is_downward_fkg(floats).holds and len(swept) == 26
+        with pytest.raises(BudgetError):
+            is_downward_fkg(random_measure(0, 6, "lattice"))
+
 
 def hidden_violation() -> WeightVector:
     """The five-site lattice draw 0 mixed, with weight t, with the uniform

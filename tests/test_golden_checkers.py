@@ -20,7 +20,9 @@ The expected results in ``golden/checkers.json`` were produced by
   ``is_associated`` at the default tolerance and at 0, and ``dca_falsify``
   (budget 3) on the float lattice draw and on ``derangement_measure(5)``:
   sweeps whose chunks the float32 screen decides, that fail in their
-  first chunk, and whose every chunk lies in the screen's band.
+  first chunk, and whose every chunk lies in the screen's band;
+- ``dca_falsify`` at the default budget on two exact five-site measures
+  that satisfy (1.3): a lattice draw and the product with p = 3/7.
 
 Comparison is the one of the golden CLI corpus: floats (and float reprs)
 within 1e-12, everything else exactly.
@@ -43,6 +45,7 @@ from test_small_measures import EDGE_WEIGHTS
 from spincorr.cli import main
 from spincorr.harness import derangement_measure, random_measure, random_spin_system
 from spincorr.measures import (
+    ProbabilityMeasure,
     WeightVector,
     is_associated,
     is_downward_fkg,
@@ -148,6 +151,10 @@ def record(workdir) -> dict:
             results[f"{name} float tolerance={tolerance}"] = report_to_dict(report)
     results["dca budget 3 lattice n=5 seed=0 float"] = report_to_dict(dca_falsify(lattice, 3))
     results["dca budget 3 derangement5"] = report_to_dict(dca_falsify(derangement_measure(5), 3))
+    # exact (1.3) measures over the default budget: every tilt of the family
+    for name, measure in (("lattice n=5 seed=0", normalize(random_measure(0, 5, "lattice"))),
+                          ("product p=3/7 n=5", ProbabilityMeasure.product([Fraction(3, 7)] * 5))):
+        results[f"dca default budget {name} exact"] = report_to_dict(dca_falsify(measure))
     return results
 
 

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import io
 import json
+import random
 import re
 from fractions import Fraction
 from itertools import islice
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import fraction_tilt_values, fresh_family_dca, sampled_tilts, tilt_table_is_valid
+from test_association_engine import lattice_measures
 
 from spincorr import tilts
 from spincorr.cli import build_parser, main
@@ -24,6 +26,7 @@ from spincorr.harness import (
     implication_gap_measures,
     random_measure,
 )
+from spincorr.lattice import BudgetError
 from spincorr.measures import (
     DEFAULT_FLOAT_TOLERANCE,
     FAILS,
@@ -432,6 +435,97 @@ class TestTiltStream:
         mu = derangement_measure(4)
         with pytest.raises(ValueError, match="tilt budget must be a nonnegative integer"):
             dca_falsify(mu, budget=budget)
+
+
+def _is_sublattice(support: int) -> bool:
+    members = [c for c in range(support.bit_length()) if support >> c & 1]
+    return all(support >> (a & b) & 1 and support >> (a | b) & 1 for a in members for b in members)
+
+
+SUBLATTICES = {n: [s for s in range(1, 1 << (1 << n)) if _is_sublattice(s)] for n in (2, 3)}
+
+
+def small_lattice_measure(seed: int) -> ProbabilityMeasure:
+    """A seeded exact two- or three-site measure that satisfies (1.3): a
+    strictly positive w = prod a_x^eta_x prod J_xy^(eta_x eta_y)
+    K^(eta_0 eta_1 eta_2), with every J_xy >= 1 and J_xy K >= 1 (its
+    squares), often with equality, and half the time zeroed off a random
+    sublattice of {0,1}^n, where (1.3) still holds."""
+    rng = random.Random(seed)
+    n = rng.choice([2, 3])
+
+    def excess():  # 0 four times in seven
+        return Fraction(max(0, rng.randrange(-3, 4)), rng.randrange(1, 5))
+
+    a = [Fraction(rng.randrange(1, 10), rng.randrange(1, 10)) for _ in range(n)]
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    j = {pair: 1 + excess() for pair in pairs}
+    k = (1 + excess()) / min(j.values())
+    support = rng.choice(SUBLATTICES[n]) if rng.random() < 0.5 else (1 << (1 << n)) - 1
+    weights = []
+    for c in range(1 << n):
+        on = [x for x in range(n) if c >> x & 1]
+        w = prod(a[x] for x in on) * prod(j[x, y] for x, y in pairs if x in on and y in on)
+        weights.append(w * (k if len(on) == 3 else 1) if support >> c & 1 else Fraction(0))
+    return normalize(WeightVector.exact(weights))
+
+
+class TestLatticeTilts:
+    """A soft-conditioning h is log-modular, so h*mu keeps (1.3): on an
+    exact (1.3) measure every tilt is associated by Theorem 1.2, and
+    dca_falsify sweeps none of them."""
+
+    @pytest.mark.parametrize("n, budget", [(4, tilts.DEFAULT_TILT_BUDGET), (5, 3)])
+    def test_reports_are_those_of_the_sweep_with_margin_zero(self, n, budget, monkeypatch):
+        # a five-site tilt sweep takes about 36 ms (2-CPU host), so only three tilts here;
+        # tests/golden/checkers.json pins two default-budget five-site reports
+        cases = [normalize(measure) for measure in lattice_measures(n)]
+        if n == 4:  # the lattice draw 33, whose swept margin was -1.47e-16
+            cases.append(normalize(random_measure(33, 4, "lattice")))
+        swept = [fresh_family_dca(measure, budget) for measure in cases]
+
+        def no_sweep(*args):
+            raise AssertionError("a tilt of an exact (1.3) measure was swept")
+
+        monkeypatch.setattr(tilts, "_float_sweep", no_sweep)
+        for measure, expected in zip(cases, swept):
+            assert satisfies_lattice(measure).holds
+            report = dca_falsify(measure, budget)
+            assert (report.verdict, report.witness) == (expected.verdict, expected.witness)
+            assert report.verdict == SEARCH_EXHAUSTED and report.witness is None
+            unswept = {**report.details, "min_sampled_margin": None}
+            assert unswept == {**expected.details, "min_sampled_margin": None}
+            assert report.details["tilts_sampled"] == min(budget, 3 * ((1 << n) - 1))
+            assert report.margin == report.details["min_sampled_margin"] == 0.0
+            assert type(report.margin) is type(report.details["min_sampled_margin"]) is float
+            assert -1e-15 <= expected.margin <= 0
+
+    def test_no_budget_float_copies_and_six_sites(self, monkeypatch):
+        """Budget 0 samples no margin; passing (1.3) within a tolerance
+        proves nothing, so a float copy is swept; six sites exceed the
+        screen's budget."""
+        measure = normalize(random_measure(0, 5, "lattice"))
+        report = dca_falsify(measure, budget=0)
+        assert report.margin is report.details["min_sampled_margin"] is None
+        assert report.verdict == SEARCH_EXHAUSTED and report.details["tilts_sampled"] == 0
+        floats = ProbabilityMeasure.floats(measure.as_float_array())
+        sweep, swept = tilts._float_sweep, []
+        monkeypatch.setattr(tilts, "_float_sweep", lambda *args: swept.append(args) or sweep(*args))
+        assert satisfies_lattice(floats).holds
+        report = dca_falsify(floats, budget=2)
+        assert len(swept) == 2 and report.verdict == SEARCH_EXHAUSTED
+        with pytest.raises(BudgetError):
+            dca_falsify(normalize(random_measure(0, 6, "lattice")))
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_closed_forms_hold_on_lattice_measures(self, seed):
+        """Theorem 1.2 where DCA is decided: a two- or three-site (1.3)
+        measure, zero weights included, is DCA with a margin >= 0."""
+        measure = small_lattice_measure(seed)
+        assert satisfies_lattice(measure).holds
+        report = dca_falsify(measure)
+        assert report.verdict == HOLDS and report.margin >= 0
 
 
 # Float measures at the DCA boundary on which the two- and three-site
