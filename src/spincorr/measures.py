@@ -15,13 +15,11 @@ whole chunks of pairs against two thresholds.  Float mode sets both to
 -tolerance; exact mode (float32 at five sites) sets them to a rounding
 bound either side of 0 and recomputes over Python ints, once each, the
 incomparable pairs between that a float64 recheck leaves undecided: exact
-verdicts and margins hold for any weights.  At five sites, where a sweep
-has 61 chunks, the screen writes every chunk into one buffer per sweep,
-and float mode screens a chunk in float32 after two it decided, computing
-in float64 only the chunks that screen cannot show positive: its reports
-are those of a float64 sweep, bit for bit.  By Theorem 1.2 an exact
-measure that satisfies (1.3) is associated, unswept, ``pairs_checked``
-counting the pairs that verdict covers; float mode never takes that path.
+verdicts and margins hold for any weights.  Exact mode sweeps less where
+it can: by Theorem 1.2 a measure that satisfies (1.3) is associated,
+unswept, and a five-site one fixed by more than two site permutations
+first sweeps one up-set row per orbit, holding if those rows do.  Float
+mode takes neither path; its reports are a float64 sweep's, bit for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +28,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import permutations
 
 import numpy as np
 
@@ -323,7 +322,38 @@ def _pairs_once(flat, ncols):
     return flat[flat >= flat // ncols * (ncols + 1)]
 
 
-def _sweep(n: int, weights: np.ndarray, null: np.ndarray, low: float, high: float, certify):
+@lru_cache(maxsize=None)
+def _config_permutations(n: int) -> np.ndarray:
+    """Row g maps each configuration to its image under the g-th site permutation."""
+    bits = np.arange(1 << n)[:, None] >> np.arange(n) & 1
+    table = (1 << np.array(list(permutations(range(n))))) @ bits.T
+    table.flags.writeable = False
+    return table
+
+
+def _site_symmetries(vector) -> np.ndarray:
+    """The rows of ``_config_permutations`` fixing the weights: equal lowest terms, or bits."""
+    ids = {}
+    keys = (np.array([ids.setdefault(w.as_integer_ratio(), len(ids)) for w in vector.weights])
+            if vector.mode == EXACT else vector.as_float_array().view(np.int64))
+    table = _config_permutations(vector.n)
+    return table[(keys[table] == keys).all(axis=1)]
+
+
+def _orbit_rows(vector):
+    """At five sites, the up-set rows least in their ``_site_symmetries`` orbit if at most
+    half of all, so fewer pairs than a full sweep's against every column; else None."""
+    if vector.n < 5 or len(group := _site_symmetries(vector)) <= 2:  # 2: over half the rows
+        return None
+    matrix, masks = _sweep_tables(5)[:2]
+    powers = np.exp2(group)  # U's image mask, the sum over c in U of 2^g(c), is exact; 1 MB parts
+    least = np.hstack([(powers @ part.T).min(axis=0) for part in np.array_split(matrix, 8)])
+    rows = (least == masks).nonzero()[0]
+    return rows if 2 * rows.size <= masks.size else None
+
+
+def _sweep(n: int, weights: np.ndarray, null: np.ndarray, low: float, high: float, certify,
+           rows=None):
     """The block rule of ``is_associated``, in both arithmetic modes, on
     checked and normalized float64 weights and their ``_null_up_sets``.
 
@@ -338,7 +368,8 @@ def _sweep(n: int, weights: np.ndarray, null: np.ndarray, low: float, high: floa
     _CERT_BATCH at a time, those with a recheck below the float64 bound,
     but for comparable U and V, go to ``certify(i, j, rows of U & V)``,
     which returns their exact values, and the first negative one violates,
-    ending the sweep after its block.
+    ending the sweep after its block.  Given ``rows``, ascending, exact mode
+    sweeps those alone, each chunk of them a block; chunk bounds index them.
     Where a sweep has several chunks (n = 5) the screen GEMM writes into
     one ``buffer`` allocated per sweep, so the values ``screen`` returns are
     overwritten by its next call.  Float mode (``certify`` None) there
@@ -364,28 +395,32 @@ def _sweep(n: int, weights: np.ndarray, null: np.ndarray, low: float, high: floa
     """
     matrix, masks, blocks, dtype, band, bound = _sweep_tables(n)
     k = matrix.shape[0]
+    order = np.arange(k) if rows is None else rows
     p = weights @ matrix.T
     left = np.empty((k, weights.size + 1), dtype if certify else np.float64)
     right = np.empty_like(left)  # not a view into one buffer: misaligned, it slows the GEMM
     np.multiply(matrix, weights, out=left[:, :-1])
     left[:, -1], right[:, :-1], right[:, -1] = -p, matrix, p
     step = blocks[0][1][0][1]  # rows of the first chunk, the largest
+    if rows is not None:
+        blocks = [(0, [(lo, min(lo + step, rows.size))]) for lo in range(0, rows.size, step)]
     buffer = np.empty(step * k, dtype) if step < k else None  # several chunks (n = 5)
     float_screen = not certify and buffer is not None
     quick = (left.astype(dtype), right.astype(dtype)) if float_screen else (left, right)
 
     def screen(lo, hi, fast=bool(certify)):
         operands, out = (quick, buffer) if fast else ((left, right), None)
+        sel, start = (slice(lo, hi), lo) if rows is None else (rows[lo:hi], rows[lo])
         if out is not None:
-            out = out[:(hi - lo) * (k - lo)].reshape(hi - lo, k - lo)
-        values = np.matmul(operands[0][lo:hi], operands[1][lo:].T, out=out)
-        values[:, null[lo:]] = np.inf
-        values[null[lo:hi]] = np.inf
+            out = out[:(hi - lo) * (k - start)].reshape(hi - lo, k - start)
+        values = np.matmul(operands[0][sel], operands[1][start:].T, out=out)
+        values[:, null[start:]] = np.inf
+        values[null[sel]] = np.inf
         return values.ravel(), values.shape[1]
 
     def recheck(lo, flat, ncols):
-        rows = flat // ncols
-        i, j = lo + rows, lo + flat - rows * ncols
+        offsets = flat // ncols
+        i, j = order[lo + offsets], order[lo] + flat - offsets * ncols
         inter = masks.searchsorted(masks[i] & masks[j])
         return i, j, inter, p[inter] - p[i] * p[j]
 
@@ -395,7 +430,7 @@ def _sweep(n: int, weights: np.ndarray, null: np.ndarray, low: float, high: floa
         minima.append([])
         for lo, hi in chunks:
             values = None  # the last chunk's, freed before the next GEMM
-            if null[lo:hi].all():
+            if null[order[lo:hi]].all():
                 continue
             if decided > 1 and float(screen(lo, hi, True)[0].min()) >= cut:
                 continue  # every float64 value is > 0: neither a violation nor below 0.0
@@ -419,7 +454,7 @@ def _sweep(n: int, weights: np.ndarray, null: np.ndarray, low: float, high: floa
                     first = int(batch[kept[negative[0]]])
                     break
             if first < values.size:
-                violation = lo + first // ncols, lo + first % ncols
+                violation = int(order[lo + first // ncols]), int(order[lo]) + first % ncols
         if violation is not None:
             break
     return violation, sum(pairs for pairs, _ in blocks[:len(minima)]), minima, screen, recheck
@@ -444,7 +479,7 @@ def _integer_weights(weights) -> tuple[list[int], int]:
     return [w.numerator * (denom // w.denominator) for w in weights], denom
 
 
-def _exact_sweep(n: int, weights):
+def _exact_sweep(n: int, weights, rows=None):
     """Exact ``_sweep``: a float screen, certified over Python ints.
 
     Write the weights as integers a_c over their common denominator T and
@@ -496,10 +531,11 @@ def _exact_sweep(n: int, weights):
         known[need] = True
         return total * sums[inter] - sums[i] * sums[j]
 
-    violation, checked, minima, screen, recheck = _sweep(
-        n, np.array([a / total for a in ints]), _null_up_sets(n, [a > 0 for a in ints]),
-        -band, band, certify,
-    )
+    args = (n, np.array([a / total for a in ints]), _null_up_sets(n, [a > 0 for a in ints]),
+            -band, band, certify)
+    if rows is not None and _sweep(*args, rows)[0] is None:  # ``_orbit_rows`` cover every pair
+        return 0, None, len(membership) * (len(membership) + 1) // 2, total
+    violation, checked, minima, screen, recheck = _sweep(*args)
     if violation is None:
         return 0, None, checked, total
     threshold = min(chunk_min for *_, chunk_min in minima[-1]) + 2 * band
@@ -543,8 +579,9 @@ def is_associated(measure, *, tolerance=None) -> PropertyReport:
     block with a violation, and ``pairs_checked`` counts the pairs of
     those blocks.  A holding report counts every pair and carries the
     global minimum, 0 in exact mode (the full up-set is uncorrelated
-    with every up-set), where a (1.3) measure holds by Theorem 1.2,
-    unswept, ``pairs_checked`` counting the pairs covered; float mode sweeps.
+    with every up-set), where a (1.3) measure holds by Theorem 1.2 and a
+    five-site one once its ``_orbit_rows`` do, if it has them, unswept in
+    full, ``pairs_checked`` counting the pairs covered; float mode sweeps.
 
     At most 5 sites for up-set checks; lattice, rates and dynamics up to
     6: ``enumerate_up_sets`` raises ``BudgetError`` for n = 6.
@@ -557,7 +594,7 @@ def is_associated(measure, *, tolerance=None) -> PropertyReport:
     if mode == EXACT and satisfies_lattice(measure).holds:  # associated by Theorem 1.2
         violation, checked, margin = None, len(masks) * (len(masks) + 1) // 2, Fraction(0)
     elif mode == EXACT:
-        best, violation, checked, total = _exact_sweep(n, measure.weights)
+        best, violation, checked, total = _exact_sweep(n, measure.weights, _orbit_rows(measure))
         margin = Fraction(best, total * total)
     else:
         weights = measure.as_float_array()

@@ -15,7 +15,8 @@ sites or more ``dca_falsify`` sweeps the soft-conditioning family:
 ``conditioning_tilt`` on every nonempty site set with eps in {1, 1/10,
 1/100}, built with its float tables once per n per process.  A log-modular
 h keeps (1.3), so on an exact (1.3) measure no tilt is swept: each is
-associated by Theorem 1.2.
+associated by Theorem 1.2.  Of two tilts that a site permutation fixing
+the measure maps to each other only the first is swept.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .measures import (
     _float_sweep,
     _null_up_sets,
     _resolve_tolerance,
+    _site_symmetries,
     _up_set_pair_covariance,
     is_associated,
     is_downward_fkg,
@@ -149,7 +151,10 @@ def dca_falsify(
     (1.3) slice (Theorem 1.2; see ``is_associated``), but every float one.
     Nor are the tilts of an exact (1.3) measure swept: each keeps (1.3),
     so the report counts them in ``tilts_sampled`` with the float margin
-    0.0 (None for budget 0).  A float measure sweeps them.
+    0.0 (None for budget 0).  A float measure sweeps them.  Nor is a tilt
+    swept whose site set is not the least of its orbit under the site
+    permutations fixing the weights: its tilted measure is the image of
+    one swept before it, so only a float margin may move, in its last bits.
     ``seed`` has no effect: it is still accepted, and must be an int.  A
     float violation that no soft-conditioning tilt confirms lies within
     rounding of -tolerance: at n <= 3 the verdict is then `holds` with the
@@ -206,8 +211,11 @@ def dca_falsify(
     support = np.count_nonzero(weights)
     null = _null_up_sets(n, weights > 0)  # h > 0 keeps the support, unless a weight underflows
     float_tol = _resolve_tolerance(FLOAT, tolerance)
+    least = _site_symmetries(pm).min(axis=0)  # per site-set mask, the least of its orbit
     best = None
     for sampled, (label, h, table) in enumerate(family, 1):
+        if least[amask := (sampled + 2) // 3] < amask:  # three tilts per site set
+            continue  # a symmetry maps it to a tilt on that mask, swept before it
         tilted = weights * table
         tilted /= tilted.sum()
         _check_float_mass(sum(tilted.tolist()))

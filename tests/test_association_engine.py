@@ -14,6 +14,9 @@ An exact measure that satisfies (1.3) is associated by Theorem 1.2, and
 ``is_associated`` reports it without a sweep; these tests sweep it anyway
 (``sweeping``), so that every family still exercises the screen, and
 ``TestLatticeShortcut`` checks that the unswept report is the sweep's.
+An exact five-site measure fixed by site permutations sweeps one up-set
+row per orbit first; ``TestOrbitSweep`` checks that its reports are those
+of the full sweep.
 """
 
 import math
@@ -25,7 +28,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import point_mass
+from oracles import permuted_configs, point_mass
 
 from spincorr import measures
 from spincorr.harness import derangement_measure, implication_gap_measures, random_measure
@@ -599,3 +602,94 @@ class TestFloatRoundingBounds:
                               for a, b, c in zip(i.tolist(), j.tolist(), inter.tolist())])
             assert np.abs(screened[flat] - exact).max() <= band - 2.0**-53
             assert np.abs(values[flat] - exact).max() <= bound - 2.0**-53
+
+
+def symmetrized(weights, perms) -> WeightVector:
+    """The sum of the images of ``weights`` under ``perms``, a group of site
+    permutations, so fixed by each of them."""
+    out = [0] * len(weights)
+    for perm in perms:
+        for w, image in zip(weights, permuted_configs(5, perm)):
+            out[image] += w
+    return WeightVector.exact(out)
+
+
+def orbit_sweep_measures() -> dict:
+    """Exact five-site measures by the order of the group of site
+    permutations that fixes them, and the measures themselves."""
+    generic = random_measure(0, 5, "generic").weights
+    cycle = [tuple((x + k) % 5 for x in range(5)) for k in range(5)]
+    derangement = derangement_measure(5).weights
+
+    def marked(config):  # weight where no permutation has its fixed points
+        return WeightVector.exact([w + (c == config) / Fraction(1000)
+                                   for c, w in enumerate(derangement)])
+
+    return {
+        "derangement": (120, derangement_measure(5)),
+        "product 3/7": (120, ProbabilityMeasure.product([Fraction(3, 7)] * 5)),
+        "product 1/2": (120, ProbabilityMeasure.product([Fraction(1, 2)] * 5)),
+        "product with p = 0 and 1": (6, ProbabilityMeasure.product([Fraction(1, 3)] * 3 + [0, 1])),
+        "generic, one transposition": (2, symmetrized(generic, [(0, 1, 2, 3, 4), (1, 0, 2, 3, 4)])),
+        # a binary necklace of five beads equals its mirror image: the dihedral group
+        "generic, a 5-cycle": (10, symmetrized(generic, cycle)),
+        "exchangeable, failing": (120, WeightVector.exact(
+            [(1, 4, 1, 1, 1, 2)[c.bit_count()] for c in range(32)])),
+        # each fails only on pairs least in no orbit of a larger group:
+        # the swap of sites 0 and 1, or every permutation, skips them
+        "derangement, site 1 marked": (24, marked(0b00010)),
+        "derangement, site 3 marked": (24, marked(0b01000)),
+        "1e-30 near point mass": (12, near_point_mass(5, Fraction(1, 10**30))),
+        "1e-7 near point mass": (12, near_point_mass(5, Fraction(1, 10**7))),
+    }
+
+
+class TestOrbitSweep:
+    def test_reports_are_those_of_the_full_sweep(self, monkeypatch):
+        """An exact five-site measure fixed by a group G of more than two site
+        permutations first sweeps the up-set rows least in their G-orbit:
+        every pair has an image under G with such a row and the same
+        covariance.  If they hold no violation it holds; otherwise the full
+        sweep runs.  Either way the report (verdict, witness, exact margin,
+        ``pairs_checked``) is the one G forced to the identity gives, and
+        a holding measure pays no full sweep."""
+        cases = orbit_sweep_measures()
+        sweep, swept = measures._sweep, []  # a full sweep has six arguments, an orbit sweep seven
+        monkeypatch.setattr(measures, "_sweep",
+                            lambda *args: swept.append(len(args)) or sweep(*args))
+        reduced = {}
+        with sweeping():
+            for name, (order, measure) in cases.items():
+                assert len(measures._site_symmetries(measure)) == order, name
+                swept.clear()
+                reduced[name] = is_associated(measure)
+                orbit_sweeps = [] if order <= 2 else [7]
+                full_sweeps = [] if orbit_sweeps and reduced[name].holds else [6]
+                assert swept == orbit_sweeps + full_sweeps, name
+            monkeypatch.setattr(measures, "_site_symmetries",
+                                lambda vector: measures._config_permutations(vector.n)[:1])
+            full = {name: is_associated(measure) for name, (_, measure) in cases.items()}
+        assert reduced == full
+        assert all(type(report.margin) is Fraction for report in full.values())
+        assert {name for name, report in full.items() if report.holds} == {
+            "derangement", "product 3/7", "product 1/2", "product with p = 0 and 1"}
+
+    def test_the_orbit_sweep_meets_the_first_violation(self, monkeypatch):
+        """Uniform on the five one-site configurations, every up-set of the
+        first rows has probability 0, but not every one least in its orbit:
+        the first chunk of the orbit sweep is swept, and stops at the full
+        sweep's first violation, whose row is least in its orbit."""
+        measure = WeightVector.exact([c.bit_count() == 1 for c in range(32)])
+        sweep, violations = measures._sweep, []
+
+        def recording(*args):
+            result = sweep(*args)
+            violations.append(result[0])
+            return result
+
+        monkeypatch.setattr(measures, "_sweep", recording)
+        rows, chunk = measures._orbit_rows(measure), measures._sweep_tables(5)[2][0][1][0][1]
+        null = measures._null_up_sets(5, [w > 0 for w in measure.weights])
+        assert null[:chunk].all() and not null[rows[:chunk]].all()
+        assert is_associated(measure).fails
+        assert violations == [(167, 315)] * 2 and 167 in rows[:chunk]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from oracles import fraction_tilt_values, fresh_family_dca, sampled_tilts, tilt_table_is_valid
 from test_association_engine import lattice_measures
 
-from spincorr import tilts
+from spincorr import measures, tilts
 from spincorr.cli import build_parser, main
 from spincorr.harness import (
     ExperimentSpec,
@@ -612,3 +612,71 @@ class TestFloatBoundary:
         weights = [prod(p if c >> x & 1 else 1 - p for x, p in enumerate(probabilities))
                    for c in range(1 << len(probabilities))]
         _float_report(weights, 0)
+
+
+def fixed_by_one_transposition() -> ProbabilityMeasure:
+    """A four-site measure that only the swap of sites 0 and 1 fixes: three
+    sites weighted (3, 0, 0, 1, 6, 4, 4, 4) by configuration, and site 3
+    independent, on with probability 1/3.  Its first failing tilt is
+    soft conditioning on site 2, whose orbit under every site permutation
+    starts at site 0."""
+    base = (3, 0, 0, 1, 6, 4, 4, 4)
+    return normalize(WeightVector.exact([base[c & 0b111] * (2, 1)[c >> 3] for c in range(16)]))
+
+
+class TestTiltOrbits:
+    """A site permutation that fixes the measure maps the tilt on site set
+    A to the tilt on its image, and the tilted measures to each other, so
+    dca_falsify sweeps only the tilts whose site set is least in its orbit:
+    the family meets that one first.  The reports are those of sweeping
+    every tilt, the site-symmetry group forced to the identity."""
+
+    def _compare(self, cases, monkeypatch):
+        """Per case (report, tilts swept, tilts swept with no orbit skip),
+        the reports agreeing but in float margins, within 1e-15."""
+        sweep, swept = tilts._float_sweep, []
+        monkeypatch.setattr(tilts, "_float_sweep", lambda *args: swept.append(1) or sweep(*args))
+
+        def run(measure, budget):
+            swept.clear()
+            return dca_falsify(measure, budget=budget), len(swept)
+
+        reduced = [run(*case) for case in cases]
+        with monkeypatch.context() as patch:
+            patch.setattr(tilts, "_site_symmetries",
+                          lambda vector: measures._config_permutations(vector.n)[:1])
+            full = [run(*case) for case in cases]
+        for (report, _), (expected, _) in zip(reduced, full):
+            assert (report.verdict, report.witness) == (expected.verdict, expected.witness)
+            assert report.details.keys() == expected.details.keys()
+            for got, want in [(report.margin, expected.margin)] + [
+                    (report.details[key], value) for key, value in expected.details.items()]:
+                assert abs(got - want) <= 1e-15 if isinstance(want, float) else got == want
+        return [(report, sweeps, full[k][1]) for k, (report, sweeps) in enumerate(reduced)]
+
+    def test_reports_are_those_of_every_tilt(self, monkeypatch):
+        product = ProbabilityMeasure.product([Fraction(3, 7)] * 5)
+        product4 = ProbabilityMeasure.product([Fraction(2, 5)] * 4)
+        cases = [(derangement_measure(4), tilts.DEFAULT_TILT_BUDGET),
+                 # a five-site tilt sweep takes about 36 ms (2-CPU host): site sets 1 to 4 only
+                 (derangement_measure(5), 12), (product, 12),
+                 (ProbabilityMeasure.floats(product.as_float_array()), 12),
+                 (product4, 45), (ProbabilityMeasure.floats(product4.as_float_array()), 45)]
+        sweeps = [(reduced, full) for _, reduced, full in self._compare(cases, monkeypatch)]
+        # four orbits of site sets at n = 4, and sets 1 and 3 of the first four at n = 5;
+        # an exact product satisfies (1.3) and sweeps none
+        assert sweeps == [(12, 45), (6, 12), (0, 0), (6, 12), (0, 0), (12, 45)]
+
+    def test_a_failing_tilt_is_least_in_its_orbit(self, monkeypatch):
+        # the measure fails downward FKG; no known four-site measure is
+        # downward FKG but not DCA, so the screen is patched to hold
+        holding = PropertyReport("downward-fkg", HOLDS, None, None, {})
+        monkeypatch.setattr(tilts, "is_downward_fkg", lambda *args, **kwargs: holding)
+        measure = fixed_by_one_transposition()
+        assert len(measures._site_symmetries(measure)) == 2
+        cases = [(measure, 45), (ProbabilityMeasure.floats(measure.as_float_array()), 45)]
+        for report, reduced, full in self._compare(cases, monkeypatch):
+            assert report.fails and report.witness["tilt_label"] == "conditioning-[2]-eps=1"
+            assert report.details["tilts_sampled"] == 10
+            # site sets {0}, {0, 1} and {2}, but not {1}, before the failing tilt
+            assert (reduced, full) == (7, 10)
