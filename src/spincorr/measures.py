@@ -286,8 +286,8 @@ def _sweep_tables(n: int):
     """Per-n constants of the sweep: the membership matrix as float64, the
     up-set masks as int64 (ascending, so ``searchsorted`` finds the row of
     an intersection), per row block the number of pairs i <= j in it and
-    its chunks as row ranges (the first is the largest: a sweep's screen
-    buffer holds its rows times K entries), the screen's type, float32
+    its chunks as row ranges (the first is the largest: a sweep's buffer
+    holds its rows times K entries), the screen's type, float32
     where a sweep has several chunks (n = 5), and two bounds from the
     formula of ``_exact_sweep``: ``band`` for the screen type and ``bound``
     for float64, which covers the float64 recheck and a float64 GEMM."""
@@ -370,20 +370,19 @@ def _sweep(n: int, weights: np.ndarray, null: np.ndarray, low: float, high: floa
     which returns their exact values, and the first negative one violates,
     ending the sweep after its block.  Given ``rows``, ascending, exact mode
     sweeps those alone, each chunk of them a block; chunk bounds index them.
-    Where a sweep has several chunks (n = 5) the screen GEMM writes into
-    one ``buffer`` allocated per sweep, so the values ``screen`` returns are
-    overwritten by its next call.  Float mode (``certify`` None) there
-    computes its first chunks in float64, as below five sites, and screens
-    a chunk in the screen type first once two chunks in a row were decided
-    (minimum at least ``band + bound``): a lone decided chunk is often a
-    block's short last one, and on products the next block's first is not
-    decided.  A screened chunk with minimum at least ``band + bound`` has
-    every float64 value above 0, since each screen value lies within
-    ``band`` and each float64 value within ``bound`` of the same exact
-    value: it holds no violation and nothing below the margin's 0.0, and
-    is skipped.  Any other chunk is computed in float64 into a fresh array
-    from the float64 operands, so the values, first violation and minima
-    are those of a float64 sweep, bit for bit.
+    Every GEMM writes into the one buffer a sweep allocates for its operands'
+    type, so the values ``screen`` returns are overwritten by its next call
+    in that type.  Float mode (``certify`` None) computes its five-site
+    chunks in float64 at first, as below five sites, and screens a chunk in
+    the screen type first once two chunks in a row were decided (minimum at
+    least ``band + bound``): a lone decided chunk is often a block's short
+    last one, and on products the next block's first is not decided.  A
+    screened chunk with minimum at least ``band + bound`` has every float64
+    value above 0, since each screen value lies within ``band`` and each
+    float64 value within ``bound`` of the same exact value: it holds no
+    violation and nothing below the margin's 0.0, and is skipped.  Any other
+    chunk is computed in float64 from the float64 operands, so the values,
+    first violation and minima are those of a float64 sweep, bit for bit.
     Returns (first violating pair or None, pairs in the blocks swept, per
     block swept its chunks' (lo, hi, float minimum), but for the chunks
     float mode skipped, ``screen``, ``recheck``): ``screen(lo, hi)``
@@ -404,16 +403,16 @@ def _sweep(n: int, weights: np.ndarray, null: np.ndarray, low: float, high: floa
     step = blocks[0][1][0][1]  # rows of the first chunk, the largest
     if rows is not None:
         blocks = [(0, [(lo, min(lo + step, rows.size))]) for lo in range(0, rows.size, step)]
-    buffer = np.empty(step * k, dtype) if step < k else None  # several chunks (n = 5)
-    float_screen = not certify and buffer is not None
+    float_screen = dtype != left.dtype
     quick = (left.astype(dtype), right.astype(dtype)) if float_screen else (left, right)
+    # one per type: a shared one leaves a five-site float sweep's heap resident (ROADMAP 18)
+    buffers = {t: np.empty(step * k, t) for t in {left.dtype, quick[0].dtype}}
 
     def screen(lo, hi, fast=bool(certify)):
-        operands, out = (quick, buffer) if fast else ((left, right), None)
+        operands = quick if fast else (left, right)
         sel, start = (slice(lo, hi), lo) if rows is None else (rows[lo:hi], rows[lo])
-        if out is not None:
-            out = out[:(hi - lo) * (k - start)].reshape(hi - lo, k - start)
-        values = np.matmul(operands[0][sel], operands[1][start:].T, out=out)
+        values = np.ndarray((hi - lo, k - start), operands[0].dtype, buffers[operands[0].dtype])
+        np.matmul(operands[0][sel], operands[1][start:].T, out=values)
         values[:, null[start:]] = np.inf
         values[null[sel]] = np.inf
         return values.ravel(), values.shape[1]
@@ -429,7 +428,6 @@ def _sweep(n: int, weights: np.ndarray, null: np.ndarray, low: float, high: floa
     for _, chunks in blocks:
         minima.append([])
         for lo, hi in chunks:
-            values = None  # the last chunk's, freed before the next GEMM
             if null[order[lo:hi]].all():
                 continue
             if decided > 1 and float(screen(lo, hi, True)[0].min()) >= cut:

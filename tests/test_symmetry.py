@@ -8,10 +8,12 @@ to three sites; at four, a failing tilt witness maps across.
 
 A spin system maps the same way, the flip swapping births with deaths:
 the rate classifiers keep their verdicts under permutations, and
-attractiveness and independent flips under the flip too; the t = 0
-derivative of an association determinant is the same number for the
-permuted generator, measure and sites; and the semigroup commutes with
-both maps within float rounding."""
+attractiveness and independent flips under the flip too, while births
+increasing and submodular after the flip are deaths decreasing and
+submodular before it (``TestFlipDuals``, with test-local death checks);
+the t = 0 derivative of an association determinant is the same number
+for the permuted generator, measure and sites; and the semigroup
+commutes with both maps within float rounding."""
 
 import random
 from fractions import Fraction
@@ -37,7 +39,14 @@ from spincorr.dynamics import (
     path_edges,
     semigroup_apply,
 )
-from spincorr.harness import MEASURE_MODES, random_measure, random_spin_system
+from spincorr.harness import (
+    MEASURE_MODES,
+    corner_flip_system,
+    crossed_birth_pair,
+    random_measure,
+    random_spin_system,
+    supermodular_single_birth,
+)
 from spincorr.lattice import enumerate_up_sets
 from spincorr.measures import (
     EXACT,
@@ -294,3 +303,66 @@ class TestRateSymmetry:
                 image = semigroup_apply(image_gen, move(measure), t).weights
                 gap = max(abs(a - b) for a, b in zip(image, move(evolved).weights))
                 assert gap <= SEMIGROUP_ROUNDING, (t, move, gap)
+
+
+def decreasing_death_slacks(rates) -> dict:
+    """death(lower) - death(upper) at every site, by (site, lower, upper)
+    for each pair of configurations one site apart."""
+    return {(x, lo, lo | 1 << y): rates.death[x][lo] - rates.death[x][lo | 1 << y]
+            for x in range(rates.n) for lo in range(1 << rates.n)
+            for y in range(rates.n) if not lo >> y & 1}
+
+
+def submodular_death_slacks(rates) -> dict:
+    """death(eta) + death(zeta) - death(or) - death(and) at every site, by
+    (site, base, x, y) for each square base, base + x, base + y, base + x + y."""
+    return {(s, base, x, y): rates.death[s][base | 1 << x] + rates.death[s][base | 1 << y]
+            - rates.death[s][base | 1 << x | 1 << y] - rates.death[s][base]
+            for s in range(rates.n) for x, y in combinations(range(rates.n), 2)
+            for base in range(1 << rates.n) if not base & (1 << x | 1 << y)}
+
+
+def flipped_key(prop: str, witness, n: int) -> tuple:
+    """The death pair or square of the original system that a birth witness
+    of the flipped one names: the flip reverses the order of configurations."""
+    full = (1 << n) - 1
+    if prop == "increasing-births":
+        return witness["site"], full ^ witness["upper"], full ^ witness["lower"]
+    x, y = witness["raised"]
+    return witness["site"], full ^ witness["base"] ^ 1 << x ^ 1 << y, x, y
+
+
+def assert_flip_dualizes_births(rates):
+    """births_increasing and birth_submodularity of the flipped system hold
+    exactly when the deaths are decreasing and submodular; a failing witness
+    names the death pair or square with the same slack, below 0, and a
+    holding margin is the least death slack."""
+    image = flip_rates(rates)
+    for classifier, death_slacks in ((births_increasing, decreasing_death_slacks),
+                                     (birth_submodularity, submodular_death_slacks)):
+        report, slacks = classifier(image), death_slacks(rates)
+        assert report.holds == (min(slacks.values()) >= 0), classifier.__name__
+        if report.holds:
+            assert report.margin == min(slacks.values())
+            continue
+        slack = violation_slack(report.property, image, report.witness)
+        assert report.margin == slack < 0
+        assert slacks[flipped_key(report.property, report.witness, rates.n)] == slack
+
+
+NAMED_SYSTEMS = [(name, system()) for name, system in (
+    ("corner_flip", corner_flip_system), ("crossed_birth_pair", crossed_birth_pair),
+    ("supermodular_single_birth", supermodular_single_birth))]
+
+
+class TestFlipDuals:
+    @pytest.mark.parametrize("rates", [rates for _, rates in SYSTEMS + NAMED_SYSTEMS],
+                             ids=[name for name, _ in SYSTEMS + NAMED_SYSTEMS])
+    def test_named_and_seeded_systems(self, rates):
+        assert_flip_dualizes_births(rates)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(("generic", "attractive", "independent")), st.integers(2, 4),
+           st.integers(0, 10**6))
+    def test_drawn_systems(self, kind, n, seed):
+        assert_flip_dualizes_births(random_spin_system(seed, n, kind))
