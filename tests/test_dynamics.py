@@ -691,15 +691,34 @@ def assert_grid_matches_reference(system):
                     assert Fraction(value, denominator * 8**4) == derivative_at_zero(gen, mu, poly)
 
 
+SEARCH_SYSTEMS = [
+    ("contact", 3, None),
+    ("contact", 4, None),
+    *((kind, n, seed) for kind in ("generic", "attractive") for n in (3, 4) for seed in (0, 1)),
+]
+
+
+def search_system(kind, n, seed):
+    return contact_process(path_edges(n)) if kind == "contact" else random_spin_system(seed, n, kind)
+
+
 class TestDerivativeCoefficients:
-    @pytest.mark.parametrize("kind, n, seed", [
-        ("contact", 3, None),
-        ("contact", 4, None),
-        *((kind, n, seed) for kind in ("generic", "attractive") for n in (3, 4) for seed in (0, 1)),
-    ])
+    @pytest.mark.parametrize("kind, n, seed", SEARCH_SYSTEMS)
     def test_biquadratic_equals_reference_on_the_search_grid(self, kind, n, seed):
-        system = contact_process(path_edges(n)) if kind == "contact" else random_spin_system(seed, n, kind)
-        assert_grid_matches_reference(system)
+        assert_grid_matches_reference(search_system(kind, n, seed))
+
+    @pytest.mark.parametrize("kind, n, seed", SEARCH_SYSTEMS)
+    def test_swapping_the_sites_transposes_the_coefficients(self, kind, n, seed):
+        # D_yx(rho, lam) = D_xy(lam, rho), so the association search's (y, x)
+        # cases repeat its (x, y) cases value for value
+        gen = build_generator(search_system(kind, n, seed))
+        cases, backgrounds, _ = _search_plan("association", n)
+        for _, x, y in cases:
+            for background in backgrounds:
+                xy, yx = (derivative_coefficients(association_determinant_poly(n, *sites),
+                                                  product_corners(gen, *sites, background))
+                          for sites in ((x, y), (y, x)))
+                assert yx == ([list(row) for row in zip(*xy[0])], xy[1])
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_exact_at_huge_rate_denominators(self, seed):
