@@ -10,16 +10,17 @@ Every checker returns a :class:`PropertyReport` whose ``fails`` verdict
 carries a witness that re-evaluates to a strict violation on its own.
 
 Association up to five sites is decided by one blocked sweep over pairs
-of up-sets (``_sweep``), shared by both arithmetic modes: a GEMM screens
-whole chunks of pairs against two thresholds.  Float mode sets both to
--tolerance; exact mode (float32 at five sites) sets them to a rounding
-bound either side of 0 and recomputes over Python ints, once each, the
-incomparable pairs between that a float64 recheck leaves undecided: exact
-verdicts and margins hold for any weights.  Exact mode sweeps less where
-it can: by Theorem 1.2 a measure that satisfies (1.3) is associated,
-unswept, and a five-site one fixed by more than two site permutations
-first sweeps one up-set row per orbit, holding if those rows do.  Float
-mode takes neither path; its reports are a float64 sweep's, bit for bit.
+of up-sets (``_sweep``), one per restriction to the support, shared by
+both arithmetic modes: a GEMM screens whole chunks of pairs against two
+thresholds.  Float mode sets both to -tolerance; exact mode (float32 at
+five sites) sets them to a rounding bound either side of 0 and recomputes
+over Python ints, once each, the pairs between not nested on the support
+that a float64 recheck leaves undecided: exact verdicts and margins hold
+for any weights.  Exact mode sweeps less where it can: by Theorem 1.2 a
+measure that satisfies (1.3) is associated, unswept, and a five-site one
+fixed by more than two site permutations first sweeps one row per orbit,
+holding if those rows do.  Float mode takes neither path; its reports are
+a float64 sweep's, bit for bit.
 """
 
 from __future__ import annotations
@@ -286,35 +287,32 @@ def _sweep_tables(n: int):
     """Per-n constants of the sweep: the membership matrix as float64, the
     up-set masks as int64 (ascending, so ``searchsorted`` finds the row of
     an intersection), per row block the number of pairs i <= j in it and
-    its chunks as row ranges (the first is the largest: a sweep's buffer
-    holds its rows times K entries), the screen's type, float32
-    where a sweep has several chunks (n = 5), and two bounds from the
-    formula of ``_exact_sweep``: ``band`` for the screen type and ``bound``
-    for float64, which covers the float64 recheck and a float64 GEMM."""
+    its end row, the screen's type, float32 where a full sweep has several
+    chunks (n = 5), and two bounds from the formula of ``_exact_sweep``:
+    ``band`` for the screen type and ``bound`` for float64, which covers the
+    float64 recheck and a float64 GEMM."""
     matrix = up_set_matrix(n).astype(np.float64)
     k = matrix.shape[0]
     block = max(1, min(k, _BLOCK_ENTRIES // k))
-    step = max(1, min(block, _CHUNK_ENTRIES // k))
-    blocks = []
-    for start in range(0, k, block):
-        stop = min(start + block, k)
-        rows = stop - start
-        chunks = [(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
-        blocks.append((rows * (k - start) - rows * (rows - 1) // 2, chunks))
+    blocks = [(rows * (k - start) - rows * (rows - 1) // 2, start + rows)
+              for start in range(0, k, block) for rows in [min(block, k - start)]]
     masks = np.asarray(enumerate_up_sets(n), dtype=np.int64)
     matrix.flags.writeable = masks.flags.writeable = False
-    screen = np.float32 if step < k else np.float64  # several chunks (n = 5): GEMMs dominate
+    screen = np.float32 if _CHUNK_ENTRIES < k * k else np.float64  # several chunks: GEMMs dominate
     bounds = [float((4 * 2**n + 8) * np.finfo(t).eps + (2**(n + 1) + 2) * np.finfo(t).tiny)
               for t in (screen, np.float64)]
     return matrix, masks, blocks, screen, *bounds
 
 
-def _null_up_sets(n: int, support) -> np.ndarray:
-    """Mask of the up-sets of probability 0 or 1 under a measure whose
-    support is the boolean vector ``support``.  Such an up-set has
-    covariance exactly 0 with every up-set, whatever the rounding says."""
-    in_support = _sweep_tables(n)[0] @ np.asarray(support, dtype=np.float64)
-    return (in_support == 0) | (in_support == in_support[-1])
+def _support_classes(n: int, weights):
+    """The up-sets' restrictions to the support of ``weights`` (int64 masks) and, ascending, the
+    least up-set of each but the empty one and the support: cov(1_U, 1_V) depends only on them,
+    in float64 too (off the support every term is 0), and is 0 if U or V has probability 0 or 1."""
+    masks, support = _sweep_tables(n)[1], np.asarray(weights) > 0
+    if support.all():  # every up-set is its own restriction
+        return masks, np.arange(1, masks.size - 1)
+    restrictions = masks & (support @ (1 << np.arange(1 << n)))
+    return restrictions, np.sort(np.unique(restrictions, return_index=True)[1][1:-1])
 
 
 def _pairs_once(flat, ncols):
@@ -340,36 +338,39 @@ def _site_symmetries(vector) -> np.ndarray:
     return table[(keys[table] == keys).all(axis=1)]
 
 
-def _orbit_rows(vector):
-    """At five sites, the up-set rows least in their ``_site_symmetries`` orbit if at most
-    half of all, so fewer pairs than a full sweep's against every column; else None."""
+def _orbit_rows(vector, classes):
+    """At five sites, the ``_support_classes`` least in their ``_site_symmetries`` orbit, if at
+    most half of them; else None.  Each is its restriction's up-closure, so an image of one is
+    one, and a pair's image with the least lesser class has it as a row, the other no earlier."""
     if vector.n < 5 or len(group := _site_symmetries(vector)) <= 2:  # 2: over half the rows
         return None
     matrix, masks = _sweep_tables(5)[:2]
     powers = np.exp2(group)  # U's image mask, the sum over c in U of 2^g(c), is exact; 1 MB parts
-    least = np.hstack([(powers @ part.T).min(axis=0) for part in np.array_split(matrix, 8)])
-    rows = (least == masks).nonzero()[0]
-    return rows if 2 * rows.size <= masks.size else None
+    least = np.hstack([(powers @ part.T).min(0) for part in np.array_split(matrix[classes], 8)])
+    rows = classes[least == masks[classes]]
+    return rows if 2 * rows.size <= classes.size else None
 
 
-def _sweep(n: int, weights: np.ndarray, null: np.ndarray, low: float, high: float, certify,
+def _sweep(n: int, weights: np.ndarray, classes: np.ndarray, low: float, high: float, certify,
            rows=None):
     """The block rule of ``is_associated``, in both arithmetic modes, on
-    checked and normalized float64 weights and their ``_null_up_sets``.
+    checked and normalized float64 weights, over the rows and columns
+    ``classes`` (``_support_classes``): any other pair i <= j has the value
+    0 or that of a pair of classes no later in row-major order, in the same
+    row block if negative (the blocks before held), so the reports are
+    those of sweeping every up-set.
 
     Each chunk of rows is one GEMM, [M*w | -p] @ [M | p]^T with p = M @ w,
     in exact mode in ``_sweep_tables``' screen type, over its rows and the
-    columns j >= its first row; rows and columns of null up-sets are +inf,
-    and chunks of only null rows (a point mass) are not computed.  Entry
-    (i, j), j < i, repeats the earlier (j, i) term for term, so the first
-    violation and the minima are those of the pairs i <= j.  A value below
-    ``low`` violates and one at or above ``high`` holds; the pairs between
-    before the first value below ``low`` (``_pairs_once``) are rechecked
-    _CERT_BATCH at a time, those with a recheck below the float64 bound,
-    but for comparable U and V, go to ``certify(i, j, rows of U & V)``,
-    which returns their exact values, and the first negative one violates,
-    ending the sweep after its block.  Given ``rows``, ascending, exact mode
-    sweeps those alone, each chunk of them a block; chunk bounds index them.
+    columns j >= its first row.  Entry (i, j), j < i, repeats the earlier
+    (j, i) term for term, so the first violation and the minima are those
+    of the pairs i <= j.  A value below ``low`` violates and one at or
+    above ``high`` holds; the pairs between before the first value below
+    ``low`` (``_pairs_once``) are rechecked _CERT_BATCH at a time, those
+    with a recheck below the float64 bound go to ``certify(i, j, rows of
+    U & V)``, which returns their exact values, or 0 where it knows them
+    >= 0; the first negative one violates, and the sweep ends after its block.
+    Given ``rows``, classes ascending, exact mode sweeps those rows alone.
     Every GEMM writes into the one buffer a sweep allocates for its operands'
     type, so the values ``screen`` returns are overwritten by its next call
     in that type.  Float mode (``certify`` None) computes its five-site
@@ -386,55 +387,49 @@ def _sweep(n: int, weights: np.ndarray, null: np.ndarray, low: float, high: floa
     Returns (first violating pair or None, pairs in the blocks swept, per
     block swept its chunks' (lo, hi, float minimum), but for the chunks
     float mode skipped, ``screen``, ``recheck``): ``screen(lo, hi)``
-    recomputes a chunk as the sweep computes it, as (flat values, ncols),
-    flat entry (i - lo) * ncols + (j - lo) being the pair (i, j), and
+    recomputes the chunk of rows ``rows[lo:hi]`` (``classes`` if None) as
+    the sweep computes it, as (flat values, ncols), flat entry r * ncols + c
+    being the pair (rows[lo + r], classes[c - ncols]), and
     ``screen(lo, hi, True)`` as float mode screens it;
     ``recheck(lo, flat, ncols)`` gives the entries ``flat`` as (i, j, rows
     of U & V, float64 p(U & V) - p(U)*p(V)).
     """
     matrix, masks, blocks, dtype, band, bound = _sweep_tables(n)
-    k = matrix.shape[0]
-    order = np.arange(k) if rows is None else rows
+    rows = classes if rows is None else rows
     p = weights @ matrix.T
-    left = np.empty((k, weights.size + 1), dtype if certify else np.float64)
-    right = np.empty_like(left)  # not a view into one buffer: misaligned, it slows the GEMM
-    np.multiply(matrix, weights, out=left[:, :-1])
-    left[:, -1], right[:, :-1], right[:, -1] = -p, matrix, p
-    step = blocks[0][1][0][1]  # rows of the first chunk, the largest
-    if rows is not None:
-        blocks = [(0, [(lo, min(lo + step, rows.size))]) for lo in range(0, rows.size, step)]
-    float_screen = dtype != left.dtype
-    quick = (left.astype(dtype), right.astype(dtype)) if float_screen else (left, right)
+    columns = np.empty((classes.size, weights.size + 1), dtype if certify else np.float64)
+    columns[:, :-1], columns[:, -1] = matrix[classes], p[classes]
+    right = {t: columns.astype(t, copy=False) for t in {columns.dtype.type, dtype}}
+    scale = np.append(weights, -1.0)  # a row of ``right`` times it: [M*w | -p], exactly
+    step = max(1, min(rows.size, _CHUNK_ENTRIES // max(1, classes.size)))
     # one per type: a shared one leaves a five-site float sweep's heap resident (ROADMAP 18)
-    buffers = {t: np.empty(step * k, t) for t in {left.dtype, quick[0].dtype}}
+    buffers = {t: np.empty(step * classes.size, t) for t in right}
 
     def screen(lo, hi, fast=bool(certify)):
-        operands = quick if fast else (left, right)
-        sel, start = (slice(lo, hi), lo) if rows is None else (rows[lo:hi], rows[lo])
-        values = np.ndarray((hi - lo, k - start), operands[0].dtype, buffers[operands[0].dtype])
-        np.matmul(operands[0][sel], operands[1][start:].T, out=values)
-        values[:, null[start:]] = np.inf
-        values[null[sel]] = np.inf
+        t, first = dtype if fast else np.float64, classes.searchsorted(rows[lo])
+        at = slice(lo, hi) if rows is classes else classes.searchsorted(rows[lo:hi])
+        values = np.ndarray((hi - lo, classes.size - first), t, buffers[t])
+        np.matmul((right[t][at] * scale).astype(t, copy=False), right[t][first:].T, out=values)
         return values.ravel(), values.shape[1]
 
     def recheck(lo, flat, ncols):
         offsets = flat // ncols
-        i, j = order[lo + offsets], order[lo] + flat - offsets * ncols
+        i, j = rows[lo + offsets], classes[flat - offsets * ncols - ncols]
         inter = masks.searchsorted(masks[i] & masks[j])
         return i, j, inter, p[inter] - p[i] * p[j]
 
     violation, decided, cut = None, 0, band + bound  # decided: chunks in a row
     minima = []
-    for _, chunks in blocks:
+    ends = rows.searchsorted([stop for _, stop in blocks])  # where each block's rows end
+    for start, end in zip([0, *ends], ends):
         minima.append([])
-        for lo, hi in chunks:
-            if null[order[lo:hi]].all():
-                continue
+        for lo in range(start, end, step):
+            hi = min(lo + step, end)
             if decided > 1 and float(screen(lo, hi, True)[0].min()) >= cut:
                 continue  # every float64 value is > 0: neither a violation nor below 0.0
             values, ncols = screen(lo, hi)
             chunk_min = float(values.min())
-            decided = decided + 1 if float_screen and chunk_min >= cut else 0
+            decided = decided + 1 if len(right) > 1 and chunk_min >= cut else 0  # float screens
             minima[-1].append((lo, hi, chunk_min))
             if violation is not None or chunk_min >= high:
                 continue
@@ -446,19 +441,18 @@ def _sweep(n: int, weights: np.ndarray, null: np.ndarray, low: float, high: floa
                 batch = undecided[start:start + _CERT_BATCH]
                 i, j, inter, rechecked = recheck(lo, batch, ncols)
                 kept = (rechecked < bound).nonzero()[0]  # the others hold
-                kept = kept[(inter[kept] != i[kept]) & (inter[kept] != j[kept])]  # incomparable
                 negative = (certify(i[kept], j[kept], inter[kept]) < 0).nonzero()[0]
                 if negative.size:
                     first = int(batch[kept[negative[0]]])
                     break
             if first < values.size:
-                violation = int(order[lo + first // ncols]), int(order[lo]) + first % ncols
+                violation = int(rows[lo + first // ncols]), int(classes[first % ncols - ncols])
         if violation is not None:
             break
     return violation, sum(pairs for pairs, _ in blocks[:len(minima)]), minima, screen, recheck
 
 
-def _float_sweep(n: int, weights: np.ndarray, null: np.ndarray, tol: float):
+def _float_sweep(n: int, weights: np.ndarray, classes: np.ndarray, tol: float):
     """Float-mode ``_sweep`` by ``is_associated``'s rule: (violation, pairs, margin).
 
     ``_exact_sweep``'s error bound, on which ``_sweep``'s float32 screen
@@ -467,7 +461,7 @@ def _float_sweep(n: int, weights: np.ndarray, null: np.ndarray, tol: float):
     its own, and they sum to 1 within 1e-12, so every mu is at most
     1 + 1e-12, an excess that the bands' factor 2 absorbs.
     """
-    violation, checked, minima, _, _ = _sweep(n, weights, null, -tol, -tol, None)  # never certifies
+    violation, checked, minima, _, _ = _sweep(n, weights, classes, -tol, -tol, None)
     return violation, checked, min([0.0] + [m for block in minima for *_, m in block])
 
 
@@ -477,7 +471,7 @@ def _integer_weights(weights) -> tuple[list[int], int]:
     return [w.numerator * (denom // w.denominator) for w in weights], denom
 
 
-def _exact_sweep(n: int, weights, rows=None):
+def _exact_sweep(vector):
     """Exact ``_sweep``: a float screen, certified over Python ints.
 
     Write the weights as integers a_c over their common denominator T and
@@ -486,9 +480,10 @@ def _exact_sweep(n: int, weights, rows=None):
     ``_sweep`` on the normalized weights rounded to float64, so no
     denominator overflows it, with ``low, high = -band, band``; the pairs
     i <= j it cannot decide whose float64 recheck lies below ``bound`` are
-    recomputed as N over Python ints, and the others have N > 0.  A
-    comparable pair, U <= V say, has N = S(U)*(T - S(V)) >= 0, so it can
-    neither violate nor lower a margin, and is never recomputed.
+    recomputed as N over Python ints, and the others have N > 0.  A pair
+    whose restrictions to the support are nested, U <= V there say, has
+    N = S(U)*(T - S(V)) >= 0, so it can neither violate nor lower a margin,
+    and is never recomputed: ``certify`` gives it 0.
 
     Error bound (u = 2^-24 or 2^-53, tiny = 2^-126 or 2^-1022 for a float32
     or float64 screen, m = 2^n + 1 terms per GEMM dot product): each weight
@@ -504,34 +499,38 @@ def _exact_sweep(n: int, weights, rows=None):
     covers the rounding of the thresholds computed from it.  The float64
     recheck has no GEMM term and lies within ``bound``.
 
-    Null up-sets (probability 0 or 1, taken from the exact support) have
-    covariance exactly 0 with every up-set and are never certified.  Among
-    them is the full up-set, the last one, which lies in every block, so a
-    block without a violation has exact minimum 0.  The exact minimum of a
-    block with a violation is the least N among its pairs within 2*band of
-    its screen minimum and 2*bound of their least recheck (their chunks are
-    computed again; any evaluation within the bounds finds them).  Returns
-    (margin numerator, violation or None, pairs, T); margin = numerator/T^2.
+    Classes come from the exact support; a five-site ``vector`` holds
+    unswept in full if its ``_orbit_rows`` do.  A block without a violation
+    has exact minimum 0 (the full up-set's value); that of a block with a
+    violation is the least N among its pairs within 2*band of its screen
+    minimum and 2*bound of their least recheck (their chunks are computed
+    again; any evaluation within the bounds finds them).  Returns (margin
+    numerator, violation or None, pairs, T); margin = numerator/T^2.
     """
+    n = vector.n
     membership = up_set_matrix(n)
-    ints = _integer_weights(weights)[0]
+    ints = _integer_weights(vector.weights)[0]
     total = sum(ints)
     exact_weights = np.array(ints, dtype=object)
     sums = np.zeros(len(membership), dtype=object)
     known = np.zeros(len(membership), dtype=bool)
+    restrictions, classes = _support_classes(n, ints)
     band, bound = _sweep_tables(n)[4:]
 
     def certify(i, j, inter):
-        """N of the pairs (i[k], j[k]); up-set sums are cached per call."""
+        """N of the pairs (i[k], j[k]), 0 if nested on the support; sums are cached per call."""
+        values = np.zeros(i.size, dtype=object)
+        keep = (restrictions[inter] != restrictions[i]) & (restrictions[inter] != restrictions[j])
+        i, j, inter = i[keep], j[keep], inter[keep]
         need = np.concatenate([i, j, inter])
         need = need[~known[need]]
         sums[need] = membership[need] @ exact_weights
         known[need] = True
-        return total * sums[inter] - sums[i] * sums[j]
+        values[keep] = total * sums[inter] - sums[i] * sums[j]
+        return values
 
-    args = (n, np.array([a / total for a in ints]), _null_up_sets(n, [a > 0 for a in ints]),
-            -band, band, certify)
-    if rows is not None and _sweep(*args, rows)[0] is None:  # ``_orbit_rows`` cover every pair
+    args = (n, np.array([a / total for a in ints]), classes, -band, band, certify)
+    if (rows := _orbit_rows(vector, classes)) is not None and _sweep(*args, rows)[0] is None:
         return 0, None, len(membership) * (len(membership) + 1) // 2, total
     violation, checked, minima, screen, recheck = _sweep(*args)
     if violation is None:
@@ -546,7 +545,6 @@ def _exact_sweep(n: int, weights, rows=None):
                 i, j, inter, rechecked = recheck(lo, flat[start:start + _CERT_BATCH], ncols)
                 cut = min(cut, rechecked.min() + 2 * bound)
                 kept = (rechecked <= cut).nonzero()[0]
-                kept = kept[(inter[kept] != i[kept]) & (inter[kept] != j[kept])]
                 best = min(best, certify(i[kept], j[kept], inter[kept]).min(initial=0))
     return best, violation, checked, total
 
@@ -563,15 +561,16 @@ def is_associated(measure, *, tolerance=None) -> PropertyReport:
     in row blocks of (1 << 23) // K up-sets (K up-sets), one GEMM per
     whole chunk of rows, where V before U repeats (V, U), met earlier with
     the same value, so reports name U <= V in enumeration order and count
-    each pair once.  It stops after the first block with a violation.
+    each pair once.  It stops after the first block with a violation, and
+    takes one up-set per restriction to the support, with the same reports.
     Float mode calls a value below -tolerance a violation and its margin
     is the minimum of 0.0 (the full up-set's exact value) and the float
     values swept.  In exact mode the float values, float32 at five sites,
     only screen: every pair they cannot decide, within an a-priori
     rounding bound of 0 or of the violating block's float minimum, is
     recomputed over Python ints if a float64 recheck cannot decide it
-    either and U, V are incomparable (see ``_exact_sweep``), so the
-    verdict and margin are exact for any denominator.  Failing-margin
+    either and U, V are not nested on the support (see ``_exact_sweep``),
+    so the verdict and margin are exact for any denominator.  Failing-margin
     rule: a failing report carries the lexicographically first violating
     pair and the minimum over the row blocks up to and including the first
     block with a violation, and ``pairs_checked`` counts the pairs of
@@ -592,13 +591,13 @@ def is_associated(measure, *, tolerance=None) -> PropertyReport:
     if mode == EXACT and satisfies_lattice(measure).holds:  # associated by Theorem 1.2
         violation, checked, margin = None, len(masks) * (len(masks) + 1) // 2, Fraction(0)
     elif mode == EXACT:
-        best, violation, checked, total = _exact_sweep(n, measure.weights, _orbit_rows(measure))
+        best, violation, checked, total = _exact_sweep(measure)
         margin = Fraction(best, total * total)
     else:
         weights = measure.as_float_array()
         if not isinstance(measure, ProbabilityMeasure):
             weights /= measure.total
-        violation, checked, margin = _float_sweep(n, weights, _null_up_sets(n, weights > 0), tol)
+        violation, checked, margin = _float_sweep(n, weights, _support_classes(n, weights)[1], tol)
     witness = None
     if violation is not None:
         i, j = violation

@@ -40,9 +40,9 @@ from .measures import (
     _as_probability,
     _check_float_mass,
     _float_sweep,
-    _null_up_sets,
     _resolve_tolerance,
     _site_symmetries,
+    _support_classes,
     _up_set_pair_covariance,
     is_associated,
     is_downward_fkg,
@@ -209,7 +209,7 @@ def dca_falsify(
         return PropertyReport("dca", SEARCH_EXHAUSTED, None, best, details)
     weights = pm.as_float_array()
     support = np.count_nonzero(weights)
-    null = _null_up_sets(n, weights > 0)  # h > 0 keeps the support, unless a weight underflows
+    classes = _support_classes(n, weights)[1]  # h > 0 keeps them, unless a weight underflows
     float_tol = _resolve_tolerance(FLOAT, tolerance)
     least = _site_symmetries(pm).min(axis=0)  # per site-set mask, the least of its orbit
     best = None
@@ -219,8 +219,8 @@ def dca_falsify(
         tilted = weights * table
         tilted /= tilted.sum()
         _check_float_mass(sum(tilted.tolist()))
-        tilt_null = null if np.count_nonzero(tilted) == support else _null_up_sets(n, tilted > 0)
-        margin = _float_sweep(n, tilted, tilt_null, float_tol)[2]  # is_associated's margin
+        rows = _support_classes(n, tilted)[1] if np.count_nonzero(tilted) < support else classes
+        margin = _float_sweep(n, tilted, rows, float_tol)[2]  # is_associated's margin
         best = margin if best is None else min(best, margin)
         if margin < -max(tol, FLOAT_NORMALIZATION_SLACK):
             confirmed = _tilt_witness(pm, label, h, tolerance)

@@ -16,7 +16,9 @@ An exact measure that satisfies (1.3) is associated by Theorem 1.2, and
 ``TestLatticeShortcut`` checks that the unswept report is the sweep's.
 An exact five-site measure fixed by site permutations sweeps one up-set
 row per orbit first; ``TestOrbitSweep`` checks that its reports are those
-of the full sweep.
+of the full sweep.  Every sweep takes one up-set per restriction to the
+support; ``TestSupportClasses`` checks that its reports are those of
+sweeping every up-set of probability strictly between 0 and 1.
 """
 
 import math
@@ -31,9 +33,15 @@ from hypothesis import strategies as st
 
 from oracles import permuted_configs, point_mass
 
-from spincorr import measures
+from spincorr import measures, tilts
 from spincorr.harness import derangement_measure, implication_gap_measures, random_measure
-from spincorr.lattice import BudgetError, enumerate_up_sets, up_set_matrix, up_set_members
+from spincorr.lattice import (
+    BudgetError,
+    enumerate_up_sets,
+    site_product,
+    up_set_matrix,
+    up_set_members,
+)
 from spincorr.measures import (
     FAILS,
     ProbabilityMeasure,
@@ -229,8 +237,8 @@ class TestCertification:
 
 class TestFloatScreening:
     """An up-set of probability 0 or 1 has covariance exactly 0 with every
-    up-set, so the float sweep screens it as the exact sweep does instead
-    of ranking its rounding noise."""
+    up-set, so neither sweep takes it as a row or column, and the float
+    sweep does not rank its rounding noise."""
 
     def test_null_up_sets_never_violate_at_tolerance_zero(self):
         gap = normalize(implication_gap_measures(Fraction(1, 100))[0])
@@ -402,15 +410,15 @@ class TestRoundingBounds:
         measure, seed = drawn
         sweep, spied = measures._sweep, {}
 
-        def spy(n, weights, null, low, high, certify):
-            result = sweep(n, weights, null, low, high, certify)
+        def spy(n, weights, classes, low, high, certify, *rows):
+            result = sweep(n, weights, classes, low, high, certify, *rows)
             spied.update(band=high, minima=result[2], screen=result[3], recheck=result[4])
             return result
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(measures, "_sweep", spy)
             # the sweep itself: is_associated reports a (1.3) draw without one
-            measures._exact_sweep(5, measure.weights)
+            measures._exact_sweep(measure)
         rng = np.random.default_rng(seed)
         # a float64 quotient is within 2^-53 of the exact covariance (|cov| <= 1/4)
         band = spied["band"] - 2.0**-53
@@ -419,10 +427,9 @@ class TestRoundingBounds:
         for lo, hi, _ in {chunks[0][0], chunks[-1][-1]}:
             values, ncols = spied["screen"](lo, hi)
             assert values.dtype == np.float32
-            finite = np.isfinite(values).nonzero()[0]
             flat = np.unique(np.concatenate([
-                rng.choice(finite, min(finite.size, 1500), replace=False),
-                finite[[values[finite].argmin(), values[finite].argmax()]],
+                rng.choice(values.size, min(values.size, 1500), replace=False),
+                [values.argmin(), values.argmax()],
             ]))
             i, j, _, rechecked = spied["recheck"](lo, flat, ncols)
             exact = exact_covariances(measure.weights, i, j)
@@ -601,8 +608,7 @@ class TestFloatRoundingBounds:
 
         def spy(n, weights, *args):
             result = sweep(n, weights, *args)
-            spied.update(weights=weights, swept=len(result[2]), screen=result[3],
-                         recheck=result[4])
+            spied.update(weights=weights, minima=result[2], screen=result[3], recheck=result[4])
             return result
 
         with pytest.MonkeyPatch.context() as patch:
@@ -611,20 +617,17 @@ class TestFloatRoundingBounds:
         fractions = [Fraction(w) for w in spied["weights"].tolist()]
         total = math.lcm(*(f.denominator for f in fractions))
         ints = np.array([f.numerator * (total // f.denominator) for f in fractions], dtype=object)
-        _, _, blocks, _, band, bound = measures._sweep_tables(5)
+        band, bound = measures._sweep_tables(5)[4:]
         rng = np.random.default_rng(seed)
-        for lo, hi in {blocks[0][1][0], blocks[spied["swept"] - 1][1][-1]}:
+        chunks = [chunk for block in spied["minima"] for chunk in block]
+        for lo, hi, _ in {chunks[0], chunks[-1]}:
             screened, ncols = spied["screen"](lo, hi, True)
             screened = screened.astype(np.float64)  # a copy: the next call overwrites the buffer
             values, _ = spied["screen"](lo, hi, False)
             assert values.dtype == np.float64
-            finite = np.isfinite(values).nonzero()[0]
-            if not finite.size:
-                continue
             flat = np.unique(np.concatenate([
-                rng.choice(finite, min(finite.size, 1500), replace=False),
-                finite[[values[finite].argmin(), values[finite].argmax(),
-                        screened[finite].argmin(), screened[finite].argmax()]],
+                rng.choice(values.size, min(values.size, 1500), replace=False),
+                [values.argmin(), values.argmax(), screened.argmin(), screened.argmax()],
             ]))
             i, j, inter, _ = spied["recheck"](lo, flat, ncols)
             rows = np.unique(np.concatenate([i, j, inter]))
@@ -706,11 +709,27 @@ class TestOrbitSweep:
         assert {name for name, report in full.items() if report.holds} == {
             "derangement", "product 3/7", "product 1/2", "product with p = 0 and 1"}
 
+    def test_orbit_rows_are_the_least_classes_of_their_orbits(self):
+        """The orbit rows are the classes least among the classes of their
+        restriction's orbit, found here by mapping each image restriction to
+        its class: every pair of classes has an image with such a row and
+        the other class no earlier."""
+        for name, (order, measure) in orbit_sweep_measures().items():
+            restrictions, classes = measures._support_classes(5, measure.weights)
+            values, first = np.unique(restrictions, return_index=True)
+            bits = restrictions[classes, None] >> np.arange(32) & 1
+            images = np.exp2(measures._site_symmetries(measure)) @ bits.T
+            least = first[values.searchsorted(images.astype(np.int64))].min(axis=0)
+            rows = classes[least == classes]
+            expected = rows.tolist() if order > 2 and 2 * rows.size <= classes.size else None
+            found = measures._orbit_rows(measure, classes)
+            assert (found if found is None else found.tolist()) == expected, name
+
     def test_the_orbit_sweep_meets_the_first_violation(self, monkeypatch):
-        """Uniform on the five one-site configurations, every up-set of the
-        first rows has probability 0, but not every one least in its orbit:
-        the first chunk of the orbit sweep is swept, and stops at the full
-        sweep's first violation, whose row is least in its orbit."""
+        """Uniform on the five one-site configurations, the classes are the
+        30 nonempty proper subsets of the support, and the orbit rows one
+        class per subset size: the orbit sweep stops at the full sweep's
+        first violation, whose row is the first of them."""
         measure = WeightVector.exact([c.bit_count() == 1 for c in range(32)])
         sweep, violations = measures._sweep, []
 
@@ -720,8 +739,74 @@ class TestOrbitSweep:
             return result
 
         monkeypatch.setattr(measures, "_sweep", recording)
-        rows, chunk = measures._orbit_rows(measure), measures._sweep_tables(5)[2][0][1][0][1]
-        null = measures._null_up_sets(5, [w > 0 for w in measure.weights])
-        assert null[:chunk].all() and not null[rows[:chunk]].all()
+        classes = measures._support_classes(5, measure.weights)[1]
+        assert classes.size == 30
+        assert measures._orbit_rows(measure, classes).tolist() == [167, 2007, 5572, 7412]
         assert is_associated(measure).fails
-        assert violations == [(167, 315)] * 2 and 167 in rows[:chunk]
+        assert violations == [(167, 315)] * 2
+
+
+SUPPORT_CLASSES = measures._support_classes
+
+
+def identity_classes(n, weights):
+    """``_support_classes`` with every up-set its own class: the masks as
+    restrictions, and every up-set of probability strictly between 0 and 1."""
+    restrictions = SUPPORT_CLASSES(n, weights)[0]
+    return measures._sweep_tables(n)[1], np.flatnonzero(
+        (restrictions != 0) & (restrictions != restrictions[-1]))
+
+
+def quotient_measures() -> dict:
+    """Exact measures with zero weights, so with fewer classes than up-sets:
+    none for the point mass, all but one up-set's for one zero weight."""
+    rates = [Fraction(k, k + 1) for k in range(1, 6)]
+    one_zero = [Fraction(1, 16)] * 16
+    one_zero[6], one_zero[9] = Fraction(0), Fraction(2, 16)
+    cases = {f"derangement{n}": derangement_measure(n) for n in (4, 5)}
+    cases["tilted derangement5"] = tilt(derangement_measure(5), site_product((1, r) for r in rates))
+    cases |= {f"generic{n} draw {seed}": random_measure(seed, n, "generic")
+              for n in (3, 4, 5) for seed in range(2)}
+    # fails in its fifth block, the others in their first
+    cases["derangement5, site 3 marked"] = orbit_sweep_measures()["derangement, site 3 marked"][1]
+    cases["point mass"] = point_mass(5, 11)
+    cases["one zero weight"] = WeightVector.exact(one_zero)
+    return cases
+
+
+class TestSupportClasses:
+    def test_reports_are_those_of_every_up_set(self, monkeypatch):
+        """Sweeping one up-set per restriction to the support gives the
+        reports of sweeping every up-set of probability strictly between 0
+        and 1: verdict, witness, ``pairs_checked`` and exact margin equal,
+        float margins (at tolerance 0 and the default) within 1e-12, also
+        for four-site DCA, whose tilt loop keeps the classes."""
+        cases = quotient_measures()
+
+        def reports():
+            found = {}
+            with sweeping():
+                for name, exact in cases.items():
+                    floats = WeightVector.floats([float(w) for w in exact.weights])
+                    found[name] = [is_associated(exact), is_associated(floats, tolerance=0),
+                                   is_associated(floats)]
+                    if exact.n == 4:
+                        found[name] += [dca_falsify(exact, 45), dca_falsify(floats, 45)]
+            return found
+
+        quotient = reports()
+        monkeypatch.setattr(measures, "_support_classes", identity_classes)
+        monkeypatch.setattr(tilts, "_support_classes", identity_classes)
+        identity = reports()
+        for name, found in quotient.items():
+            for report, expected in zip(found, identity[name]):
+                assert (report.verdict, report.witness) == (expected.verdict, expected.witness), name
+                margin = report.details.pop("min_sampled_margin", report.margin)
+                reference = expected.details.pop("min_sampled_margin", expected.margin)
+                assert report.details == expected.details, name
+                if isinstance(margin, Fraction):
+                    assert margin == reference, name
+                else:
+                    assert abs(margin - reference) <= 1e-12, name
+        assert {name for name, found in quotient.items() if found[0].holds} == {
+            "derangement4", "derangement5", "tilted derangement5", "generic3 draw 1", "point mass"}

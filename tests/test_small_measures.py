@@ -130,14 +130,19 @@ class TestDcaTiltSweep:
         measure = ProbabilityMeasure.floats(weights)
         sweep, supports = tilts._float_sweep, []
 
-        def recording(n, tilted, null, tol):
-            assert np.array_equal(null, measures._null_up_sets(n, tilted > 0))
+        def recording(n, tilted, classes, tol):
+            assert np.array_equal(classes, measures._support_classes(n, tilted)[1])
             supports.append(np.count_nonzero(tilted))
-            return sweep(n, tilted, null, tol)
+            return sweep(n, tilted, classes, tol)
 
+        classes, computed = tilts._support_classes, []
         monkeypatch.setattr(tilts, "_float_sweep", recording)
+        monkeypatch.setattr(tilts, "_support_classes", lambda n, weights: computed.append(
+            np.count_nonzero(weights)) or classes(n, weights))
         for tolerance in (None, 0):
             assert (report_key(dca_falsify(measure, budget=60, tolerance=tolerance))
                     == report_key(fresh_family_dca(measure, 60, tolerance=tolerance)))
         full = np.count_nonzero(weights)
         assert set(supports) == {full - 1, full}
+        # once per call, and again for each tilt that underflows a weight
+        assert sorted(computed) == sorted([full] * 2 + [s for s in supports if s < full])
