@@ -389,8 +389,8 @@ def _sweep(n: int, weights: np.ndarray, classes: np.ndarray, low: float, high: f
     float mode skipped, ``screen``, ``recheck``): ``screen(lo, hi)``
     recomputes the chunk of rows ``rows[lo:hi]`` (``classes`` if None) as
     the sweep computes it, as (flat values, ncols), flat entry r * ncols + c
-    being the pair (rows[lo + r], classes[c - ncols]), and
-    ``screen(lo, hi, True)`` as float mode screens it;
+    being the pair (rows[lo + r], classes[first + c]), classes[first]
+    being rows[lo], and ``screen(lo, hi, True)`` as float mode screens it;
     ``recheck(lo, flat, ncols)`` gives the entries ``flat`` as (i, j, rows
     of U & V, float64 p(U & V) - p(U)*p(V)).
     """
@@ -402,40 +402,40 @@ def _sweep(n: int, weights: np.ndarray, classes: np.ndarray, low: float, high: f
     right = {t: columns.astype(t, copy=False) for t in {columns.dtype.type, dtype}}
     scale = np.append(weights, -1.0)  # a row of ``right`` times it: [M*w | -p], exactly
     step = max(1, min(rows.size, _CHUNK_ENTRIES // max(1, classes.size)))
+    float_screen = dtype != columns.dtype
+    starts = np.arange(classes.size) if rows is classes else classes.searchsorted(rows)
     # one per type: a shared one leaves a five-site float sweep's heap resident (ROADMAP 18)
     buffers = {t: np.empty(step * classes.size, t) for t in right}
 
     def screen(lo, hi, fast=bool(certify)):
-        t, first = dtype if fast else np.float64, classes.searchsorted(rows[lo])
-        at = slice(lo, hi) if rows is classes else classes.searchsorted(rows[lo:hi])
+        t, first = dtype if fast else np.float64, starts[lo]
+        at = slice(lo, hi) if rows is classes else starts[lo:hi]
         values = np.ndarray((hi - lo, classes.size - first), t, buffers[t])
         np.matmul((right[t][at] * scale).astype(t, copy=False), right[t][first:].T, out=values)
         return values.ravel(), values.shape[1]
 
     def recheck(lo, flat, ncols):
         offsets = flat // ncols
-        i, j = rows[lo + offsets], classes[flat - offsets * ncols - ncols]
+        i, j = rows[lo + offsets], classes[starts[lo] + flat - offsets * ncols]
         inter = masks.searchsorted(masks[i] & masks[j])
         return i, j, inter, p[inter] - p[i] * p[j]
 
     violation, decided, cut = None, 0, band + bound  # decided: chunks in a row
     minima = []
     ends = rows.searchsorted([stop for _, stop in blocks])  # where each block's rows end
-    for start, end in zip([0, *ends], ends):
+    for begin, end in zip([0, *ends], ends):
         minima.append([])
-        for lo in range(start, end, step):
+        for lo in range(begin, end, step):
             hi = min(lo + step, end)
             if decided > 1 and float(screen(lo, hi, True)[0].min()) >= cut:
                 continue  # every float64 value is > 0: neither a violation nor below 0.0
             values, ncols = screen(lo, hi)
             chunk_min = float(values.min())
-            decided = decided + 1 if len(right) > 1 and chunk_min >= cut else 0  # float screens
+            decided = decided + 1 if float_screen and chunk_min >= cut else 0
             minima[-1].append((lo, hi, chunk_min))
             if violation is not None or chunk_min >= high:
                 continue
-            first = values.size
-            if chunk_min < low:
-                first = int((values < low).argmax())
+            first = int((values < low).argmax()) if chunk_min < low else values.size
             undecided = _pairs_once((values[:first] < high).nonzero()[0], ncols)
             for start in range(0, undecided.size, _CERT_BATCH):
                 batch = undecided[start:start + _CERT_BATCH]
@@ -446,7 +446,7 @@ def _sweep(n: int, weights: np.ndarray, classes: np.ndarray, low: float, high: f
                     first = int(batch[kept[negative[0]]])
                     break
             if first < values.size:
-                violation = int(rows[lo + first // ncols]), int(classes[first % ncols - ncols])
+                violation = int(rows[lo + first // ncols]), int(classes[starts[lo] + first % ncols])
         if violation is not None:
             break
     return violation, sum(pairs for pairs, _ in blocks[:len(minima)]), minima, screen, recheck

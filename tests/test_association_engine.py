@@ -597,12 +597,13 @@ class TestFloatRoundingBounds:
     @settings(max_examples=25, deadline=None)
     @given(five_site_float_measures())
     def test_float_screen_and_gemm_values_lie_within_their_bands(self, drawn):
-        """Sampled float32 screen values of the first and last chunk swept,
-        with each chunk's extremes, lie within the screen's band, and their
-        float64 GEMM values within the float64 band, of the exact value
-        mu(U & V) - mu(U)*mu(V) of the binary weights swept, read as
-        Fractions: a screen value at or above the sum of the bands has a
-        float64 value above 0."""
+        """Sampled float32 screen values of the first chunk swept and of the
+        last chunk of the last block swept, whether float mode computed it
+        or skipped it on the screen, with each chunk's extremes, lie within
+        the screen's band, and their float64 GEMM values within the float64
+        band, of the exact value mu(U & V) - mu(U)*mu(V) of the binary
+        weights swept, read as Fractions: a screen value at or above the sum
+        of the bands has a float64 value above 0."""
         measure, seed = drawn
         sweep, spied = measures._sweep, {}
 
@@ -617,10 +618,16 @@ class TestFloatRoundingBounds:
         fractions = [Fraction(w) for w in spied["weights"].tolist()]
         total = math.lcm(*(f.denominator for f in fractions))
         ints = np.array([f.numerator * (total // f.denominator) for f in fractions], dtype=object)
-        band, bound = measures._sweep_tables(5)[4:]
+        _, _, blocks, _, band, bound = measures._sweep_tables(5)
         rng = np.random.default_rng(seed)
-        chunks = [chunk for block in spied["minima"] for chunk in block]
-        for lo, hi, _ in {chunks[0], chunks[-1]}:
+        classes = measures._support_classes(5, spied["weights"])[1]
+        if not classes.size:  # nothing swept
+            return
+        step = min(classes.size, measures._CHUNK_ENTRIES // classes.size)  # as the sweep's
+        ends = classes.searchsorted([stop for _, stop in blocks[:len(spied["minima"])]])
+        begin, end = np.unique([0, *ends])[-2:]  # the last block swept with rows
+        first = next(chunk for block in spied["minima"] for chunk in block)
+        for lo, hi in {first[:2], (begin + (end - 1 - begin) // step * step, end)}:
             screened, ncols = spied["screen"](lo, hi, True)
             screened = screened.astype(np.float64)  # a copy: the next call overwrites the buffer
             values, _ = spied["screen"](lo, hi, False)
