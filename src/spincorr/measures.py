@@ -304,15 +304,26 @@ def _sweep_tables(n: int):
     return matrix, masks, blocks, screen, *bounds
 
 
+@lru_cache(maxsize=None)
+def _minimal_configurations(n: int) -> np.ndarray:
+    """Per up-set, the mask of its minimal members, with no lower neighbour c - 2^x in it."""
+    masks, configs = _sweep_tables(n)[1], np.arange(1 << n)
+    table = masks & ~np.bitwise_or.reduce(
+        [masks << (1 << x) & int(((configs >> x & 1) << configs).sum()) for x in range(n)])
+    table.flags.writeable = False
+    return table
+
+
 def _support_classes(n: int, weights):
     """The up-sets' restrictions to the support of ``weights`` (int64 masks) and, ascending, the
-    least up-set of each but the empty one and the support: cov(1_U, 1_V) depends only on them,
-    in float64 too (off the support every term is 0), and is 0 if U or V has probability 0 or 1."""
+    least up-set of each, its up-closure, but the empty one and the support's: the up-sets whose
+    minimal configurations lie in the support.  cov(1_U, 1_V) depends only on the restrictions, in
+    float64 too (off the support every term is 0), and is 0 if U or V has probability 0 or 1."""
     masks, support = _sweep_tables(n)[1], np.asarray(weights) > 0
     if support.all():  # every up-set is its own restriction
         return masks, np.arange(1, masks.size - 1)
-    restrictions = masks & (support @ (1 << np.arange(1 << n)))
-    return restrictions, np.sort(np.unique(restrictions, return_index=True)[1][1:-1])
+    bits = int(support @ (1 << np.arange(1 << n)))
+    return masks & bits, np.flatnonzero((_minimal_configurations(n) & ~bits) == 0)[1:-1]
 
 
 def _pairs_once(flat, ncols):
@@ -352,7 +363,7 @@ def _orbit_rows(vector, classes):
 
 
 def _sweep(n: int, weights: np.ndarray, classes: np.ndarray, low: float, high: float, certify,
-           rows=None):
+           rows=None, columns=None):
     """The block rule of ``is_associated``, in both arithmetic modes, on
     checked and normalized float64 weights, over the rows and columns
     ``classes`` (``_support_classes``): any other pair i <= j has the value
@@ -370,10 +381,10 @@ def _sweep(n: int, weights: np.ndarray, classes: np.ndarray, low: float, high: f
     with a recheck below the float64 bound go to ``certify(i, j, rows of
     U & V)``, which returns their exact values, or 0 where it knows them
     >= 0; the first negative one violates, and the sweep ends after its block.
-    Given ``rows``, classes ascending, exact mode sweeps those rows alone.
-    Every GEMM writes into the one buffer a sweep allocates for its operands'
-    type, so the values ``screen`` returns are overwritten by its next call
-    in that type.  Float mode (``certify`` None) computes its five-site
+    Given ``rows``, classes ascending, exact mode sweeps those rows alone;
+    given ``columns`` (``_sweep_columns``), the sweep writes p into them.
+    With several chunks a call of ``screen`` overwrites what its last call
+    in that type returned.  Float mode (``certify`` None) computes its five-site
     chunks in float64 at first, as below five sites, and screens a chunk in
     the screen type first once two chunks in a row were decided (minimum at
     least ``band + bound``): a lone decided chunk is often a block's short
@@ -397,21 +408,23 @@ def _sweep(n: int, weights: np.ndarray, classes: np.ndarray, low: float, high: f
     matrix, masks, blocks, dtype, band, bound = _sweep_tables(n)
     rows = classes if rows is None else rows
     p = weights @ matrix.T
-    columns = np.empty((classes.size, weights.size + 1), dtype if certify else np.float64)
-    columns[:, :-1], columns[:, -1] = matrix[classes], p[classes]
-    right = {t: columns.astype(t, copy=False) for t in {columns.dtype.type, dtype}}
-    scale = np.append(weights, -1.0)  # a row of ``right`` times it: [M*w | -p], exactly
+    if columns is None:
+        columns = _sweep_columns(n, classes, dtype if certify else np.float64)
+    columns[:, -1] = p[classes]
+    scale = np.concatenate((weights, (-1.0,)))  # a row of ``columns`` times it: [M*w | -p], exactly
     step = max(1, min(rows.size, _CHUNK_ENTRIES // max(1, classes.size)))
-    float_screen = dtype != columns.dtype
-    starts = np.arange(classes.size) if rows is classes else classes.searchsorted(rows)
-    # one per type: a shared one leaves a five-site float sweep's heap resident (ROADMAP 18)
-    buffers = {t: np.empty(step * classes.size, t) for t in right}
+    starts = range(classes.size) if rows is classes else classes.searchsorted(rows)
+    ends = rows.searchsorted([stop for _, stop in blocks]) if len(blocks) > 1 else [rows.size]
+    right = {t: columns.astype(t, copy=False) for t in {columns.dtype.type, dtype}}
+    buffers = {t: np.empty(step * classes.size, t)  # several chunks: one per type (ROADMAP 18)
+               for t in right if len(ends) > 1 or step < rows.size}
 
     def screen(lo, hi, fast=bool(certify)):
         t, first = dtype if fast else np.float64, starts[lo]
         at = slice(lo, hi) if rows is classes else starts[lo:hi]
-        values = np.ndarray((hi - lo, classes.size - first), t, buffers[t])
-        np.matmul((right[t][at] * scale).astype(t, copy=False), right[t][first:].T, out=values)
+        out = np.ndarray((hi - lo, classes.size - first), t, buffers[t]) if buffers else None
+        left = (right[t][at] * scale).astype(t, copy=False)
+        values = np.matmul(left, right[t][first:].T, out=out)
         return values.ravel(), values.shape[1]
 
     def recheck(lo, flat, ncols):
@@ -422,7 +435,6 @@ def _sweep(n: int, weights: np.ndarray, classes: np.ndarray, low: float, high: f
 
     violation, decided, cut = None, 0, band + bound  # decided: chunks in a row
     minima = []
-    ends = rows.searchsorted([stop for _, stop in blocks])  # where each block's rows end
     for begin, end in zip([0, *ends], ends):
         minima.append([])
         for lo in range(begin, end, step):
@@ -431,7 +443,7 @@ def _sweep(n: int, weights: np.ndarray, classes: np.ndarray, low: float, high: f
                 continue  # every float64 value is > 0: neither a violation nor below 0.0
             values, ncols = screen(lo, hi)
             chunk_min = float(values.min())
-            decided = decided + 1 if float_screen and chunk_min >= cut else 0
+            decided = decided + 1 if dtype != columns.dtype and chunk_min >= cut else 0
             minima[-1].append((lo, hi, chunk_min))
             if violation is not None or chunk_min >= high:
                 continue
@@ -452,7 +464,14 @@ def _sweep(n: int, weights: np.ndarray, classes: np.ndarray, low: float, high: f
     return violation, sum(pairs for pairs, _ in blocks[:len(minima)]), minima, screen, recheck
 
 
-def _float_sweep(n: int, weights: np.ndarray, classes: np.ndarray, tol: float):
+def _sweep_columns(n: int, classes: np.ndarray, dtype) -> np.ndarray:
+    """``_sweep``'s right operand [M | p] over ``classes``, with p left for the sweep to write."""
+    columns = np.empty((classes.size, (1 << n) + 1), dtype)
+    columns[:, :-1] = _sweep_tables(n)[0][classes]
+    return columns
+
+
+def _float_sweep(n: int, weights: np.ndarray, classes: np.ndarray, tol: float, columns=None):
     """Float-mode ``_sweep`` by ``is_associated``'s rule: (violation, pairs, margin).
 
     ``_exact_sweep``'s error bound, on which ``_sweep``'s float32 screen
@@ -461,7 +480,7 @@ def _float_sweep(n: int, weights: np.ndarray, classes: np.ndarray, tol: float):
     its own, and they sum to 1 within 1e-12, so every mu is at most
     1 + 1e-12, an excess that the bands' factor 2 absorbs.
     """
-    violation, checked, minima, _, _ = _sweep(n, weights, classes, -tol, -tol, None)
+    violation, checked, minima, _, _ = _sweep(n, weights, classes, -tol, -tol, None, None, columns)
     return violation, checked, min([0.0] + [m for block in minima for *_, m in block])
 
 
@@ -594,21 +613,19 @@ def is_associated(measure, *, tolerance=None) -> PropertyReport:
         best, violation, checked, total = _exact_sweep(measure)
         margin = Fraction(best, total * total)
     else:
-        weights = measure.as_float_array()
-        if not isinstance(measure, ProbabilityMeasure):
-            weights /= measure.total
+        weights = measure.as_float_array() / (
+            1.0 if isinstance(measure, ProbabilityMeasure) else measure.total)
         violation, checked, margin = _float_sweep(n, weights, _support_classes(n, weights)[1], tol)
-    witness = None
-    if violation is not None:
-        i, j = violation
-        witness = {
-            "up_set_u": list(up_set_members(masks[i])),
-            "up_set_v": list(up_set_members(masks[j])),
-            "mask_u": int(masks[i]),
-            "mask_v": int(masks[j]),
-        }
     details = {"mode": mode, "up_sets": len(masks), "pairs_checked": checked}
-    return _report("associated", mode, tol, witness, margin, details)
+    return _report("associated", mode, tol, _pair_witness(n, violation), margin, details)
+
+
+def _pair_witness(n: int, violation) -> dict | None:
+    """The witness of a violating up-set pair (i, j), None for None."""
+    if violation is not None:
+        u, v = (enumerate_up_sets(n)[k] for k in violation)
+        return {"up_set_u": list(up_set_members(u)), "up_set_v": list(up_set_members(v)),
+                "mask_u": int(u), "mask_v": int(v)}
 
 
 # ---------------------------------------------------------------------------
@@ -654,12 +671,12 @@ def is_downward_fkg(measure, *, tolerance=None) -> PropertyReport:
 
     Conditioning events of zero probability are skipped, matching the
     standing convention for conditional properties.  In float mode,
-    slices with mass below 1e-12 are also skipped: their conditional
-    weights would be dominated by semigroup truncation noise.  The empty
-    conditioning is the measure itself and the others go to
-    ``is_associated`` unnormalized, but a slice with one site left has
-    nested up-sets, so margin exactly 0, and is not swept; by Theorem 1.2
-    nor is an exact (1.3) slice (see ``is_associated``), unlike a float one.
+    slices with mass below 1e-12 are also skipped: their conditional weights
+    would be dominated by semigroup truncation noise.  An exact slice goes
+    to ``is_associated`` unnormalized; a float one is swept as its array,
+    divided by its Python sum but for the measure itself.  A slice with one
+    site left has nested up-sets, so margin exactly 0, and is not swept; by
+    Theorem 1.2 nor is an exact (1.3) slice (see ``is_associated``).
     An exact measure that satisfies (1.3) takes one scan for all its slices,
     each a sublattice and so (1.3) itself.
     """
@@ -669,8 +686,7 @@ def is_downward_fkg(measure, *, tolerance=None) -> PropertyReport:
     floor = 0 if pm.mode == EXACT else FLOAT_NORMALIZATION_SLACK
     enumerate_up_sets(n)  # BudgetError for n = 6, as is_associated raises on the first slice
     lattice = pm.mode == EXACT and satisfies_lattice(pm).holds
-    best = None
-    witness = None
+    best = witness = None
     checked = skipped = 0
     for amask in range(1 << n):
         weights, remaining = _zero_slice(pm, amask)
@@ -683,16 +699,18 @@ def is_downward_fkg(measure, *, tolerance=None) -> PropertyReport:
             if len(weights) >= 2 and best is None:  # no margin is positive
                 best = Fraction(0) if pm.mode == EXACT else 0.0
             continue
-        sub = pm if amask == 0 else WeightVector(len(remaining), tuple(weights), pm.mode)
-        report = is_associated(sub, tolerance=tolerance)
-        if best is None or report.margin < best:
-            best = report.margin
-        if report.fails:
-            witness = {
-                "conditioned_sites": [x for x in range(n) if amask >> x & 1],
-                "remaining_sites": list(remaining),
-                **report.witness,
-            }
+        if pm.mode == EXACT:
+            report = is_associated(WeightVector(len(remaining), tuple(weights)) if amask else pm)
+            margin, pair = report.margin, report.witness
+        else:  # swept as is_associated sweeps the slice's float WeightVector, or pm itself
+            swept, k = np.array(weights) / (mass if amask else 1.0), len(remaining)
+            violation, _, margin = _float_sweep(k, swept, _support_classes(k, swept)[1], tol)
+            pair = _pair_witness(k, violation)
+        if best is None or margin < best:
+            best = margin
+        if pair is not None:
+            sites = [x for x in range(n) if amask >> x & 1]
+            witness = {"conditioned_sites": sites, "remaining_sites": list(remaining), **pair}
             break
     details = {"mode": pm.mode, "subsets_checked": checked, "subsets_skipped": skipped}
     return _report("downward-fkg", pm.mode, tol, witness, best, details)

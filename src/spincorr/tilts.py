@@ -43,6 +43,7 @@ from .measures import (
     _resolve_tolerance,
     _site_symmetries,
     _support_classes,
+    _sweep_columns,
     _up_set_pair_covariance,
     is_associated,
     is_downward_fkg,
@@ -210,6 +211,7 @@ def dca_falsify(
     weights = pm.as_float_array()
     support = np.count_nonzero(weights)
     classes = _support_classes(n, weights)[1]  # h > 0 keeps them, unless a weight underflows
+    columns = _sweep_columns(n, classes, np.float64)  # the sweeps' [M | p]: each writes its p
     float_tol = _resolve_tolerance(FLOAT, tolerance)
     least = _site_symmetries(pm).min(axis=0)  # per site-set mask, the least of its orbit
     best = None
@@ -220,7 +222,7 @@ def dca_falsify(
         tilted /= tilted.sum()
         _check_float_mass(sum(tilted.tolist()))
         rows = _support_classes(n, tilted)[1] if np.count_nonzero(tilted) < support else classes
-        margin = _float_sweep(n, tilted, rows, float_tol)[2]  # is_associated's margin
+        margin = _float_sweep(n, tilted, rows, float_tol, columns if rows is classes else None)[2]
         best = margin if best is None else min(best, margin)
         if margin < -max(tol, FLOAT_NORMALIZATION_SLACK):
             confirmed = _tilt_witness(pm, label, h, tolerance)

@@ -1,10 +1,12 @@
 """Small-measure checks against the same checks done the long way.
 
-``is_downward_fkg`` hands its slices to ``is_associated`` unnormalized and
-folds a one-site slice's margin 0 in without a sweep; ``dca_falsify``
-sweeps each tilt's float64 weights without building a measure.  Their
-reports must equal those of ``oracles.reference_downward_fkg`` and of
-``is_associated`` on the normalized measure, margins to the last bit.
+``is_downward_fkg`` hands its exact slices to ``is_associated``
+unnormalized, sweeps its float ones as bare float64 arrays and folds a
+one-site slice's margin 0 in without a sweep; ``dca_falsify`` sweeps each
+tilt's float64 weights without building a measure, into one column block
+per call.  Their reports must equal those of
+``oracles.reference_downward_fkg`` and of ``is_associated`` on the
+normalized measure, margins to the last bit.
 """
 
 import json
@@ -70,6 +72,20 @@ class TestDownwardFkgAgainstReference:
             assert (report_key(is_downward_fkg(measure, tolerance=tolerance))
                     == report_key(reference_downward_fkg(measure, tolerance=tolerance)))
 
+    @pytest.mark.parametrize("tolerance", [None, 0])
+    def test_slices_whose_numpy_sum_is_not_the_python_sum(self, tolerance):
+        """Evolved four-site measures with three-site slices whose float sum
+        in numpy's pairwise order is not the Python sum the reference divides
+        by: a slice normalized by the former moves the margin's last bits."""
+        gen = build_generator(contact_process(path_edges(4)))
+        for seed in (17, 20, 37):
+            measure = semigroup_apply(gen, normalize(random_measure(seed, 4, "generic")), 1.0)
+            slices = [[w for c, w in enumerate(measure.weights) if not c >> x & 1]
+                      for x in range(4)]
+            assert any(np.sum(weights) != sum(weights) for weights in slices)
+            assert (report_key(is_downward_fkg(measure, tolerance=tolerance))
+                    == report_key(reference_downward_fkg(measure, tolerance=tolerance)))
+
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_one_site_measures_carry_margin_zero(self, mode):
         weights = [Fraction(1, 3), Fraction(2, 3)] if mode == "exact" else [1 / 3, 2 / 3]
@@ -121,6 +137,35 @@ class TestDcaTiltSweep:
         with pytest.raises(ValueError, match="^float measure sums to nan, outside 1e-12 of 1$"):
             dca_falsify(derangement_measure(4), budget=1)
 
+    def test_each_tilt_margin_is_that_of_its_own_sweep(self, monkeypatch):
+        """The tilt loop builds the sweeps' column block once per call and
+        each sweep writes its own p into it: every four-site tilt's margin
+        is, bit for bit, that of ``_float_sweep`` building its own block for
+        the same tilted weights."""
+        sweep, margins = tilts._float_sweep, []
+
+        def recording(n, tilted, classes, tol, columns):
+            result = sweep(n, tilted, classes, tol, columns)
+            margins.append((result[2].hex(), sweep(n, tilted.copy(), classes, tol)[2].hex()))
+            return result
+
+        monkeypatch.setattr(tilts, "_float_sweep", recording)
+        gen = build_generator(contact_process(path_edges(4)))
+        start = ProbabilityMeasure.product([Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
+                                            Fraction(3, 4)])
+        # dyadic, so its float weights are exact and its downward-FKG screen holds at
+        # tolerance 0, while its tilted margins fall a few ulps either side of 0
+        product = ProbabilityMeasure.floats(
+            ProbabilityMeasure.product([Fraction(1, 2), Fraction(1, 4), Fraction(3, 4),
+                                        Fraction(3, 8)]).as_float_array())
+        cases = [(semigroup_apply(gen, start, t), None) for t in (0.1, 1.0)] + [(product, 0)]
+        for measure, tolerance in cases:
+            margins.clear()
+            report = dca_falsify(measure, 45, tolerance=tolerance)
+            assert report.details["tilts_sampled"] == 45 and len(margins) == 45
+            assert all(got == expected for got, expected in margins)
+            assert report.margin.hex() == min(float.fromhex(m) for m, _ in margins).hex()
+
     def test_a_tilt_that_underflows_a_weight_sweeps_its_own_support(self, monkeypatch):
         # a measure on the chain 0b0001 < 0b0011 < 0b1111, so DCA holds;
         # 5e-324 times a tilt value below 1/2 rounds to 0, and such a tilt
@@ -130,10 +175,10 @@ class TestDcaTiltSweep:
         measure = ProbabilityMeasure.floats(weights)
         sweep, supports = tilts._float_sweep, []
 
-        def recording(n, tilted, classes, tol):
+        def recording(n, tilted, classes, tol, columns):
             assert np.array_equal(classes, measures._support_classes(n, tilted)[1])
             supports.append(np.count_nonzero(tilted))
-            return sweep(n, tilted, classes, tol)
+            return sweep(n, tilted, classes, tol, columns)
 
         classes, computed = tilts._support_classes, []
         monkeypatch.setattr(tilts, "_float_sweep", recording)
